@@ -26,10 +26,11 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .exact import Q, rat_from_str, rat_to_str
+from .exact import Q, rat_to_str
 from .hyp import Precision
 from .maps import ScaleGuardError, enumerate_maps, oracle_f
 from .series import ZSeries
@@ -45,14 +46,16 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_u(text: str):
-    """'symbolic' -> None, otherwise an exact rational from 'p/q'."""
-    if text == "symbolic":
+def _parse_u(text: str, symbolic: bool = False):
+    """An exact rational from a decimal or 'p/q' (nan, inf and junk are
+    refused); 'symbolic' -> None where the subcommand allows it."""
+    if symbolic and text == "symbolic":
         return None
     try:
-        return rat_from_str(text)
+        return Q(Fraction(text))
     except (ValueError, ZeroDivisionError):
-        raise CliError("cannot parse u=%r (use 'symbolic' or 'p/q')" % text,
+        raise CliError("cannot parse u=%r (use %sa decimal or 'p/q')"
+                       % (text, "'symbolic', " if symbolic else ""),
                        EXIT_BAD_FLAGS)
 
 
@@ -98,7 +101,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None):
 def cmd_coeffs(args):
     from .solver import MAX_SYMBOLIC_ORDER, solve
 
-    u = _parse_u(args.u)
+    u = _parse_u(args.u, symbolic=True)
     if u is None and args.order > MAX_SYMBOLIC_ORDER:
         raise CliError(
             "symbolic u is limited to order %d (cost grows quartically); "
@@ -147,7 +150,7 @@ def cmd_oracle(args):
 def cmd_verify(args):
     from .deverify import DE_NAMES, IDENTITY_NAMES, check_de, check_identity
 
-    u = _parse_u(args.u)
+    u = _parse_u(args.u, symbolic=True)
     only = set(args.only.split(",")) if args.only else None
     rows = []
     for name in IDENTITY_NAMES:
@@ -183,9 +186,11 @@ def cmd_radius(args):
     from .critical import radius, s_tilde_radius_cubic
 
     prec = _precision(args)
-    us = [float(x) for x in args.u.split(",")]
+    us = [_parse_u(x) for x in args.u.split(",")]
+    if any(u < -1 for u in us):
+        raise CliError("radius needs u >= -1", EXIT_BAD_FLAGS)
     profiles = []
-    for u in us:
+    for u in map(float, us):
         prof = radius(args.p, u, prec)
         rec = {
             "u": prof.u, "rho": prof.rho, "tau": prof.tau, "sigma": prof.sigma,
@@ -210,7 +215,7 @@ def cmd_asymptotics(args):
     prec = _precision(args)
     if args.mode == "ratios":
         ns = [int(x) for x in args.n_list.split(",")]
-        rows = coefficient_asymptotic_check(args.p, Q(rat_from_str(args.u)), ns, prec)
+        rows = coefficient_asymptotic_check(args.p, _parse_u(args.u), ns, prec)
         payload = {"rows": [{"n": r["n"], "ratio": r["ratio"]} for r in rows]}
         _emit(args, payload,
               csv_rows=[(r["n"], rat_to_str(r["f_n"]), r["ratio"]) for r in rows],
@@ -218,7 +223,7 @@ def cmd_asymptotics(args):
         return
     fracs = tuple(float(x) for x in args.fracs.split(","))
     if args.mode == "log-probe":
-        res = log_singularity_probe(rat_from_str(args.u), fracs, prec,
+        res = log_singularity_probe(_parse_u(args.u), fracs, prec,
                                     order=args.order, tol=args.tol)
         _emit(args, res,
               csv_rows=[(r["z_frac"], r["lhs"], r["rhs"], r["deviation"],
@@ -226,7 +231,7 @@ def cmd_asymptotics(args):
               csv_header=("z_over_rho", "lhs", "rhs", "deviation", "tail_bound"))
         return
     if args.mode == "beta-fit":
-        res = cubic_beta_fit(rat_from_str(args.u), fracs, args.order or 4000, prec)
+        res = cubic_beta_fit(_parse_u(args.u), fracs, args.order or 4000, prec)
         _emit(args, res,
               csv_rows=[(r["z_frac"], r["fprime"], r["beta_pointwise"])
                         for r in res["beta_rows"]],
@@ -240,7 +245,7 @@ def cmd_random(args):
                             finite_n_root_size, kappa, s_limit_law)
 
     prec = _precision(args)
-    u = rat_from_str(args.u)
+    u = _parse_u(args.u)
     payload = {"u": rat_to_str(u), "kappa": kappa(float(u), prec)}
     if u > 0:
         payload["component_slope"] = component_slope(float(u), prec)
@@ -400,7 +405,7 @@ def main(argv: Optional[list] = None) -> None:
     except ScaleGuardError as exc:
         print("refused: %s" % exc, file=sys.stderr)
         sys.exit(EXIT_SCALE_GUARD)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         sys.exit(EXIT_NUMERIC)
 

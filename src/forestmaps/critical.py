@@ -21,7 +21,7 @@ steps; every returned root carries its residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 import mpmath
@@ -53,6 +53,24 @@ def _sign_regime(u) -> int:
     if u == 0:
         return 0
     return -1
+
+
+# the brackets close once lo ~ 1/u (quartic) or ~ 1/u^2 (cubic); 400 steps
+# reach 400 decades below the start, past that for any u that is resolved
+_BRACKET_STEPS = 400
+
+
+def _bracket_below(f, lo, shrink, name: str):
+    """Shrink lo by `shrink` until f(lo) >= 0; refuses after a bounded
+    number of steps instead of searching forever (u = inf never brackets)."""
+    for _ in range(_BRACKET_STEPS):
+        if not f(lo) < 0:
+            return lo
+        lo /= shrink
+    raise ValueError(
+        "could not bracket the %s: f stays negative down to %s after %d "
+        "steps" % (name, mpmath.nstr(lo, 5), _BRACKET_STEPS)
+    )
 
 
 def _bisect_newton(f, df, lo, hi, prec: Precision):
@@ -115,9 +133,7 @@ def quartic_tau(u, prec: Precision = DEFAULT_PREC):
                 "u=%s puts the critical point closer to 1/27 than the working "
                 "precision resolves; raise working_digits" % u
             )
-        lo = mpf(10) ** (-6)
-        while f(lo) < 0:
-            lo /= 100
+        lo = _bracket_below(f, mpf(10) ** (-6), 100, "quartic critical point")
         tau, res = _bisect_newton(f, df, lo, hi, prec)
         return tau, res
 
@@ -130,16 +146,16 @@ def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
     if u < -1:
         raise ValueError("u must be >= -1")
     key = (p, float(u), prec.working_digits)
-    if key in _RADIUS_CACHE:
-        return _RADIUS_CACHE[key]
-    if p == 4:
-        out = _radius_quartic(u, prec)
-    elif p == 3:
-        out = _radius_cubic(u, prec)
-    else:
-        raise ValueError("radius is implemented for p in {3, 4}")
-    _RADIUS_CACHE[key] = out
-    return out
+    if key not in _RADIUS_CACHE:
+        if p == 4:
+            _RADIUS_CACHE[key] = _radius_quartic(u, prec)
+        elif p == 3:
+            _RADIUS_CACHE[key] = _radius_cubic(u, prec)
+        else:
+            raise ValueError("radius is implemented for p in {3, 4}")
+    # each caller gets its own profile, so mutating one cannot alter the cache
+    prof = _RADIUS_CACHE[key]
+    return replace(prof, residuals=dict(prof.residuals))
 
 
 def _radius_quartic(u, prec: Precision) -> SingularProfile:
@@ -201,21 +217,25 @@ def cubic_rho_closed(u, prec: Precision = DEFAULT_PREC):
         return num / (192 * pi ** 4 * (1 + um) ** 3)
 
 
-def cubic_rho_at_minus_one(prec: Precision = DEFAULT_PREC, steps: int = 12):
-    """Limit of the closed form as u -> -1 via Richardson extrapolation.
+def _limit_at_minus_one(fn, prec: Precision, steps: int = 12):
+    """Limit of fn(u, prec) as u -> -1 via Richardson extrapolation.
 
-    The closed form is 0/0 at u = -1; the limit is evaluated on the nodes
+    The closed forms are 0/0 at u = -1; the limit is evaluated on the nodes
     u = -1 + h/2^k and extrapolated polynomially in h.
     """
     with prec.ctx():
         h0 = mpf(1) / 64
-        vals = [cubic_rho_closed(-1 + h0 / 2 ** k, prec) for k in range(steps)]
+        table = [fn(-1 + h0 / 2 ** k, prec) for k in range(steps)]
         # Richardson for an expansion in powers of h
-        table = list(vals)
         for j in range(1, steps):
             for k in range(steps - 1, j - 1, -1):
                 table[k] = (2 ** j * table[k] - table[k - 1]) / (2 ** j - 1)
         return table[-1]
+
+
+def cubic_rho_at_minus_one(prec: Precision = DEFAULT_PREC, steps: int = 12):
+    """Limit of the closed cubic radius as u -> -1."""
+    return _limit_at_minus_one(cubic_rho_closed, prec, steps)
 
 
 def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
@@ -242,9 +262,7 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
             return 1 - rhs(t)
 
         hi = b * (1 - mpf(10) ** (-min(30, prec.working_digits - 10)))
-        lo = b / 1000
-        while f(lo) < 0:
-            lo /= 10
+        lo = _bracket_below(f, b / 1000, 10, "inner critical point")
         tries = 0
         while f(hi) > 0:
             hi = (hi + b) / 2
@@ -371,9 +389,7 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
             return (1 - um * phi1_x(x, y, prec)) * (1 - um * phi2_y(x, y, prec)) \
                 - um * um * phi1_y(x, y, prec) * phi2_x(x, y, prec)
 
-        lo = t_inner / 1000
-        while h(lo) < 0:
-            lo /= 10
+        lo = _bracket_below(h, t_inner / 1000, 10, "outer characteristic root")
         hi = t_inner * (1 - mpf(10) ** (-min(25, prec.working_digits - 12)))
         tries = 0
         while h(hi) > 0:  # pragma: no cover - h < 0 near the inner point
@@ -443,14 +459,7 @@ def _cubic_delta_limit(u, prec: Precision):
         if um != -1:
             return cubic_delta_negative(um, prec)
         # 0/0 at -1: same Richardson treatment as the radius
-        h0 = mpf(1) / 64
-        steps = 12
-        vals = [cubic_delta_negative(-1 + h0 / 2 ** k, prec) for k in range(steps)]
-        table = list(vals)
-        for j in range(1, steps):
-            for k in range(steps - 1, j - 1, -1):
-                table[k] = (2 ** j * table[k] - table[k - 1]) / (2 ** j - 1)
-        return table[-1]
+        return _limit_at_minus_one(cubic_delta_negative, prec)
 
 
 # ---------------------------------------------------------------------------

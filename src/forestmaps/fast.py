@@ -15,269 +15,102 @@ coefficient recurrences:
       D    = 36z^2 + (24z - 1 + 24uz)R + 4(u+1)RS - 4(u+1)^2 RS^2 + 4(u+1)^2 R^2
   which again gives an O(order^2) recurrence from R_1 = 1, S_1 = 2u.
 
-Both recurrences are validated against the sweep solver in the test suite.
-Exact variants run on rational scalars; float variants run on numpy arrays
-of coefficients rescaled by a power of a scale factor (typically the radius
-of convergence) so that the dynamic range stays tame, and are themselves
-validated against the exact variants on a shared prefix.
+Each recurrence, and each series helper, is written once over numpy arrays
+whose entry n holds the z^n coefficient times s^n.  The field follows the
+scale s: the exact entry points pass a rational u with s = Q(1) and run on
+``object`` arrays of rationals, returning lists; the ``*_float`` entry points
+pass a float u with s a float (typically the radius of convergence, so that
+the dynamic range stays tame) and run on float64 arrays.  Both recurrences
+are validated against the sweep solver in the test suite, and the float runs
+against the exact ones on a shared prefix.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .exact import Q, QZERO
+from .exact import Q
 
 # ---------------------------------------------------------------------------
-# exact list helpers (coefficients indexed by z-power)
+# series helpers (entry n is the z^n coefficient times s^n)
 # ---------------------------------------------------------------------------
 
-def conv_trunc(a: Sequence, b: Sequence, n: int) -> list:
-    """Coefficients 0..n of the product of two coefficient lists."""
-    out = [QZERO] * (n + 1)
-    for i, ai in enumerate(a):
-        if i > n:
-            break
-        if ai == 0:
-            continue
-        top = min(n - i, len(b) - 1)
-        for j in range(top + 1):
-            bj = b[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
+
+def _zeros(s, n: int) -> np.ndarray:
+    """n zeros in the field of the scale s: float64 for a float s, an
+    ``object`` array of rationals for s = Q(1)."""
+    return np.full(n, s * 0)
 
 
-def list_recip(a: Sequence, n: int) -> list:
-    """Reciprocal of a list with a[0] != 0, through index n."""
-    if a[0] == 0:
-        raise ZeroDivisionError("list_recip needs a nonzero constant term")
-    inv0 = Q(1) / a[0]
-    out = [inv0]
-    for m in range(1, n + 1):
-        acc = QZERO
-        for k in range(1, min(m, len(a) - 1) + 1):
-            if a[k] != 0:
-                acc += a[k] * out[m - k]
-        out.append(-inv0 * acc)
-    return out
-
-
-def list_diff(a: Sequence) -> list:
-    return [a[i] * i for i in range(1, len(a))]
-
-
-def list_int(a: Sequence) -> list:
-    return [QZERO] + [a[i] * Q(1, i + 1) for i in range(len(a))]
-
-
-# ---------------------------------------------------------------------------
-# quartic engine, exact
-# ---------------------------------------------------------------------------
-
-def quartic_r_coeffs(u, order: int) -> list:
-    """Exact coefficients R_0..R_order of R = z + u Phi(R) for p = 4."""
-    u = Q(u)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    one = Q(1)
-    R = [QZERO, one] + [QZERO] * (order - 1)
-    if order >= 2:
-        R[2] = 3 * u
-    if order < 3:
-        return R[: order + 1]
-    up1 = 1 + u
-    # arrays: Rp = R', B2 = R'^2, C = R'^3, R2 = R^2, P = 27 R^2 - R,
-    # L = (1+u) R - z; indices are z-powers.
-    Rp = [one, 2 * R[2]]
-    B2 = [one, 4 * R[2]]
-    C = [one, 6 * R[2]]
-    R2 = [QZERO, QZERO, one]
-    P = [QZERO, -one, 27 - 3 * u]
-    L = [QZERO, u, up1 * R[2]]
-    for n in range(2, order):
-        if n >= 3:
-            # extend the derived arrays to the indices this step consumes
-            r2n = sum(R[a] * R[n - a] for a in range(1, n))
-            R2.append(r2n)
-            P.append(27 * r2n - R[n])
-            L.append(up1 * R[n])
-            Rp.append(n * R[n])
-            B2.append(sum(Rp[a] * Rp[n - 1 - a] for a in range(n)))
-            C.append(sum(B2[a] * Rp[n - 1 - a] for a in range(n)))
-        known = sum(
-            P[k] * (n - k + 2) * (n - k + 1) * R[n - k + 2] for k in range(2, n + 1)
-        )
-        known += 6 * sum(L[k] * C[n - k] for k in range(1, n + 1))
-        R[n + 1] = known / (n * (n + 1))
-    return R
-
-
-def quartic_series(u, order: int) -> dict:
-    """Exact quartic bundle: R, W = Phi(R), V = Phi'(R), F', F, F''_zu.
-
-    All entries are coefficient lists through z^order (F through
-    z^(order+1) is not kept; integrate F' if needed).  Requires u != 0 for
-    the 1/u eliminations; at u = 0 the closed spanning-tree form applies
-    and R = z.
-    """
-    u = Q(u)
-    R = quartic_r_coeffs(u, order)
-    n = order
-    z = [QZERO, Q(1)] + [QZERO] * (n - 1)
-    if u == 0:
-        from .trees import phi_theta_tables
-
-        tabs = phi_theta_tables(4, n)
-        theta, phi = tabs["theta_x"], tabs["phi_x"]
-        phi_p = list_diff(phi) + [QZERO]
-        fprime = list(theta)
-        fzu = conv_trunc(phi, list_diff(theta) + [QZERO], n)
-        return {
-            "R": R,
-            "W": list(phi),
-            "V": phi_p[: n + 1],
-            "fprime": fprime,
-            "f": list_int(fprime)[: n + 1],
-            "fzu": fzu,
-        }
-    uinv = Q(1) / u
-    W = [(R[i] - z[i]) * uinv for i in range(n + 1)]
-    Rp = list_diff(R)  # length n, valid through z^(n-1)
-    Rp_inv = list_recip(Rp, n - 1)
-    # Phi'(R) = (1 - 1/R') / u
-    V = [-c * uinv for c in Rp_inv]
-    V[0] = (Q(1) - Rp_inv[0]) * uinv
-    # theta(R) = (2 (27R - 1) V - 42 W + 12 R) / 3, valid through z^(n-1)
-    m = n - 1
-    t1 = conv_trunc([27 * c for c in R], V, m)
-    fprime = [
-        (2 * (t1[i] - V[i]) - 42 * W[i] + 12 * R[i]) * Q(1, 3) for i in range(m + 1)
-    ]
-    f = list_int(fprime)  # valid through z^n
-    # theta'(R) = 4V - 4 W/R ; W/R = (W shifted) * 1/(R shifted)
-    w_over_r = conv_trunc(W[1:], list_recip(R[1:], m), m)
-    theta_p = [4 * V[i] - 4 * w_over_r[i] for i in range(m + 1)]
-    # F''_zu = W * theta'(R) * R'
-    fzu = conv_trunc(conv_trunc(W, theta_p, m), Rp, m)
-    return {"R": R, "W": W, "V": V, "fprime": fprime, "f": f[: n + 1], "fzu": fzu}
-
-
-def quartic_f_coeff(u, n: int) -> object:
-    """Exact [z^n] F(z, u) for p = 4 (u an exact rational)."""
-    ser = quartic_series(u, max(n, 3))
-    return ser["f"][n]
-
-
-# ---------------------------------------------------------------------------
-# cubic engine, exact
-# ---------------------------------------------------------------------------
-
-def cubic_rs_coeffs(u, order: int):
-    """Exact coefficients of (R, S) for p = 3 via the rational-derivative
-    recurrence; returns two lists indexed by z-power."""
-    u = Q(u)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    one = Q(1)
-    up1 = u + 1
-    R = [QZERO, one]
-    S = [QZERO, 2 * u]
-    if order == 1:
-        return R, S
-    # product arrays
-    R2 = [QZERO, QZERO]
-    RS = [QZERO, QZERO]
-    S2 = [QZERO, QZERO]
-    RS2 = [QZERO, QZERO]
-    D = [QZERO, -one]
-    A = [-one, 48 + 16 * up1 + 2 * (3 + u) * S[1]]
-    B = [QZERO, u]
-    for n in range(1, order):
-        m = n + 1
-        # extend valuation->=2 products to index m (uses entries <= n only)
-        R2.append(sum(R[a] * R[m - a] for a in range(1, m)))
-        RS.append(sum(R[a] * S[m - a] for a in range(1, m)))
-        S2.append(sum(S[a] * S[m - a] for a in range(1, m)))
-        RS2.append(sum(R[a] * S2[m - a] for a in range(1, m - 1)) if m >= 3 else QZERO)
-        dk = (
-            (36 if m == 2 else 0)
-            + 24 * up1 * R[m - 1]
-            + 4 * up1 * RS[m]
-            - 4 * up1 * up1 * RS2[m]
-            + 4 * up1 * up1 * R2[m]
-        )
-        known_dr = sum(D[k] * (m - k + 1) * R[m - k + 1] for k in range(2, n + 1)) + dk
-        known_ra = sum(R[k] * A[m - k] for k in range(1, n + 1))
-        R.append((known_dr - known_ra) / m)
-        D.append(dk - R[m])
-        B.append(
-            (3 if m == 1 else 0) + (u - 3) * R[m] - 12 * S[m - 1] + 4 * up1 * RS[m]
-        )
-        known_ds = (
-            sum(D[k] * (m - k + 1) * S[m - k + 1] for k in range(2, n + 1))
-            + D[m] * S[1]
-        )
-        S.append((known_ds + 2 * B[m]) / m)
-        A.append(48 if m == 1 else (16 * up1 * R[m] + 2 * (3 + u) * S[m] - 8 * up1 * S2[m]))
-    return R, S
-
-
-def cubic_fprime_coeffs(u, order: int, rs=None) -> list:
-    """Exact F' coefficients for p = 3 from the polynomial shortcut
-    F' = (2z + S - 2R - S^2)/u - (2R + S^2)."""
-    u = Q(u)
-    if u == 0:
-        from .trees import quartic_mullin_coeff
-
-        return [quartic_mullin_coeff(3, n + 1) * (n + 1) for n in range(order + 1)]
-    R, S = rs if rs is not None else cubic_rs_coeffs(u, order)
-    uinv = Q(1) / u
-    S2 = conv_trunc(S, S, order)
+def conv_trunc(a: Sequence, b: Sequence, n: int) -> np.ndarray:
+    """Coefficients 0..n of the product of two coefficient arrays (float64
+    arrays, or arrays or lists of rationals)."""
+    a, b = np.asarray(a), np.asarray(b)
     out = []
-    for i in range(order + 1):
-        zi = Q(1) if i == 1 else QZERO
-        core = 2 * R[i] + S2[i]
-        out.append((2 * zi + S[i] - core) * uinv - core)
+    for k in range(n + 1):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        out.append(a[lo : hi + 1].dot(b[k - hi : k - lo + 1][::-1]))
+    return np.array(out)
+
+
+def _recip(a: np.ndarray, n: int) -> np.ndarray:
+    """Reciprocal of a series with a[0] != 0, through index n."""
+    if a[0] == 0:
+        raise ZeroDivisionError("the reciprocal needs a nonzero constant term")
+    inv0 = 1 / a[0]
+    out = np.empty_like(a, shape=n + 1)
+    out[0] = inv0
+    for k in range(1, n + 1):
+        j = min(k, len(a) - 1)
+        out[k] = -inv0 * a[1 : j + 1].dot(out[k - j : k][::-1])
+    return out
+
+
+def _diff(a: np.ndarray, s) -> np.ndarray:
+    """Derivative: one entry shorter than a."""
+    return np.arange(1, len(a)) * a[1:] / s
+
+
+def _integrate(a: np.ndarray, s) -> np.ndarray:
+    """Antiderivative with zero constant term: one entry longer than a."""
+    out = _zeros(s, len(a) + 1)
+    out[1:] = a * s / np.arange(1, len(a) + 1)
     return out
 
 
 # ---------------------------------------------------------------------------
-# float variants (numpy, coefficients rescaled by scale**n)
+# the recurrences
 # ---------------------------------------------------------------------------
 
-def quartic_r_float(u: float, order: int, scale: float) -> np.ndarray:
-    """Rescaled coefficients R_n * scale^n as float64, n = 0..order."""
-    s = float(scale)
-    u = float(u)
-    up1 = 1.0 + u
-    N = order
-    R = np.zeros(N + 1)
+
+def _quartic_r(u, order: int, s) -> np.ndarray:
+    """R_n s^n, n = 0..order, for R = z + u Phi(R) at p = 4."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    R = _zeros(s, order + 1)
     R[1] = s
-    if N >= 2:
+    if order >= 2:
         R[2] = 3 * u * s * s
-    if N < 3:
+    if order < 3:
         return R
-    Rp = np.zeros(N)  # R'_j * s^j = (j+1) R[j+1] / s
-    B2 = np.zeros(N)
-    C = np.zeros(N)
-    R2 = np.zeros(N + 1)
-    P = np.zeros(N + 1)
-    L = np.zeros(N + 1)
-    Rp[0] = 1.0
+    up1 = 1 + u
+    # Rp = R', B2 = R'^2, C = R'^3, rpp = R'', R2 = R^2, P = 27 R^2 - R and
+    # L = (1+u) R - z, each extended by one entry per step
+    Rp, B2, C, rpp = (_zeros(s, order) for _ in range(4))
+    R2, P, L = (_zeros(s, order + 1) for _ in range(3))
+    Rp[0] = B2[0] = C[0] = R[1] / s
     Rp[1] = 2 * R[2] / s
-    B2[0] = 1.0
     B2[1] = 2 * Rp[1]
-    C[0] = 1.0
     C[1] = 3 * Rp[1]
+    rpp[0] = 2 * R[2] / (s * s)
     R2[2] = R[1] * R[1]
     P[1] = -s
     P[2] = 27 * R2[2] - R[2]
     L[1] = u * s
     L[2] = up1 * R[2]
-    for n in range(2, N):
+    for n in range(2, order):
         if n >= 3:
             R2[n] = R[1:n].dot(R[n - 1 : 0 : -1])
             P[n] = 27 * R2[n] - R[n]
@@ -285,125 +118,168 @@ def quartic_r_float(u: float, order: int, scale: float) -> np.ndarray:
             Rp[n - 1] = n * R[n] / s
             B2[n - 1] = Rp[0:n].dot(Rp[n - 1 :: -1])
             C[n - 1] = B2[0:n].dot(Rp[n - 1 :: -1])
-        # Rpp[j] = (j+2)(j+1) R[j+2] / s^2 ; known = sum P[k] Rpp[n-k], k>=2
-        idx = np.arange(0, n - 1)
-        rpp = (idx + 2) * (idx + 1) * R[2 : n + 1] / (s * s)
-        known = P[2 : n + 1].dot(rpp[::-1])
-        known += 6.0 * L[1 : n + 1].dot(C[n - 1 :: -1])
+            rpp[n - 2] = n * (n - 1) * R[n] / (s * s)
+        known = P[2 : n + 1].dot(rpp[n - 2 :: -1])
+        known += 6 * L[1 : n + 1].dot(C[n - 1 :: -1])
         R[n + 1] = s * known / (n * (n + 1))
     return R
 
 
-def np_conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    return np.convolve(a[: n + 1], b[: n + 1])[: n + 1]
+def _quartic_bundle(R: np.ndarray, u, s) -> dict:
+    """W = Phi(R), V = Phi'(R), F' and F''_zu from R (needs u != 0).
 
-
-def np_recip(a: np.ndarray, n: int) -> np.ndarray:
-    """Series reciprocal through index n (a[0] != 0), Newton doubling."""
-    if a[0] == 0:
-        raise ZeroDivisionError("np_recip needs a nonzero constant term")
-    y = np.array([1.0 / a[0]])
-    k = 1
-    while k <= n:
-        k = min(2 * k, n + 1)
-        ay = np.convolve(a[:k], y)[:k]
-        two_minus = -ay
-        two_minus[0] += 2.0
-        y = np.convolve(y, two_minus)[:k]
-    return y[: n + 1]
-
-
-def quartic_fseries_float(u: float, order: int, scale: float) -> dict:
-    """Float quartic bundle (rescaled): R, F', F'', F''_zu coefficient arrays.
-
-    Entry [n] of each array is the true z^n coefficient times scale^n.
-    Valid through index order-1 for F' and order-2 for F''.
-    """
-    s = float(scale)
-    u = float(u)
-    R = quartic_r_float(u, order, s)
-    n = order
-    z = np.zeros(n + 1)
+    R runs through z^order; W through z^order, the rest through
+    z^(order-1)."""
+    m = len(R) - 2
+    z = _zeros(s, len(R))
     z[1] = s
     W = (R - z) / u
-    idx = np.arange(1, n + 1)
-    Rp = np.zeros(n)
-    Rp[: n] = idx * R[1:] / s
-    Rp_inv = np_recip(Rp, n - 1)
-    V = -Rp_inv / u
-    V[0] += 1.0 / u
-    m = n - 1
-    t1 = np_conv(27.0 * R, V, m)
-    fprime = (2.0 * (t1 - V[: m + 1]) - 42.0 * W[: m + 1] + 12.0 * R[: m + 1]) / 3.0
-    fsecond = np.arange(1, m + 1) * fprime[1:] / s
-    w_over_r = np_conv(W[1:], np_recip(R[1:], m), m)
-    theta_p = 4.0 * V[: m + 1] - 4.0 * w_over_r
-    fzu = np_conv(np_conv(W, theta_p, m), Rp, m)
-    return {"R": R, "fprime": fprime, "fsecond": fsecond, "fzu": fzu, "scale": s}
+    Rp = _diff(R, s)
+    # Phi'(R) = (1 - 1/R') / u
+    V = -_recip(Rp, m) / u
+    V[0] += 1 / u
+    # theta(R) = (2 (27R - 1) V - 42 W + 12 R) / 3
+    t1 = conv_trunc(27 * R, V, m)
+    fprime = (2 * (t1 - V[: m + 1]) - 42 * W[: m + 1] + 12 * R[: m + 1]) / 3
+    # theta'(R) = 4V - 4 W/R ; W/R = (W shifted) * 1/(R shifted)
+    w_over_r = conv_trunc(W[1:], _recip(R[1:], m), m)
+    theta_p = 4 * V[: m + 1] - 4 * w_over_r
+    # F''_zu = W * theta'(R) * R'
+    fzu = conv_trunc(conv_trunc(W, theta_p, m), Rp, m)
+    return {"R": R, "W": W, "V": V, "fprime": fprime, "fzu": fzu}
 
 
-def cubic_rs_float(u: float, order: int, scale: float):
-    """Rescaled float coefficients of (R, S) for p = 3."""
-    s = float(scale)
-    u = float(u)
-    up1 = 1.0 + u
-    N = order
-    R = np.zeros(N + 1)
-    S = np.zeros(N + 1)
+def _cubic_rs(u, order: int, s):
+    """(R_n s^n, S_n s^n), n = 0..order, for p = 3."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    R, S, R2, RS, S2, RS2, D, A = (_zeros(s, order + 1) for _ in range(8))
+    # (j+1) R_{j+1} and (j+1) S_{j+1}: R' and S' before the division by s
+    dR, dS = _zeros(s, order), _zeros(s, order)
+    zero = R[0]
+    up1 = 1 + u
     R[1] = s
     S[1] = 2 * u * s
-    if N == 1:
-        return R, S
-    R2 = np.zeros(N + 1)
-    RS = np.zeros(N + 1)
-    S2 = np.zeros(N + 1)
-    RS2 = np.zeros(N + 1)
-    D = np.zeros(N + 1)
-    A = np.zeros(N + 1)
-    B = np.zeros(N + 1)
-    D[1] = -s
-    A[0] = -1.0
-    A[1] = (48.0 + 16.0 * up1 + 2.0 * (3.0 + u) * 2.0 * u) * s
-    B[1] = u * s
-    for n in range(1, N):
-        m = n + 1
+    # A = 48z - 1 + 16(u+1)R + 2(3+u)S - 8(u+1)S^2; D_1 and A_0 never enter
+    A[1] = (48 + 16 * up1 + 2 * (3 + u) * 2 * u) * s
+    for m in range(2, order + 1):
+        # extend the products to index m (uses entries < m only)
         R2[m] = R[1:m].dot(R[m - 1 : 0 : -1])
         RS[m] = R[1:m].dot(S[m - 1 : 0 : -1])
         S2[m] = S[1:m].dot(S[m - 1 : 0 : -1])
         if m >= 3:
             RS2[m] = R[1 : m - 1].dot(S2[m - 1 : 1 : -1])
         dk = (
-            (36.0 * s * s if m == 2 else 0.0)
-            + 24.0 * up1 * s * R[m - 1]
-            + 4.0 * up1 * RS[m]
-            - 4.0 * up1 * up1 * RS2[m]
-            + 4.0 * up1 * up1 * R2[m]
+            (36 * s * s if m == 2 else zero)
+            + 24 * up1 * s * R[m - 1]
+            + 4 * up1 * RS[m]
+            - 4 * up1 * up1 * RS2[m]
+            + 4 * up1 * up1 * R2[m]
         )
-        # D[k] * R'[m-k] terms, k = 2..n, with R'[j] = (j+1) R[j+1] / s
-        if n >= 2:
-            j = np.arange(m - 1, 0, -1)  # j = m-k for k = 2..n
-            known_dr = D[2 : n + 1].dot((j[1:] + 1) * R[j[1:] + 1]) / s + dk
-            known_ds = D[2 : n + 1].dot((j[1:] + 1) * S[j[1:] + 1]) / s
+        if m >= 3:
+            known_dr = D[2:m].dot(dR[m - 2 : 0 : -1]) / s + dk
+            known_ds = D[2:m].dot(dS[m - 2 : 0 : -1]) / s
         else:
-            known_dr = dk
-            known_ds = 0.0
-        known_ra = R[1 : n + 1].dot(A[m - 1 : 0 : -1])
+            known_dr, known_ds = dk, zero
+        known_ra = R[1:m].dot(A[m - 1 : 0 : -1])
         R[m] = (known_dr - known_ra) / m
         D[m] = dk - R[m]
-        B[m] = (u - 3.0) * R[m] - 12.0 * s * S[m - 1] + 4.0 * up1 * RS[m]
+        b = (u - 3) * R[m] - 12 * s * S[m - 1] + 4 * up1 * RS[m]
         known_ds += D[m] * S[1] / s
-        S[m] = (known_ds + 2.0 * B[m]) / m
-        A[m] = 16.0 * up1 * R[m] + 2.0 * (3.0 + u) * S[m] - 8.0 * up1 * S2[m]
+        S[m] = (known_ds + 2 * b) / m
+        A[m] = 16 * up1 * R[m] + 2 * (3 + u) * S[m] - 8 * up1 * S2[m]
+        dR[m - 1] = m * R[m]
+        dS[m - 1] = m * S[m]
     return R, S
+
+
+def _cubic_fprime(R: np.ndarray, S: np.ndarray, u, s) -> np.ndarray:
+    """F' = (2z + S - 2R - S^2)/u - (2R + S^2) for p = 3 (needs u != 0)."""
+    z = _zeros(s, len(R))
+    z[1] = s
+    core = 2 * R + conv_trunc(S, S, len(S) - 1)
+    return (2 * z + S - core) / u - core
+
+
+# ---------------------------------------------------------------------------
+# exact entry points: rational u, lists of rationals indexed by z-power
+# ---------------------------------------------------------------------------
+
+
+def quartic_r_coeffs(u, order: int) -> list:
+    """Exact coefficients R_0..R_order of R = z + u Phi(R) for p = 4."""
+    return _quartic_r(Q(u), order, Q(1)).tolist()
+
+
+def quartic_series(u, order: int) -> dict:
+    """Exact quartic bundle: R, W = Phi(R), V = Phi'(R), F', F, F''_zu.
+
+    All entries are coefficient lists; R, W and F run through z^order, the
+    others through z^(order-1).  The bundle divides by u; at u = 0 the
+    closed spanning-tree forms apply instead, R = z, and every entry runs
+    through z^order.
+    """
+    u, one = Q(u), Q(1)
+    # through the public entry point, so per-function tracing sees it
+    R = np.array(quartic_r_coeffs(u, order), dtype=object)
+    if u == 0:
+        from .trees import phi_theta_tables
+
+        tabs = phi_theta_tables(4, order)
+        W = np.array(tabs["phi_x"], dtype=object)
+        fprime = np.array(tabs["theta_x"], dtype=object)
+        theta_p = np.append(_diff(fprime, one), Q(0))
+        ser = {
+            "R": R,
+            "W": W,
+            "V": np.append(_diff(W, one), Q(0)),
+            "fprime": fprime,
+            "fzu": conv_trunc(W, theta_p, order),
+        }
+    else:
+        ser = _quartic_bundle(R, u, one)
+    ser["f"] = _integrate(ser["fprime"], one)[: order + 1]
+    return {k: v.tolist() for k, v in ser.items()}
+
+
+def cubic_rs_coeffs(u, order: int):
+    """Exact coefficients of (R, S) for p = 3 via the rational-derivative
+    recurrence; returns two lists indexed by z-power."""
+    R, S = _cubic_rs(Q(u), order, Q(1))
+    return R.tolist(), S.tolist()
+
+
+def cubic_fprime_coeffs(u, order: int) -> list:
+    """Exact F' coefficients for p = 3 through z^order."""
+    u = Q(u)
+    if u == 0:
+        from .trees import quartic_mullin_coeff
+
+        return [quartic_mullin_coeff(3, n + 1) * (n + 1) for n in range(order + 1)]
+    R, S = (np.array(c, dtype=object) for c in cubic_rs_coeffs(u, order))
+    return _cubic_fprime(R, S, u, Q(1)).tolist()
+
+
+# ---------------------------------------------------------------------------
+# float entry points: float64 arrays, entry n rescaled by scale**n
+# ---------------------------------------------------------------------------
+
+
+def quartic_fseries_float(u: float, order: int, scale: float) -> dict:
+    """Float quartic bundle (rescaled): R, W, V, F', F'', F''_zu arrays.
+
+    Entry [n] of each array is the true z^n coefficient times scale^n.
+    Valid through index order-1 for F' and order-2 for F''.
+    """
+    u, s = float(u), float(scale)
+    ser = _quartic_bundle(_quartic_r(u, order, s), u, s)
+    ser["fsecond"] = _diff(ser["fprime"], s)
+    ser["scale"] = s
+    return ser
 
 
 def cubic_fprime_float(u: float, order: int, scale: float) -> np.ndarray:
     """Rescaled F' coefficients for p = 3 (float engine)."""
-    s = float(scale)
-    u = float(u)
-    R, S = cubic_rs_float(u, order, s)
-    S2 = np_conv(S, S, order)
-    z = np.zeros(order + 1)
-    z[1] = s
-    core = 2.0 * R + S2
-    return (2.0 * z + S - core) / u - core
+    u, s = float(u), float(scale)
+    R, S = _cubic_rs(u, order, s)
+    return _cubic_fprime(R, S, u, s)

@@ -355,14 +355,6 @@ def theta_prime_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
         return -2 * s3 / mpmath.pi * mpmath.log(e) - 9 * s3 / mpmath.pi
 
 
-def psi1_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
-    with prec.ctx():
-        e = mpf(eps)
-        s2 = mpmath.sqrt(2)
-        return s2 / (24 * mpmath.pi) + s2 / (2 * mpmath.pi) * e * mpmath.log(e) \
-            - s2 / (2 * mpmath.pi) * e
-
-
 def psi2_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
     with prec.ctx():
         e = mpf(eps)

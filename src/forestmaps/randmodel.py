@@ -14,10 +14,8 @@ result and is refused; the activity constant kappa_u extends to u >= -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-import mpmath
 from mpmath import mpf
 
 from .critical import quartic_tau
@@ -26,14 +24,6 @@ from .fast import conv_trunc, quartic_series
 from .hyp import DEFAULT_PREC, Precision, phi_numeric, theta_coeff
 
 BOUNDARY = Q(1, 27)
-
-
-@dataclass
-class ModelStats:
-    u: float
-    slope_components: Optional[float]
-    kappa: float
-    s_law: Dict[int, float]
 
 
 def _tau(u, prec: Precision):
@@ -179,10 +169,3 @@ def finite_n_root_size(u, n: int, k_max: int) -> List[float]:
         out.append(float(Q(p)))
     return out
 
-
-def model_stats(u, k_max: int = 5, prec: Precision = DEFAULT_PREC) -> ModelStats:
-    slope = component_slope(u, prec) if u > 0 else (0.0 if u == 0 else None)
-    law = {}
-    if u > 0:
-        law = {k + 1: v for k, v in enumerate(s_limit_law(u, k_max, prec))}
-    return ModelStats(u=float(u), slope_components=slope, kappa=kappa(u, prec), s_law=law)

@@ -174,7 +174,7 @@ class ZSeries:
         for k in range(top, -1, -1):
             acc = acc * self
             ck = outer_coeffs[k]
-            if not _is_zero_scalar(ck):
+            if not _is_zero(ck):
                 acc = acc + ZSeries.const(_promote(ck, self.zero_coeff), n, self.zero_coeff)
         return acc
 
@@ -254,9 +254,6 @@ class ZSeries:
     def map_coeffs(self, fn: Callable) -> "ZSeries":
         return ZSeries([fn(c) for c in self.coeffs], self.order)
 
-    def as_symbolic(self) -> "ZSeries":
-        return ZSeries([_as_upoly(c) for c in self.coeffs], self.order, UPoly())
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -290,10 +287,6 @@ def _is_zero(c) -> bool:
     return c == 0
 
 
-def _is_zero_scalar(c) -> bool:
-    return _is_zero(c)
-
-
 def _eq(a, b) -> bool:
     if isinstance(a, UPoly) or isinstance(b, UPoly):
         ua = a if isinstance(a, UPoly) else UPoly((a,))
@@ -311,26 +304,3 @@ def _promote(scalar, zero):
         return UPoly((scalar,))
     return scalar
 
-
-def series_arith(a: ZSeries, b: ZSeries, op: str) -> ZSeries:
-    """Named entry point for the ring operations (add, sub, mul)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown series operation %r" % op)
-
-
-def series_compose(outer_coeffs: Sequence, inner: ZSeries) -> ZSeries:
-    """Compose a univariate coefficient list with an inner series."""
-    return inner.compose_outer(outer_coeffs)
-
-
-def series_calculus(s: ZSeries, op: str) -> ZSeries:
-    if op == "differentiate":
-        return s.differentiate()
-    if op == "integrate":
-        return s.integrate()
-    raise ValueError("unknown calculus operation %r" % op)

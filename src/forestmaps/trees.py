@@ -57,15 +57,6 @@ def tree_count(p: int, k: int, kind: str = "leaf_rooted"):
     raise ValueError("kind must be leaf_rooted or corner_rooted")
 
 
-class TreeCountTable:
-    """Tabulated t_k / t^c_k for one valency p."""
-
-    def __init__(self, p: int, k_max: int):
-        self.p = p
-        self.t = {k: tree_count(p, k, "leaf_rooted") for k in range(1, k_max + 1)}
-        self.tc = {k: tree_count(p, k, "corner_rooted") for k in range(1, k_max + 1)}
-
-
 # ---------------------------------------------------------------------------
 # independent oracle: exhaustive plane-tree counting
 # ---------------------------------------------------------------------------

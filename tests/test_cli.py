@@ -103,3 +103,26 @@ def test_output_file(tmp_path, capsys):
           "--u", "symbolic"])
     doc = json.loads(path.read_text())
     assert doc["result"]["series"]["F"]["coeffs"][3] == ["2"]
+
+
+def test_radius_accepts_rationals(capsys):
+    out = run_cli(capsys, "radius", "--p", "4", "--u", "1/3")
+    (prof,) = json.loads(out)["result"]["profiles"]
+    assert prof["u"] == 1 / 3 and prof["regime"] == "positive_u"
+
+
+@pytest.mark.parametrize("argv", [
+    ("radius", "--p", "4", "--u", "nan"),
+    ("radius", "--p", "4", "--u", "inf"),
+    ("radius", "--p", "4", "--u=-2"),
+    ("radius", "--p", "3", "--u=0.5,-inf"),
+    ("coeffs", "--p", "4", "--order", "3", "--u", "nan"),
+    ("asymptotics", "--mode", "ratios", "--u", "inf"),
+    ("random", "--u", "nan"),
+], ids=" ".join)
+def test_bad_u_is_a_flag_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "NaN" not in captured.out + captured.err

@@ -1,17 +1,18 @@
 """High-order engines against the sweep solver and each other."""
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestmaps.exact import Q
 from forestmaps.fast import (
+    _cubic_rs,
+    _quartic_r,
     cubic_fprime_coeffs,
     cubic_fprime_float,
     cubic_rs_coeffs,
-    cubic_rs_float,
     quartic_fseries_float,
     quartic_r_coeffs,
-    quartic_r_float,
     quartic_series,
 )
 from forestmaps.solver import series_f, solve_rs
@@ -83,17 +84,42 @@ def _spectral_compare(float_arr, exact_list, scale, lo, hi):
 
 def test_float_engines_track_exact_prefix():
     s = 0.0414
-    assert _spectral_compare(
-        quartic_r_float(-0.5, 80, s), quartic_r_coeffs(Q(-1, 2), 80), s, 1, 81
-    ) < 1e-11
     bun = quartic_fseries_float(-0.5, 80, s)
     fe = quartic_series(Q(-1, 2), 80)
+    assert _spectral_compare(bun["R"], fe["R"], s, 1, 81) < 1e-11
     assert _spectral_compare(bun["fprime"], fe["fprime"], s, 3, 79) < 1e-10
     s3 = 0.02
-    Rf, Sf = cubic_rs_float(-0.5, 60, s3)
+    Rf, Sf = _cubic_rs(-0.5, 60, s3)
     Re, Se = cubic_rs_coeffs(Q(-1, 2), 60)
     assert _spectral_compare(Rf, Re, s3, 1, 61) < 1e-11
     assert _spectral_compare(Sf, Se, s3, 1, 61) < 1e-11
     fpf = cubic_fprime_float(-0.5, 60, s3)
     fpe = cubic_fprime_coeffs(Q(-1, 2), 60)
     assert _spectral_compare(fpf, fpe, s3, 2, 61) < 1e-10
+
+
+@st.composite
+def small_rationals(draw):
+    """u = a/b with b <= 99 and -b <= a <= 3b, i.e. u in [-1, 3]."""
+    b = draw(st.integers(1, 99))
+    return Q(draw(st.integers(-b, 3 * b)), b)
+
+
+@settings(max_examples=6, deadline=None)
+@given(u=small_rationals())
+def test_one_recurrence_serves_both_fields(u):
+    # exact field: the sweep solver is the independent route
+    R4 = quartic_r_coeffs(u, 10)
+    Rs4, _ = solve_rs(4, 10, u)
+    assert R4 == [Rs4.coeff(i) for i in range(11)]
+    R3, S3 = cubic_rs_coeffs(u, 10)
+    Rs3, Ss3 = solve_rs(3, 10, u)
+    assert R3 == [Rs3.coeff(i) for i in range(11)]
+    assert S3 == [Ss3.coeff(i) for i in range(11)]
+    # float64 field: the same recurrences on float(u) track the exact values
+    s, s3 = 0.0414, 0.02
+    assert _spectral_compare(_quartic_r(float(u), 40, s), quartic_r_coeffs(u, 40), s, 1, 41) < 1e-11
+    Rf, Sf = _cubic_rs(float(u), 40, s3)
+    Re, Se = cubic_rs_coeffs(u, 40)
+    assert _spectral_compare(Rf, Re, s3, 1, 41) < 1e-11
+    assert _spectral_compare(Sf, Se, s3, 1, 41) < 1e-11

@@ -1,5 +1,7 @@
 """Hypergeometric evaluators, radii and critical constants."""
 
+import time
+
 import mpmath
 import pytest
 from mpmath import mpf
@@ -118,6 +120,18 @@ def test_cubic_positive_u_against_coefficient_ratios():
     assert abs(prof.rho / (2 * r2 - r1) - 1) < 0.01
     assert prof.residuals["char"] < 1e-12
     assert prof.residuals["char_via_stilde_prime"] < 1e-12
+
+
+def test_radius_refuses_an_unbracketable_u():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="could not bracket"):
+        radius(4, float("inf"), PREC)
+    assert time.perf_counter() - t0 < 5
+
+
+def test_radius_profiles_are_not_shared():
+    radius(4, 0.5, PREC).residuals["char"] = 99
+    assert radius(4, 0.5, PREC).residuals["char"] < 1e-12
 
 
 def test_radius_decreasing_grids():
