@@ -190,7 +190,8 @@ def cmd_radius(args):
     if any(u < -1 for u in us):
         raise CliError("radius needs u >= -1", EXIT_BAD_FLAGS)
     profiles = []
-    for u in map(float, us):
+    for uq in us:
+        u = float(uq)
         prof = radius(args.p, u, prec)
         rec = {
             "u": prof.u, "rho": prof.rho, "tau": prof.tau, "sigma": prof.sigma,
@@ -200,7 +201,7 @@ def cmd_radius(args):
         if args.s_tilde:
             if args.p != 3 or u <= 0:
                 raise CliError("--s-tilde applies to p=3 with u > 0", EXIT_BAD_FLAGS)
-            rec["s_tilde_radius"] = s_tilde_radius_cubic(u, prec)
+            rec["s_tilde_radius"] = s_tilde_radius_cubic(uq, prec)
         profiles.append(rec)
     _emit(args, {"profiles": profiles},
           csv_rows=[(r["u"], r["rho"], r["tau"], r["sigma"], r["c_u"])

@@ -15,20 +15,21 @@ mode of the implicit system:
   form, which degenerates to 0/0 at u = -1 and is evaluated there by
   Richardson extrapolation in 1 + u.
 
-Root-finding is bisection on proven-monotone brackets refined by Newton
-steps; every returned root carries its residual.
+Root-finding is bisection on proven-monotone brackets, polished by one
+secant step through the final bracket; every returned root carries its
+residual, and :func:`radius` refuses a profile whose residuals miss the
+target tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from .exact import Q
-from .hyp import DEFAULT_PREC, Precision, phi_numeric, psi_numeric
+from .hyp import CUBIC_BOUNDARY, DEFAULT_PREC, Precision, phi_numeric, psi_numeric
 
 REGIMES = {1: "positive_u", 0: "zero_u", -1: "negative_u"}
 SUBEXP = {1: "n^{-5/2}", 0: "n^{-3}", -1: "n^{-3}ln^{-2}n"}
@@ -73,14 +74,16 @@ def _bracket_below(f, lo, shrink, name: str):
     )
 
 
-def _bisect_newton(f, df, lo, hi, prec: Precision):
-    """Root of f on a sign-changing bracket [lo, hi], then one Newton polish.
+def _bisect(f, lo, hi, prec: Precision):
+    """Root of f on a sign-changing bracket [lo, hi], then one secant polish.
 
     Bisection runs to full working precision: the roots this module hunts
     can sit exponentially close to a logarithmic singularity of f, where
-    Newton steps are useless (f is log-flat in the distance to the
-    endpoint), so guaranteed bracketing does the work and Newton only
-    polishes.  Returns (root, residual)."""
+    derivative steps are useless (f is log-flat in the distance to the
+    endpoint), so guaranteed bracketing does the work.  The polish is the
+    secant through the final bracket ends; it is kept only if it lies in
+    the bracket and lowers |f|, so f is never evaluated outside [lo, hi].
+    Returns (root, residual)."""
     with prec.ctx():
         lo, hi = mpf(lo), mpf(hi)
         flo = f(lo)
@@ -92,20 +95,21 @@ def _bisect_newton(f, df, lo, hi, prec: Precision):
         steps = int(prec.working_digits * 3.4) + 30
         for _ in range(steps):
             mid = (lo + hi) / 2
-            if sign * f(mid) > 0:
-                lo = mid
+            fmid = f(mid)
+            if sign * fmid > 0:
+                lo, flo = mid, fmid
             else:
-                hi = mid
+                hi, fhi = mid, fmid
             if hi - lo < width_goal * max(1, abs(hi)):
                 break
         x = (lo + hi) / 2
         fx = f(x)
-        d = df(x)
-        if d != 0:
-            x_new = x - fx / d
-            if lo <= x_new <= hi and abs(f(x_new)) < abs(fx):
-                x = x_new
-        return x, abs(f(x))
+        x_sec = lo - flo * (hi - lo) / (fhi - flo)
+        if lo <= x_sec <= hi:
+            f_sec = f(x_sec)
+            if abs(f_sec) < abs(fx):
+                x, fx = x_sec, f_sec
+        return x, abs(fx)
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +127,6 @@ def quartic_tau(u, prec: Precision = DEFAULT_PREC):
         def f(x):
             return 1 - u * phi_numeric("phi_prime", x, prec, "boundary")
 
-        def df(x):
-            return -u * phi_numeric("phi_second", x, prec, "boundary")
-
         # Phi' increases from 0 to +infinity on (0, 1/27)
         hi = b * (1 - mpf(10) ** (-prec.working_digits + 8))
         if f(hi) >= 0:
@@ -134,25 +135,33 @@ def quartic_tau(u, prec: Precision = DEFAULT_PREC):
                 "precision resolves; raise working_digits" % u
             )
         lo = _bracket_below(f, mpf(10) ** (-6), 100, "quartic critical point")
-        tau, res = _bisect_newton(f, df, lo, hi, prec)
-        return tau, res
+        return _bisect(f, lo, hi, prec)
 
 
 _RADIUS_CACHE: Dict[tuple, SingularProfile] = {}
 
 
 def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
-    """Radius of convergence of F(z, u) with its critical data, p in {3, 4}."""
+    """Radius of convergence of F(z, u) with its critical data, p in {3, 4}.
+
+    Raises ValueError when a residual exceeds prec.target_abs_tol."""
     if u < -1:
         raise ValueError("u must be >= -1")
     key = (p, float(u), prec.working_digits)
     if key not in _RADIUS_CACHE:
         if p == 4:
-            _RADIUS_CACHE[key] = _radius_quartic(u, prec)
+            prof = _radius_quartic(u, prec)
         elif p == 3:
-            _RADIUS_CACHE[key] = _radius_cubic(u, prec)
+            prof = _radius_cubic(u, prec)
         else:
             raise ValueError("radius is implemented for p in {3, 4}")
+        for name, res in prof.residuals.items():
+            if not res <= prec.target_abs_tol:
+                raise ValueError(
+                    "u=%s: residual %r = %.3g exceeds the target %.0e; raise "
+                    "the working digits (--digits)"
+                    % (u, name, res, prec.target_abs_tol))
+        _RADIUS_CACHE[key] = prof
     # each caller gets its own profile, so mutating one cannot alter the cache
     prof = _RADIUS_CACHE[key]
     return replace(prof, residuals=dict(prof.residuals))
@@ -221,21 +230,75 @@ def _limit_at_minus_one(fn, prec: Precision, steps: int = 12):
     """Limit of fn(u, prec) as u -> -1 via Richardson extrapolation.
 
     The closed forms are 0/0 at u = -1; the limit is evaluated on the nodes
-    u = -1 + h/2^k and extrapolated polynomially in h.
+    u = -1 + h/2^k and extrapolated polynomially in h.  The cancellation at
+    the nodes and the extrapolation lose about 13 digits (the cubic radius
+    at 20 digits was off by 5e-8), so the table carries 20 guard digits.
     """
-    with prec.ctx():
+    guarded = replace(prec, working_digits=prec.working_digits + 20)
+    with guarded.ctx():
         h0 = mpf(1) / 64
-        table = [fn(-1 + h0 / 2 ** k, prec) for k in range(steps)]
+        table = [fn(-1 + h0 / 2 ** k, guarded) for k in range(steps)]
         # Richardson for an expansion in powers of h
         for j in range(1, steps):
             for k in range(steps - 1, j - 1, -1):
                 table[k] = (2 ** j * table[k] - table[k - 1]) / (2 ** j - 1)
-        return table[-1]
+    with prec.ctx():
+        return +table[-1]
 
 
 def cubic_rho_at_minus_one(prec: Precision = DEFAULT_PREC, steps: int = 12):
     """Limit of the closed cubic radius as u -> -1."""
     return _limit_at_minus_one(cubic_rho_closed, prec, steps)
+
+
+class _PhiReduced(NamedTuple):
+    phi1: object
+    phi2: object
+    phi1_x: object
+    phi1_y: object
+    phi2_x: object
+    phi2_y: object
+
+
+def _psi_family(t, prec: Precision):
+    """(Psi1, Psi1', Psi2, Psi2') at t, each evaluated once."""
+    return tuple(psi_numeric(k, t, prec, "boundary")
+                 for k in ("psi1", "psi1_prime", "psi2", "psi2_prime"))
+
+
+def _phi_reduced(t, d, psi) -> _PhiReduced:
+    """Phi1, Phi2 and their partials in (x, y) at the reduced coordinate
+    (t, d), i.e. x = t d^4 and y = (1 - d^2)/4, from psi = _psi_family(t).
+
+    Through t = x/(1-4y)^2 and d = sqrt(1-4y) the two kernels reduce to
+        Phi1 = d^3 Psi1(t) - x,    Phi2 = d Psi2(t) + (1-d)^2/4.
+    """
+    p1, p1p, p2, p2p = psi
+    return _PhiReduced(
+        phi1=d ** 3 * p1 - t * d ** 4,
+        phi2=d * p2 + (1 - d) ** 2 / 4,
+        phi1_x=p1p / d - 1,
+        phi1_y=-6 * d * p1 + 8 * t * d * p1p,
+        phi2_x=p2p / d ** 3,
+        phi2_y=(1 - d - 2 * p2 + 8 * t * p2p) / d,
+    )
+
+
+def _s_tilde_delta(u, p2):
+    """delta = sqrt(1 - 4 S~) on the S~ curve at the reduced coordinate t,
+    from p2 = Psi2(t) (u > 0).
+
+    Eliminating x from the fixed point y = u Phi2(x, y) leaves the
+    quadratic (1+u) d^2 - 2u(1 - 2 Psi2(t)) d - (1-u) = 0, whose positive
+    root starts at d = 1 for t = 0 and decreases.
+    """
+    a = u * (1 - 2 * p2)
+    disc = a * a + 1 - u * u
+    if disc < 0:
+        raise ValueError(
+            "u=%s leaves the S~ curve (negative discriminant %s); raise the "
+            "working digits" % (mpmath.nstr(u, 5), mpmath.nstr(disc, 5)))
+    return (a + mpmath.sqrt(disc)) / (1 + u)
 
 
 def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
@@ -253,13 +316,10 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
         um = mpf(u)
         b = mpf(1) / 64
 
-        def rhs(t):
+        def f(t):
             p2 = psi_numeric("psi2", t, prec, "boundary")
             p2p = psi_numeric("psi2_prime", t, prec, "boundary")
-            return um * um * (4 * p2 - 4 * p2 * p2 + 64 * t * t * p2p * p2p)
-
-        def f(t):
-            return 1 - rhs(t)
+            return 1 - um * um * (4 * p2 - 4 * p2 * p2 + 64 * t * t * p2p * p2p)
 
         hi = b * (1 - mpf(10) ** (-min(30, prec.working_digits - 10)))
         lo = _bracket_below(f, b / 1000, 10, "inner critical point")
@@ -272,103 +332,22 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
                     "u=%s puts the inner critical point closer to 1/64 than "
                     "the working precision resolves; raise working_digits" % u
                 )
-        def df(t):
-            eps = mpf(10) ** (-prec.working_digits // 3)
-            return (f(t + eps) - f(t - eps)) / (2 * eps)
-        t_crit, res = _bisect_newton(f, df, lo, hi, prec)
-        p2 = psi_numeric("psi2", t_crit, prec, "boundary")
-        p2p = psi_numeric("psi2_prime", t_crit, prec, "boundary")
+        t_crit, res = _bisect(f, lo, hi, prec)
+        psi = _psi_family(t_crit, prec)
+        _, _, p2, p2p = psi
         delta = um * (1 - 2 * p2 + 8 * t_crit * p2p) / (1 + um)
         rho_t = t_crit * delta ** 4
         s_val = (1 - delta ** 2) / 4
         # residual of the y-characteristic 1 = u dPhi2/dy at (rho_t, s_val)
-        char = abs(1 - um * phi2_y(rho_t, s_val, prec))
+        char = abs(1 - um * _phi_reduced(t_crit, delta, psi).phi2_y)
         return rho_t, s_val, t_crit, delta, float(max(res, char))
-
-
-# partial derivatives of Phi1, Phi2 through the Psi reduction
-
-def _txd(x, y):
-    d = mpmath.sqrt(1 - 4 * y)
-    return x / d ** 4, d
-
-
-def phi1_value(x, y, prec: Precision = DEFAULT_PREC):
-    t, d = _txd(mpf(x), mpf(y))
-    return d ** 3 * psi_numeric("psi1", t, prec, "boundary") - mpf(x)
-
-
-def phi2_value(x, y, prec: Precision = DEFAULT_PREC):
-    t, d = _txd(mpf(x), mpf(y))
-    return d * psi_numeric("psi2", t, prec, "boundary") + (1 - d) ** 2 / 4
-
-
-def phi1_x(x, y, prec: Precision = DEFAULT_PREC):
-    t, d = _txd(mpf(x), mpf(y))
-    return psi_numeric("psi1_prime", t, prec, "boundary") / d - 1
-
-
-def phi1_y(x, y, prec: Precision = DEFAULT_PREC):
-    t, d = _txd(mpf(x), mpf(y))
-    p1 = psi_numeric("psi1", t, prec, "boundary")
-    p1p = psi_numeric("psi1_prime", t, prec, "boundary")
-    return -6 * d * p1 + 8 * t * d * p1p
-
-
-def phi2_x(x, y, prec: Precision = DEFAULT_PREC):
-    t, d = _txd(mpf(x), mpf(y))
-    return psi_numeric("psi2_prime", t, prec, "boundary") / d ** 3
-
-
-def phi2_y(x, y, prec: Precision = DEFAULT_PREC):
-    t, d = _txd(mpf(x), mpf(y))
-    p2 = psi_numeric("psi2", t, prec, "boundary")
-    p2p = psi_numeric("psi2_prime", t, prec, "boundary")
-    return (1 - d - 2 * p2 + 8 * t * p2p) / d
-
-
-def s_tilde_at(x, u, s_hint=None, prec: Precision = DEFAULT_PREC):
-    """Pointwise S~(x) for u > 0: the smallest fixed point y = u Phi2(x, y)."""
-    with prec.ctx():
-        um, xm = mpf(u), mpf(x)
-
-        def g(y):
-            return y - um * phi2_value(xm, y, prec)
-
-        hi = s_hint if s_hint is not None else mpf(1) / 4 - mpf("1e-10")
-        # g(0) < 0 and g grows through 0 before the critical value
-        lo = mpf(0)
-        if g(hi) < 0:
-            raise ValueError("no fixed point below the hint; x beyond the S~ radius?")
-        for _ in range(int(prec.working_digits * 3.5) + 40):
-            mid = (lo + hi) / 2
-            if g(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
-
-
-def cubic_delta_of_t(u, t, prec: Precision = DEFAULT_PREC):
-    """delta = sqrt(1 - 4 S~) along the S~ curve, parametrized by the
-    reduced coordinate t = x / (1-4y)^2 (u > 0).
-
-    Eliminating x from the fixed point y = u Phi2(x, y) leaves the
-    quadratic (1+u) d^2 - 2u(1 - 2 Psi2(t)) d - (1-u) = 0, whose positive
-    root starts at d = 1 for t = 0 and decreases.
-    """
-    with prec.ctx():
-        um, tm = mpf(u), mpf(t)
-        p2 = psi_numeric("psi2", tm, prec, "boundary")
-        a = um * (1 - 2 * p2)
-        return (a + mpmath.sqrt(a * a + 1 - um * um)) / (1 + um)
 
 
 def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
     """Two-step solve of the cubic characteristic system for u > 0.
 
     Step 1 handles the S~ subsystem: its critical point bounds the search
-    window and the quadratic of :func:`cubic_delta_of_t` walks the curve
+    window and the quadratic of :func:`_s_tilde_delta` walks the curve
     (x, S~(x)) in the reduced coordinate t.  Step 2 solves the outer
     condition, written without the S~ derivative as
         (1 - u Phi1_x)(1 - u Phi2_y) = u^2 Phi1_y Phi2_x
@@ -380,14 +359,15 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
         um = mpf(u)
         rho_t, s_val, t_inner, _delta_inner, res_inner = s_tilde_characteristic(u, prec)
 
-        def point(t):
-            d = cubic_delta_of_t(um, t, prec)
-            return t * d ** 4, (1 - d * d) / 4
+        def on_curve(t):
+            psi = _psi_family(t, prec)
+            d = _s_tilde_delta(um, psi[2])
+            return d, _phi_reduced(t, d, psi)
 
         def h(t):
-            x, y = point(t)
-            return (1 - um * phi1_x(x, y, prec)) * (1 - um * phi2_y(x, y, prec)) \
-                - um * um * phi1_y(x, y, prec) * phi2_x(x, y, prec)
+            ph = on_curve(t)[1]
+            return (1 - um * ph.phi1_x) * (1 - um * ph.phi2_y) \
+                - um * um * ph.phi1_y * ph.phi2_x
 
         lo = _bracket_below(h, t_inner / 1000, 10, "outer characteristic root")
         hi = t_inner * (1 - mpf(10) ** (-min(25, prec.working_digits - 12)))
@@ -398,21 +378,17 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
             if tries > 200:
                 raise ValueError("failed to bracket the outer characteristic root")
 
-        def dh(t):
-            eps = abs(t) * mpf(10) ** (-prec.working_digits // 3)
-            return (h(t + eps) - h(t - eps)) / (2 * eps)
-
-        t_star, res_outer = _bisect_newton(h, dh, lo, hi, prec)
-        tau, sigma = point(t_star)
-        rho = tau - um * phi1_value(tau, sigma, prec)
-        sp = um * phi2_x(tau, sigma, prec) / (1 - um * phi2_y(tau, sigma, prec))
-        char_sform = abs(1 - um * (phi1_x(tau, sigma, prec)
-                                   + sp * phi1_y(tau, sigma, prec)))
+        t_star, res_outer = _bisect(h, lo, hi, prec)
+        d, ph = on_curve(t_star)
+        tau, sigma = t_star * d ** 4, (1 - d * d) / 4
+        rho = tau - um * ph.phi1
+        sp = um * ph.phi2_x / (1 - um * ph.phi2_y)
+        char_sform = abs(1 - um * (ph.phi1_x + sp * ph.phi1_y))
         diags = {
             "inner": res_inner,
             "outer": float(res_outer),
             "char_via_stilde_prime": float(char_sform),
-            "fixed_point": float(abs(sigma - um * phi2_value(tau, sigma, prec))),
+            "fixed_point": float(abs(sigma - um * ph.phi2)),
             "rho_tilde": float(rho_t),
         }
         return rho, tau, sigma, diags
@@ -441,8 +417,10 @@ def _radius_cubic(u, prec: Precision) -> SingularProfile:
             delta = _cubic_delta_limit(um, prec)
             sigma = (1 - delta ** 2) / 4
             tau = delta ** 4 / 64
-            # consistency of the closed form with rho = tau - u Phi1(tau, sigma)
-            res = abs(rho - (tau - um * phi1_value(tau, sigma, prec)))
+            # consistency of the closed form with rho = tau - u Phi1(tau, sigma);
+            # the point lies on the parabola, t = 1/64, where only Psi1 is finite
+            phi1 = delta ** 3 * psi_numeric("psi1", CUBIC_BOUNDARY, prec, "boundary") - tau
+            res = abs(rho - (tau - um * phi1))
             residuals = {"parabola": float(abs(64 * tau - (1 - 4 * sigma) ** 2)),
                          "rho_vs_phi1": float(res)}
             c_u = None
@@ -551,7 +529,8 @@ def cubic_expansion_data(u, prec: Precision = DEFAULT_PREC) -> dict:
 
 
 def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 80) -> dict:
-    """Radius of the inner series S~ for u > 0, by curve continuation.
+    """Radius of the inner series S~ for an exact rational u > 0, by curve
+    continuation.
 
     The truncated specialized-u expansion of S~ traces the curve
     (z, S~(z)); along it the derivative blocker 1 - u dPhi2/dy (evaluated
@@ -564,15 +543,13 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
     """
     if u <= 0:
         raise ValueError("the S~ radius workflow applies for u > 0")
-    from fractions import Fraction
-
-    from .exact import Q as _Q
+    from .exact import as_rat
     from .solver import solve_s_tilde
 
-    st = solve_s_tilde(3, series_order, _Q(Fraction(u)))
-    coeffs = [c for c in st.coeffs]
+    uq = as_rat(u)  # floats are refused: 0.1 would be solved at its binary expansion
+    coeffs = solve_s_tilde(3, series_order, uq).coeffs
     with prec.ctx():
-        um = mpf(u)
+        um = mpf(uq.numerator) / mpf(uq.denominator)
 
         def s_at(z):
             acc = mpf(0)
@@ -584,23 +561,17 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
             y = s_at(z)
             if 64 * z >= (1 - 4 * y) ** 2:
                 return mpf(-1)  # past the critical parabola
-            return 1 - um * phi2_y(z, y, prec)
+            d = mpmath.sqrt(1 - 4 * y)
+            t = z / d ** 4
+            return 1 - um * _phi_reduced(t, d, _psi_family(t, prec)).phi2_y
 
         z = mpf(1) / 640
         while g(z) > 0:
             z *= mpf("1.05")
             if z > mpf(1) / 4:
                 raise ValueError("no crossing found; is u too small for the order?")
-        lo, hi = z / mpf("1.05"), z
-        for _ in range(int(prec.working_digits * 3.4) + 20):
-            mid = (lo + hi) / 2
-            if g(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        rho_series = (lo + hi) / 2
-        residual = abs(g(rho_series))
-        rho_closed = s_tilde_characteristic(u, prec)[0]
+        rho_series, residual = _bisect(g, z / mpf("1.05"), z, prec)
+        rho_closed = s_tilde_characteristic(um, prec)[0]
         return {
             "rho_tilde": float(rho_series),
             "rho_tilde_closed": float(rho_closed),

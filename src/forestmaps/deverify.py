@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .exact import Q, QZERO, rat_from_str
 from .series import ZSeries
@@ -273,12 +273,6 @@ def check_de(name: str, order: int, u_mode=None) -> ResidualReport:
     res = de_residual(de, target, u_value=u)
     mode = "u symbolic" if u is None else "u = %s" % u
     return ResidualReport(name, order, res.order, res.is_zero(), mode, residual=res)
-
-
-def check_all(order_identities: int = 20, order_des: int = 12) -> List[ResidualReport]:
-    out = [check_identity(n, order_identities) for n in IDENTITY_NAMES]
-    out += [check_de(n, order_des) for n in DE_NAMES]
-    return out
 
 
 def perturb(series: ZSeries, n: int, amount=1) -> ZSeries:

@@ -20,7 +20,6 @@ applied through local mpmath working-precision contexts, never globally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
 
 import mpmath
 from mpmath import mp, mpf
@@ -59,32 +58,11 @@ DEFAULT_PREC = Precision()
 # exact coefficients of the univariate series
 # ---------------------------------------------------------------------------
 
-def phi_coeff(i: int):
-    """[x^i] Phi(x) = (3i-3)! / ((i-1)!^2 i!), i >= 2."""
-    if i < 2:
-        return Q(0)
-    return factorial_q(3 * i - 3) / (factorial_q(i - 1) ** 2 * factorial_q(i))
-
-
 def theta_coeff(i: int):
     """[x^i] theta(x) = 4 (3i-3)! / ((i-2)! i!^2), i >= 2."""
     if i < 2:
         return Q(0)
     return 4 * factorial_q(3 * i - 3) / (factorial_q(i - 2) * factorial_q(i) ** 2)
-
-
-def psi1_coeff(i: int):
-    if i < 1:
-        return Q(0)
-    return factorial_q(4 * i - 4) / (
-        factorial_q(2 * i - 2) * factorial_q(i) * factorial_q(i - 1)
-    )
-
-
-def psi2_coeff(i: int):
-    if i < 1:
-        return Q(0)
-    return factorial_q(4 * i - 2) / (factorial_q(2 * i - 1) * factorial_q(i) ** 2)
 
 
 # first index, first coefficient, ratio c_{i+1}/c_i, and limit ratio
@@ -151,60 +129,51 @@ def _series_sum(base: str, x, deriv: int, prec: Precision):
 # ---------------------------------------------------------------------------
 
 def _hyp_quartic(kind: str, x, prec: Precision):
+    """One member of the quartic family from the two 2F1 values it needs,
+    each evaluated at most once."""
     with prec.ctx():
         x = mpf(x)
+        if x == 0:
+            return mpf(6) if kind == "phi_second" else mpf(0)  # Phi''(0) = 2 c_2
         third = mpf(1) / 3
+        f = mpmath.hyp2f1(third, 2 * third, 2, 27 * x)
+        phi = x * (f - 1)
         if kind == "phi":
-            if x == 0:
-                return mpf(0)
-            return x * (mpmath.hyp2f1(third, 2 * third, 2, 27 * x) - 1)
-        if kind == "phi_prime":
-            f = mpmath.hyp2f1(third, 2 * third, 2, 27 * x)
-            g = mpmath.hyp2f1(1 + third, 1 + 2 * third, 3, 27 * x)
-            return f - 1 + 3 * x * g
+            return phi
         if kind == "phi_second":
-            if x == 0:
-                return 6 * mpf(phi_coeff(2))  # limit 2*c_2 = 6
-            return -6 * (_hyp_quartic("phi", x, prec) + x) / (x * (27 * x - 1))
+            return -6 * (phi + x) / (x * (27 * x - 1))
+        g = mpmath.hyp2f1(1 + third, 1 + 2 * third, 3, 27 * x)
+        phip = f - 1 + 3 * x * g
+        if kind == "phi_prime":
+            return phip
         if kind == "theta":
-            phi = _hyp_quartic("phi", x, prec)
-            phip = _hyp_quartic("phi_prime", x, prec)
             return (2 * (27 * x - 1) * phip - 42 * phi + 12 * x) / 3
-        if kind == "theta_prime":
-            if x == 0:
-                return mpf(0)
-            phi = _hyp_quartic("phi", x, prec)
-            phip = _hyp_quartic("phi_prime", x, prec)
-            return 4 * phip - 4 * phi / x
-        raise ValueError("unknown quartic series %r" % kind)
+        return 4 * phip - 4 * phi / x  # theta_prime
 
 
 def _hyp_cubic(kind: str, t, prec: Precision):
+    """One member of the cubic family from the two 2F1 values it needs,
+    each evaluated at most once."""
     with prec.ctx():
         t = mpf(t)
+        if t == 0:
+            return {"psi1_prime": mpf(1), "psi2_prime": mpf(2)}.get(kind, mpf(0))
         quarter = mpf(1) / 4
+        f = mpmath.hyp2f1(quarter, 3 * quarter, 2, 64 * t)
+        p1 = t * f
         if kind == "psi1":
-            if t == 0:
-                return mpf(0)
-            return t * mpmath.hyp2f1(quarter, 3 * quarter, 2, 64 * t)
+            return p1
+        if kind == "psi2" and t == mpf(1) / 64:
+            # (1-64t) Psi1' -> 0 at the boundary, where Psi1' diverges
+            return (1 - 48 * p1) / 2
+        g = mpmath.hyp2f1(1 + quarter, 1 + 3 * quarter, 3, 64 * t)
+        p1p = f + 6 * t * g
         if kind == "psi1_prime":
-            f = mpmath.hyp2f1(quarter, 3 * quarter, 2, 64 * t)
-            g = mpmath.hyp2f1(1 + quarter, 1 + 3 * quarter, 3, 64 * t)
-            return f + 6 * t * g
+            return p1p
+        p2 = (1 - (1 - 64 * t) * p1p - 48 * p1) / 2
         if kind == "psi2":
-            if t == mpf(1) / 64:
-                # (1-64t) Psi1' -> 0 at the boundary
-                return (1 - 48 * _hyp_cubic("psi1", t, prec)) / 2
-            p1 = _hyp_cubic("psi1", t, prec)
-            p1p = _hyp_cubic("psi1_prime", t, prec)
-            return (1 - (1 - 64 * t) * p1p - 48 * p1) / 2
-        if kind == "psi2_prime":
-            if t == 0:
-                return mpf(2)
-            p1 = _hyp_cubic("psi1", t, prec)
-            p2 = _hyp_cubic("psi2", t, prec)
-            return (8 * t - 6 * p1 - 16 * t * p2) / (t * (1 - 64 * t))
-        raise ValueError("unknown cubic series %r" % kind)
+            return p2
+        return (8 * t - 6 * p1 - 16 * t * p2) / (t * (1 - 64 * t))  # psi2_prime
 
 
 # ---------------------------------------------------------------------------

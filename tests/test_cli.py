@@ -126,3 +126,24 @@ def test_bad_u_is_a_flag_error(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "NaN" not in captured.out + captured.err
+
+
+def test_cubic_radius_at_20_digits_matches_30(capsys):
+    rhos = [json.loads(run_cli(capsys, "--digits", d, "radius", "--p", "3",
+                               "--u", "0.3"))["result"]["profiles"][0]["rho"]
+            for d in ("20", "30")]
+    assert rhos[0] == rhos[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--digits", "20", "radius", "--p", "3", "--u", "0.1"),
+    ("--digits", "20", "radius", "--p", "3", "--u", "1e10"),
+    ("radius", "--p", "4", "--u", "1e300"),
+], ids=" ".join)
+def test_unresolved_radius_is_a_numeric_failure(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "NaN" not in captured.err
+    assert "digits" in captured.err

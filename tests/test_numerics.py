@@ -1,6 +1,7 @@
 """Hypergeometric evaluators, radii and critical constants."""
 
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -26,9 +27,11 @@ from forestmaps.hyp import (
     phi_singular_expansion,
     psi1_at_boundary,
     psi2_at_boundary,
+    psi2_singular_expansion,
     psi_numeric,
     self_check,
     theta_at_boundary,
+    theta_prime_singular_expansion,
     theta_singular_expansion,
 )
 
@@ -66,6 +69,49 @@ def test_series_and_boundary_methods_agree():
     assert self_check(PREC, tol=1e-12) < 1e-12
 
 
+QUARTIC_KINDS = ("phi", "phi_prime", "phi_second", "theta", "theta_prime")
+CUBIC_KINDS = ("psi1", "psi1_prime", "psi2", "psi2_prime")
+
+
+def test_series_and_boundary_methods_agree_at_zero():
+    for kinds, fn in ((QUARTIC_KINDS, phi_numeric), (CUBIC_KINDS, psi_numeric)):
+        for kind in kinds:
+            assert fn(kind, 0, PREC, "boundary") == fn(kind, 0, PREC, "series"), kind
+
+
+@pytest.fixture
+def hyp2f1_calls(monkeypatch):
+    calls = []
+    hyp2f1 = mpmath.hyp2f1
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hyp2f1(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "hyp2f1", counted)
+    return calls
+
+
+def test_each_family_member_takes_at_most_two_2f1(hyp2f1_calls):
+    for kinds, fn, bd in ((QUARTIC_KINDS, phi_numeric, mpf(1) / 27),
+                          (CUBIC_KINDS, psi_numeric, mpf(1) / 64)):
+        for kind in kinds:
+            for x in (bd / 7, bd / 2, bd * (1 - mpf("1e-6"))):
+                del hyp2f1_calls[:]
+                fn(kind, x, PREC, "boundary")
+                assert len(hyp2f1_calls) <= 2, (kind, x)
+
+
+def test_cubic_radius_2f1_budget(hyp2f1_calls, monkeypatch):
+    from forestmaps import critical
+
+    monkeypatch.setattr(critical, "_RADIUS_CACHE", {})
+    radius(3, 1.5, Precision(20, 1e-8))
+    # one evaluation of (Psi1, Psi1', Psi2, Psi2') per point of the outer
+    # search, two 2F1 for each but Psi1: about 600 calls
+    assert len(hyp2f1_calls) <= 750
+
+
 def test_singular_expansions_are_leading_order():
     # the displayed expansions carry O(eps^2 ln eps) / O(eps ln eps) errors
     with PREC.ctx():
@@ -77,6 +123,10 @@ def test_singular_expansions_are_leading_order():
             assert abs(b - phi_prime_singular_expansion(e, PREC)) < 40 * e * abs(mpmath.log(e))
             c = phi_numeric("theta", mpf(1) / 27 - e, PREC, "boundary")
             assert abs(c - theta_singular_expansion(e, PREC)) < 160 * e ** 2 * abs(mpmath.log(e))
+            d = phi_numeric("theta_prime", mpf(1) / 27 - e, PREC, "boundary")
+            assert abs(d - theta_prime_singular_expansion(e, PREC)) < 40 * e * abs(mpmath.log(e))
+            f = psi_numeric("psi2", mpf(1) / 64 - e, PREC, "boundary")
+            assert abs(f - psi2_singular_expansion(e, PREC)) < 60 * e ** 2 * abs(mpmath.log(e))
 
 
 def test_quartic_radius_values():
@@ -108,6 +158,8 @@ def test_cubic_radius_values():
     prof = radius(3, -0.5, PREC)
     assert prof.residuals["rho_vs_phi1"] < 1e-30
     assert prof.residuals["parabola"] < 1e-30
+    # the 0/0 limit at u = -1 keeps full float accuracy at 20 digits
+    assert abs(radius(3, -1, Precision(20, 1e-8)).rho - float(mpmath.pi ** 2 / 384)) < 1e-17
 
 
 def test_cubic_positive_u_against_coefficient_ratios():
@@ -149,6 +201,25 @@ def test_s_tilde_characteristic_and_continuation():
     assert cont["residual"] < 1e-12
     # truncation bias of the continuation against the closed solve
     assert cont["closed_vs_series"] < 5e-4
+
+
+def test_s_tilde_series_is_solved_at_the_exact_u(monkeypatch):
+    from forestmaps import solver
+
+    seen = []
+    solve = solver.solve_s_tilde
+
+    def spy(p, order, u):
+        seen.append(u)
+        return solve(p, order, u)
+
+    monkeypatch.setattr(solver, "solve_s_tilde", spy)
+    prec = Precision(20, 1e-8)
+    cont = s_tilde_radius_cubic(Fraction(3, 10), prec, series_order=8)
+    assert seen == [Fraction(3, 10)]
+    assert 0.0135 < cont["rho_tilde"] < 0.0145 and cont["residual"] < 1e-12
+    with pytest.raises(TypeError):
+        s_tilde_radius_cubic(0.3, prec, series_order=8)
 
 
 def test_s_tilde_radius_tends_to_1_over_64():
