@@ -26,11 +26,10 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .exact import Q, rat_to_str
+from .exact import rat_from_str, rat_to_str
 from .hyp import Precision
 from .maps import ScaleGuardError, enumerate_maps, oracle_f
 from .series import ZSeries
@@ -52,7 +51,7 @@ def _parse_u(text: str, symbolic: bool = False):
     if symbolic and text == "symbolic":
         return None
     try:
-        return Q(Fraction(text))
+        return rat_from_str(text)
     except (ValueError, ZeroDivisionError):
         raise CliError("cannot parse u=%r (use %sa decimal or 'p/q')"
                        % (text, "'symbolic', " if symbolic else ""),

@@ -29,7 +29,8 @@ from typing import Dict, NamedTuple, Optional
 import mpmath
 from mpmath import mpf
 
-from .hyp import CUBIC_BOUNDARY, DEFAULT_PREC, Precision, phi_numeric, psi_numeric
+from .hyp import (CUBIC_BOUNDARY, DEFAULT_PREC, Precision, phi_numeric, psi_family,
+                  psi_numeric)
 
 REGIMES = {1: "positive_u", 0: "zero_u", -1: "negative_u"}
 SUBEXP = {1: "n^{-5/2}", 0: "n^{-3}", -1: "n^{-3}ln^{-2}n"}
@@ -260,15 +261,9 @@ class _PhiReduced(NamedTuple):
     phi2_y: object
 
 
-def _psi_family(t, prec: Precision):
-    """(Psi1, Psi1', Psi2, Psi2') at t, each evaluated once."""
-    return tuple(psi_numeric(k, t, prec, "boundary")
-                 for k in ("psi1", "psi1_prime", "psi2", "psi2_prime"))
-
-
 def _phi_reduced(t, d, psi) -> _PhiReduced:
     """Phi1, Phi2 and their partials in (x, y) at the reduced coordinate
-    (t, d), i.e. x = t d^4 and y = (1 - d^2)/4, from psi = _psi_family(t).
+    (t, d), i.e. x = t d^4 and y = (1 - d^2)/4, from psi = psi_family(t).
 
     Through t = x/(1-4y)^2 and d = sqrt(1-4y) the two kernels reduce to
         Phi1 = d^3 Psi1(t) - x,    Phi2 = d Psi2(t) + (1-d)^2/4.
@@ -317,8 +312,7 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
         b = mpf(1) / 64
 
         def f(t):
-            p2 = psi_numeric("psi2", t, prec, "boundary")
-            p2p = psi_numeric("psi2_prime", t, prec, "boundary")
+            _, _, p2, p2p = psi_family(t, prec)
             return 1 - um * um * (4 * p2 - 4 * p2 * p2 + 64 * t * t * p2p * p2p)
 
         hi = b * (1 - mpf(10) ** (-min(30, prec.working_digits - 10)))
@@ -333,7 +327,7 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
                     "the working precision resolves; raise working_digits" % u
                 )
         t_crit, res = _bisect(f, lo, hi, prec)
-        psi = _psi_family(t_crit, prec)
+        psi = psi_family(t_crit, prec)
         _, _, p2, p2p = psi
         delta = um * (1 - 2 * p2 + 8 * t_crit * p2p) / (1 + um)
         rho_t = t_crit * delta ** 4
@@ -360,7 +354,7 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
         rho_t, s_val, t_inner, _delta_inner, res_inner = s_tilde_characteristic(u, prec)
 
         def on_curve(t):
-            psi = _psi_family(t, prec)
+            psi = psi_family(t, prec)
             d = _s_tilde_delta(um, psi[2])
             return d, _phi_reduced(t, d, psi)
 
@@ -563,7 +557,7 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
                 return mpf(-1)  # past the critical parabola
             d = mpmath.sqrt(1 - 4 * y)
             t = z / d ** 4
-            return 1 - um * _phi_reduced(t, d, _psi_family(t, prec)).phi2_y
+            return 1 - um * _phi_reduced(t, d, psi_family(t, prec)).phi2_y
 
         z = mpf(1) / 640
         while g(z) > 0:

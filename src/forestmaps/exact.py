@@ -49,11 +49,9 @@ def rat_to_str(x) -> str:
 
 
 def rat_from_str(s: str) -> "Rat":
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return Q(int(num), int(den))
-    return Q(int(s))
+    """Parse 'p/q', an integer or a decimal exactly; nan, inf and junk
+    raise ValueError, a zero denominator ZeroDivisionError."""
+    return Q(Fraction(s))
 
 
 def factorial_q(n: int) -> "Rat":

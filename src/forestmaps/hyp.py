@@ -19,6 +19,7 @@ applied through local mpmath working-precision contexts, never globally.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import mpmath
@@ -151,29 +152,24 @@ def _hyp_quartic(kind: str, x, prec: Precision):
         return 4 * phip - 4 * phi / x  # theta_prime
 
 
-def _hyp_cubic(kind: str, t, prec: Precision):
-    """One member of the cubic family from the two 2F1 values it needs,
-    each evaluated at most once."""
+def _hyp_cubic(t, prec: Precision):
+    """(Psi1, Psi1', Psi2, Psi2') at t from two 2F1 values, each evaluated
+    once.  At t = 1/64 only Psi1 and Psi2 are finite; the derivatives are
+    returned as +inf there."""
     with prec.ctx():
         t = mpf(t)
         if t == 0:
-            return {"psi1_prime": mpf(1), "psi2_prime": mpf(2)}.get(kind, mpf(0))
+            return mpf(0), mpf(1), mpf(0), mpf(2)
         quarter = mpf(1) / 4
         f = mpmath.hyp2f1(quarter, 3 * quarter, 2, 64 * t)
         p1 = t * f
-        if kind == "psi1":
-            return p1
-        if kind == "psi2" and t == mpf(1) / 64:
+        if t == mpf(1) / 64:
             # (1-64t) Psi1' -> 0 at the boundary, where Psi1' diverges
-            return (1 - 48 * p1) / 2
+            return p1, mpmath.inf, (1 - 48 * p1) / 2, mpmath.inf
         g = mpmath.hyp2f1(1 + quarter, 1 + 3 * quarter, 3, 64 * t)
         p1p = f + 6 * t * g
-        if kind == "psi1_prime":
-            return p1p
         p2 = (1 - (1 - 64 * t) * p1p - 48 * p1) / 2
-        if kind == "psi2":
-            return p2
-        return (8 * t - 6 * p1 - 16 * t * p2) / (t * (1 - 64 * t))  # psi2_prime
+        return p1, p1p, p2, (8 * t - 6 * p1 - 16 * t * p2) / (t * (1 - 64 * t))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +178,7 @@ def _hyp_cubic(kind: str, t, prec: Precision):
 
 _QUARTIC_BASE = {"phi": ("phi", 0), "phi_prime": ("phi", 1), "phi_second": ("phi", 2),
                  "theta": ("theta", 0), "theta_prime": ("theta", 1)}
+# keys in the order of the tuple of _hyp_cubic
 _CUBIC_BASE = {"psi1": ("psi1", 0), "psi1_prime": ("psi1", 1),
                "psi2": ("psi2", 0), "psi2_prime": ("psi2", 1)}
 
@@ -194,30 +191,44 @@ def phi_numeric(kind: str, x, prec: Precision = DEFAULT_PREC, method: str = "aut
     """
     if kind not in _QUARTIC_BASE:
         raise ValueError("unknown quartic series %r" % kind)
-    return _dispatch(kind, x, prec, method, Q(1, 27), _QUARTIC_BASE, _hyp_quartic)
+    return _dispatch(kind, x, prec, method, QUARTIC_BOUNDARY, _QUARTIC_BASE, _hyp_quartic)
 
 
 def psi_numeric(kind: str, t, prec: Precision = DEFAULT_PREC, method: str = "auto"):
     """Evaluate Psi family member at t in [0, 1/64] to target_abs_tol."""
     if kind not in _CUBIC_BASE:
         raise ValueError("unknown cubic series %r" % kind)
-    return _dispatch(kind, t, prec, method, Q(1, 64), _CUBIC_BASE, _hyp_cubic)
+    member = list(_CUBIC_BASE).index(kind)
+    return _dispatch(kind, t, prec, method, CUBIC_BOUNDARY, _CUBIC_BASE,
+                     lambda _kind, x, prec: _hyp_cubic(x, prec)[member])
+
+
+def psi_family(t, prec: Precision = DEFAULT_PREC):
+    """(Psi1, Psi1', Psi2, Psi2') at t in [0, 1/64] by the hypergeometric
+    route, from two 2F1 values; the derivatives are +inf at t = 1/64."""
+    with prec.ctx():
+        return _hyp_cubic(_in_domain(t, CUBIC_BOUNDARY)[0], prec)
+
+
+def _in_domain(x, boundary):
+    """(x, boundary) as mpf at the working precision; x outside
+    [0, boundary] is refused."""
+    if isinstance(x, numbers.Rational):
+        # exact inputs are honored at working precision (so the closed
+        # boundary point compares equal regardless of the caller's ambient
+        # mpmath context)
+        xm = mpf(x.numerator) / mpf(x.denominator)
+    else:
+        xm = mpf(x)
+    bd = mpf(boundary.numerator) / mpf(boundary.denominator)
+    if xm < 0 or xm > bd:
+        raise ValueError("argument %s outside [0, %s]" % (x, boundary))
+    return xm, bd
 
 
 def _dispatch(kind, x, prec, method, boundary, base_map, hyp_fn):
-    import numbers
-
     with prec.ctx():
-        if isinstance(x, numbers.Rational):
-            # exact inputs are honored at working precision (so the closed
-            # boundary point compares equal regardless of the caller's
-            # ambient mpmath context)
-            xm = mpf(x.numerator) / mpf(x.denominator)
-        else:
-            xm = mpf(x)
-        bd = mpf(boundary.numerator) / mpf(boundary.denominator)
-        if xm < 0 or xm > bd:
-            raise ValueError("argument %s outside [0, %s]" % (x, boundary))
+        xm, bd = _in_domain(x, boundary)
         if method == "auto":
             method = "series" if bd - xm > SWITCH_EPS else "boundary"
         if method == "series":

@@ -2,26 +2,24 @@
 
 A rooted combinatorial map is a pair of permutations on darts 0..2E-1: the
 vertex rotation sigma (counterclockwise order of darts around each vertex)
-and the edge involution alpha, plus a root dart.  Enumeration fixes
-alpha(d) = d XOR 1, which halves the search space, and searches over sigma
-as a product of p-cycles, filtering by connectivity and genus 0.  Rooted
-maps have no nontrivial automorphisms, so relabeling darts in the discovery
-order of a deterministic traversal from the root gives a complete canonical
-form; equality of canonical (sigma, alpha) arrays is map equality.
+and the edge involution alpha, plus a root dart.  Rooted maps have no
+nontrivial automorphisms, so relabeling darts in the discovery order of a
+deterministic traversal from the root gives a complete canonical form;
+equality of canonical (sigma, alpha) arrays is map equality.  Enumeration
+lists those canonical labellings directly, each once (orderly generation in
+the sense of Read 1978 and McKay 1998), and keeps the genus-0 ones.
 
 Everything here is a correctness instrument, not a production enumerator:
-the scales are guarded and exceeding them raises :class:`ScaleGuardError`
-with an estimated cost.
+the scales are guarded and exceeding them raises :class:`ScaleGuardError`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import factorial
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from math import comb
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
-from .exact import Q
 from .upoly import UPoly
 
 MAX_ORACLE_FACES = {3: 4, 4: 4}
@@ -161,48 +159,53 @@ def _cycles(perm: Sequence[int]) -> List[Tuple[int, ...]]:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _sigma_candidates(n_darts: int, p: int) -> Iterator[Tuple[int, ...]]:
-    """All products of p-cycles on 0..n_darts-1, each cycle anchored at its
-    smallest member (so each permutation is generated once)."""
-    sigma = [-1] * n_darts
-    unused = set(range(n_darts))
+def _canonical_labellings(p: int, n_darts: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """Every connected (sigma, alpha) with p-cycle vertices that is its own
+    :meth:`CombMap.canonical` form, each exactly once.
 
-    def fill():
-        if not unused:
-            yield tuple(sigma)
+    Darts are processed in label order; dart d picks sigma(d), then alpha(d)
+    unless an earlier dart set it, among the labels already in use and the
+    next fresh one, which is the discovery order of the canonical BFS.  A
+    vertex cycle may neither pass p darts nor close below p, and a branch
+    that runs out of labelled darts before placing all of them is
+    disconnected.
+    """
+    sigma, sigma_inv, alpha = [-1] * n_darts, [-1] * n_darts, [-1] * n_darts
+
+    def run(x, step):
+        """Last dart and length of the open sigma path from x along step."""
+        k = 1
+        while step[x] >= 0:
+            x, k = step[x], k + 1
+        return x, k
+
+    def place_sigma(d, used):
+        if d == n_darts:
+            yield tuple(sigma), tuple(alpha)
             return
-        anchor = min(unused)
-        unused.discard(anchor)
-        rest = sorted(unused)
+        if d == used:
+            return
+        head, a = run(d, sigma_inv)  # d ends an open path of a darts
+        for x in range(min(used + 1, n_darts)):
+            # x must start a path: closing d's own path needs exactly p
+            # darts, joining another may not exceed p
+            if sigma_inv[x] >= 0 or (a != p if x == head else a + run(x, sigma)[1] > p):
+                continue
+            sigma[d], sigma_inv[x] = x, d
+            yield from place_alpha(d, used + (x == used))
+            sigma[d] = sigma_inv[x] = -1
 
-        def choose(prev: int, depth: int, pool: List[int]):
-            if depth == p - 1:
-                sigma[prev] = anchor
-                yield None
-                sigma[prev] = -1
-                return
-            for x in list(pool):
-                sigma[prev] = x
-                pool.remove(x)
-                unused.discard(x)
-                yield from choose(x, depth + 1, pool)
-                pool.append(x)
-                unused.add(x)
-                sigma[prev] = -1
+    def place_alpha(d, used):
+        if alpha[d] >= 0:
+            yield from place_sigma(d + 1, used)
+            return
+        for x in range(min(used + 1, n_darts)):
+            if x != d and alpha[x] < 0:
+                alpha[d], alpha[x] = x, d
+                yield from place_sigma(d + 1, used + (x == used))
+                alpha[d] = alpha[x] = -1
 
-        for _ in choose(anchor, 0, rest):
-            yield from fill()
-        unused.add(anchor)
-
-    yield from fill()
-
-
-def _raw_candidate_count(n_darts: int, p: int) -> int:
-    v = n_darts // p
-    count = factorial(n_darts)
-    count //= factorial(p) ** v
-    count //= factorial(v)
-    return count * factorial(p - 1) ** v
+    yield from place_sigma(0, 1)
 
 
 def enumerate_maps(p: int, n_faces: int, guard: bool = True) -> List[CombMap]:
@@ -216,90 +219,61 @@ def enumerate_maps(p: int, n_faces: int, guard: bool = True) -> List[CombMap]:
         raise ValueError("need p >= 3")
     if guard and (p not in MAX_ORACLE_FACES or n_faces > MAX_ORACLE_FACES[p]):
         raise ScaleGuardError(
-            "oracle enumeration is guarded to p in %s with n_faces <= 4; "
-            "p=%d, n_faces=%d would scan ~%s raw rotation systems"
-            % (
-                sorted(MAX_ORACLE_FACES),
-                p,
-                n_faces,
-                _estimate(p, n_faces),
-            )
-        )
+            "oracle enumeration is guarded to %s; got p=%d, n_faces=%d"
+            % (", ".join("p=%d with n_faces <= %d" % lim
+                         for lim in sorted(MAX_ORACLE_FACES.items())), p, n_faces))
     num = 2 * (n_faces - 2)
     if n_faces < 2 or num <= 0 or num % (p - 2) != 0:
         return []
     v = num // (p - 2)
     n_darts = p * v
-    seen = set()
     out = []
-    for sigma in _sigma_candidates(n_darts, p):
-        alpha = tuple(d ^ 1 for d in range(n_darts))
-        if not _transitive(sigma, alpha, n_darts):
-            continue
-        comp = tuple(sigma[alpha[d]] for d in range(n_darts))
-        f = len(_cycles(comp))
-        if v - n_darts // 2 + f != 2:
-            continue
-        m = CombMap(n_darts, sigma, alpha, 0).canonical()
-        key = (m.sigma, m.alpha)
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
+    for sigma, alpha in _canonical_labellings(p, n_darts):
+        if v - n_darts // 2 + len(_cycles([sigma[a] for a in alpha])) == 2:
+            out.append(CombMap(n_darts, sigma, alpha, 0))
     out.sort(key=lambda m: (m.sigma, m.alpha))
     return out
-
-
-def _estimate(p: int, n_faces: int) -> str:
-    num = 2 * (n_faces - 2)
-    if num <= 0 or num % (p - 2) != 0:
-        return "0"
-    return "%.1e" % float(_raw_candidate_count(p * num // (p - 2), p))
-
-
-def _transitive(sigma, alpha, n) -> bool:
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    cnt = 1
-    while stack:
-        d = stack.pop()
-        for e in (sigma[d], alpha[d]):
-            if not seen[e]:
-                seen[e] = True
-                cnt += 1
-                stack.append(e)
-    return cnt == n
 
 
 # ---------------------------------------------------------------------------
 # forests, Tutte polynomial, activities
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _graph(m: CombMap) -> Tuple[List[Tuple[int, int]], int]:
+    """(vertex pair of each edge in :meth:`CombMap.edges` order, vertex count)."""
+    vert = m.vertex_of()
+    return [(vert[a], vert[b]) for a, b in m.edges()], len(m.vertices())
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+
+def _edges_components(ends: List[Tuple[int, int]], n_v: int, mask: int) -> Tuple[int, int]:
+    """(edge count, component count) of the spanning subgraph whose edges
+    are the set bits of mask, from one union-find pass.  The subgraph is a
+    forest exactly when the two add up to n_v."""
+    parent = list(range(n_v))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
+    k, comps = 0, n_v
+    for e, (a, b) in enumerate(ends):
+        if (mask >> e) & 1:
+            k += 1
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                comps -= 1
+    return k, comps
 
 
-def _acyclic(edge_ends: List[Tuple[int, int]], subset: Sequence[int], n_v: int) -> bool:
-    uf = _UnionFind(n_v)
-    for e in subset:
-        a, b = edge_ends[e]
-        if not uf.union(a, b):
-            return False
-    return True
+def _subsets(m: CombMap) -> Iterator[Tuple[int, int, int]]:
+    """(mask, edge count, component count) of every edge subset of m, in
+    mask order."""
+    ends, n_v = _graph(m)
+    for mask in range(1 << len(ends)):
+        yield (mask,) + _edges_components(ends, n_v, mask)
 
 
 def forest_poly(m: CombMap, exclude_root_edge: bool = False) -> UPoly:
@@ -309,57 +283,30 @@ def forest_poly(m: CombMap, exclude_root_edge: bool = False) -> UPoly:
     `exclude_root_edge`, only forests avoiding the root edge count (the
     root-edge-outside series H).
     """
-    vert = m.vertex_of()
-    edges = m.edges()
-    ends = [(vert[a], vert[b]) for a, b in edges]
+    banned = 1 << m.root_edge() if exclude_root_edge else 0
     n_v = len(m.vertices())
-    ne = len(edges)
-    banned = m.root_edge() if exclude_root_edge else -1
-    counts = [0] * n_v  # counts[k] = number of forests with k edges
-    for mask in range(1 << ne):
-        if banned >= 0 and (mask >> banned) & 1:
-            continue
-        subset = [e for e in range(ne) if (mask >> e) & 1]
-        if _acyclic(ends, subset, n_v):
-            counts[len(subset)] += 1
-    # k edges -> u^(v - k - 1)
     coeffs = [0] * n_v
-    for k, c in enumerate(counts):
-        coeffs[n_v - k - 1] += c
+    for mask, k, comps in _subsets(m):
+        if not mask & banned and k + comps == n_v:
+            coeffs[comps - 1] += 1
     return UPoly(coeffs)
 
 
 def tutte_poly(m: CombMap) -> Dict[Tuple[int, int], object]:
     """Exact subset-expansion Tutte polynomial as {(mu_pow, nu_pow): coeff}."""
-    vert = m.vertex_of()
-    ends = [(vert[a], vert[b]) for a, b in m.edges()]
     n_v = len(m.vertices())
-    ne = len(ends)
     out: Dict[Tuple[int, int], object] = {}
-    for mask in range(1 << ne):
-        uf = _UnionFind(n_v)
-        k = 0
-        for e in range(ne):
-            if (mask >> e) & 1:
-                uf.union(*ends[e])
-                k += 1
-        comps = len({uf.find(x) for x in range(n_v)})
+    for _mask, k, comps in _subsets(m):
         a = comps - 1  # c(S) - c(G), the map is connected
         b = k + comps - n_v  # cyclomatic number
         # expand (mu-1)^a (nu-1)^b
         for i in range(a + 1):
-            ca = _binom(a, i) * (-1) ** (a - i)
+            ca = comb(a, i) * (-1) ** (a - i)
             for j in range(b + 1):
-                c = ca * _binom(b, j) * (-1) ** (b - j)
+                c = ca * comb(b, j) * (-1) ** (b - j)
                 key = (i, j)
                 out[key] = out.get(key, 0) + c
     return {k: c for k, c in out.items() if c != 0}
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
 
 
 def tutte_at_mu_1(m: CombMap) -> UPoly:
@@ -375,18 +322,9 @@ def tutte_at_mu_1(m: CombMap) -> UPoly:
 
 
 def spanning_trees(m: CombMap) -> List[FrozenSet[int]]:
-    vert = m.vertex_of()
-    ends = [(vert[a], vert[b]) for a, b in m.edges()]
     n_v = len(m.vertices())
-    ne = len(ends)
-    if n_v == 1:
-        return [frozenset()]
-    out = []
-    for mask in range(1 << ne):
-        subset = [e for e in range(ne) if (mask >> e) & 1]
-        if len(subset) == n_v - 1 and _acyclic(ends, subset, n_v):
-            out.append(frozenset(subset))
-    return out
+    return [frozenset(e for e in range(mask.bit_length()) if (mask >> e) & 1)
+            for mask, k, comps in _subsets(m) if comps == 1 and k == n_v - 1]
 
 
 def bernardi_tour_order(m: CombMap, tree: FrozenSet[int]) -> List[int]:
@@ -423,11 +361,9 @@ def bernardi_activities(m: CombMap, tree: FrozenSet[int]) -> Tuple[int, int]:
     fundamental cocycle; a non-tree edge is externally active when it is
     tour-minimal in its fundamental cycle.
     """
-    vert = m.vertex_of()
-    edges = m.edges()
-    ends = [(vert[a], vert[b]) for a, b in edges]
-    n_v = len(m.vertices())
-    if not _acyclic(ends, sorted(tree), n_v) or len(tree) != n_v - 1:
+    ends, n_v = _graph(m)
+    mask = sum(1 << e for e in tree)
+    if len(tree) != n_v - 1 or _edges_components(ends, n_v, mask)[1] != 1:
         raise ValueError("the given edge set is not a spanning tree")
     order = bernardi_tour_order(m, tree)
     rank = {e: i for i, e in enumerate(order)}

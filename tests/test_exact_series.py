@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from forestmaps.exact import Q, rat_from_str, rat_to_str
 from forestmaps.series import ZSeries
@@ -24,6 +26,31 @@ def test_rational_serialization_roundtrip():
     for s in ("3", "-7/3", "0", "1/2"):
         assert rat_to_str(rat_from_str(s)) == s
     assert rat_to_str(Q(10, 4)) == "5/2"
+
+
+def test_rat_from_str_accepts_decimals_and_refuses_non_finite():
+    assert rat_from_str("0.25") == Q(1, 4)
+    assert rat_from_str(" -1.5e-2 ") == Q(-3, 200)
+    assert rat_from_str("6/4") == Q(3, 2)
+    for junk in ("nan", "inf", "-inf", "1/2/3", "", "u"):
+        with pytest.raises(ValueError):
+            rat_from_str(junk)
+    with pytest.raises(ZeroDivisionError):
+        rat_from_str("1/0")
+
+
+rationals = st.fractions().map(Q)
+
+
+@given(rationals)
+def test_rat_string_roundtrip(q):
+    assert rat_from_str(rat_to_str(q)) == q
+
+
+@given(st.lists(rationals, max_size=8))
+def test_upoly_string_roundtrip(coeffs):
+    p = UPoly(coeffs)
+    assert UPoly.from_strs(p.to_strs()) == p
 
 
 def test_upoly_canonical_and_degree():

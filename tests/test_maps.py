@@ -1,6 +1,7 @@
 """The brute-force map oracle: enumeration, Tutte data, activities."""
 
 import random
+from math import factorial
 
 import pytest
 
@@ -17,6 +18,10 @@ from forestmaps.maps import (
     tutte_poly,
 )
 from forestmaps.upoly import UPoly
+
+
+def double_factorial(n):
+    return 1 if n <= 1 else n * double_factorial(n - 2)
 
 
 def single_edge():
@@ -50,8 +55,36 @@ def test_enumerate_counts():
     assert len(enumerate_maps(4, 3)) == 2
 
 
+def test_enumeration_matches_closed_forms_beyond_the_guard():
+    # Tutte (1963): rooted planar 4-valent maps with v = n_faces - 2
+    # vertices number 2 3^v (2v)! / (v! (v+2)!), i.e. 2, 9, 54, 378
+    for n_faces in range(3, 7):
+        v = n_faces - 2
+        expected = 2 * 3 ** v * factorial(2 * v) // (factorial(v) * factorial(v + 2))
+        assert len(enumerate_maps(4, n_faces, guard=False)) == expected
+    # rooted planar cubic maps with 2k vertices, k = n_faces - 2, number
+    # 2^(2k+1) (3k)!! / ((k+2)! k!!), i.e. 4, 32, 336
+    for n_faces in range(3, 6):
+        k = n_faces - 2
+        expected = 2 ** (2 * k + 1) * double_factorial(3 * k) \
+            // (factorial(k + 2) * double_factorial(k))
+        assert len(enumerate_maps(3, n_faces, guard=False)) == expected
+
+
+def test_enumerated_maps_are_canonical_planar_and_p_valent():
+    for p, n_faces in ((3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5), (5, 5), (6, 4)):
+        maps = enumerate_maps(p, n_faces, guard=False)
+        assert maps
+        for m in maps:
+            c = m.canonical()
+            assert (c.sigma, c.alpha, c.root_dart) == (m.sigma, m.alpha, 0)
+            assert m.genus() == 0
+            assert m.n_faces() == n_faces
+            assert all(len(cyc) == p for cyc in m.vertices())
+
+
 def test_scale_guard():
-    with pytest.raises(ScaleGuardError):
+    with pytest.raises(ScaleGuardError, match=r"p=3 with n_faces <= 4.*got p=3, n_faces=5"):
         enumerate_maps(3, 5)
     with pytest.raises(ScaleGuardError):
         oracle_f(5, 3)
@@ -95,7 +128,8 @@ def test_canonical_dedup_is_labeling_invariant():
     # relabel darts of every enumerated map by a random permutation and
     # check the canonical form is unchanged
     rng = random.Random(5)
-    for m in enumerate_maps(4, 3) + enumerate_maps(3, 3):
+    for m in enumerate_maps(4, 3) + enumerate_maps(3, 3) + enumerate_maps(3, 4) \
+            + enumerate_maps(4, 4):
         perm = list(range(m.n_darts))
         rng.shuffle(perm)
         sigma = [0] * m.n_darts

@@ -28,6 +28,7 @@ from forestmaps.hyp import (
     psi1_at_boundary,
     psi2_at_boundary,
     psi2_singular_expansion,
+    psi_family,
     psi_numeric,
     self_check,
     theta_at_boundary,
@@ -102,14 +103,30 @@ def test_each_family_member_takes_at_most_two_2f1(hyp2f1_calls):
                 assert len(hyp2f1_calls) <= 2, (kind, x)
 
 
+def test_psi_family_is_the_four_members_from_two_2f1(hyp2f1_calls):
+    bd = Fraction(1, 64)
+    for t in (0, mpf(1) / 448, mpf(1) / 128, mpf(1) / 64 * (1 - mpf("1e-6")), bd):
+        del hyp2f1_calls[:]
+        family = psi_family(t, PREC)
+        assert len(hyp2f1_calls) <= 2
+        for kind, value in zip(CUBIC_KINDS, family):
+            if t == bd and kind.endswith("prime"):
+                assert value == mpmath.inf
+            else:
+                assert value == psi_numeric(kind, t, PREC, "boundary"), (kind, t)
+    for t in (-mpf("1e-30"), Fraction(1, 63)):
+        with pytest.raises(ValueError, match="outside"):
+            psi_family(t, PREC)
+
+
 def test_cubic_radius_2f1_budget(hyp2f1_calls, monkeypatch):
     from forestmaps import critical
 
     monkeypatch.setattr(critical, "_RADIUS_CACHE", {})
     radius(3, 1.5, Precision(20, 1e-8))
-    # one evaluation of (Psi1, Psi1', Psi2, Psi2') per point of the outer
-    # search, two 2F1 for each but Psi1: about 600 calls
-    assert len(hyp2f1_calls) <= 750
+    # one psi_family evaluation, two 2F1 values, per point of the inner and
+    # the outer search: 218 calls
+    assert len(hyp2f1_calls) <= 260
 
 
 def test_singular_expansions_are_leading_order():
