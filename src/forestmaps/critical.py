@@ -24,6 +24,7 @@ target tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Rational
 from typing import Dict, NamedTuple, Optional
 
 import mpmath
@@ -145,11 +146,16 @@ _RADIUS_CACHE: Dict[tuple, SingularProfile] = {}
 def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
     """Radius of convergence of F(z, u) with its critical data, p in {3, 4}.
 
-    Raises ValueError when a residual exceeds prec.target_abs_tol."""
+    u is a float or an exact rational; a rational is rounded once, at the
+    working precision.  Raises ValueError when a residual exceeds
+    prec.target_abs_tol."""
     if u < -1:
         raise ValueError("u must be >= -1")
-    key = (p, float(u), prec.working_digits)
+    key = (p, u, prec.working_digits)
     if key not in _RADIUS_CACHE:
+        if isinstance(u, Rational) and not isinstance(u, int):
+            with prec.ctx():
+                u = mpf(u.numerator) / u.denominator
         if p == 4:
             prof = _radius_quartic(u, prec)
         elif p == 3:

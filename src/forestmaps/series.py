@@ -199,18 +199,6 @@ class ZSeries:
             out.append(-(acc * inv0))
         return ZSeries(out, self.order)
 
-    def pow_int(self, n: int) -> "ZSeries":
-        if n < 0:
-            raise ValueError("negative series power")
-        acc = ZSeries.const(self.zero_coeff + 1, self.order, self.zero_coeff)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def divide(self, other: "ZSeries") -> "ZSeries":
         """self/other, allowing a common z-valuation to cancel exactly."""
         v = other.valuation()
@@ -235,10 +223,6 @@ class ZSeries:
             except ValueError as exc:
                 raise ValueError("coefficient of z^%d: %s" % (i, exc)) from None
         return ZSeries(out, self.order)
-
-    def mul_u(self, power: int = 1) -> "ZSeries":
-        up = UPoly.u(power)
-        return ZSeries([_as_upoly(c) * up for c in self.coeffs], self.order)
 
     def specialize_u(self, value) -> "ZSeries":
         """Evaluate every UPoly coefficient at an exact rational u."""

@@ -320,11 +320,6 @@ def quartic_h_via_lambda(order: int, u_mode=None, rs=None) -> ZSeries:
     return _div_u(z * (R - z), u) - R.compose_outer(lam_outer)
 
 
-def mu_expansion(s: ZSeries) -> ZSeries:
-    """Re-express symbolic coefficients in mu = u + 1 (exact substitution)."""
-    return s.to_mu()
-
-
 def solve(p: int, order: int, u_mode=None) -> SolverOutput:
     """Solve everything: R, S, S~, F, F', G (p = 3), H."""
     u = _mode(u_mode)

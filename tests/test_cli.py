@@ -111,6 +111,18 @@ def test_radius_accepts_rationals(capsys):
     assert prof["u"] == 1 / 3 and prof["regime"] == "positive_u"
 
 
+def test_radius_of_an_exact_u_matches_the_cli(capsys):
+    from fractions import Fraction
+
+    from forestmaps.critical import radius
+    from forestmaps.hyp import Precision
+
+    out = run_cli(capsys, "--digits", "50", "radius", "--p", "4", "--u", "1/3")
+    (prof,) = json.loads(out)["result"]["profiles"]
+    prec = Precision(50, 1e-23)
+    assert abs(radius(4, Fraction(1, 3), prec).rho - prof["rho"]) <= prec.target_abs_tol
+
+
 @pytest.mark.parametrize("argv", [
     ("radius", "--p", "4", "--u", "nan"),
     ("radius", "--p", "4", "--u", "inf"),

@@ -1,12 +1,18 @@
 """High-order engines against the sweep solver and each other."""
 
+from functools import cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestmaps.exact import Q
 from forestmaps.fast import (
+    _cubic_fprime,
     _cubic_rs,
+    _div,
+    _quartic_bundle,
     _quartic_r,
     cubic_fprime_coeffs,
     cubic_fprime_float,
@@ -15,7 +21,9 @@ from forestmaps.fast import (
     quartic_r_coeffs,
     quartic_series,
 )
+from forestmaps.series import ZSeries
 from forestmaps.solver import series_f, solve_rs
+from forestmaps.trees import phi_theta_tables
 from forestmaps.upoly import UPoly
 
 
@@ -89,7 +97,7 @@ def test_float_engines_track_exact_prefix():
     assert _spectral_compare(bun["R"], fe["R"], s, 1, 81) < 1e-11
     assert _spectral_compare(bun["fprime"], fe["fprime"], s, 3, 79) < 1e-10
     s3 = 0.02
-    Rf, Sf = _cubic_rs(-0.5, 60, s3)
+    Rf, Sf = _cubic_rs(-0.5, 1.0, 60, s3)
     Re, Se = cubic_rs_coeffs(Q(-1, 2), 60)
     assert _spectral_compare(Rf, Re, s3, 1, 61) < 1e-11
     assert _spectral_compare(Sf, Se, s3, 1, 61) < 1e-11
@@ -118,8 +126,87 @@ def test_one_recurrence_serves_both_fields(u):
     assert S3 == [Ss3.coeff(i) for i in range(11)]
     # float64 field: the same recurrences on float(u) track the exact values
     s, s3 = 0.0414, 0.02
-    assert _spectral_compare(_quartic_r(float(u), 40, s), quartic_r_coeffs(u, 40), s, 1, 41) < 1e-11
-    Rf, Sf = _cubic_rs(float(u), 40, s3)
+    assert _spectral_compare(_quartic_r(float(u), 1.0, 40, s), quartic_r_coeffs(u, 40), s, 1, 41) < 1e-11
+    Rf, Sf = _cubic_rs(float(u), 1.0, 40, s3)
     Re, Se = cubic_rs_coeffs(u, 40)
     assert _spectral_compare(Rf, Re, s3, 1, 41) < 1e-11
     assert _spectral_compare(Sf, Se, s3, 1, 41) < 1e-11
+
+
+# -- the integer engines: every value against the symbolic sweep, specialized
+
+
+def _du(c):
+    """d/du of a coefficient of the symbolic sweep."""
+    return UPoly([c.coeffs[k] * k for k in range(1, len(c.coeffs))]) if c.coeffs else c
+
+
+@cache
+def _symbolic_sweep():
+    """The sweep solver at symbolic u: p = 4 through z^11, p = 3 through
+    z^10, with W = (R - z)/u, V = Phi'(R) and F''_zu = d/du F'."""
+    R4, S4 = solve_rs(4, 11)
+    F4, Fp4 = series_f(4, 11, rs=(R4, S4))
+    phi = phi_theta_tables(4, 11)["phi_x"]
+    z = ZSeries.z(11, UPoly(), UPoly((1,)))
+    R3, S3 = solve_rs(3, 10)
+    _, Fp3 = series_f(3, 10, rs=(R3, S3))
+    return {
+        4: {
+            "R": R4,
+            "W": (R4 - z).divide_by_u(),
+            "V": R4.compose_outer([k * phi[k] for k in range(1, len(phi))]),
+            "fprime": Fp4,
+            "f": F4,
+            "fzu": Fp4.map_coeffs(_du),
+        },
+        3: {"R": R3, "S": S3, "fprime": Fp3},
+    }
+
+
+def _check_integer_engines(u):
+    sweep = _symbolic_sweep()
+    got = {4: quartic_series(u, 11), 3: dict(zip("RS", cubic_rs_coeffs(u, 10)))}
+    got[3]["fprime"] = cubic_fprime_coeffs(u, 10)
+    assert quartic_r_coeffs(u, 11) == got[4]["R"]
+    for p, names in ((4, ("R", "W", "V", "fprime", "f", "fzu")), (3, ("R", "S", "fprime"))):
+        for name in names:
+            values = got[p][name]
+            ref = sweep[p][name].specialize_u(u)
+            assert values[:10] == [ref.coeff(i) for i in range(10)], (p, name)
+            assert all(type(x) is type(Q(1)) for x in values), (p, name)
+
+
+@pytest.mark.parametrize("u", [Q(0), Q(-1), Q(1), Q(5), Q(-1, 2)])
+def test_integer_engines_match_sweep(u):
+    _check_integer_engines(u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.integers(-10**6, 10**6), b=st.integers(1, 10**6))
+def test_integer_engines_match_sweep_at_large_denominators(a, b):
+    _check_integer_engines(Q(a, b))
+
+
+def test_exact_division_checks_the_remainder():
+    assert _div(-91, 7) == -13
+    assert list(_div(np.array([12, -2**80], dtype=object), 4)) == [3, -2**78]
+    assert list(_div(np.array([3, 10], dtype=object), np.arange(1, 3))) == [3, 5]
+    for x, d in ((7, 2), (np.array([4, 5], dtype=object), 2)):
+        with pytest.raises(ArithmeticError):
+            _div(x, d)
+    # floats divide as they are
+    assert _div(1.0, 3) == 1.0 / 3 and _div(np.ones(2), 4)[1] == 0.25
+
+
+def test_corrupted_operand_is_refused():
+    a, b = 47, 89
+    R = _quartic_r(a, b, 20, b)
+    _quartic_bundle(R, a, b, b)
+    R[7] += 1
+    with pytest.raises(ArithmeticError):
+        _quartic_bundle(R, a, b, b)
+    R3, S3 = _cubic_rs(a, b, 20, b * b)
+    S3[5] += 1
+    with pytest.raises(ArithmeticError):
+        _cubic_fprime(R3, S3, a, b, b * b)

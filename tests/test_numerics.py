@@ -203,6 +203,18 @@ def test_radius_profiles_are_not_shared():
     assert radius(4, 0.5, PREC).residuals["char"] < 1e-12
 
 
+def test_radius_takes_an_exact_u():
+    from forestmaps import critical
+
+    critical._RADIUS_CACHE.clear()
+    exact = radius(4, Fraction(1, 2), PREC)
+    critical._RADIUS_CACHE.clear()
+    assert exact == radius(4, 0.5, PREC)
+    # Fraction(1, 3) and its float are distinct cache keys
+    third = radius(4, Fraction(1, 3), PREC)
+    assert third.u == 1 / 3 and third.residuals["char"] < 1e-12
+
+
 def test_radius_decreasing_grids():
     for p in (3, 4):
         rho = [radius(p, u, PREC).rho for u in (-1, -0.5, 0, 0.5, 1, 2)]

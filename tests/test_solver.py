@@ -6,7 +6,6 @@ from forestmaps.exact import Q
 from forestmaps.series import ZSeries
 from forestmaps.solver import (
     compose_biv,
-    mu_expansion,
     quartic_h_via_lambda,
     residual_rs,
     series_f,
@@ -134,16 +133,16 @@ def test_s_tilde_even_p_vanishes():
 def test_mu_expansion_printed_terms():
     out = solve(3, 4)
     z = ZSeries.z(4, UPoly(), UPoly((1,)))
-    r_mu = mu_expansion((out.R - z).divide_by_u())
+    r_mu = (out.R - z).divide_by_u().to_mu()
     assert r_mu.coeff(2) == upoly(2, 4)          # 2(2mu+1)
     assert r_mu.coeff(3) == upoly(16, 36, 48, 40)
-    s_mu = mu_expansion(out.S.divide_by_u())
+    s_mu = out.S.divide_by_u().to_mu()
     assert s_mu.coeff(1) == upoly(2)
     assert s_mu.coeff(2) == upoly(6, 12, 12)     # 6(2mu^2+2mu+1)
-    st_mu = mu_expansion(out.S_tilde.divide_by_u())
+    st_mu = out.S_tilde.divide_by_u().to_mu()
     assert st_mu.coeff(2) == upoly(10, 16, 4)    # 2(2mu^2+8mu+5)
     const = ZSeries.const(UPoly((7,)), 3, UPoly())
-    assert mu_expansion(const) == const  # u-free series unchanged
+    assert const.to_mu() == const  # u-free series unchanged
 
 
 def test_mu_divisibility_guard():
