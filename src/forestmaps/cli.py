@@ -98,7 +98,8 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None):
 # ---------------------------------------------------------------------------
 
 def cmd_coeffs(args):
-    from .solver import MAX_SYMBOLIC_ORDER, solve
+    from .solver import (MAX_SYMBOLIC_ORDER, series_f, series_g, series_h,
+                         solve_rs, solve_s_tilde)
 
     u = _parse_u(args.u, symbolic=True)
     if u is None and args.order > MAX_SYMBOLIC_ORDER:
@@ -108,19 +109,27 @@ def cmd_coeffs(args):
             EXIT_BAD_FLAGS,
         )
     wanted = [s.strip() for s in args.series.split(",")]
-    out = solve(args.p, args.order, u)
-    table = {
-        "F": out.F, "Fprime": out.Fprime, "R": out.R, "S": out.S,
-        "Stilde": out.S_tilde, "H": out.H,
-    }
-    if out.G is not None:
-        table["G"] = out.G
-    payload = {"p": args.p, "order": args.order, "series": {}}
+    names = ["F", "Fprime", "R", "S", "Stilde", "H"] + (["G"] if args.p == 3 else [])
     for name in wanted:
-        if name not in table:
+        if name not in names:
             raise CliError("unknown series %r (choose from %s)"
-                           % (name, ",".join(sorted(table))), EXIT_BAD_FLAGS)
-        payload["series"][name] = table[name].to_json()
+                           % (name, ",".join(sorted(names))), EXIT_BAD_FLAGS)
+    # build only the requested series, all from one (R, S)
+    p, order, want = args.p, args.order, set(wanted)
+    table = {}
+    if want - {"Stilde"}:
+        rs = solve_rs(p, order, u)
+        table["R"], table["S"] = rs
+    if want & {"F", "Fprime"}:
+        table["F"], table["Fprime"] = series_f(p, order, u, rs=rs)
+    if "Stilde" in want:
+        table["Stilde"] = solve_s_tilde(p, order, u)
+    if "G" in want:
+        table["G"] = series_g(order, u, rs=rs)
+    if "H" in want:
+        table["H"] = series_h(p, order, u, rs=rs)
+    payload = {"p": p, "order": order,
+               "series": {name: table[name].to_json() for name in wanted}}
     _emit(args, payload)
 
 
@@ -271,22 +280,24 @@ def cmd_random(args):
 
 
 def cmd_mu_expand(args):
-    from .solver import solve
-    from .series import ZSeries
+    from .solver import series_f, solve_rs, solve_s_tilde
     from .upoly import UPoly
 
-    out = solve(args.p, args.order)
-    z = ZSeries.z(args.order, UPoly(), UPoly((1,)))
-    table = {
-        "R-z": (out.R - z).divide_by_u(),
-        "S": out.S.divide_by_u(),
-        "Stilde": out.S_tilde.divide_by_u() if args.p % 2 else out.S_tilde,
-        "F": out.F,
-    }
-    if args.series not in table:
-        raise CliError("unknown series %r for mu expansion" % args.series,
+    p, order, name = args.p, args.order, args.series
+    if name not in ("R-z", "S", "Stilde", "F"):
+        raise CliError("unknown series %r for mu expansion" % name,
                        EXIT_BAD_FLAGS)
-    mu = table[args.series].to_mu()
+    if name == "Stilde":
+        ser = solve_s_tilde(p, order)
+        if p % 2:
+            ser = ser.divide_by_u()
+    elif name == "F":
+        ser = series_f(p, order)[0]
+    else:
+        R, S = solve_rs(p, order)
+        z = ZSeries.z(order, UPoly(), UPoly((1,)))
+        ser = (R - z if name == "R-z" else S).divide_by_u()
+    mu = ser.to_mu()
     rows = []
     all_nonneg = True
     for n, c in enumerate(mu.coeffs):

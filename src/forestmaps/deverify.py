@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Optional, Tuple
 
-from .exact import Q, QZERO, rat_from_str
+from .exact import Q, canon
 from .series import ZSeries
 from .solver import series_f, series_g, series_h, solve_rs, _z_series, _mode
 from .trees import (
@@ -196,7 +196,7 @@ def load_de(name: str) -> dict:
     with path.open() as f:
         de = json.load(f)
     for term in de["terms"]:
-        term["coeff"] = rat_from_str(term["coeff"])
+        term["coeff"] = canon(term["coeff"])
     return de
 
 

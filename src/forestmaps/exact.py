@@ -7,11 +7,19 @@ back to ``fractions.Fraction`` otherwise.  Both types are registered as
 ``numbers.Rational``, compare equal across implementations, and print as
 ``"p/q"`` (or ``"p"`` when the denominator is one), which is the exchange
 format used by the JSON emitters.
+
+The series of this package count maps, so most exact values are integers.
+The polynomial and tree-table layers keep them in one canonical form
+(:func:`canon`): a value that is an integer is a Python ``int``, and only a
+non-integral value is a ``Q``.  Integer arithmetic needs no gcd, and an int
+compares and hashes equal to the same rational.  Int / int true division
+gives a float, so every division in those layers keeps a ``Q`` on one side.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Union
 
 try:
@@ -42,6 +50,15 @@ def as_rat(x) -> "Rat":
     return Q(x)
 
 
+def canon(x) -> "Rat":
+    """The canonical exact value of x: an ``int`` when it is integral,
+    otherwise ``Q(x)``.  Strings are parsed as by :func:`as_rat`."""
+    if type(x) is int:
+        return x
+    x = as_rat(x) if isinstance(x, str) else Q(x)
+    return int(x) if x.denominator == 1 else x
+
+
 def rat_to_str(x) -> str:
     """Serialize as 'numerator/denominator', omitting a unit denominator."""
     s = str(Q(x))
@@ -66,14 +83,15 @@ def factorial_q(n: int) -> "Rat":
 _FACTORIALS = [1]
 
 
-def binomial_q(n: int, k: int) -> "Rat":
+def binomial_q(n: int, k: int) -> int:
+    """C(n, k) as an int; 0 outside 0 <= k <= n."""
     if k < 0 or k > n:
-        return QZERO
-    return factorial_q(n) / (factorial_q(k) * factorial_q(n - k))
+        return 0
+    return comb(n, k)
 
 
-def trinomial_q(a: int, b: int, c: int) -> "Rat":
-    """(a+b+c)! / (a! b! c!)."""
+def trinomial_q(a: int, b: int, c: int) -> int:
+    """(a+b+c)! / (a! b! c!) as an int."""
     if a < 0 or b < 0 or c < 0:
-        return QZERO
-    return factorial_q(a + b + c) / (factorial_q(a) * factorial_q(b) * factorial_q(c))
+        return 0
+    return comb(a + b + c, a) * comb(b + c, b)

@@ -162,7 +162,7 @@ def _quartic_r(a, b, order: int, s) -> np.ndarray:
 
 
 def _quartic_bundle(R: np.ndarray, a, b, s) -> dict:
-    """W = Phi(R), V = Phi'(R), F' and F''_zu from R (needs u != 0).
+    """W = Phi(R), V = Phi'(R) and F' from R (needs u != 0).
 
     R runs through z^order; W through z^order, the rest through
     z^(order-1)."""
@@ -170,20 +170,24 @@ def _quartic_bundle(R: np.ndarray, a, b, s) -> dict:
     z = _zeros(s, len(R))
     z[1] = s
     W = _div((R - z) * b, a)
-    Rp = _diff(R, s)
     # Phi'(R) = (1 - 1/R') / u, whose constant term is 0
     V = _zeros(s, m + 1)
-    V[1:] = _div(-_recip(Rp, m)[1:] * b, a)
+    V[1:] = _div(-_recip(_diff(R, s), m)[1:] * b, a)
     # theta(R) = (2 (27R - 1) V - 42 W + 12 R) / 3
     t1 = conv_trunc(27 * R, V, m)
     fprime = _div(2 * (t1 - V) - 42 * W[: m + 1] + 12 * R[: m + 1], 3)
+    return {"R": R, "W": W, "V": V, "fprime": fprime}
+
+
+def _quartic_fzu(ser: dict, b, s) -> np.ndarray:
+    """F''_zu = W theta'(R) R' from the bundle, through z^(order-1)."""
+    R, W, V = ser["R"], ser["W"], ser["V"]
+    m = len(V) - 1
     # theta'(R) = 4V - 4 W/R ; W/R = (W shifted) * 1/(R shifted).  The
     # shifted R is b times a series with unit constant term
     w_over_r = _div(conv_trunc(W[1:], _recip(_div(R[1:], b), m), m), b)
     theta_p = 4 * V - 4 * w_over_r
-    # F''_zu = W * theta'(R) * R'
-    fzu = conv_trunc(conv_trunc(W, theta_p, m), Rp, m)
-    return {"R": R, "W": W, "V": V, "fprime": fprime, "fzu": fzu}
+    return conv_trunc(conv_trunc(W, theta_p, m), _diff(R, s), m)
 
 
 def _cubic_rs(a, b, order: int, s):
@@ -283,6 +287,7 @@ def quartic_series(u, order: int) -> dict:
         }
     else:
         ser = _quartic_bundle(R, a, b, b)
+        ser["fzu"] = _quartic_fzu(ser, b, b)
     ser["f"] = _integrate(ser["fprime"], b)[: order + 1]
     return {k: _unscaled(v, b) for k, v in ser.items()}
 
@@ -312,7 +317,7 @@ def cubic_fprime_coeffs(u, order: int) -> list:
 
 
 def quartic_fseries_float(u: float, order: int, scale: float) -> dict:
-    """Float quartic bundle (rescaled): R, W, V, F', F'', F''_zu arrays.
+    """Float quartic bundle (rescaled): R, W, V, F' and F'' arrays.
 
     Entry [n] of each array is the true z^n coefficient times scale^n.
     Valid through index order-1 for F' and order-2 for F''.

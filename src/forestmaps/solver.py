@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import Q, QZERO
+from .exact import Q, canon
 from .series import ZSeries
 from .trees import g_inner_table, h_inner_table, lambda_series, phi_theta_tables
 from .upoly import UP_U, UPoly
@@ -49,10 +49,11 @@ class SolverOutput:
 
 
 def _mode(u_mode):
-    """Normalize the u parameter: None means symbolic."""
+    """Normalize the u parameter: None means symbolic, otherwise the
+    canonical exact value (an int when u is integral)."""
     if u_mode is None or u_mode == "symbolic":
         return None
-    return Q(u_mode)
+    return canon(u_mode)
 
 
 def _u_factor(u):
@@ -60,13 +61,13 @@ def _u_factor(u):
 
 
 def _zero_coeff(u):
-    return UPoly() if u is None else QZERO
+    return UPoly() if u is None else 0
 
 
 def _z_series(order, u):
     if u is None:
         return ZSeries.z(order, UPoly(), UPoly((1,)))
-    return ZSeries.z(order, QZERO, Q(1))
+    return ZSeries.z(order, 0, 1)
 
 
 def compose_biv(table, x_series: ZSeries, y_series: ZSeries, order: int) -> ZSeries:
@@ -214,8 +215,8 @@ def series_f(p: int, order: int, u_mode=None, rs=None):
         # F' = 2z/u + S/u - (1 + 1/u)(2R + S^2); only the grouped
         # combination (2z + S - 2R - S^2)/u is u-divisible term by term.
         z = _z_series(order, u)
-        core = R.scale(2 if u is not None else Q(2)) + S * S
-        shortcut = _div_u(z.scale(2 if u is not None else Q(2)) + S - core, u) - core
+        core = R.scale(2) + S * S
+        shortcut = _div_u(z.scale(2) + S - core, u) - core
         if shortcut != fprime:
             raise AssertionError("cubic F' shortcut disagrees with theta(R, S)")
     f = fprime.integrate().truncate(order)
@@ -232,17 +233,17 @@ def series_f_explicit_quartic(order: int, u_mode=None, rs=None) -> ZSeries:
     tables = phi_theta_tables(4, order)
     theta = tables["theta_x"]
     phi = tables["phi_x"]
-    phi_prime = [phi[i + 1] * (i + 1) for i in range(order)] + [QZERO]
+    phi_prime = [phi[i + 1] * (i + 1) for i in range(order)] + [0]
     # polynomial (in x) products and antiderivatives, truncated at x^order
-    tphi = [QZERO] * (order + 1)
+    tphi = [0] * (order + 1)
     for i, a in enumerate(theta):
         if a == 0:
             continue
         for j in range(order + 1 - i):
             if phi_prime[j] != 0:
                 tphi[i + j] += a * phi_prime[j]
-    psi1 = [QZERO] + [theta[i] * Q(1, i + 1) for i in range(order)]
-    psi2 = [QZERO] + [tphi[i] * Q(1, i + 1) for i in range(order)]
+    psi1 = [0] + [theta[i] * Q(1, i + 1) for i in range(order)]
+    psi2 = [0] + [tphi[i] * Q(1, i + 1) for i in range(order)]
     if u is None:
         outer = [UPoly((psi1[k],)) - UP_U * psi2[k] for k in range(order + 1)]
     else:
@@ -262,7 +263,7 @@ def series_g(order: int, u_mode=None, rs=None):
     if u is not None and u == 0:
         # G(z, 0) is a genuine limit; go through the symbolic series.
         g = series_g(order, None, rs=None)
-        return g.specialize_u(QZERO)
+        return g.specialize_u(0)
     R, S = rs if rs is not None else solve_rs(3, order, u_mode)
     inner = compose_biv(g_inner_table(3, order), R, S, order)
     z = _z_series(order, u)
@@ -290,18 +291,16 @@ def series_h(p: int, order: int, u_mode=None, rs=None):
     u = _mode(u_mode)
     if u is not None and u == 0:
         h = series_h(p, order, None, rs=None)
-        return h.specialize_u(QZERO)
+        return h.specialize_u(0)
     R, S = rs if rs is not None else solve_rs(p, order, u_mode)
     z = _z_series(order, u)
     # (zR + zS^2 - z^2) is divisible by u because R - z and S are
     core = z * (R - z) + z * (S * S)
     h = _div_u(core, u)
-    h = h - (compose_biv(g_inner_table(p, order), R, S, order) * S).scale(
-        2 if u is not None else Q(2)
-    )
+    h = h - (compose_biv(g_inner_table(p, order), R, S, order) * S).scale(2)
     h = h - compose_biv(h_inner_table(p, order), R, S, order)
     if p % 2 == 0:
-        hp = _div_u((R - z).scale(2 if u is not None else Q(2)), u)
+        hp = _div_u((R - z).scale(2), u)
         if hp.integrate().truncate(order) != h:
             raise AssertionError("even-p H' = 2(R-z)/u integral disagrees with H")
     return h
@@ -329,10 +328,7 @@ def solve(p: int, order: int, u_mode=None) -> SolverOutput:
     g = None
     if p == 3:
         g = series_g(order, u_mode, rs=(R, S))
-    if u is not None and u == 0:
-        h = series_h(p, order, None).specialize_u(QZERO)
-    else:
-        h = series_h(p, order, u_mode, rs=(R, S))
+    h = series_h(p, order, u_mode, rs=(R, S))
     return SolverOutput(
         p=p, order=order, u=u, R=R, S=S, S_tilde=st, F=f, Fprime=fprime, G=g, H=h
     )

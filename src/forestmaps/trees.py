@@ -9,6 +9,9 @@ leaves) feed three families of truncated series:
   integral Lambda.
 
 Everything here is exact integer/rational arithmetic; no floating point.
+The counts are integers and are returned as Python ints (the canonical
+form of :func:`forestmaps.exact.canon`), so the solver's products over
+them pay for no gcd.
 Bivariate tables are plain dicts {(i, j): coefficient} truncated by total
 degree i + j <= order, which is what an order-correct substitution of two
 valuation->=1 series requires.
@@ -19,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .exact import Q, QZERO, binomial_q, factorial_q, trinomial_q
+from .exact import Q, QZERO, binomial_q, canon, factorial_q, trinomial_q
 
 Biv = Dict[Tuple[int, int], object]
 
@@ -40,16 +43,16 @@ def tree_count(p: int, k: int, kind: str = "leaf_rooted"):
     if k < 1:
         raise ValueError("need k >= 1")
     if (k - 2) % (p - 2) != 0:
-        return QZERO
+        return 0
     ell = (k - 2) // (p - 2)
     if ell < 1:
-        return QZERO
+        return 0
     if kind == "leaf_rooted":
-        return factorial_q((p - 1) * ell) / (
+        return canon(factorial_q((p - 1) * ell) / (
             factorial_q(ell) * factorial_q((p - 2) * ell + 1)
-        )
+        ))
     if kind == "corner_rooted":
-        return (
+        return canon(
             p
             * factorial_q((p - 1) * ell)
             / (factorial_q(ell - 1) * factorial_q((p - 2) * ell + 2))
@@ -120,7 +123,7 @@ def phi_theta_tables(p: int, order: int) -> dict:
     phi2: Biv = {}
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            c = tree_count(p, 2 * i + j, "corner_rooted") if 2 * i + j >= 1 else QZERO
+            c = tree_count(p, 2 * i + j, "corner_rooted") if 2 * i + j >= 1 else 0
             if c:
                 theta[(i, j)] = c * trinomial_q(i, i, j)
             if i >= 1:
@@ -132,8 +135,8 @@ def phi_theta_tables(p: int, order: int) -> dict:
                 phi2[(i, j)] = c * trinomial_q(i, i, j)
     out = {"p": p, "order": order, "theta": theta, "phi1": phi1, "phi2": phi2}
     if p % 2 == 0:
-        out["theta_x"] = [theta.get((i, 0), QZERO) for i in range(order + 1)]
-        out["phi_x"] = [phi1.get((i, 0), QZERO) for i in range(order + 1)]
+        out["theta_x"] = [theta.get((i, 0), 0) for i in range(order + 1)]
+        out["phi_x"] = [phi1.get((i, 0), 0) for i in range(order + 1)]
     return out
 
 
@@ -173,23 +176,25 @@ def psi_series(order: int) -> dict:
     Psi1(z) = sum_{i>=1} (4i-4)! / ((2i-2)! i! (i-1)!) z^i
     Psi2(z) = sum_{i>=1} (4i-2)! / ((2i-1)! i!^2)      z^i
     """
-    psi1 = [QZERO] * (order + 1)
-    psi2 = [QZERO] * (order + 1)
+    psi1 = [0] * (order + 1)
+    psi2 = [0] * (order + 1)
     for i in range(1, order + 1):
-        psi1[i] = factorial_q(4 * i - 4) / (
+        psi1[i] = canon(factorial_q(4 * i - 4) / (
             factorial_q(2 * i - 2) * factorial_q(i) * factorial_q(i - 1)
+        ))
+        psi2[i] = canon(
+            factorial_q(4 * i - 2) / (factorial_q(2 * i - 1) * factorial_q(i) ** 2)
         )
-        psi2[i] = factorial_q(4 * i - 2) / (factorial_q(2 * i - 1) * factorial_q(i) ** 2)
     return {"psi1": psi1, "psi2": psi2}
 
 
 def lambda_series(order: int):
     """Lambda(x) = sum_{i>=3} (3i-6)! / ((i-3)! (i-2)! i!) x^i (quartic case)."""
-    lam = [QZERO] * (order + 1)
+    lam = [0] * (order + 1)
     for i in range(3, order + 1):
-        lam[i] = factorial_q(3 * i - 6) / (
+        lam[i] = canon(factorial_q(3 * i - 6) / (
             factorial_q(i - 3) * factorial_q(i - 2) * factorial_q(i)
-        )
+        ))
     return lam
 
 

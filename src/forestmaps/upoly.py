@@ -1,7 +1,10 @@
 """Dense polynomials in the component-weight variable u.
 
-A :class:`UPoly` stores a tuple of exact rational coefficients indexed by the
-power of u, trimmed of trailing zeros (the canonical form).  The degree of
+A :class:`UPoly` stores a tuple of exact coefficients indexed by the power
+of u, trimmed of trailing zeros, each in the canonical form of
+:func:`~forestmaps.exact.canon`: ints where integral, ``Q`` otherwise.  The
+series of the package count maps, so their coefficients are ints, and
+products and sums of ints pay for no gcd.  The degree of
 the zero polynomial is the sentinel ``None``.  Instances are immutable and
 all arithmetic is exact.
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .exact import Q, QZERO, as_rat, rat_from_str, rat_to_str
+from .exact import canon, rat_to_str
 
 
 def _trim(coeffs):
@@ -28,7 +31,7 @@ class UPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        self.coeffs = _trim([as_rat(c) if isinstance(c, str) else Q(c) for c in coeffs])
+        self.coeffs = _trim([c if type(c) is int else canon(c) for c in coeffs])
 
     @staticmethod
     def const(value) -> "UPoly":
@@ -110,7 +113,7 @@ class UPoly:
         if len(a) == 1:
             s = a[0]
             return UPoly([c * s for c in b])
-        out = [QZERO] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -133,11 +136,11 @@ class UPoly:
         return result
 
     def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else QZERO
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def eval_at(self, value):
         """Evaluate at an exact rational value of u (Horner)."""
-        acc = QZERO
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
@@ -174,7 +177,7 @@ class UPoly:
 
     @staticmethod
     def from_strs(strs) -> "UPoly":
-        return UPoly([rat_from_str(s) for s in strs])
+        return UPoly(strs)  # the constructor parses 'p/q' strings
 
     def __str__(self) -> str:
         if self.is_zero():

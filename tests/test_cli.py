@@ -1,10 +1,18 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from forestmaps.cli import main
+from forestmaps.exact import Q
+from forestmaps.series import ZSeries
+from forestmaps.upoly import UPoly
 
 
 def run_cli(capsys, *argv):
@@ -159,3 +167,74 @@ def test_unresolved_radius_is_a_numeric_failure(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and "NaN" not in captured.err
     assert "digits" in captured.err
+
+
+@pytest.mark.parametrize("p,u", [(3, "symbolic"), (3, "0"), (3, "3/7"), (4, "symbolic"),
+                                 (4, "1"), (5, "-2/5")])
+def test_coeffs_builds_each_series_as_solve_does(capsys, p, u):
+    from forestmaps.solver import solve
+
+    out = solve(p, 6, None if u == "symbolic" else Q(Fraction(u)))
+    table = {"F": out.F, "Fprime": out.Fprime, "R": out.R, "S": out.S,
+             "Stilde": out.S_tilde, "H": out.H}
+    if p == 3:
+        table["G"] = out.G
+    for name, ser in table.items():
+        doc = json.loads(run_cli(capsys, "coeffs", "--p", str(p), "--order", "6",
+                                 "--u=" + u, "--series", name))
+        assert doc["result"]["series"] == {name: ser.to_json()}
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_mu_expand_matches_solve(capsys, p):
+    from forestmaps.solver import solve
+
+    out = solve(p, 6)
+    table = {"R-z": (out.R - ZSeries.z(6, UPoly(), UPoly((1,)))).divide_by_u(),
+             "S": out.S.divide_by_u(),
+             "Stilde": out.S_tilde.divide_by_u() if p % 2 else out.S_tilde,
+             "F": out.F}
+    for name, ser in table.items():
+        doc = json.loads(run_cli(capsys, "mu-expand", "--p", str(p), "--order", "6",
+                                 "--series", name))
+        assert [r["mu_coeffs"] for r in doc["result"]["rows"]] == \
+            [c.to_strs() for c in ser.to_mu().coeffs]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["coeffs", "--p", "4", "--series", "F,G"], "unknown series 'G' (choose from F,Fprime,H,R,S,Stilde)"),
+    (["coeffs", "--p", "3", "--series", "R,X"], "unknown series 'X' (choose from F,Fprime,G,H,R,S,Stilde)"),
+    (["mu-expand", "--p", "3", "--series", "G"], "unknown series 'G' for mu expansion"),
+])
+def test_series_names_are_checked_before_any_solve(capsys, monkeypatch, argv, message):
+    from forestmaps import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the series names were checked")
+
+    for name in ("solve", "solve_rs", "solve_s_tilde", "series_f", "series_g", "series_h"):
+        monkeypatch.setattr(solver, name, refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--order", "6"] + argv[1:])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_symbolic_commands_do_not_import_numpy(tmp_path):
+    # the symbolic path runs on UPoly alone; numpy would add ~10 MB of RSS
+    code = "\n".join([
+        "import sys",
+        "from forestmaps import cli",
+        "for argv in (['coeffs', '--p', '3', '--order', '6', '--u', 'symbolic',",
+        "              '--series', 'F,G,H,Stilde'],",
+        "             ['mu-expand', '--p', '3', '--order', '6'],",
+        "             ['verify', '--only', 'cubic_w', '--de-order', '6']):",
+        "    cli.main(['--output', %r] + argv)" % str(tmp_path / "out.json"),
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))",
+    ])
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

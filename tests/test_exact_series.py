@@ -191,3 +191,132 @@ def test_divide_by_u_detects_remainder():
         s.divide_by_u()
     ok = ZSeries([UPoly(), UPoly((0, 2)), UPoly((0, 0, 3))], 2)
     assert ok.divide_by_u().coeff(2) == UPoly((0, 3))
+
+
+# -- property-based suites: ring laws and the canonical form ------------------
+
+# mixed int and Fraction coefficients, integral Fractions included
+scalars = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=5).map(Q),
+                    st.integers(-30, 30).map(Q))
+upolys = st.lists(scalars, max_size=5).map(UPoly)
+
+
+def _canonical(c):
+    return type(c) is int or (type(c) is type(Q(1, 2)) and c.denominator != 1)
+
+
+@st.composite
+def zseries(draw, coeffs=upolys, order=3):
+    return ZSeries([draw(coeffs) for _ in range(order + 1)], order)
+
+
+@given(upolys, upolys, upolys)
+def test_upoly_ring_laws(a, b, c):
+    zero, one = UPoly(), UPoly((1,))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a * zero).is_zero()
+    assert (a - a).is_zero() and -(-a) == a
+    assert a ** 3 == a * a * a
+
+
+@given(upolys, upolys, scalars)
+def test_upoly_results_are_canonical(a, b, s):
+    for p in (a, b, a + b, a - b, a * b, a * s, s * b, a + s, a.to_mu(), b.from_mu()):
+        assert all(_canonical(c) for c in p.coeffs)
+        assert not p.coeffs or p.coeffs[-1] != 0
+
+
+@given(st.lists(st.integers(-10**30, 10**30), max_size=6))
+def test_integral_coefficients_are_ints_with_equal_hashes(ints):
+    from_ints = UPoly(ints)
+    from_fracs = UPoly([Q(c) for c in ints])
+    from_strs = UPoly([str(c) for c in ints])
+    assert from_ints == from_fracs == from_strs
+    assert from_fracs.coeffs == from_ints.coeffs
+    assert all(type(c) is int for c in from_fracs.coeffs + from_strs.coeffs)
+    assert hash(from_ints) == hash(from_fracs) == hash(from_strs)
+
+
+def test_integral_rational_is_stored_as_int():
+    (c,) = UPoly((Q(4, 2),)).coeffs
+    assert c == 2 and type(c) is int
+    half = UPoly((Q(1, 2),)).coeffs[0]
+    assert half == Q(1, 2) and not isinstance(half, int)
+    assert type(UPoly(("6/3", "1/3")).coeffs[0]) is int
+    assert (UPoly((Q(1, 2),)) * 2).coeffs == (1,)
+
+
+@given(upolys)
+def test_upoly_mu_inverse(a):
+    assert a.to_mu().from_mu() == a
+    assert a.from_mu().to_mu() == a
+
+
+@given(upolys, st.integers(0, 4))
+def test_upoly_divide_by_u_round_trip(a, k):
+    shifted = a * UP_U ** k
+    assert shifted.divide_by_u(k) == a
+    if k:
+        with pytest.raises(ValueError):
+            (shifted + UPoly((1,))).divide_by_u(k)
+
+
+@given(zseries(), zseries(), zseries())
+def test_zseries_ring_laws_over_upoly(a, b, c):
+    assert a * b == b * a and a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero()
+    for s in (a * b, a + c):
+        assert all(_canonical(x) for poly in s.coeffs for x in poly.coeffs)
+
+
+@given(zseries(coeffs=scalars), zseries(coeffs=scalars), zseries(coeffs=scalars))
+def test_zseries_ring_laws_over_scalars(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@given(zseries())
+def test_zseries_mu_and_divide_by_u_round_trip(a):
+    assert ZSeries([c.from_mu() for c in a.to_mu().coeffs], a.order) == a
+    assert a.scale(UP_U ** 2).divide_by_u(2) == a
+
+
+def _no_float(value):
+    if isinstance(value, ZSeries):
+        return all(_no_float(c) for c in value.coeffs)
+    if isinstance(value, UPoly):
+        return all(_canonical(c) for c in value.coeffs)
+    return type(value) is int or type(value) is type(Q(1, 2))
+
+
+@pytest.mark.parametrize("p,order,u", [(3, 8, None), (4, 10, None), (3, 10, 1)])
+def test_solve_has_no_float(p, order, u):
+    from forestmaps.solver import solve
+
+    out = solve(p, order, u)
+    for name in ("R", "S", "S_tilde", "F", "Fprime", "G", "H"):
+        value = getattr(out, name)
+        assert value is None or _no_float(value), name
+
+
+def test_integral_sweep_stays_in_ints():
+    # the tree tables are ints, and so is the whole sweep at an integral u
+    from forestmaps.solver import solve_rs, solve_s_tilde
+    from forestmaps.trees import (g_inner_table, h_inner_table, lambda_series,
+                                  phi_theta_tables, psi_series)
+
+    tabs = phi_theta_tables(4, 12)
+    ints = [c for key in ("theta", "phi1", "phi2") for c in tabs[key].values()]
+    ints += list(g_inner_table(3, 12).values()) + list(h_inner_table(3, 12).values())
+    ints += tabs["theta_x"] + tabs["phi_x"] + lambda_series(12)
+    ints += psi_series(12)["psi1"] + psi_series(12)["psi2"]
+    assert all(type(c) is int for c in ints)
+    for u in (1, -2, Q(3)):
+        sweep = solve_rs(3, 10, u) + (solve_s_tilde(3, 10, u),)
+        assert all(type(c) is int for s in sweep for c in s.coeffs)
