@@ -156,7 +156,7 @@ def criterion_5() -> CriterionResult:
         nonneg = all(c.nonneg() for c in ser.coeffs)
         ok &= _expect(nonneg, "%s has a negative mu-coefficient" % name, notes)
     for p in (3, 4):
-        f = solve(p, order).F if p == 3 else series_f(p, order)[0]
+        f = out.F if p == 3 else series_f(p, order)[0]
         ok &= _expect(all(c.to_mu().nonneg() for c in f.coeffs),
                       "F (p=%d) not (u+1)-positive" % p, notes)
     # dPhi2/dy composed at (z, S~) is (u+1)-positive as well; the parent

@@ -20,7 +20,7 @@ re-validates the float coefficients against the exact engine on a prefix.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import mpmath
 import numpy as np
@@ -29,9 +29,8 @@ from mpmath import mpf
 from .critical import (
     asymptotic_constant,
     cubic_expansion_data,
+    quartic_critical_point,
     quartic_rho_exact,
-    quartic_tau,
-    radius,
 )
 from .exact import Q
 from .fast import (
@@ -83,6 +82,19 @@ def coefficient_asymptotic_check(
                 pred *= mpf(math.log(n)) ** (-b)
             rows.append({"n": n, "f_n": f[n], "ratio": float(fn / pred)})
         return rows
+
+
+def _prefix_rel_err(approx: np.ndarray, exact: Sequence, s: float) -> float:
+    """Largest relative gap between approx[n] and exact[n] s^n over
+    2 <= n < len(exact); a float engine that drifts past 1e-8 is refused."""
+    rel = 0.0
+    for n in range(2, len(exact)):
+        ex = float(Q(exact[n])) * s ** n
+        if ex != 0:
+            rel = max(rel, abs(approx[n] - ex) / abs(ex))
+    if rel > 1e-8:
+        raise AssertionError("float engine drifted from the exact prefix: %.2e" % rel)
+    return rel
 
 
 def _tail_bound(coeffs: np.ndarray, q: float, start: int) -> float:
@@ -142,16 +154,9 @@ def log_singularity_probe(
                                  int(math.log(tol / 50.0) / math.log(qmax) * 1.3))
         )
     # validate the float engine against the exact one on a prefix
-    k = _validate_prefix
-    exact = quartic_series(u, k + 2)
-    fp_exact = exact["fprime"]
-    rel = 0.0
-    for n in range(2, k):
-        ex = float(Q(fp_exact[n + 1]) * (n + 1)) * s ** n
-        if ex != 0:
-            rel = max(rel, abs(g[n] - ex) / abs(ex))
-    if rel > 1e-8:
-        raise AssertionError("float engine drifted from the exact prefix: %.2e" % rel)
+    fp_exact = quartic_series(u, _validate_prefix + 2)["fprime"]
+    rel = _prefix_rel_err(g, [Q(fp_exact[n + 1]) * (n + 1)
+                              for n in range(_validate_prefix)], s)
     ub = 1.0 / uf
     c_num = constant * math.sqrt(3.0) * math.pi * ub * ub * s
     rows = []
@@ -199,16 +204,8 @@ def cubic_beta_fit(
     alpha = float(data["alpha"])
     beta_closed = float(data["beta"])
     fp = cubic_fprime_float(float(u), order, s)
-    # exact-prefix validation
-    k = _validate_prefix
-    fp_exact = cubic_fprime_coeffs(u, k)
-    rel = 0.0
-    for n in range(2, k):
-        ex = float(Q(fp_exact[n])) * s ** n
-        if ex != 0:
-            rel = max(rel, abs(fp[n] - ex) / abs(ex))
-    if rel > 1e-8:
-        raise AssertionError("float engine drifted from the exact prefix: %.2e" % rel)
+    fp_exact = cubic_fprime_coeffs(u, _validate_prefix)
+    rel = _prefix_rel_err(fp, fp_exact[:_validate_prefix], s)
     powers = np.arange(len(fp))
     rows = []
     ys = []
@@ -240,15 +237,16 @@ def quartic_smoothness_gap(u: float = 0.05, prec: Optional[Precision] = None) ->
     The gap is doubly exponentially small, so the working precision is
     scaled with 1/u automatically unless an explicit context is passed.
     """
+    if u <= 0:
+        raise ValueError("the smoothness gap is measured at u > 0")
     if prec is None:
         digits = int(2 * math.pi / (math.sqrt(3) * u) / math.log(10) * 1.6) + 40
         prec = Precision(digits, 1e-20)
     with prec.ctx():
         um = mpf(u)
-        rho = quartic_rho_exact(um, prec)
+        rho, tau = quartic_critical_point(um, prec)
         affine = (1 + um) / 27 - um * mpmath.sqrt(3) / (12 * mpmath.pi)
         bound = mpmath.exp(-2 * mpmath.pi / (mpmath.sqrt(3) * um))
-        tau, _ = quartic_tau(um, prec)
         tau_gap = mpf(1) / 27 - tau
         tau_pred = mpmath.exp(-2 * mpmath.pi * (1 + 1 / um) / mpmath.sqrt(3))
         return {

@@ -140,70 +140,76 @@ def quartic_tau(u, prec: Precision = DEFAULT_PREC):
         return _bisect(f, lo, hi, prec)
 
 
-_RADIUS_CACHE: Dict[tuple, SingularProfile] = {}
+# Each critical point is solved once per process.  The solvers read only
+# the working digits from a Precision, so an entry is keyed by the solver,
+# u rounded at the working precision and the working digits; entries are
+# tuples of mpf and float, which no caller can alter.
+_SOLVES: Dict[tuple, tuple] = {}
+
+
+def _solved(solver, u, prec: Precision) -> tuple:
+    """solver(u, prec), computed on the first request for its key."""
+    with prec.ctx():
+        key = (solver.__name__, mpf(u), prec.working_digits)
+    if key not in _SOLVES:
+        _SOLVES[key] = solver(u, prec)
+    return _SOLVES[key]
+
+
+def quartic_critical_point(u, prec: Precision = DEFAULT_PREC):
+    """(rho, tau) for p = 4 at full working precision: for u > 0, tau
+    solves 1 = u Phi'(tau) and rho = tau - u Phi(tau); for u <= 0,
+    tau = 1/27 and rho follows the affine law."""
+    with prec.ctx():
+        um = mpf(u)
+        if um > 0:
+            tau = _solved(quartic_tau, um, prec)[0]
+            return tau - um * phi_numeric("phi", tau, prec, "boundary"), tau
+        return (1 + um) / 27 - um * mpmath.sqrt(3) / (12 * mpmath.pi), mpf(1) / 27
 
 
 def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
     """Radius of convergence of F(z, u) with its critical data, p in {3, 4}.
 
     u is a float or an exact rational; a rational is rounded once, at the
-    working precision.  Raises ValueError when a residual exceeds
-    prec.target_abs_tol."""
+    working precision.  Each call returns a new profile.  Raises ValueError
+    when a residual exceeds prec.target_abs_tol."""
     if u < -1:
         raise ValueError("u must be >= -1")
-    key = (p, u, prec.working_digits)
-    if key not in _RADIUS_CACHE:
-        if isinstance(u, Rational) and not isinstance(u, int):
-            with prec.ctx():
-                u = mpf(u.numerator) / u.denominator
-        if p == 4:
-            prof = _radius_quartic(u, prec)
-        elif p == 3:
-            prof = _radius_cubic(u, prec)
-        else:
-            raise ValueError("radius is implemented for p in {3, 4}")
-        for name, res in prof.residuals.items():
-            if not res <= prec.target_abs_tol:
-                raise ValueError(
-                    "u=%s: residual %r = %.3g exceeds the target %.0e; raise "
-                    "the working digits (--digits)"
-                    % (u, name, res, prec.target_abs_tol))
-        _RADIUS_CACHE[key] = prof
-    # each caller gets its own profile, so mutating one cannot alter the cache
-    prof = _RADIUS_CACHE[key]
-    return replace(prof, residuals=dict(prof.residuals))
+    if isinstance(u, Rational) and not isinstance(u, int):
+        with prec.ctx():
+            u = mpf(u.numerator) / u.denominator
+    if p == 4:
+        prof = _radius_quartic(u, prec)
+    elif p == 3:
+        prof = _radius_cubic(u, prec)
+    else:
+        raise ValueError("radius is implemented for p in {3, 4}")
+    for name, res in prof.residuals.items():
+        if not res <= prec.target_abs_tol:
+            raise ValueError(
+                "u=%s: residual %r = %.3g exceeds the target %.0e; raise "
+                "the working digits (--digits)"
+                % (u, name, res, prec.target_abs_tol))
+    return prof
 
 
 def _radius_quartic(u, prec: Precision) -> SingularProfile:
     with prec.ctx():
         um = mpf(u)
         reg = _sign_regime(um)
-        if um > 0:
-            tau, res = quartic_tau(um, prec)
-            phi_tau = phi_numeric("phi", tau, prec, "boundary")
-            rho = tau - um * phi_tau
-            residuals = {"char": float(res)}
-            c_u = asymptotic_constant(4, u, prec, _profile=(rho, tau))
-        else:
-            tau = mpf(1) / 27
-            rho = (1 + um) / 27 - um * mpmath.sqrt(3) / (12 * mpmath.pi)
-            residuals = {"char": 0.0}
-            c_u = asymptotic_constant(4, u, prec, _profile=(rho, tau))
+        rho, tau = quartic_critical_point(um, prec)
+        res = _solved(quartic_tau, um, prec)[1] if um > 0 else 0
         return SingularProfile(
             p=4, u=float(um), rho=float(rho), tau=float(tau), sigma=0.0,
-            regime=REGIMES[reg], c_u=float(c_u), subexp_class=SUBEXP[reg],
-            residuals=residuals,
+            regime=REGIMES[reg], c_u=float(asymptotic_constant(4, um, prec)),
+            subexp_class=SUBEXP[reg], residuals={"char": float(res)},
         )
 
 
 def quartic_rho_exact(u, prec: Precision = DEFAULT_PREC):
     """mpf radius for p = 4 (full working precision, for tight comparisons)."""
-    with prec.ctx():
-        um = mpf(u)
-        if um > 0:
-            tau, _ = quartic_tau(um, prec)
-            return tau - um * phi_numeric("phi", tau, prec, "boundary")
-        return (1 + um) / 27 - um * mpmath.sqrt(3) / (12 * mpmath.pi)
+    return quartic_critical_point(u, prec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +359,11 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
         (1 - u Phi1_x)(1 - u Phi2_y) = u^2 Phi1_y Phi2_x
     at (x, y) = (t d^4, (1-d^2)/4); the left side changes sign exactly once
     on (0, t_inner) by the monotonicity of the two steps.  Returns
-    (rho, tau, sigma, diagnostics).
+    (rho, tau, sigma, residuals), the residuals as (name, value) pairs.
     """
     with prec.ctx():
         um = mpf(u)
-        rho_t, s_val, t_inner, _delta_inner, res_inner = s_tilde_characteristic(u, prec)
+        _, _, t_inner, _, res_inner = _solved(s_tilde_characteristic, u, prec)
 
         def on_curve(t):
             psi = psi_family(t, prec)
@@ -384,14 +390,10 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
         rho = tau - um * ph.phi1
         sp = um * ph.phi2_x / (1 - um * ph.phi2_y)
         char_sform = abs(1 - um * (ph.phi1_x + sp * ph.phi1_y))
-        diags = {
-            "inner": res_inner,
-            "outer": float(res_outer),
-            "char_via_stilde_prime": float(char_sform),
-            "fixed_point": float(abs(sigma - um * ph.phi2)),
-            "rho_tilde": float(rho_t),
-        }
-        return rho, tau, sigma, diags
+        residuals = (("char", float(res_outer)), ("inner", res_inner),
+                     ("char_via_stilde_prime", float(char_sform)),
+                     ("fixed_point", float(abs(sigma - um * ph.phi2))))
+        return rho, tau, sigma, residuals
 
 
 def _radius_cubic(u, prec: Precision) -> SingularProfile:
@@ -399,52 +401,45 @@ def _radius_cubic(u, prec: Precision) -> SingularProfile:
         um = mpf(u)
         reg = _sign_regime(um)
         if um > 0:
-            rho, tau, sigma, diags = cubic_characteristic_positive(um, prec)
-            residuals = {"char": diags["outer"], "inner": diags["inner"],
-                         "char_via_stilde_prime": diags["char_via_stilde_prime"],
-                         "fixed_point": diags["fixed_point"]}
-            c_u = None
+            rho, tau, sigma, residuals = _solved(cubic_characteristic_positive, um, prec)
+            residuals = dict(residuals)
         elif um == 0:
             rho = mpf(1) / 64
             tau, sigma = rho, mpf(0)
             residuals = {"char": 0.0}
-            c_u = None
         else:
-            if um == -1:
-                rho = cubic_rho_at_minus_one(prec)
-            else:
-                rho = cubic_rho_closed(um, prec)
-            delta = _cubic_delta_limit(um, prec)
-            sigma = (1 - delta ** 2) / 4
-            tau = delta ** 4 / 64
+            rho, tau, sigma, delta = _cubic_negative_point(um, prec)
             # consistency of the closed form with rho = tau - u Phi1(tau, sigma);
             # the point lies on the parabola, t = 1/64, where only Psi1 is finite
             phi1 = delta ** 3 * psi_numeric("psi1", CUBIC_BOUNDARY, prec, "boundary") - tau
             res = abs(rho - (tau - um * phi1))
             residuals = {"parabola": float(abs(64 * tau - (1 - 4 * sigma) ** 2)),
                          "rho_vs_phi1": float(res)}
-            c_u = None
         return SingularProfile(
             p=3, u=float(um), rho=float(rho), tau=float(tau), sigma=float(sigma),
-            regime=REGIMES[reg], c_u=c_u, subexp_class=SUBEXP[reg],
+            regime=REGIMES[reg], c_u=None, subexp_class=SUBEXP[reg],
             residuals=residuals,
         )
 
 
-def _cubic_delta_limit(u, prec: Precision):
+def _cubic_negative_point(um, prec: Precision):
+    """(rho, tau, sigma, delta) on the critical parabola for -1 <= u <= 0,
+    tau = delta^4/64 and sigma = (1 - delta^2)/4.  The closed forms are 0/0
+    at u = -1, where both take the Richardson limit."""
     with prec.ctx():
-        um = mpf(u)
-        if um != -1:
-            return cubic_delta_negative(um, prec)
-        # 0/0 at -1: same Richardson treatment as the radius
-        return _limit_at_minus_one(cubic_delta_negative, prec)
+        if um == -1:
+            rho = cubic_rho_at_minus_one(prec)
+            delta = _limit_at_minus_one(cubic_delta_negative, prec)
+        else:
+            rho, delta = cubic_rho_closed(um, prec), cubic_delta_negative(um, prec)
+        return rho, delta ** 4 / 64, (1 - delta ** 2) / 4, delta
 
 
 # ---------------------------------------------------------------------------
 # asymptotic constants
 # ---------------------------------------------------------------------------
 
-def asymptotic_constant(p: int, u, prec: Precision = DEFAULT_PREC, _profile=None):
+def asymptotic_constant(p: int, u, prec: Precision = DEFAULT_PREC):
     """The constant c_u in f_n(u) ~ c_u rho^-n n^-a (ln n)^-b, p = 4.
 
     u > 0: theta'(tau) sqrt(rho^3 / (2 pi u Phi''(tau)))
@@ -471,16 +466,11 @@ def asymptotic_constant(p: int, u, prec: Precision = DEFAULT_PREC, _profile=None
         um = mpf(u)
         if um == 0:
             return 2 / (243 * mpmath.sqrt(3) * mpmath.pi)
+        rho, tau = quartic_critical_point(um, prec)
         if um > 0:
-            if _profile is None:
-                tau, _ = quartic_tau(um, prec)
-                rho = tau - um * phi_numeric("phi", tau, prec, "boundary")
-            else:
-                rho, tau = _profile
             tp = phi_numeric("theta_prime", tau, prec, "boundary")
             pp = phi_numeric("phi_second", tau, prec, "boundary")
             return tp * mpmath.sqrt(rho ** 3 / (2 * mpmath.pi * um * pp))
-        rho = _profile[0] if _profile is not None else quartic_rho_exact(um, prec)
         return 72 * mpmath.sqrt(3) * mpmath.pi * (1 / um) ** 2 * rho ** 3
 
 
@@ -506,10 +496,7 @@ def cubic_expansion_data(u, prec: Precision = DEFAULT_PREC) -> dict:
         raise ValueError("the expansion data applies for u in [-1, 0)")
     with prec.ctx():
         um = mpf(u)
-        delta = _cubic_delta_limit(um, prec)
-        sigma = (1 - delta ** 2) / 4
-        tau = delta ** 4 / 64
-        rho = cubic_rho_at_minus_one(prec) if um == -1 else cubic_rho_closed(um, prec)
+        rho, tau, sigma, delta = _cubic_negative_point(um, prec)
         root = mpmath.sqrt(mpmath.pi ** 2 * (1 - um * um) + 8 * um * um)
         a_s = 4 * mpmath.pi / (delta * root)
         a_r = mpmath.pi * delta / (2 * root)
@@ -571,7 +558,7 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
             if z > mpf(1) / 4:
                 raise ValueError("no crossing found; is u too small for the order?")
         rho_series, residual = _bisect(g, z / mpf("1.05"), z, prec)
-        rho_closed = s_tilde_characteristic(um, prec)[0]
+        rho_closed = _solved(s_tilde_characteristic, um, prec)[0]
         return {
             "rho_tilde": float(rho_series),
             "rho_tilde_closed": float(rho_closed),
@@ -585,5 +572,5 @@ def cubic_a1_residual(u, prec: Precision = DEFAULT_PREC):
     """The closed delta must annihilate a1 = (1+u)/4 d^2 - u sqrt(2)/pi d + (u-1)/4."""
     with prec.ctx():
         um = mpf(u)
-        d = _cubic_delta_limit(um, prec)
+        d = _cubic_negative_point(um, prec)[3]
         return abs((1 + um) / 4 * d * d - um * mpmath.sqrt(2) / mpmath.pi * d + (um - 1) / 4)

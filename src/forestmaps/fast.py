@@ -316,21 +316,35 @@ def cubic_fprime_coeffs(u, order: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(arrays, order: int, s: float) -> None:
+    """Refuse float coefficients that left float64: past the radius the
+    rescaled entries grow geometrically and turn into inf and NaN."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(
+            "float coefficients are not finite at order %d and scale %r; "
+            "the scale must not exceed the radius" % (order, s))
+
+
 def quartic_fseries_float(u: float, order: int, scale: float) -> dict:
     """Float quartic bundle (rescaled): R, W, V, F' and F'' arrays.
 
     Entry [n] of each array is the true z^n coefficient times scale^n.
-    Valid through index order-1 for F' and order-2 for F''.
+    Valid through index order-1 for F' and order-2 for F''.  Raises
+    ValueError when an entry is not finite.
     """
     u, s = float(u), float(scale)
     ser = _quartic_bundle(_quartic_r(u, 1.0, order, s), u, 1.0, s)
     ser["fsecond"] = _diff(ser["fprime"], s)
+    _require_finite(ser.values(), order, s)
     ser["scale"] = s
     return ser
 
 
 def cubic_fprime_float(u: float, order: int, scale: float) -> np.ndarray:
-    """Rescaled F' coefficients for p = 3 (float engine)."""
+    """Rescaled F' coefficients for p = 3 (float engine); raises
+    ValueError when an entry is not finite."""
     u, s = float(u), float(scale)
     R, S = _cubic_rs(u, 1.0, order, s)
-    return _cubic_fprime(R, S, u, 1.0, s)
+    fp = _cubic_fprime(R, S, u, 1.0, s)
+    _require_finite((fp,), order, s)
+    return fp

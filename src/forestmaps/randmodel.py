@@ -18,7 +18,7 @@ from typing import List, Sequence
 
 from mpmath import mpf
 
-from .critical import quartic_tau
+from .critical import quartic_critical_point
 from .exact import Q
 from .fast import conv_trunc, quartic_series
 from .hyp import DEFAULT_PREC, Precision, phi_numeric, theta_coeff
@@ -26,10 +26,11 @@ from .hyp import DEFAULT_PREC, Precision, phi_numeric, theta_coeff
 BOUNDARY = Q(1, 27)
 
 
-def _tau(u, prec: Precision):
-    if u > 0:
-        return quartic_tau(u, prec)[0]
-    return mpf(1) / 27
+def _density(weight, um, tau, prec: Precision):
+    """weight Phi(tau) / (tau - u Phi(tau)), the limit of E[count]/n for
+    the count whose weight is u (components) or 1 + u (active edges)."""
+    phi = phi_numeric("phi", tau, prec, "boundary")
+    return weight * phi / (tau - um * phi)
 
 
 def component_slope(u, prec: Precision = DEFAULT_PREC) -> float:
@@ -38,9 +39,7 @@ def component_slope(u, prec: Precision = DEFAULT_PREC) -> float:
         raise ValueError("the component-count law is established for u > 0 only")
     with prec.ctx():
         um = mpf(u)
-        tau = _tau(um, prec)
-        phi = phi_numeric("phi", tau, prec, "boundary")
-        return float(um * phi / (tau - um * phi))
+        return float(_density(um, um, quartic_critical_point(um, prec)[1], prec))
 
 
 def kappa(u, prec: Precision = DEFAULT_PREC) -> float:
@@ -53,9 +52,7 @@ def kappa(u, prec: Precision = DEFAULT_PREC) -> float:
         raise ValueError("u must be >= -1")
     with prec.ctx():
         um = mpf(u)
-        tau = _tau(um, prec)
-        phi = phi_numeric("phi", tau, prec, "boundary")
-        return float((1 + um) * phi / (tau - um * phi))
+        return float(_density(1 + um, um, quartic_critical_point(um, prec)[1], prec))
 
 
 def kappa_smooth_reference(u, prec: Precision = DEFAULT_PREC) -> float:
@@ -63,8 +60,7 @@ def kappa_smooth_reference(u, prec: Precision = DEFAULT_PREC) -> float:
     (1/27 - u Phi(1/27)); kappa - this is exponentially small at 0+."""
     with prec.ctx():
         um = mpf(u)
-        phi = phi_numeric("phi", mpf(1) / 27, prec, "boundary")
-        return float((1 + um) * phi / (mpf(1) / 27 - um * phi))
+        return float(_density(1 + um, um, mpf(1) / 27, prec))
 
 
 def kappa_transition_gap(u, prec: Precision = DEFAULT_PREC):
@@ -75,12 +71,8 @@ def kappa_transition_gap(u, prec: Precision = DEFAULT_PREC):
     (float64 would round it to zero well before u reaches 0.1)."""
     with prec.ctx():
         um = mpf(u)
-        tau = _tau(um, prec)
-        phi_t = phi_numeric("phi", tau, prec, "boundary")
-        phi_b = phi_numeric("phi", mpf(1) / 27, prec, "boundary")
-        k = (1 + um) * phi_t / (tau - um * phi_t)
-        k_ref = (1 + um) * phi_b / (mpf(1) / 27 - um * phi_b)
-        return abs(k - k_ref)
+        tau = quartic_critical_point(um, prec)[1]
+        return abs(_density(1 + um, um, tau, prec) - _density(1 + um, um, mpf(1) / 27, prec))
 
 
 def s_limit_law(u, k_max: int, prec: Precision = DEFAULT_PREC) -> List[float]:
@@ -94,7 +86,7 @@ def s_limit_law(u, k_max: int, prec: Precision = DEFAULT_PREC) -> List[float]:
         raise ValueError("k_max must be >= 1")
     with prec.ctx():
         um = mpf(u)
-        tau = _tau(um, prec)
+        tau = quartic_critical_point(um, prec)[1]
         tp = phi_numeric("theta_prime", tau, prec, "boundary")
         out = []
         for k in range(1, k_max + 1):
@@ -118,7 +110,7 @@ def s_limit_law_tail_bound(u, k_max: int, prec: Precision = DEFAULT_PREC) -> flo
     P(k_max) q/(1-q)."""
     with prec.ctx():
         um = mpf(u)
-        tau = _tau(um, prec)
+        tau = quartic_critical_point(um, prec)[1]
         q = 27 * tau
         last = s_limit_law(u, k_max, prec)[-1]
         return float(last * q / (1 - q))

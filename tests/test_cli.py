@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -238,3 +239,64 @@ def test_symbolic_commands_do_not_import_numpy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+SOLVERS = ("quartic_tau", "s_tilde_characteristic", "cubic_characteristic_positive")
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Solves of each critical-point solver from an empty memo on; a spy
+    replaces each solver in every module that binds it."""
+    from forestmaps import critical
+
+    monkeypatch.setattr(critical, "_SOLVES", {})
+    counts = dict.fromkeys(SOLVERS, 0)
+    modules = [m for name, m in sys.modules.items() if name.startswith("forestmaps.")]
+    for name in SOLVERS:
+        solver = getattr(critical, name)
+
+        @functools.wraps(solver)
+        def spy(*args, _solver=solver, _name=name):
+            counts[_name] += 1
+            return _solver(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is solver:
+                    monkeypatch.setattr(module, attr, spy)
+    return counts
+
+
+@pytest.mark.parametrize("argv, solver", [
+    (("random", "--u=67/100", "--k-max", "2", "--n-list", ""), "quartic_tau"),
+    (("asymptotics", "--mode", "ratios", "--p", "4", "--u=53/91", "--n-list", "40,80"),
+     "quartic_tau"),
+    # the count does not depend on the digits; 20 halve the time of 50
+    (("--digits", "20", "radius", "--p", "3", "--u", "1", "--s-tilde"),
+     "s_tilde_characteristic"),
+])
+def test_each_critical_point_is_solved_once(capsys, solves, argv, solver):
+    run_cli(capsys, *argv)
+    assert solves[solver] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--digits", "20", "radius", "--p", "3", "--u=-1,0,1.5"),
+    ("--digits", "20", "radius", "--p", "4", "--u=-1,0,1/2"),
+    ("--digits", "20", "random", "--u=67/100", "--k-max", "2", "--n-list", ""),
+    ("--digits", "20", "asymptotics", "--mode", "ratios", "--p", "4", "--u=53/91",
+     "--n-list", "40,80"),
+])
+def test_warm_memo_prints_what_a_cold_one_does(capsys, monkeypatch, argv):
+    from forestmaps import critical
+
+    def run():
+        main(list(argv))
+        return capsys.readouterr()
+
+    monkeypatch.setattr(critical, "_SOLVES", {})
+    cold = run()
+    warm = run()
+    critical._SOLVES.clear()
+    assert warm == cold == run()

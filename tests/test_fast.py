@@ -106,6 +106,16 @@ def test_float_engines_track_exact_prefix():
     assert _spectral_compare(fpf, fpe, s3, 2, 61) < 1e-10
 
 
+def test_float_engines_refuse_non_finite_coefficients():
+    # a scale past the radius overflows float64: 2539 entries of each
+    # quartic array and 3764 cubic ones would come back NaN
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="order 4000 and scale 0.05"):
+            quartic_fseries_float(0.7, 4000, 0.05)
+        with pytest.raises(ValueError, match="order 4000 and scale 0.2"):
+            cubic_fprime_float(0.7, 4000, 0.2)
+
+
 @st.composite
 def small_rationals(draw):
     """u = a/b with b <= 99 and -b <= a <= 3b, i.e. u in [-1, 3]."""

@@ -122,7 +122,7 @@ def test_psi_family_is_the_four_members_from_two_2f1(hyp2f1_calls):
 def test_cubic_radius_2f1_budget(hyp2f1_calls, monkeypatch):
     from forestmaps import critical
 
-    monkeypatch.setattr(critical, "_RADIUS_CACHE", {})
+    monkeypatch.setattr(critical, "_SOLVES", {})
     radius(3, 1.5, Precision(20, 1e-8))
     # one psi_family evaluation, two 2F1 values, per point of the inner and
     # the outer search: 218 calls
@@ -199,18 +199,28 @@ def test_radius_refuses_an_unbracketable_u():
 
 
 def test_radius_profiles_are_not_shared():
+    from forestmaps import critical
+
     radius(4, 0.5, PREC).residuals["char"] = 99
     assert radius(4, 0.5, PREC).residuals["char"] < 1e-12
+    # the memoized cubic solve holds only numbers and (name, value) pairs
+    prec = Precision(20, 1e-8)
+    radius(3, 1.5, prec).residuals["char"] = 99
+    _, _, _, residuals = critical._solved(critical.cubic_characteristic_positive, 1.5, prec)
+    with pytest.raises(TypeError):
+        residuals[0] = ("char", 99)
+    assert radius(3, 1.5, prec).residuals == dict(residuals)
+    assert dict(residuals)["char"] < 1e-8
 
 
 def test_radius_takes_an_exact_u():
     from forestmaps import critical
 
-    critical._RADIUS_CACHE.clear()
+    critical._SOLVES.clear()
     exact = radius(4, Fraction(1, 2), PREC)
-    critical._RADIUS_CACHE.clear()
+    critical._SOLVES.clear()
     assert exact == radius(4, 0.5, PREC)
-    # Fraction(1, 3) and its float are distinct cache keys
+    # Fraction(1, 3) and its float are distinct memo keys
     third = radius(4, Fraction(1, 3), PREC)
     assert third.u == 1 / 3 and third.residuals["char"] < 1e-12
 
