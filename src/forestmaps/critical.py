@@ -15,10 +15,11 @@ mode of the implicit system:
   form, which degenerates to 0/0 at u = -1 and is evaluated there by
   Richardson extrapolation in 1 + u.
 
-Root-finding is bisection on proven-monotone brackets, polished by one
-secant step through the final bracket; every returned root carries its
-residual, and :func:`radius` refuses a profile whose residuals miss the
-target tolerance.
+Root-finding is Brent's zeroin on proven-monotone brackets: interpolation
+steps that never leave the bracket, bisection when they stall, an absolute
+stop on the bracket width and one secant polish through the final bracket.
+Every returned root carries its residual, and :func:`radius` refuses a
+profile whose residuals miss the target tolerance.
 """
 
 from __future__ import annotations
@@ -76,41 +77,96 @@ def _bracket_below(f, lo, shrink, name: str):
     )
 
 
-def _bisect(f, lo, hi, prec: Precision):
-    """Root of f on a sign-changing bracket [lo, hi], then one secant polish.
+def _bracket_above(f, hi, end, what: str, prec: Precision):
+    """Move hi halfway to `end` until f(hi) <= 0.  Refuses, with the advice
+    to raise the digits, once hi would come closer to end than 10^(8 - digits)
+    relative, the margin of :func:`quartic_tau`: closer in, f is no longer
+    resolved at the working precision."""
+    closest = end * mpf(10) ** (8 - prec.working_digits)
+    while f(hi) > 0:
+        hi = (hi + end) / 2
+        if end - hi < closest:
+            raise ValueError(
+                "%s than the working precision resolves; raise the working "
+                "digits (--digits)" % what)
+    return hi
 
-    Bisection runs to full working precision: the roots this module hunts
-    can sit exponentially close to a logarithmic singularity of f, where
-    derivative steps are useless (f is log-flat in the distance to the
-    endpoint), so guaranteed bracketing does the work.  The polish is the
+
+def _zeroin(f, lo, hi, prec: Precision):
+    """Root of f on a sign-changing bracket [lo, hi] by Brent's zeroin,
+    then one secant polish.  Returns (root, residual).
+
+    Each step takes an inverse-quadratic or secant step inside the current
+    bracket and falls back to bisection whenever that step would leave the
+    bracket or shrink it too slowly (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4).  The roots this module hunts can sit
+    exponentially close to a logarithmic singularity of f, where f is
+    log-flat in the distance to the endpoint and interpolation helps
+    little; the bracket guarantees convergence there.  Once the evaluations
+    left only just cover bisection to the goal, only bisection steps are
+    taken, so the width goal is met within the same evaluation cap as plain
+    bisection.
+
+    The stop is absolute, on the bracket width: hi - lo < 10^(4 - digits)
+    max(1, |hi|).  A stop relative to the root would accept a spurious tiny
+    root made by cancellation in f (quartic_tau at u = 1e300 would return
+    tau = 3e-301, against the true 1/(6u)); the absolute stop leaves such
+    an input to the residual check, which refuses it.  The polish is the
     secant through the final bracket ends; it is kept only if it lies in
-    the bracket and lowers |f|, so f is never evaluated outside [lo, hi].
-    Returns (root, residual)."""
+    the bracket and lowers |f|, so f is never evaluated outside [lo, hi]."""
     with prec.ctx():
-        lo, hi = mpf(lo), mpf(hi)
-        flo = f(lo)
-        fhi = f(hi)
-        if not (flo > 0 > fhi or flo < 0 < fhi):
-            raise ValueError("root is not bracketed: f(%s)=%s f(%s)=%s" % (lo, flo, hi, fhi))
-        sign = 1 if flo > 0 else -1
+        a, b = mpf(lo), mpf(hi)
+        fa, fb = f(a), f(b)
+        if not (fa > 0 > fb or fa < 0 < fb):
+            raise ValueError("root is not bracketed: f(%s)=%s f(%s)=%s" % (a, fa, b, fb))
         width_goal = mpf(10) ** (-prec.working_digits + 4)
-        steps = int(prec.working_digits * 3.4) + 30
-        for _ in range(steps):
-            mid = (lo + hi) / 2
-            fmid = f(mid)
-            if sign * fmid > 0:
-                lo, flo = mid, fmid
-            else:
-                hi, fhi = mid, fmid
-            if hi - lo < width_goal * max(1, abs(hi)):
+        # the evaluations plain bisection is allowed, less both ends and the polish
+        left = int(prec.working_digits * 3.4) + 30 - 3
+        c, fc = a, fa
+        d = e = b - a
+        while True:
+            if fb * fc > 0:  # the root lies between a and b: restart c there
+                c, fc = a, fa
+                d = e = b - a
+            if abs(fc) < abs(fb):  # keep b the end with the smaller |f|
+                a, b, c = b, c, b
+                fa, fb, fc = fb, fc, fb
+            goal = width_goal * max(1, abs(max(b, c)))
+            if fb == 0 or abs(c - b) < goal or left == 0:
                 break
-        x = (lo + hi) / 2
-        fx = f(x)
-        x_sec = lo - flo * (hi - lo) / (fhi - flo)
-        if lo <= x_sec <= hi:
-            f_sec = f(x_sec)
-            if abs(f_sec) < abs(fx):
-                x, fx = x_sec, f_sec
+            tol = goal / 2
+            xm = (c - b) / 2
+            if (abs(e) >= tol and abs(fa) > abs(fb)
+                    and left > mpmath.log(abs(c - b) / goal, 2) + 1):
+                s = fb / fa
+                if a == c:  # secant
+                    p, q = 2 * xm * s, 1 - s
+                else:  # inverse quadratic interpolation through a, b, c
+                    q, r = fa / fc, fb / fc
+                    p = s * (2 * xm * q * (q - r) - (b - a) * (r - 1))
+                    q = (q - 1) * (r - 1) * (s - 1)
+                if p > 0:
+                    q = -q
+                p = abs(p)
+                # accept a step that stays within 3/4 of the bracket and is
+                # less than half the step before last; otherwise bisect
+                if 2 * p < min(3 * xm * q - abs(tol * q), abs(e * q)):
+                    e, d = d, p / q
+                else:
+                    d = e = xm
+            else:
+                d = e = xm
+            a, fa = b, fb
+            b += d if abs(d) > tol else mpmath.sign(xm) * tol
+            fb = f(b)
+            left -= 1
+        x, fx = b, fb
+        if fb != 0:
+            x_sec = b - fb * (c - b) / (fc - fb)
+            if min(b, c) <= x_sec <= max(b, c):
+                f_sec = f(x_sec)
+                if abs(f_sec) < abs(fb):
+                    x, fx = x_sec, f_sec
         return x, abs(fx)
 
 
@@ -137,7 +193,7 @@ def quartic_tau(u, prec: Precision = DEFAULT_PREC):
                 "precision resolves; raise working_digits" % u
             )
         lo = _bracket_below(f, mpf(10) ** (-6), 100, "quartic critical point")
-        return _bisect(f, lo, hi, prec)
+        return _zeroin(f, lo, hi, prec)
 
 
 # Each critical point is solved once per process.  The solvers read only
@@ -315,7 +371,7 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
     of S~, its value there, and the reduced coordinates.  The scalar
     characteristic in t = x/(1-4y)^2,
         1 = u^2 (4 Psi2(t) - 4 Psi2(t)^2 + 64 t^2 Psi2'(t)^2),
-    has an increasing right side, so bisection is safe.
+    has an increasing right side, so the bracketed zeroin is safe.
     """
     if u <= 0:
         raise ValueError("the inner characteristic applies only for u > 0")
@@ -329,16 +385,9 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
 
         hi = b * (1 - mpf(10) ** (-min(30, prec.working_digits - 10)))
         lo = _bracket_below(f, b / 1000, 10, "inner critical point")
-        tries = 0
-        while f(hi) > 0:
-            hi = (hi + b) / 2
-            tries += 1
-            if tries > 3 * prec.working_digits:
-                raise ValueError(
-                    "u=%s puts the inner critical point closer to 1/64 than "
-                    "the working precision resolves; raise working_digits" % u
-                )
-        t_crit, res = _bisect(f, lo, hi, prec)
+        hi = _bracket_above(f, hi, b, "u=%s puts the inner critical point "
+                            "closer to 1/64" % mpmath.nstr(um, 5), prec)
+        t_crit, res = _zeroin(f, lo, hi, prec)
         psi = psi_family(t_crit, prec)
         _, _, p2, p2p = psi
         delta = um * (1 - 2 * p2 + 8 * t_crit * p2p) / (1 + um)
@@ -377,14 +426,11 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
 
         lo = _bracket_below(h, t_inner / 1000, 10, "outer characteristic root")
         hi = t_inner * (1 - mpf(10) ** (-min(25, prec.working_digits - 12)))
-        tries = 0
-        while h(hi) > 0:  # pragma: no cover - h < 0 near the inner point
-            hi = (hi + t_inner) / 2
-            tries += 1
-            if tries > 200:
-                raise ValueError("failed to bracket the outer characteristic root")
+        hi = _bracket_above(h, hi, t_inner, "u=%s puts the outer characteristic "
+                            "root closer to the inner critical point"
+                            % mpmath.nstr(um, 5), prec)
 
-        t_star, res_outer = _bisect(h, lo, hi, prec)
+        t_star, res_outer = _zeroin(h, lo, hi, prec)
         d, ph = on_curve(t_star)
         tau, sigma = t_star * d ** 4, (1 - d * d) / 4
         rho = tau - um * ph.phi1
@@ -522,11 +568,11 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
     The truncated specialized-u expansion of S~ traces the curve
     (z, S~(z)); along it the derivative blocker 1 - u dPhi2/dy (evaluated
     through the Psi2 reduction) decreases through zero at the radius.  The
-    crossing is bracketed on a walk up the curve and bisected to the
-    evaluator's full precision.  The closed characteristic solve of
-    :func:`s_tilde_characteristic` cross-checks the result; the difference
-    reflects the series truncation and is reported, not asserted to be
-    tiny.
+    crossing is bracketed on a walk up the curve and solved by the bracketed
+    zeroin to the evaluator's full precision.  The closed characteristic
+    solve of :func:`s_tilde_characteristic` cross-checks the result; the
+    difference reflects the series truncation and is reported, not asserted
+    to be tiny.
     """
     if u <= 0:
         raise ValueError("the S~ radius workflow applies for u > 0")
@@ -557,7 +603,7 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
             z *= mpf("1.05")
             if z > mpf(1) / 4:
                 raise ValueError("no crossing found; is u too small for the order?")
-        rho_series, residual = _bisect(g, z / mpf("1.05"), z, prec)
+        rho_series, residual = _zeroin(g, z / mpf("1.05"), z, prec)
         rho_closed = _solved(s_tilde_characteristic, um, prec)[0]
         return {
             "rho_tilde": float(rho_series),

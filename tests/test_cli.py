@@ -157,6 +157,7 @@ def test_cubic_radius_at_20_digits_matches_30(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("--digits", "20", "radius", "--p", "3", "--u", "0.05"),
     ("--digits", "20", "radius", "--p", "3", "--u", "0.1"),
     ("--digits", "20", "radius", "--p", "3", "--u", "1e10"),
     ("radius", "--p", "4", "--u", "1e300"),

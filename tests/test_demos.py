@@ -10,9 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# 04 (about 19 s, radius grids at 50 digits) takes too long for the tier-1 suite
 @pytest.mark.parametrize("demo", ["01_exact_series.py", "02_map_census.py",
-                                  "03_differential_equations.py", "05_random_maps.py"])
+                                  "03_differential_equations.py",
+                                  "04_phase_transition.py", "05_random_maps.py"])
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -125,8 +125,60 @@ def test_cubic_radius_2f1_budget(hyp2f1_calls, monkeypatch):
     monkeypatch.setattr(critical, "_SOLVES", {})
     radius(3, 1.5, Precision(20, 1e-8))
     # one psi_family evaluation, two 2F1 values, per point of the inner and
-    # the outer search: 218 calls
-    assert len(hyp2f1_calls) <= 260
+    # the outer search: 62 calls (218 by plain bisection)
+    assert len(hyp2f1_calls) <= 80
+
+
+def test_quartic_tau_2f1_budget(hyp2f1_calls):
+    quartic_tau(0.57, PREC)
+    # two 2F1 values per evaluation of Phi': 50 calls (310 by plain bisection)
+    assert len(hyp2f1_calls) <= 70
+
+
+def _log_flat(a, digits):
+    """1 + a ln(b - x) with b = 1/27, log-flat at b like Phi' near 1/27; its
+    root b - exp(-1/a) is exponentially close to b for small a.  The bracket
+    ends where quartic_tau's does, 10^(8 - digits) relative below b."""
+    b = mpf(1) / 27
+    return (lambda x: 1 + a * mpmath.log(b - x), b - mpmath.exp(-1 / a),
+            mpf(0), b * (1 - mpf(10) ** (8 - digits)))
+
+
+# case -> digits -> (f, root, lo, hi), built at the working precision
+ROOT_CASES = {
+    "linear": lambda digits: (lambda x: mpf(3) / 10 - x, mpf(3) / 10, mpf(0), mpf(1)),
+    "steep": lambda digits: (lambda x: mpmath.exp(200 * (x - mpf(1) / 7)) - 1,
+                             mpf(1) / 7, mpf(0), mpf(1)),
+    # flat at its root, where interpolation crawls and the cap binds
+    "triple_root": lambda digits: (lambda x: (mpf(1) / 3 - x) ** 3, mpf(1) / 3,
+                                   mpf(0), mpf(1)),
+    "log_flat": lambda digits: _log_flat(mpf(2) / digits, digits),
+    # the root within e^-(2 digits - 10) of b, just inside the bracket
+    "log_flat_near_end": lambda digits: _log_flat(1 / mpf(2 * digits - 10), digits),
+}
+
+
+@pytest.mark.parametrize("digits,tol", [(20, 1e-8), (50, 1e-20)])
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_root_finder_keeps_the_bracket_and_the_cap(case, digits, tol):
+    from forestmaps.critical import _zeroin
+
+    prec = Precision(digits, tol)
+    with prec.ctx():
+        f, root, lo, hi = ROOT_CASES[case](digits)
+        points = []
+
+        def spy(x):
+            points.append(x)
+            return f(x)
+
+        x, residual = _zeroin(spy, lo, hi, prec)
+        assert abs(x - root) < mpf(10) ** (4 - digits)
+        assert residual == abs(f(x))
+        assert all(lo <= p <= hi for p in points)
+        assert len(points) <= int(digits * 3.4) + 30
+        with pytest.raises(ValueError, match="not bracketed"):
+            _zeroin(f, lo, (lo + root) / 2, prec)
 
 
 def test_singular_expansions_are_leading_order():
