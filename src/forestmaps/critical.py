@@ -65,11 +65,13 @@ _BRACKET_STEPS = 400
 
 
 def _bracket_below(f, lo, shrink, name: str):
-    """Shrink lo by `shrink` until f(lo) >= 0; refuses after a bounded
-    number of steps instead of searching forever (u = inf never brackets)."""
+    """Shrink lo by `shrink` until f(lo) >= 0 and return (lo, f(lo));
+    refuses after a bounded number of steps instead of searching forever
+    (u = inf never brackets)."""
     for _ in range(_BRACKET_STEPS):
-        if not f(lo) < 0:
-            return lo
+        f_lo = f(lo)
+        if not f_lo < 0:
+            return lo, f_lo
         lo /= shrink
     raise ValueError(
         "could not bracket the %s: f stays negative down to %s after %d "
@@ -78,23 +80,27 @@ def _bracket_below(f, lo, shrink, name: str):
 
 
 def _bracket_above(f, hi, end, what: str, prec: Precision):
-    """Move hi halfway to `end` until f(hi) <= 0.  Refuses, with the advice
-    to raise the digits, once hi would come closer to end than 10^(8 - digits)
-    relative, the margin of :func:`quartic_tau`: closer in, f is no longer
-    resolved at the working precision."""
+    """Move hi halfway to `end` until f(hi) <= 0 and return (hi, f(hi)).
+    Refuses, with the advice to raise the digits, once hi would come closer
+    to end than 10^(8 - digits) relative, the margin of :func:`quartic_tau`:
+    closer in, f is no longer resolved at the working precision."""
     closest = end * mpf(10) ** (8 - prec.working_digits)
-    while f(hi) > 0:
+    f_hi = f(hi)
+    while f_hi > 0:
         hi = (hi + end) / 2
         if end - hi < closest:
             raise ValueError(
                 "%s than the working precision resolves; raise the working "
                 "digits (--digits)" % what)
-    return hi
+        f_hi = f(hi)
+    return hi, f_hi
 
 
-def _zeroin(f, lo, hi, prec: Precision):
+def _zeroin(f, lo, hi, prec: Precision, f_lo=None, f_hi=None):
     """Root of f on a sign-changing bracket [lo, hi] by Brent's zeroin,
-    then one secant polish.  Returns (root, residual).
+    then one secant polish.  Returns (root, residual).  A caller that has
+    already evaluated f at an end passes the value as f_lo or f_hi, so that
+    no point is evaluated twice.
 
     Each step takes an inverse-quadratic or secant step inside the current
     bracket and falls back to bisection whenever that step would leave the
@@ -116,11 +122,13 @@ def _zeroin(f, lo, hi, prec: Precision):
     the bracket and lowers |f|, so f is never evaluated outside [lo, hi]."""
     with prec.ctx():
         a, b = mpf(lo), mpf(hi)
-        fa, fb = f(a), f(b)
+        fa = f(a) if f_lo is None else f_lo
+        fb = f(b) if f_hi is None else f_hi
         if not (fa > 0 > fb or fa < 0 < fb):
             raise ValueError("root is not bracketed: f(%s)=%s f(%s)=%s" % (a, fa, b, fb))
         width_goal = mpf(10) ** (-prec.working_digits + 4)
-        # the evaluations plain bisection is allowed, less both ends and the polish
+        # the evaluations plain bisection is allowed, less both ends (evaluated
+        # here or by the caller) and the polish
         left = int(prec.working_digits * 3.4) + 30 - 3
         c, fc = a, fa
         d = e = b - a
@@ -187,13 +195,14 @@ def quartic_tau(u, prec: Precision = DEFAULT_PREC):
 
         # Phi' increases from 0 to +infinity on (0, 1/27)
         hi = b * (1 - mpf(10) ** (-prec.working_digits + 8))
-        if f(hi) >= 0:
+        f_hi = f(hi)
+        if f_hi >= 0:
             raise ValueError(
                 "u=%s puts the critical point closer to 1/27 than the working "
                 "precision resolves; raise working_digits" % u
             )
-        lo = _bracket_below(f, mpf(10) ** (-6), 100, "quartic critical point")
-        return _zeroin(f, lo, hi, prec)
+        lo, f_lo = _bracket_below(f, mpf(10) ** (-6), 100, "quartic critical point")
+        return _zeroin(f, lo, hi, prec, f_lo, f_hi)
 
 
 # Each critical point is solved once per process.  The solvers read only
@@ -384,10 +393,10 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
             return 1 - um * um * (4 * p2 - 4 * p2 * p2 + 64 * t * t * p2p * p2p)
 
         hi = b * (1 - mpf(10) ** (-min(30, prec.working_digits - 10)))
-        lo = _bracket_below(f, b / 1000, 10, "inner critical point")
-        hi = _bracket_above(f, hi, b, "u=%s puts the inner critical point "
-                            "closer to 1/64" % mpmath.nstr(um, 5), prec)
-        t_crit, res = _zeroin(f, lo, hi, prec)
+        lo, f_lo = _bracket_below(f, b / 1000, 10, "inner critical point")
+        hi, f_hi = _bracket_above(f, hi, b, "u=%s puts the inner critical point "
+                                  "closer to 1/64" % mpmath.nstr(um, 5), prec)
+        t_crit, res = _zeroin(f, lo, hi, prec, f_lo, f_hi)
         psi = psi_family(t_crit, prec)
         _, _, p2, p2p = psi
         delta = um * (1 - 2 * p2 + 8 * t_crit * p2p) / (1 + um)
@@ -424,13 +433,13 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
             return (1 - um * ph.phi1_x) * (1 - um * ph.phi2_y) \
                 - um * um * ph.phi1_y * ph.phi2_x
 
-        lo = _bracket_below(h, t_inner / 1000, 10, "outer characteristic root")
+        lo, h_lo = _bracket_below(h, t_inner / 1000, 10, "outer characteristic root")
         hi = t_inner * (1 - mpf(10) ** (-min(25, prec.working_digits - 12)))
-        hi = _bracket_above(h, hi, t_inner, "u=%s puts the outer characteristic "
-                            "root closer to the inner critical point"
-                            % mpmath.nstr(um, 5), prec)
+        hi, h_hi = _bracket_above(h, hi, t_inner, "u=%s puts the outer characteristic "
+                                  "root closer to the inner critical point"
+                                  % mpmath.nstr(um, 5), prec)
 
-        t_star, res_outer = _zeroin(h, lo, hi, prec)
+        t_star, res_outer = _zeroin(h, lo, hi, prec, h_lo, h_hi)
         d, ph = on_curve(t_star)
         tau, sigma = t_star * d ** 4, (1 - d * d) / 4
         rho = tau - um * ph.phi1
@@ -599,11 +608,13 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
             return 1 - um * _phi_reduced(t, d, psi_family(t, prec)).phi2_y
 
         z = mpf(1) / 640
-        while g(z) > 0:
+        g_z = g(z)
+        while g_z > 0:
             z *= mpf("1.05")
             if z > mpf(1) / 4:
                 raise ValueError("no crossing found; is u too small for the order?")
-        rho_series, residual = _zeroin(g, z / mpf("1.05"), z, prec)
+            g_z = g(z)
+        rho_series, residual = _zeroin(g, z / mpf("1.05"), z, prec, f_hi=g_z)
         rho_closed = _solved(s_tilde_characteristic, um, prec)[0]
         return {
             "rho_tilde": float(rho_series),

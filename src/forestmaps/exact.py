@@ -14,6 +14,11 @@ The polynomial and tree-table layers keep them in one canonical form
 non-integral value is a ``Q``.  Integer arithmetic needs no gcd, and an int
 compares and hashes equal to the same rational.  Int / int true division
 gives a float, so every division in those layers keeps a ``Q`` on one side.
+
+At a rational weight u = a/b the exact series engines run on Python ints
+instead: entry n of a series holds its z^n coefficient times s^n for a
+power s of b, an integer (:func:`scaled`, :func:`unscaled`).  Every
+division there goes through :func:`exact_div`, which refuses a remainder.
 """
 
 from __future__ import annotations
@@ -69,6 +74,33 @@ def rat_from_str(s: str) -> "Rat":
     """Parse 'p/q', an integer or a decimal exactly; nan, inf and junk
     raise ValueError, a zero denominator ZeroDivisionError."""
     return Q(Fraction(s))
+
+
+def exact_div(x: int, d: int) -> int:
+    """x / d for ints that d divides; a nonzero remainder raises
+    ArithmeticError (an explicit check, kept under ``python -O``)."""
+    q, r = divmod(x, d)
+    if r:
+        raise ArithmeticError("inexact division by %s" % (d,))
+    return q
+
+
+def scaled(coeffs, s: int) -> list:
+    """Rationals c_n as the ints c_n s^n (exactly, or ArithmeticError)."""
+    out, sn = [], 1
+    for c in coeffs:
+        out.append(exact_div(c.numerator * sn, c.denominator))
+        sn *= s
+    return out
+
+
+def unscaled(X, s: int) -> list:
+    """Ints X_n as the rationals ``Q(X_n, s^n)``."""
+    out, sn = [], 1
+    for x in X:
+        out.append(Q(x, sn))
+        sn *= s
+    return out
 
 
 def factorial_q(n: int) -> "Rat":

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import Q
+from .exact import Q, exact_div, scaled, unscaled
 
 # ---------------------------------------------------------------------------
 # series helpers (entry n is the z^n coefficient times s^n)
@@ -46,13 +46,16 @@ from .exact import Q
 
 
 def _div(x, d):
-    """x / d.  Over Python ints (scalars or ``object`` arrays) the quotient
-    must be exact: a nonzero remainder raises ArithmeticError.  Over floats
-    this is plain true division."""
+    """x / d.  Over ``object`` arrays of Python ints the quotient must be
+    exact: a nonzero remainder raises ArithmeticError, as it does for int
+    scalars in :func:`~forestmaps.exact.exact_div`.  Over floats this is
+    plain true division."""
     if isinstance(x, (float, np.floating)) or isinstance(d, (float, np.floating)) or (
         isinstance(x, np.ndarray) and x.dtype.kind == "f"
     ):
         return x / d
+    if not isinstance(x, np.ndarray) and not isinstance(d, np.ndarray):
+        return exact_div(x, d)
     q = x // d
     if np.any(q * d != x):
         raise ArithmeticError("inexact division by %s" % (d,))
@@ -66,16 +69,8 @@ def _zeros(s, n: int) -> np.ndarray:
 
 
 def _scaled(coeffs: Sequence, s: int) -> np.ndarray:
-    """Rationals c_n as the integers c_n s^n (exactly, or ArithmeticError)."""
-    c = [Q(x) for x in coeffs]
-    return np.array(
-        [_div(x.numerator * s**n, x.denominator) for n, x in enumerate(c)], dtype=object
-    )
-
-
-def _unscaled(X: np.ndarray, s: int) -> list:
-    """Integers X_n as the rationals X_n / s^n."""
-    return [Q(x, s**n) for n, x in enumerate(X)]
+    """Rationals c_n as an ``object`` array of the ints c_n s^n."""
+    return np.array(scaled(coeffs, s), dtype=object)
 
 
 def conv_trunc(a: Sequence, b: Sequence, n: int) -> np.ndarray:
@@ -257,7 +252,7 @@ def _ratio(u):
 def quartic_r_coeffs(u, order: int) -> list:
     """Exact coefficients R_0..R_order of R = z + u Phi(R) for p = 4."""
     a, b = _ratio(u)
-    return _unscaled(_quartic_r(a, b, order, b), b)
+    return unscaled(_quartic_r(a, b, order, b), b)
 
 
 def quartic_series(u, order: int) -> dict:
@@ -289,7 +284,7 @@ def quartic_series(u, order: int) -> dict:
         ser = _quartic_bundle(R, a, b, b)
         ser["fzu"] = _quartic_fzu(ser, b, b)
     ser["f"] = _integrate(ser["fprime"], b)[: order + 1]
-    return {k: _unscaled(v, b) for k, v in ser.items()}
+    return {k: unscaled(v, b) for k, v in ser.items()}
 
 
 def cubic_rs_coeffs(u, order: int):
@@ -297,7 +292,7 @@ def cubic_rs_coeffs(u, order: int):
     recurrence; returns two lists indexed by z-power."""
     a, b = _ratio(u)
     R, S = _cubic_rs(a, b, order, b * b)
-    return _unscaled(R, b * b), _unscaled(S, b * b)
+    return unscaled(R, b * b), unscaled(S, b * b)
 
 
 def cubic_fprime_coeffs(u, order: int) -> list:
@@ -308,7 +303,7 @@ def cubic_fprime_coeffs(u, order: int) -> list:
 
         return [quartic_mullin_coeff(3, n + 1) * (n + 1) for n in range(order + 1)]
     R, S = (_scaled(c, b * b) for c in cubic_rs_coeffs(u, order))
-    return _unscaled(_cubic_fprime(R, S, a, b, b * b), b * b)
+    return unscaled(_cubic_fprime(R, S, a, b, b * b), b * b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Truncated power series in z with exact coefficients.
 
 A :class:`ZSeries` is a tuple of coefficients for z^0 .. z^order together
-with the truncation order.  Coefficients are either exact rationals
-(specialized-u mode) or :class:`~forestmaps.upoly.UPoly` values (symbolic-u
-mode); the two modes share this one implementation.  Truncation bookkeeping
-is explicit: every binary operation returns a series truncated at the
-minimum of the operand orders, and nothing ever silently extends an order.
+with the truncation order.  Coefficients are exact rationals, Python ints
+scaled by powers of s (specialized-u mode, see :mod:`forestmaps.solver`) or
+:class:`~forestmaps.upoly.UPoly` values (symbolic-u mode); the modes share
+this one implementation.  Truncation bookkeeping is explicit: every binary
+operation returns a series truncated at the minimum of the operand orders,
+and nothing ever silently extends an order.
 
 All values are immutable after construction and operations are pure, so
 series can be shared freely across threads.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from .exact import Q, QZERO, rat_to_str
+from .exact import Q, QZERO, exact_div, rat_to_str
 from .upoly import UPoly
 
 
@@ -117,14 +118,17 @@ class ZSeries:
         if va is None or vb is None:
             return ZSeries.zero(n, self.zero_coeff)
         out = [self.zero_coeff] * (n + 1)
+        # a coefficient is zero exactly when it is falsy (UPoly included)
+        nonzero_b = [(j, b[j]) for j in range(vb, n + 1) if b[j]]
         for i in range(va, min(len(a), n + 1)):
             ca = a[i]
-            if _is_zero(ca):
+            if not ca:
                 continue
-            for j in range(vb, n - i + 1):
-                cb = b[j]
-                if not _is_zero(cb):
-                    out[i + j] = out[i + j] + ca * cb
+            top = n - i
+            for j, cb in nonzero_b:
+                if j > top:
+                    break
+                out[i + j] = out[i + j] + ca * cb
         return ZSeries(out, n)
 
     def scale(self, scalar) -> "ZSeries":
@@ -155,6 +159,15 @@ class ZSeries:
         out = [self.zero_coeff]
         for i, c in enumerate(self.coeffs):
             out.append(c * Q(1, i + 1))
+        return ZSeries(out, self.order + 1)
+
+    def integrate_scaled(self, s: int) -> "ZSeries":
+        """Antiderivative of a series of scaled ints, entry n holding the
+        z^n coefficient times s^n: entry n of the result is s X_{n-1} / n,
+        an exact division (ArithmeticError on a remainder)."""
+        out = [0]
+        for n, c in enumerate(self.coeffs, 1):
+            out.append(exact_div(s * c, n))
         return ZSeries(out, self.order + 1)
 
     # -- composition and inversion ------------------------------------------

@@ -15,18 +15,34 @@ The generating function of forested maps follows as F' = theta(R, S) with
 F(0) = 0, the leaf-rooted variant as G' = (1 + 1/u) S, and the
 root-edge-outside variant H from its closed expression.
 
-Two coefficient modes share this implementation: symbolic u (UPoly
-coefficients) and u specialized to an exact rational.  Symbolic mode is
-quartic in the order and is refused above MAX_SYMBOLIC_ORDER; use the
-specialized mode (or :mod:`forestmaps.fast`) for long series.
+Two coefficient modes share this implementation:
+
+* symbolic u: the coefficients are UPoly values, multiplied by u, divided
+  by u (an exact polynomial division) and integrated as they are;
+* u specialized to an exact rational a/b (lowest terms, b > 0): the z^n
+  coefficients of R, S, S~, F, G and H are integer polynomials in u of
+  degree below 2n for p = 3 and below n for p >= 4, so the sweep runs in
+  the coordinate z -> s z on Python ints, with s = b^2 for p = 3 and s = b
+  for p >= 4 (s = 1 at an integral u).  Entry n of a series holds its z^n
+  coefficient times s^n.  Multiplying by u multiplies by a and divides
+  by b, dividing by u multiplies by b and divides by a, and the
+  antiderivative's entry n is s X_{n-1} / n; each of these divisions
+  raises ArithmeticError on a nonzero remainder.  The public functions
+  take and return rationals (ints where integral): they scale once on
+  entry and unscale once on exit.
+
+The public entry points keep u as an argument (``None`` is symbolic) and
+pick the mode.  Symbolic mode is quartic in the order and is refused above
+MAX_SYMBOLIC_ORDER; use the specialized mode (or :mod:`forestmaps.fast`)
+for long series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .exact import Q, canon
+from .exact import Q, canon, exact_div, scaled, unscaled
 from .series import ZSeries
 from .trees import g_inner_table, h_inner_table, lambda_series, phi_theta_tables
 from .upoly import UP_U, UPoly
@@ -60,14 +76,79 @@ def _u_factor(u):
     return UP_U if u is None else u
 
 
-def _zero_coeff(u):
-    return UPoly() if u is None else 0
-
-
 def _z_series(order, u):
     if u is None:
         return ZSeries.z(order, UPoly(), UPoly((1,)))
     return ZSeries.z(order, 0, 1)
+
+
+class _Symbolic:
+    """Symbolic u: series of UPoly coefficients, stored as they are."""
+
+    zero = UPoly()
+
+    def z(self, order: int) -> ZSeries:
+        return _z_series(order, None)
+
+    def times_u(self, series: ZSeries) -> ZSeries:
+        return series.scale(UP_U)
+
+    def div_u(self, series: ZSeries) -> ZSeries:
+        """Exact polynomial division by u; ValueError on a remainder."""
+        return series.divide_by_u()
+
+    def integrate(self, series: ZSeries) -> ZSeries:
+        return series.integrate()
+
+    def load(self, series: ZSeries) -> ZSeries:
+        return series
+
+    def unload(self, series: ZSeries) -> ZSeries:
+        return series
+
+
+class _Scaled:
+    """u = a/b in lowest terms (b > 0): entry n of a series holds the int
+    X_n = x_n s^n, with s = b^2 for p = 3 and s = b for p >= 4."""
+
+    zero = 0
+
+    def __init__(self, p: int, u):
+        self.a, self.b = u.numerator, u.denominator
+        self.s = self.b ** 2 if p == 3 else self.b
+
+    def z(self, order: int) -> ZSeries:
+        return ZSeries.z(order, 0, self.s)
+
+    def times_u(self, series: ZSeries) -> ZSeries:
+        """Multiply by a, then divide exactly by b."""
+        a, b = self.a, self.b
+        return ZSeries([exact_div(a * c, b) for c in series.coeffs], series.order)
+
+    def div_u(self, series: ZSeries) -> ZSeries:
+        """Divide by u: multiply by b, then divide exactly by a
+        (ArithmeticError on a remainder, ZeroDivisionError at u = 0)."""
+        a, b = self.a, self.b
+        if a == 0:
+            raise ZeroDivisionError("cannot divide by u at u = 0; use symbolic mode")
+        return ZSeries([exact_div(b * c, a) for c in series.coeffs], series.order)
+
+    def integrate(self, series: ZSeries) -> ZSeries:
+        return series.integrate_scaled(self.s)
+
+    def load(self, series: ZSeries) -> ZSeries:
+        """Rational coefficients x_n as the ints x_n s^n."""
+        return ZSeries(scaled(series.coeffs, self.s), series.order, 0)
+
+    def unload(self, series: ZSeries) -> ZSeries:
+        """Ints X_n as the rationals X_n / s^n (ints where integral)."""
+        return ZSeries([c.numerator if c.denominator == 1 else c
+                        for c in unscaled(series.coeffs, self.s)], series.order)
+
+
+def _domain(p: int, u):
+    """The coefficient mode of a solve at u (None is symbolic)."""
+    return _Symbolic() if u is None else _Scaled(p, u)
 
 
 def compose_biv(table, x_series: ZSeries, y_series: ZSeries, order: int) -> ZSeries:
@@ -115,18 +196,23 @@ def solve_rs(p: int, order: int, u_mode=None, force_bivariate: bool = False):
     used unless `force_bivariate` asks for the full system (the two must
     agree; that equality is a test).
     """
+    dom = _domain(p, _mode(u_mode))
+    R, S = _sweep_rs(p, order, dom, force_bivariate)
+    return dom.unload(R), dom.unload(S)
+
+
+def _sweep_rs(p: int, order: int, dom, force_bivariate: bool = False):
+    """(R, S) through z^order in the coefficient mode `dom`."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    u = _mode(u_mode)
-    if u is None and order > MAX_SYMBOLIC_ORDER:
+    if isinstance(dom, _Symbolic) and order > MAX_SYMBOLIC_ORDER:
         raise ValueError(
             "symbolic-u solves are limited to order %d; specialize u for long series"
             % MAX_SYMBOLIC_ORDER
         )
     tables = phi_theta_tables(p, order)
-    zero = _zero_coeff(u)
-    ufac = _u_factor(u)
-    z = _z_series(order, u)
+    zero = dom.zero
+    z = dom.z(order)
     R = ZSeries.zero(order, zero)
     S = ZSeries.zero(order, zero)
     even = p % 2 == 0 and not force_bivariate
@@ -140,11 +226,18 @@ def solve_rs(p: int, order: int, u_mode=None, force_bivariate: bool = False):
             phi1 = Rk.compose_outer(tables["phi_x"])
         else:
             phi1 = compose_biv(tables["phi1"], Rk, Sk, k)
-        R = pad(z.truncate(k) + phi1.scale(ufac))
+        R = pad(z.truncate(k) + dom.times_u(phi1))
         if not even:
             phi2 = compose_biv(tables["phi2"], R.truncate(k), Sk, k)
-            S = pad(phi2.scale(ufac))
+            S = pad(dom.times_u(phi2))
     return R, S
+
+
+def _rs(p: int, order: int, dom, rs):
+    """The (R, S) a caller passed, in the mode `dom`, or a fresh solve."""
+    if rs is None:
+        return _sweep_rs(p, order, dom)
+    return dom.load(rs[0]), dom.load(rs[1])
 
 
 def solve_s_tilde(p: int, order: int, u_mode=None) -> ZSeries:
@@ -156,19 +249,18 @@ def solve_s_tilde(p: int, order: int, u_mode=None) -> ZSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     u = _mode(u_mode)
-    zero = _zero_coeff(u)
+    dom = _domain(p, u)
     if p % 2 == 0:
-        return ZSeries.zero(order, zero)
+        return ZSeries.zero(order, dom.zero)
     if u is None and order > MAX_SYMBOLIC_ORDER:
         raise ValueError("symbolic-u solves are limited to order %d" % MAX_SYMBOLIC_ORDER)
     tables = phi_theta_tables(p, order)
-    ufac = _u_factor(u)
-    z = _z_series(order, u)
-    st = ZSeries.zero(order, zero)
+    z = dom.z(order)
+    st = ZSeries.zero(order, dom.zero)
     for k in range(1, order + 1):
-        stk = compose_biv(tables["phi2"], z.truncate(k), st.truncate(k), k).scale(ufac)
-        st = ZSeries(list(stk.coeffs), order, zero)
-    return st
+        stk = dom.times_u(compose_biv(tables["phi2"], z.truncate(k), st.truncate(k), k))
+        st = ZSeries(list(stk.coeffs), order, dom.zero)
+    return dom.unload(st)
 
 
 def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
@@ -186,15 +278,6 @@ def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
     return (R - z - phi1.scale(ufac), S - phi2.scale(ufac))
 
 
-def _div_u(series: ZSeries, u, power: int = 1) -> ZSeries:
-    """Divide by u**power: exact polynomial division (symbolic) or scalar."""
-    if u is None:
-        return series.divide_by_u(power)
-    if u == 0:
-        raise ZeroDivisionError("cannot divide by u at u = 0; use symbolic mode")
-    return series.scale(Q(1) / u ** power)
-
-
 def series_f(p: int, order: int, u_mode=None, rs=None):
     """(F, F') with F' = theta(R, S) and F(0, u) = 0.
 
@@ -205,22 +288,23 @@ def series_f(p: int, order: int, u_mode=None, rs=None):
     if order < 3:
         raise ValueError("order must be >= 3 (smallest maps have 3 faces)")
     u = _mode(u_mode)
+    dom = _domain(p, u)
     tables = phi_theta_tables(p, order)
-    R, S = rs if rs is not None else solve_rs(p, order, u_mode)
+    R, S = _rs(p, order, dom, rs)
     if p % 2 == 0:
         fprime = R.compose_outer(tables["theta_x"])
     else:
         fprime = compose_biv(tables["theta"], R, S, order)
-    if p == 3 and not (u is not None and u == 0):
+    if p == 3 and u != 0:
         # F' = 2z/u + S/u - (1 + 1/u)(2R + S^2); only the grouped
         # combination (2z + S - 2R - S^2)/u is u-divisible term by term.
-        z = _z_series(order, u)
+        z = dom.z(order)
         core = R.scale(2) + S * S
-        shortcut = _div_u(z.scale(2) + S - core, u) - core
+        shortcut = dom.div_u(z.scale(2) + S - core) - core
         if shortcut != fprime:
             raise AssertionError("cubic F' shortcut disagrees with theta(R, S)")
-    f = fprime.integrate().truncate(order)
-    return f, fprime
+    f = dom.integrate(fprime).truncate(order)
+    return dom.unload(f), dom.unload(fprime)
 
 
 def series_f_explicit_quartic(order: int, u_mode=None, rs=None) -> ZSeries:
@@ -264,16 +348,16 @@ def series_g(order: int, u_mode=None, rs=None):
         # G(z, 0) is a genuine limit; go through the symbolic series.
         g = series_g(order, None, rs=None)
         return g.specialize_u(0)
-    R, S = rs if rs is not None else solve_rs(3, order, u_mode)
+    dom = _domain(3, u)
+    R, S = _rs(3, order, dom, rs)
     inner = compose_biv(g_inner_table(3, order), R, S, order)
-    z = _z_series(order, u)
-    ufac = _u_factor(u)
-    expr = z * S - inner.scale(ufac)
-    g = expr + _div_u(expr, u)
-    g_from_integral = (S + _div_u(S, u)).integrate().truncate(order)
+    z = dom.z(order)
+    expr = z * S - dom.times_u(inner)
+    g = expr + dom.div_u(expr)
+    g_from_integral = dom.integrate(S + dom.div_u(S)).truncate(order)
     if g != g_from_integral:
         raise AssertionError("closed G expression disagrees with integral of (1+1/u) S")
-    return g
+    return dom.unload(g)
 
 
 def series_h(p: int, order: int, u_mode=None, rs=None):
@@ -292,31 +376,27 @@ def series_h(p: int, order: int, u_mode=None, rs=None):
     if u is not None and u == 0:
         h = series_h(p, order, None, rs=None)
         return h.specialize_u(0)
-    R, S = rs if rs is not None else solve_rs(p, order, u_mode)
-    z = _z_series(order, u)
+    dom = _domain(p, u)
+    R, S = _rs(p, order, dom, rs)
+    z = dom.z(order)
     # (zR + zS^2 - z^2) is divisible by u because R - z and S are
     core = z * (R - z) + z * (S * S)
-    h = _div_u(core, u)
+    h = dom.div_u(core)
     h = h - (compose_biv(g_inner_table(p, order), R, S, order) * S).scale(2)
     h = h - compose_biv(h_inner_table(p, order), R, S, order)
     if p % 2 == 0:
-        hp = _div_u((R - z).scale(2), u)
-        if hp.integrate().truncate(order) != h:
+        hp = dom.div_u((R - z).scale(2))
+        if dom.integrate(hp).truncate(order) != h:
             raise AssertionError("even-p H' = 2(R-z)/u integral disagrees with H")
-    return h
+    return dom.unload(h)
 
 
 def quartic_h_via_lambda(order: int, u_mode=None, rs=None) -> ZSeries:
     """H = zR/u - z^2/u - Lambda(R) for p = 4; cross-route for series_h."""
-    u = _mode(u_mode)
-    R = rs[0] if rs is not None else solve_rs(4, order, u_mode)[0]
-    z = _z_series(order, u)
-    lam = lambda_series(order)
-    if u is None:
-        lam_outer = [UPoly((c,)) for c in lam]
-    else:
-        lam_outer = lam
-    return _div_u(z * (R - z), u) - R.compose_outer(lam_outer)
+    dom = _domain(4, _mode(u_mode))
+    R = dom.load(rs[0]) if rs is not None else _sweep_rs(4, order, dom)[0]
+    z = dom.z(order)
+    return dom.unload(dom.div_u(z * (R - z)) - R.compose_outer(lambda_series(order)))
 
 
 def solve(p: int, order: int, u_mode=None) -> SolverOutput:

@@ -20,9 +20,10 @@ valuation->=1 series requires.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 from typing import Dict, Tuple
 
-from .exact import Q, QZERO, binomial_q, canon, factorial_q, trinomial_q
+from .exact import Q, QZERO, binomial_q, canon, exact_div, factorial_q, trinomial_q
 
 Biv = Dict[Tuple[int, int], object]
 
@@ -48,15 +49,11 @@ def tree_count(p: int, k: int, kind: str = "leaf_rooted"):
     if ell < 1:
         return 0
     if kind == "leaf_rooted":
-        return canon(factorial_q((p - 1) * ell) / (
-            factorial_q(ell) * factorial_q((p - 2) * ell + 1)
-        ))
+        return exact_div(factorial((p - 1) * ell),
+                         factorial(ell) * factorial((p - 2) * ell + 1))
     if kind == "corner_rooted":
-        return canon(
-            p
-            * factorial_q((p - 1) * ell)
-            / (factorial_q(ell - 1) * factorial_q((p - 2) * ell + 2))
-        )
+        return exact_div(p * factorial((p - 1) * ell),
+                         factorial(ell - 1) * factorial((p - 2) * ell + 2))
     raise ValueError("kind must be leaf_rooted or corner_rooted")
 
 

@@ -223,12 +223,16 @@ def test_series_names_are_checked_before_any_solve(capsys, monkeypatch, argv, me
 
 
 def test_symbolic_commands_do_not_import_numpy(tmp_path):
-    # the symbolic path runs on UPoly alone; numpy would add ~10 MB of RSS
+    # the symbolic path runs on UPoly alone and the rational sweep on Python
+    # ints, not through fast.py; numpy would add ~10 MB of RSS
     code = "\n".join([
         "import sys",
         "from forestmaps import cli",
         "for argv in (['coeffs', '--p', '3', '--order', '6', '--u', 'symbolic',",
         "              '--series', 'F,G,H,Stilde'],",
+        "             ['coeffs', '--p', '3', '--order', '8', '--u=3/7',",
+        "              '--series', 'F,R,S,G,H'],",
+        "             ['coeffs', '--p', '4', '--order', '8', '--u=-5/9', '--series', 'F,H'],",
         "             ['mu-expand', '--p', '3', '--order', '6'],",
         "             ['verify', '--only', 'cubic_w', '--de-order', '6']):",
         "    cli.main(['--output', %r] + argv)" % str(tmp_path / "out.json"),

@@ -295,7 +295,8 @@ def _no_float(value):
     return type(value) is int or type(value) is type(Q(1, 2))
 
 
-@pytest.mark.parametrize("p,order,u", [(3, 8, None), (4, 10, None), (3, 10, 1)])
+@pytest.mark.parametrize("p,order,u", [(3, 8, None), (4, 10, None), (3, 10, 1),
+                                       (3, 10, Q(3, 7)), (4, 12, Q(-5, 9))])
 def test_solve_has_no_float(p, order, u):
     from forestmaps.solver import solve
 
@@ -307,7 +308,7 @@ def test_solve_has_no_float(p, order, u):
 
 def test_integral_sweep_stays_in_ints():
     # the tree tables are ints, and so is the whole sweep at an integral u
-    from forestmaps.solver import solve_rs, solve_s_tilde
+    from forestmaps.solver import _Scaled, _sweep_rs, solve_rs, solve_s_tilde
     from forestmaps.trees import (g_inner_table, h_inner_table, lambda_series,
                                   phi_theta_tables, psi_series)
 
@@ -319,4 +320,8 @@ def test_integral_sweep_stays_in_ints():
     assert all(type(c) is int for c in ints)
     for u in (1, -2, Q(3)):
         sweep = solve_rs(3, 10, u) + (solve_s_tilde(3, 10, u),)
+        assert all(type(c) is int for s in sweep for c in s.coeffs)
+    # at a non-integral u the sweep runs on the scaled ints x_n s^n
+    for p, u in ((3, Q(3, 7)), (4, Q(-5, 9))):
+        sweep = _sweep_rs(p, 10, _Scaled(p, u))
         assert all(type(c) is int for s in sweep for c in s.coeffs)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestmaps.exact import Q
+from forestmaps.exact import Q, exact_div, scaled, unscaled
 from forestmaps.fast import (
     _cubic_fprime,
     _cubic_rs,
@@ -199,6 +199,15 @@ def test_integer_engines_match_sweep_at_large_denominators(a, b):
 
 
 def test_exact_division_checks_the_remainder():
+    assert exact_div(-91, 7) == -13 and exact_div(2**80, -2**78) == -4
+    for x, d in ((7, 2), (-7, 2), (1, 2**80)):
+        with pytest.raises(ArithmeticError):
+            exact_div(x, d)
+    assert scaled([Q(1), Q(-1, 3), Q(5, 9)], 3) == [1, -1, 5]
+    assert unscaled([1, -1, 5], 3) == [1, Q(-1, 3), Q(5, 9)]
+    with pytest.raises(ArithmeticError):
+        scaled([Q(1), Q(1, 2)], 3)
+    # the array helper passes int scalars on to exact_div
     assert _div(-91, 7) == -13
     assert list(_div(np.array([12, -2**80], dtype=object), 4)) == [3, -2**78]
     assert list(_div(np.array([3, 10], dtype=object), np.arange(1, 3))) == [3, 5]

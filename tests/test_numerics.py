@@ -125,14 +125,37 @@ def test_cubic_radius_2f1_budget(hyp2f1_calls, monkeypatch):
     monkeypatch.setattr(critical, "_SOLVES", {})
     radius(3, 1.5, Precision(20, 1e-8))
     # one psi_family evaluation, two 2F1 values, per point of the inner and
-    # the outer search: 62 calls (218 by plain bisection)
-    assert len(hyp2f1_calls) <= 80
+    # the outer search: 54 calls (218 by plain bisection)
+    assert len(hyp2f1_calls) <= 54
 
 
 def test_quartic_tau_2f1_budget(hyp2f1_calls):
     quartic_tau(0.57, PREC)
-    # two 2F1 values per evaluation of Phi': 50 calls (310 by plain bisection)
-    assert len(hyp2f1_calls) <= 70
+    # two 2F1 values per evaluation of Phi': 46 calls (310 by plain bisection)
+    assert len(hyp2f1_calls) <= 46
+
+
+@pytest.mark.parametrize("solver,spied,after", [
+    ("quartic_tau", "phi_numeric", 0),
+    ("s_tilde_characteristic", "psi_family", 1),
+    ("cubic_characteristic_positive", "psi_family", 2),
+])
+def test_root_solves_evaluate_no_point_twice(monkeypatch, solver, spied, after):
+    from forestmaps import critical
+
+    monkeypatch.setattr(critical, "_SOLVES", {})
+    evaluate, points = getattr(critical, spied), []
+
+    def spy(*args):
+        points.append(args[1] if spied == "phi_numeric" else args[0])
+        return evaluate(*args)
+
+    monkeypatch.setattr(critical, spied, spy)
+    getattr(critical, solver)(1.5, PREC)
+    # the bracket ends found while bracketing are passed on to the search;
+    # only the reading of each solve's data at its root, after the search,
+    # repeats a point (the cubic solve includes the S~ solve)
+    assert len(points) - len(set(points)) == after
 
 
 def _log_flat(a, digits):

@@ -1,10 +1,17 @@
 """The implicit solver against printed expansions and internal identities."""
 
-import pytest
+from functools import cache
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from forestmaps.deverify import perturb
 from forestmaps.exact import Q
 from forestmaps.series import ZSeries
 from forestmaps.solver import (
+    _Scaled,
+    _sweep_rs,
     compose_biv,
     quartic_h_via_lambda,
     residual_rs,
@@ -71,6 +78,57 @@ def test_specialize_before_equals_after():
             assert a.specialize_u(u0) == b
         if p == 3:
             assert out.G.specialize_u(u0) == spec.G
+
+
+SOLVED = ("R", "S", "S_tilde", "F", "Fprime", "G", "H")
+
+
+@cache
+def _symbolic_solve(p, order):
+    return solve(p, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([3, 4, 5, 6]), order=st.integers(3, 10),
+       a=st.integers(-10**6, 10**6).filter(bool), b=st.integers(1, 10**6))
+@example(p=3, order=10, a=-1, b=1)
+@example(p=4, order=10, a=-1, b=1)
+@example(p=5, order=10, a=-1, b=1)
+@example(p=6, order=10, a=-1, b=1)
+def test_rational_solve_is_the_symbolic_solve_specialized(p, order, a, b):
+    # the scaled-int sweep against the UPoly sweep evaluated at u = a/b
+    u = Q(a, b)
+    symbolic, spec = _symbolic_solve(p, order), solve(p, order, u)
+    for name in SOLVED:
+        ref = getattr(symbolic, name)
+        if ref is None:
+            assert getattr(spec, name) is None
+        else:
+            assert ref.specialize_u(u) == getattr(spec, name), name
+
+
+def test_corrupted_scaled_operand_is_refused():
+    # one scaled entry off by one leaves a remainder at the next exact division
+    u = Q(47, 89)
+    dom = _Scaled(3, u)
+    R, S = _sweep_rs(3, 10, dom)
+    phi2 = phi_theta_tables(3, 10)["phi2"]
+    dom.times_u(compose_biv(phi2, R, S, 10))
+    with pytest.raises(ArithmeticError):  # the S update of the last sweep step
+        dom.times_u(compose_biv(phi2, perturb(R, 10, 1), S, 10))
+    dom.div_u(S)
+    with pytest.raises(ArithmeticError):
+        dom.div_u(perturb(S, 5, 1))
+    # through the public entry points: X_n + 1 is x_n + 1/s^n
+    rs = solve_rs(3, 10, u)
+    with pytest.raises(ArithmeticError):  # the /u of the cubic F' shortcut
+        series_f(3, 10, u, rs=(perturb(rs[0], 6, Q(1, 89 ** 12)), rs[1]))
+    u = Q(-5, 9)
+    R4 = solve_rs(4, 12, u)[0]
+    with pytest.raises(ArithmeticError):  # the /u of H's z(R - z)
+        series_h(4, 12, u, rs=(perturb(R4, 7, Q(1, 9 ** 7)), ZSeries.zero(12, 0)))
+    with pytest.raises(ArithmeticError):
+        quartic_h_via_lambda(12, u, rs=(perturb(R4, 7, Q(1, 9 ** 7)),))
 
 
 def test_forest_series_printed_coefficients():
