@@ -12,13 +12,11 @@ the phase transition at u = 0, and the logarithmic regime on u in [-1, 0).
 __version__ = "0.1.0"
 
 from .exact import Q, rat_from_str, rat_to_str
-from .hyp import Precision
 from .series import ZSeries
 from .upoly import UPoly
 
 __all__ = [
     "Q",
-    "Precision",
     "UPoly",
     "ZSeries",
     "rat_from_str",

@@ -39,14 +39,10 @@ from .fast import (
     quartic_fseries_float,
     quartic_series,
 )
-from .hyp import DEFAULT_PREC, Precision
+from .hyp import DEFAULT_PREC, Precision, rat_to_mpf
 from .trees import quartic_mullin_coeff
 
 SUBEXP_POWERS = {1: (2.5, 0), 0: (3.0, 0), -1: (3.0, 2)}
-
-
-def _to_mpf(q):
-    return mpf(q.numerator) / mpf(q.denominator)
 
 
 def coefficient_asymptotic_check(
@@ -65,7 +61,7 @@ def coefficient_asymptotic_check(
     u = Q(u)
     n_max = max(n_list)
     with prec.ctx():
-        um = _to_mpf(u)
+        um = rat_to_mpf(u)
         rho = quartic_rho_exact(um, prec)
         c_u = asymptotic_constant(4, um, prec)
         a, b = SUBEXP_POWERS[1 if u > 0 else (0 if u == 0 else -1)]
@@ -76,7 +72,7 @@ def coefficient_asymptotic_check(
             f = {n: ser["f"][n] for n in n_list}
         rows = []
         for n in n_list:
-            fn = _to_mpf(Q(f[n]))
+            fn = rat_to_mpf(Q(f[n]))
             pred = c_u * rho ** (-n) * mpf(n) ** (-a)
             if b:
                 pred *= mpf(math.log(n)) ** (-b)
@@ -130,7 +126,7 @@ def log_singularity_probe(
     if not (-1 <= u < 0):
         raise ValueError("the logarithmic regime needs u in [-1, 0)")
     with prec.ctx():
-        rho = quartic_rho_exact(_to_mpf(u), prec)
+        rho = quartic_rho_exact(rat_to_mpf(u), prec)
     s = float(rho)
     uf = float(u)
     qmax = max(z_fracs)

@@ -30,7 +30,6 @@ from typing import Optional
 
 from . import __version__
 from .exact import rat_from_str, rat_to_str
-from .hyp import Precision
 from .maps import ScaleGuardError, enumerate_maps, oracle_f
 from .series import ZSeries
 
@@ -58,7 +57,9 @@ def _parse_u(text: str, symbolic: bool = False):
                        EXIT_BAD_FLAGS)
 
 
-def _precision(args) -> Precision:
+def _precision(args):
+    from .hyp import Precision
+
     digits = args.digits
     if digits is None:
         digits = int(os.environ.get("FORESTMAPS_DIGITS", "50"))

@@ -25,6 +25,7 @@ profile whose residuals miss the target tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from numbers import Rational
 from typing import Dict, NamedTuple, Optional
 
@@ -32,7 +33,7 @@ import mpmath
 from mpmath import mpf
 
 from .hyp import (CUBIC_BOUNDARY, DEFAULT_PREC, Precision, phi_numeric, psi_family,
-                  psi_numeric)
+                  psi_numeric, rat_to_mpf)
 
 REGIMES = {1: "positive_u", 0: "zero_u", -1: "negative_u"}
 SUBEXP = {1: "n^{-5/2}", 0: "n^{-3}", -1: "n^{-3}ln^{-2}n"}
@@ -243,7 +244,7 @@ def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
         raise ValueError("u must be >= -1")
     if isinstance(u, Rational) and not isinstance(u, int):
         with prec.ctx():
-            u = mpf(u.numerator) / u.denominator
+            u = rat_to_mpf(u)
     if p == 4:
         prof = _radius_quartic(u, prec)
     elif p == 3:
@@ -387,9 +388,11 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
     with prec.ctx():
         um = mpf(u)
         b = mpf(1) / 64
+        # kept per point: the search has evaluated the root it returns
+        psi_at = cache(lambda t: psi_family(t, prec))
 
         def f(t):
-            _, _, p2, p2p = psi_family(t, prec)
+            _, _, p2, p2p = psi_at(t)
             return 1 - um * um * (4 * p2 - 4 * p2 * p2 + 64 * t * t * p2p * p2p)
 
         hi = b * (1 - mpf(10) ** (-min(30, prec.working_digits - 10)))
@@ -397,7 +400,7 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
         hi, f_hi = _bracket_above(f, hi, b, "u=%s puts the inner critical point "
                                   "closer to 1/64" % mpmath.nstr(um, 5), prec)
         t_crit, res = _zeroin(f, lo, hi, prec, f_lo, f_hi)
-        psi = psi_family(t_crit, prec)
+        psi = psi_at(t_crit)
         _, _, p2, p2p = psi
         delta = um * (1 - 2 * p2 + 8 * t_crit * p2p) / (1 + um)
         rho_t = t_crit * delta ** 4
@@ -423,6 +426,7 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
         um = mpf(u)
         _, _, t_inner, _, res_inner = _solved(s_tilde_characteristic, u, prec)
 
+        @cache  # per point: the search has evaluated the root it returns
         def on_curve(t):
             psi = psi_family(t, prec)
             d = _s_tilde_delta(um, psi[2])
@@ -591,12 +595,12 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
     uq = as_rat(u)  # floats are refused: 0.1 would be solved at its binary expansion
     coeffs = solve_s_tilde(3, series_order, uq).coeffs
     with prec.ctx():
-        um = mpf(uq.numerator) / mpf(uq.denominator)
+        um = rat_to_mpf(uq)
 
         def s_at(z):
             acc = mpf(0)
             for c in reversed(coeffs):
-                acc = acc * z + mpf(c.numerator) / mpf(c.denominator)
+                acc = acc * z + rat_to_mpf(c)
             return acc
 
         def g(z):
@@ -607,14 +611,17 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
             t = z / d ** 4
             return 1 - um * _phi_reduced(t, d, psi_family(t, prec)).phi2_y
 
+        # the bracket's low end is the walk's last point with g > 0, or one
+        # step below a first point that is already past the crossing
         z = mpf(1) / 640
-        g_z = g(z)
+        lo, g_lo, g_z = z / mpf("1.05"), None, g(z)
         while g_z > 0:
+            lo, g_lo = z, g_z
             z *= mpf("1.05")
             if z > mpf(1) / 4:
                 raise ValueError("no crossing found; is u too small for the order?")
             g_z = g(z)
-        rho_series, residual = _zeroin(g, z / mpf("1.05"), z, prec, f_hi=g_z)
+        rho_series, residual = _zeroin(g, lo, z, prec, g_lo, g_z)
         rho_closed = _solved(s_tilde_characteristic, um, prec)[0]
         return {
             "rho_tilde": float(rho_series),

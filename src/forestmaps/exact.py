@@ -1,12 +1,9 @@
 """Exact rational scalars.
 
 All symbolic computation in this package runs over arbitrary-precision
-rationals.  We use ``gmpy2.mpq`` when it is installed (it is several times
-faster on the large numerators that show up in high-order series) and fall
-back to ``fractions.Fraction`` otherwise.  Both types are registered as
-``numbers.Rational``, compare equal across implementations, and print as
-``"p/q"`` (or ``"p"`` when the denominator is one), which is the exchange
-format used by the JSON emitters.
+rationals, ``fractions.Fraction`` (:func:`Q`).  They print as ``"p/q"`` (or
+``"p"`` when the denominator is one), which is the exchange format used by
+the JSON emitters.
 
 The series of this package count maps, so most exact values are integers.
 The polynomial and tree-table layers keep them in one canonical form
@@ -27,27 +24,23 @@ from fractions import Fraction
 from math import comb
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _mpq
+# Q is always Fraction; perfbench/run.py reports this flag
+HAVE_GMPY2 = False
 
-    def Q(numerator=0, denominator=1):
-        return _mpq(numerator, denominator)
 
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def Q(numerator=0, denominator=1):
-        return Fraction(numerator, denominator)
+def Q(numerator=0, denominator=1):
+    """The rational numerator/denominator; both must be rationals (a float
+    is refused with TypeError)."""
+    return Fraction(numerator, denominator)
 
-    HAVE_GMPY2 = False
 
 Rat = Union[Fraction, int]  # any numbers.Rational value is accepted
 
 QZERO = Q(0)
-QONE = Q(1)
 
 
 def as_rat(x) -> "Rat":
-    """Coerce ints, Fractions, mpqs or 'p/q' strings to the working type."""
+    """Coerce ints, Fractions or 'p/q' strings to the working type."""
     if isinstance(x, str):
         return rat_from_str(x)
     if isinstance(x, float):
@@ -66,8 +59,7 @@ def canon(x) -> "Rat":
 
 def rat_to_str(x) -> str:
     """Serialize as 'numerator/denominator', omitting a unit denominator."""
-    s = str(Q(x))
-    return s
+    return str(Q(x))
 
 
 def rat_from_str(s: str) -> "Rat":

@@ -15,28 +15,28 @@ coefficient recurrences:
       D    = 36z^2 + (24z - 1 + 24uz)R + 4(u+1)RS - 4(u+1)^2 RS^2 + 4(u+1)^2 R^2
   which again gives an O(order^2) recurrence from R_1 = 1, S_1 = 2u.
 
-Each recurrence, and each series helper, is written once over numpy arrays
+Each recurrence, and each series helper, is written once over sequences
 whose entry n holds the z^n coefficient times s^n, for a weight u = a/b.
 The exact entry points take a rational u in lowest terms (b > 0) and run on
-``object`` arrays of Python ints: the quartic engines at s = b, the cubic
-ones at s = b^2.  The coefficients are integer polynomials in u, so at these
-scales every stored entry is an integer; the quartic ODE is multiplied
-through by b (R'' and (1+u)R - z are stored times b), the only place where
-s = b leaves a fraction.  Each division goes through `_div`, which raises
+lists of Python ints: the quartic engines at s = b, the cubic ones at
+s = b^2.  The coefficients are integer polynomials in u, so at these scales
+every stored entry is an integer; the quartic ODE is multiplied through by
+b (R'' and (1+u)R - z are stored times b), the only place where s = b
+leaves a fraction.  Each division goes through `_div`, which raises
 ArithmeticError on a nonzero remainder, and entry n becomes the rational
 X_n / s^n only in the returned lists.  The ``*_float`` entry points pass
 a = u, b = 1.0 and a float s (typically the radius of convergence, so that
-the dynamic range stays tame) and run on float64 arrays; there every factor
-and divisor b is exactly 1.0 and leaves the float result unchanged.  Both
-recurrences are validated against the sweep solver in the test suite, and
-the float runs against the exact ones on a shared prefix.
+the dynamic range stays tame) and run on float64 numpy arrays, the only use
+of numpy; there every factor and divisor b is exactly 1.0 and leaves the
+float result unchanged.  Both recurrences are validated against the sweep
+solver in the test suite, and the float runs against the exact ones on a
+shared prefix.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .exact import Q, exact_div, scaled, unscaled
 
@@ -45,69 +45,63 @@ from .exact import Q, exact_div, scaled, unscaled
 # ---------------------------------------------------------------------------
 
 
+def _vec(s, values) -> Sequence:
+    """values in the container of the scale s: a list for an int s, a
+    float64 numpy array for a float s."""
+    if isinstance(s, int):
+        return list(values)
+    import numpy as np
+
+    return np.array(values, dtype=float)
+
+
+def _dot(x: Sequence, y: Sequence):
+    """sum x[i] y[i]: numpy's dot on float64 arrays, an exact sum on lists."""
+    if isinstance(x, list):
+        return sum(map(mul, x, y))
+    return x.dot(y)
+
+
 def _div(x, d):
-    """x / d.  Over ``object`` arrays of Python ints the quotient must be
-    exact: a nonzero remainder raises ArithmeticError, as it does for int
-    scalars in :func:`~forestmaps.exact.exact_div`.  Over floats this is
-    plain true division."""
-    if isinstance(x, (float, np.floating)) or isinstance(d, (float, np.floating)) or (
-        isinstance(x, np.ndarray) and x.dtype.kind == "f"
-    ):
-        return x / d
-    if not isinstance(x, np.ndarray) and not isinstance(d, np.ndarray):
+    """x / d.  Between ints the quotient must be exact: a nonzero
+    remainder raises ArithmeticError (:func:`~forestmaps.exact.exact_div`).
+    Otherwise this is plain true division."""
+    if isinstance(x, int) and isinstance(d, int):
         return exact_div(x, d)
-    q = x // d
-    if np.any(q * d != x):
-        raise ArithmeticError("inexact division by %s" % (d,))
-    return q
+    return x / d
 
 
-def _zeros(s, n: int) -> np.ndarray:
-    """n zeros in the field of the scale s: float64 for a float s, an
-    ``object`` array of Python ints for an int s."""
-    return np.zeros(n, dtype=float if isinstance(s, float) else object)
-
-
-def _scaled(coeffs: Sequence, s: int) -> np.ndarray:
-    """Rationals c_n as an ``object`` array of the ints c_n s^n."""
-    return np.array(scaled(coeffs, s), dtype=object)
-
-
-def conv_trunc(a: Sequence, b: Sequence, n: int) -> np.ndarray:
-    """Coefficients 0..n of the product of two coefficient arrays (float64
-    arrays, or ``object`` arrays or lists of ints or rationals)."""
-    a, b = np.asarray(a), np.asarray(b)
+def conv_trunc(a: Sequence, b: Sequence, n: int) -> list:
+    """Coefficients 0..n of the product of two coefficient sequences (both
+    float64 arrays, or both lists of ints or rationals), as a list."""
     out = []
     for k in range(n + 1):
         lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
-        out.append(a[lo : hi + 1].dot(b[k - hi : k - lo + 1][::-1]))
-    return np.array(out, dtype=np.result_type(a, b))
+        out.append(_dot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1]))
+    return out
 
 
-def _recip(a: np.ndarray, n: int) -> np.ndarray:
+def _recip(a: Sequence, n: int, s) -> Sequence:
     """Reciprocal of a series with a[0] != 0 (a[0] = +-1 over ints),
     through index n."""
     if a[0] == 0:
         raise ZeroDivisionError("the reciprocal needs a nonzero constant term")
     inv0 = _div(1, a[0])
-    out = np.empty_like(a, shape=n + 1)
-    out[0] = inv0
+    out = _vec(s, [inv0] * (n + 1))
     for k in range(1, n + 1):
         j = min(k, len(a) - 1)
-        out[k] = -inv0 * a[1 : j + 1].dot(out[k - j : k][::-1])
+        out[k] = -inv0 * _dot(a[1 : j + 1], out[k - j : k][::-1])
     return out
 
 
-def _diff(a: np.ndarray, s) -> np.ndarray:
+def _diff(a: Sequence, s) -> Sequence:
     """Derivative: one entry shorter than a."""
-    return _div(np.arange(1, len(a)) * a[1:], s)
+    return _vec(s, [_div(k * a[k], s) for k in range(1, len(a))])
 
 
-def _integrate(a: np.ndarray, s) -> np.ndarray:
+def _integrate(a: Sequence, s) -> Sequence:
     """Antiderivative with zero constant term: one entry longer than a."""
-    out = _zeros(s, len(a) + 1)
-    out[1:] = _div(a * s, np.arange(1, len(a) + 1))
-    return out
+    return _vec(s, [0] + [_div(x * s, k) for k, x in enumerate(a, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +109,11 @@ def _integrate(a: np.ndarray, s) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _quartic_r(a, b, order: int, s) -> np.ndarray:
+def _quartic_r(a, b, order: int, s) -> Sequence:
     """R_n s^n, n = 0..order, for R = z + u Phi(R) at p = 4."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    R = _zeros(s, order + 1)
+    R = _vec(s, [0] * (order + 1))
     R[1] = s
     if order >= 2:
         R[2] = _div(3 * a * s * s, b)
@@ -128,8 +122,8 @@ def _quartic_r(a, b, order: int, s) -> np.ndarray:
     up1 = a + b  # (1+u) b
     # Rp = R', B2 = R'^2, C = R'^3, rpp = b R'', R2 = R^2, P = 27 R^2 - R and
     # L = b ((1+u) R - z), each extended by one entry per step
-    Rp, B2, C, rpp = (_zeros(s, order) for _ in range(4))
-    R2, P, L = (_zeros(s, order + 1) for _ in range(3))
+    Rp, B2, C, rpp = (_vec(s, [0] * order) for _ in range(4))
+    R2, P, L = (_vec(s, [0] * (order + 1)) for _ in range(3))
     Rp[0] = B2[0] = C[0] = _div(R[1], s)
     Rp[1] = _div(2 * R[2], s)
     B2[1] = 2 * Rp[1]
@@ -142,46 +136,46 @@ def _quartic_r(a, b, order: int, s) -> np.ndarray:
     L[2] = up1 * R[2]
     for n in range(2, order):
         if n >= 3:
-            R2[n] = R[1:n].dot(R[n - 1 : 0 : -1])
+            R2[n] = _dot(R[1:n], R[n - 1 : 0 : -1])
             P[n] = 27 * R2[n] - R[n]
             L[n] = up1 * R[n]
             Rp[n - 1] = _div(n * R[n], s)
-            B2[n - 1] = Rp[0:n].dot(Rp[n - 1 :: -1])
-            C[n - 1] = B2[0:n].dot(Rp[n - 1 :: -1])
+            B2[n - 1] = _dot(Rp[0:n], Rp[n - 1 :: -1])
+            C[n - 1] = _dot(B2[0:n], Rp[n - 1 :: -1])
             rpp[n - 2] = _div(n * (n - 1) * R[n] * b, s * s)
         # b times the known part of the ODE at z^(n-1)
-        known = P[2 : n + 1].dot(rpp[n - 2 :: -1])
-        known += 6 * L[1 : n + 1].dot(C[n - 1 :: -1])
+        known = _dot(P[2 : n + 1], rpp[n - 2 :: -1])
+        known += 6 * _dot(L[1 : n + 1], C[n - 1 :: -1])
         R[n + 1] = _div(s * known, n * (n + 1) * b)
     return R
 
 
-def _quartic_bundle(R: np.ndarray, a, b, s) -> dict:
+def _quartic_bundle(R: Sequence, a, b, s) -> dict:
     """W = Phi(R), V = Phi'(R) and F' from R (needs u != 0).
 
     R runs through z^order; W through z^order, the rest through
     z^(order-1)."""
     m = len(R) - 2
-    z = _zeros(s, len(R))
-    z[1] = s
-    W = _div((R - z) * b, a)
+    zero = 0 * s
+    # W = (R - z) / u, where z has the single entry s, at index 1
+    W = _vec(s, [_div((r - (s if n == 1 else zero)) * b, a) for n, r in enumerate(R)])
     # Phi'(R) = (1 - 1/R') / u, whose constant term is 0
-    V = _zeros(s, m + 1)
-    V[1:] = _div(-_recip(_diff(R, s), m)[1:] * b, a)
+    V = _vec(s, [zero] + [_div(-x * b, a) for x in _recip(_diff(R, s), m, s)[1:]])
     # theta(R) = (2 (27R - 1) V - 42 W + 12 R) / 3
-    t1 = conv_trunc(27 * R, V, m)
-    fprime = _div(2 * (t1 - V) - 42 * W[: m + 1] + 12 * R[: m + 1], 3)
+    t1 = conv_trunc(_vec(s, [27 * r for r in R]), V, m)
+    fprime = _vec(s, [_div(2 * (t - v) - 42 * w + 12 * r, 3)
+                      for t, v, w, r in zip(t1, V, W, R)])
     return {"R": R, "W": W, "V": V, "fprime": fprime}
 
 
-def _quartic_fzu(ser: dict, b, s) -> np.ndarray:
+def _quartic_fzu(ser: dict, b, s) -> list:
     """F''_zu = W theta'(R) R' from the bundle, through z^(order-1)."""
     R, W, V = ser["R"], ser["W"], ser["V"]
     m = len(V) - 1
     # theta'(R) = 4V - 4 W/R ; W/R = (W shifted) * 1/(R shifted).  The
     # shifted R is b times a series with unit constant term
-    w_over_r = _div(conv_trunc(W[1:], _recip(_div(R[1:], b), m), m), b)
-    theta_p = 4 * V - 4 * w_over_r
+    w_over_r = conv_trunc(W[1:], _recip([_div(r, b) for r in R[1:]], m, s), m)
+    theta_p = [4 * v - 4 * _div(x, b) for v, x in zip(V, w_over_r)]
     return conv_trunc(conv_trunc(W, theta_p, m), _diff(R, s), m)
 
 
@@ -189,9 +183,9 @@ def _cubic_rs(a, b, order: int, s):
     """(R_n s^n, S_n s^n), n = 0..order, for p = 3."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    R, S, R2, RS, S2, RS2, D, A = (_zeros(s, order + 1) for _ in range(8))
+    R, S, R2, RS, S2, RS2, D, A = (_vec(s, [0] * (order + 1)) for _ in range(8))
     # (j+1) R_{j+1} and (j+1) S_{j+1}: R' and S' before the division by s
-    dR, dS = _zeros(s, order), _zeros(s, order)
+    dR, dS = _vec(s, [0] * order), _vec(s, [0] * order)
     zero = R[0]
     up1, b2 = a + b, b * b  # up1 = (1+u) b
     R[1] = s
@@ -200,11 +194,11 @@ def _cubic_rs(a, b, order: int, s):
     A[1] = _div((48 * b2 + 16 * up1 * b + 2 * (3 * b + a) * 2 * a) * s, b2)
     for m in range(2, order + 1):
         # extend the products to index m (uses entries < m only)
-        R2[m] = R[1:m].dot(R[m - 1 : 0 : -1])
-        RS[m] = R[1:m].dot(S[m - 1 : 0 : -1])
-        S2[m] = S[1:m].dot(S[m - 1 : 0 : -1])
+        R2[m] = _dot(R[1:m], R[m - 1 : 0 : -1])
+        RS[m] = _dot(R[1:m], S[m - 1 : 0 : -1])
+        S2[m] = _dot(S[1:m], S[m - 1 : 0 : -1])
         if m >= 3:
-            RS2[m] = R[1 : m - 1].dot(S2[m - 1 : 1 : -1])
+            RS2[m] = _dot(R[1 : m - 1], S2[m - 1 : 1 : -1])
         dk = _div(
             (36 * s * s * b2 if m == 2 else zero)
             + 24 * up1 * b * s * R[m - 1]
@@ -214,11 +208,11 @@ def _cubic_rs(a, b, order: int, s):
             b2,
         )
         if m >= 3:
-            known_dr = _div(D[2:m].dot(dR[m - 2 : 0 : -1]), s) + dk
-            known_ds = _div(D[2:m].dot(dS[m - 2 : 0 : -1]), s)
+            known_dr = _div(_dot(D[2:m], dR[m - 2 : 0 : -1]), s) + dk
+            known_ds = _div(_dot(D[2:m], dS[m - 2 : 0 : -1]), s)
         else:
             known_dr, known_ds = dk, zero
-        known_ra = R[1:m].dot(A[m - 1 : 0 : -1])
+        known_ra = _dot(R[1:m], A[m - 1 : 0 : -1])
         R[m] = _div(known_dr - known_ra, m)
         D[m] = dk - R[m]
         bm = _div((a - 3 * b) * R[m] - 12 * b * s * S[m - 1] + 4 * up1 * RS[m], b)
@@ -230,12 +224,12 @@ def _cubic_rs(a, b, order: int, s):
     return R, S
 
 
-def _cubic_fprime(R: np.ndarray, S: np.ndarray, a, b, s) -> np.ndarray:
+def _cubic_fprime(R: Sequence, S: Sequence, a, b, s) -> Sequence:
     """F' = (2z + S - 2R - S^2)/u - (2R + S^2) for p = 3 (needs u != 0)."""
-    z = _zeros(s, len(R))
-    z[1] = s
-    core = 2 * R + conv_trunc(S, S, len(S) - 1)
-    return _div((2 * z + S - core) * b, a) - core
+    zero = 0 * s
+    core = [2 * r + q for r, q in zip(R, conv_trunc(S, S, len(S) - 1))]
+    return _vec(s, [_div((2 * (s if n == 1 else zero) + x - c) * b, a) - c
+                    for n, (x, c) in enumerate(zip(S, core))])
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +259,19 @@ def quartic_series(u, order: int) -> dict:
     """
     a, b = _ratio(u)
     # through the public entry point, so per-function tracing sees it
-    R = _scaled(quartic_r_coeffs(u, order), b)
+    R = scaled(quartic_r_coeffs(u, order), b)
     if a == 0:
         from .trees import phi_theta_tables
 
         tabs = phi_theta_tables(4, order)
-        W = _scaled(tabs["phi_x"], 1)
-        fprime = _scaled(tabs["theta_x"], 1)
-        theta_p = np.append(_diff(fprime, 1), 0)
+        W = scaled(tabs["phi_x"], 1)
+        fprime = scaled(tabs["theta_x"], 1)
         ser = {
             "R": R,
             "W": W,
-            "V": np.append(_diff(W, 1), 0),
+            "V": _diff(W, 1) + [0],
             "fprime": fprime,
-            "fzu": conv_trunc(W, theta_p, order),
+            "fzu": conv_trunc(W, _diff(fprime, 1) + [0], order),
         }
     else:
         ser = _quartic_bundle(R, a, b, b)
@@ -302,7 +295,7 @@ def cubic_fprime_coeffs(u, order: int) -> list:
         from .trees import quartic_mullin_coeff
 
         return [quartic_mullin_coeff(3, n + 1) * (n + 1) for n in range(order + 1)]
-    R, S = (_scaled(c, b * b) for c in cubic_rs_coeffs(u, order))
+    R, S = (scaled(c, b * b) for c in cubic_rs_coeffs(u, order))
     return unscaled(_cubic_fprime(R, S, a, b, b * b), b * b)
 
 
@@ -314,6 +307,8 @@ def cubic_fprime_coeffs(u, order: int) -> list:
 def _require_finite(arrays, order: int, s: float) -> None:
     """Refuse float coefficients that left float64: past the radius the
     rescaled entries grow geometrically and turn into inf and NaN."""
+    import numpy as np
+
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(
             "float coefficients are not finite at order %d and scale %r; "
@@ -335,9 +330,9 @@ def quartic_fseries_float(u: float, order: int, scale: float) -> dict:
     return ser
 
 
-def cubic_fprime_float(u: float, order: int, scale: float) -> np.ndarray:
-    """Rescaled F' coefficients for p = 3 (float engine); raises
-    ValueError when an entry is not finite."""
+def cubic_fprime_float(u: float, order: int, scale: float):
+    """Rescaled F' coefficients for p = 3 (float engine), a float64 array;
+    raises ValueError when an entry is not finite."""
     u, s = float(u), float(scale)
     R, S = _cubic_rs(u, 1.0, order, s)
     fp = _cubic_fprime(R, S, u, 1.0, s)

@@ -55,6 +55,12 @@ class Precision:
 DEFAULT_PREC = Precision()
 
 
+def rat_to_mpf(q):
+    """The exact rational q (an int or a Fraction) as an mpf at the working
+    precision."""
+    return mpf(q.numerator) / mpf(q.denominator)
+
+
 # ---------------------------------------------------------------------------
 # exact coefficients of the univariate series
 # ---------------------------------------------------------------------------
@@ -102,7 +108,7 @@ def _series_sum(base: str, x, deriv: int, prec: Precision):
         fall = 1
         for d in range(deriv):
             fall *= i - d
-        term = mpf(c.numerator) / mpf(c.denominator) * fall * x ** (i - deriv)
+        term = rat_to_mpf(c) * fall * x ** (i - deriv)
         total = mpf(0)
         while True:
             total += term
@@ -112,7 +118,7 @@ def _series_sum(base: str, x, deriv: int, prec: Precision):
                 if guard < tol and i > i0 + 4:
                     return +total, +guard
             r = ratio(i)
-            step = mpf(r.numerator) / mpf(r.denominator) * x
+            step = rat_to_mpf(r) * x
             if deriv:
                 num = den = 1
                 for d in range(deriv):
@@ -217,10 +223,10 @@ def _in_domain(x, boundary):
         # exact inputs are honored at working precision (so the closed
         # boundary point compares equal regardless of the caller's ambient
         # mpmath context)
-        xm = mpf(x.numerator) / mpf(x.denominator)
+        xm = rat_to_mpf(x)
     else:
         xm = mpf(x)
-    bd = mpf(boundary.numerator) / mpf(boundary.denominator)
+    bd = rat_to_mpf(boundary)
     if xm < 0 or xm > bd:
         raise ValueError("argument %s outside [0, %s]" % (x, boundary))
     return xm, bd
@@ -258,7 +264,7 @@ def self_check(prec: Precision = DEFAULT_PREC, tol: float = 1e-12) -> float:
             ("psi2", (Q(1, 64), psi_numeric)),
             ("psi2_prime", (Q(1, 64), psi_numeric)),
         ):
-            bd = mpf(bdq.numerator) / mpf(bdq.denominator)
+            bd = rat_to_mpf(bdq)
             for frac in (1.2e-3, 1.5e-3, 2e-3):
                 x = bd - mpf(frac)
                 a = fn(kind, x, prec, method="series")

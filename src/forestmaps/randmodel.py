@@ -21,7 +21,7 @@ from mpmath import mpf
 from .critical import quartic_critical_point
 from .exact import Q
 from .fast import conv_trunc, quartic_series
-from .hyp import DEFAULT_PREC, Precision, phi_numeric, theta_coeff
+from .hyp import DEFAULT_PREC, Precision, phi_numeric, rat_to_mpf, theta_coeff
 
 BOUNDARY = Q(1, 27)
 
@@ -94,7 +94,7 @@ def s_limit_law(u, k_max: int, prec: Precision = DEFAULT_PREC) -> List[float]:
                 Q(math.factorial(3 * k) * 4)
                 / Q(math.factorial(k - 1) * math.factorial(k) * math.factorial(k + 1))
             )
-            out.append(float(mpf(c.numerator) / mpf(c.denominator) * tau ** k / tp))
+            out.append(float(rat_to_mpf(c) * tau ** k / tp))
         return out
 
 

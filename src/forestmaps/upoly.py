@@ -15,6 +15,7 @@ keeps track of which variable the coefficients refer to.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exact import canon, rat_to_str
@@ -70,7 +71,7 @@ class UPoly:
     def _coerce(self, other) -> Optional["UPoly"]:
         if isinstance(other, UPoly):
             return other
-        if isinstance(other, (int,)) or type(other).__name__ in ("Fraction", "mpq"):
+        if isinstance(other, (int, Fraction)):
             return UPoly((other,))
         return None
 

@@ -222,11 +222,24 @@ def test_series_names_are_checked_before_any_solve(capsys, monkeypatch, argv, me
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+def _heavy_imports(*steps):
+    """Run the steps in order in one fresh interpreter; after each, the
+    sorted list of numpy and mpmath, as far as they are imported by then."""
+    report = "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'mpmath'}))"
+    code = "\n".join(["import sys"] + [line for step in steps for line in (step, report)])
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_symbolic_commands_do_not_import_numpy(tmp_path):
     # the symbolic path runs on UPoly alone and the rational sweep on Python
-    # ints, not through fast.py; numpy would add ~10 MB of RSS
-    code = "\n".join([
-        "import sys",
+    # ints, not through fast.py; numpy would add ~10 MB of RSS and mpmath,
+    # which only the numerics need, ~50 ms of start-up
+    commands = "\n".join([
         "from forestmaps import cli",
         "for argv in (['coeffs', '--p', '3', '--order', '6', '--u', 'symbolic',",
         "              '--series', 'F,G,H,Stilde'],",
@@ -234,16 +247,27 @@ def test_symbolic_commands_do_not_import_numpy(tmp_path):
         "              '--series', 'F,R,S,G,H'],",
         "             ['coeffs', '--p', '4', '--order', '8', '--u=-5/9', '--series', 'F,H'],",
         "             ['mu-expand', '--p', '3', '--order', '6'],",
-        "             ['verify', '--only', 'cubic_w', '--de-order', '6']):",
+        "             ['verify', '--only', 'cubic_w', '--de-order', '6'],",
+        "             ['oracle', '--p', '3', '--faces', '3', '--compare']):",
         "    cli.main(['--output', %r] + argv)" % str(tmp_path / "out.json"),
-        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))",
     ])
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _heavy_imports("import forestmaps", commands) == ["[]", "[]"]
+
+
+def test_exact_engines_do_not_import_numpy(tmp_path):
+    # the exact fast.py engines run on lists of Python ints; only their
+    # float64 twins need numpy
+    engines = "\n".join([
+        "from fractions import Fraction",
+        "from forestmaps import fast",
+        "for u in (Fraction(47, 89), Fraction(-53, 91), 0):",
+        "    fast.cubic_rs_coeffs(u, 12), fast.cubic_fprime_coeffs(u, 12)",
+        "    fast.quartic_r_coeffs(u, 12), fast.quartic_series(u, 12)",
+    ])
+    random = ("from forestmaps import cli\n"
+              "cli.main(['--output', %r, 'random', '--u=91/43', '--k-max', '1', "
+              "'--n-list', '40,80'])" % str(tmp_path / "out.json"))
+    assert _heavy_imports(engines, random) == ["[]", "['mpmath']"]
 
 
 SOLVERS = ("quartic_tau", "s_tilde_characteristic", "cubic_characteristic_positive")

@@ -207,13 +207,10 @@ def test_exact_division_checks_the_remainder():
     assert unscaled([1, -1, 5], 3) == [1, Q(-1, 3), Q(5, 9)]
     with pytest.raises(ArithmeticError):
         scaled([Q(1), Q(1, 2)], 3)
-    # the array helper passes int scalars on to exact_div
+    # the engines' scalar division passes ints on to exact_div
     assert _div(-91, 7) == -13
-    assert list(_div(np.array([12, -2**80], dtype=object), 4)) == [3, -2**78]
-    assert list(_div(np.array([3, 10], dtype=object), np.arange(1, 3))) == [3, 5]
-    for x, d in ((7, 2), (np.array([4, 5], dtype=object), 2)):
-        with pytest.raises(ArithmeticError):
-            _div(x, d)
+    with pytest.raises(ArithmeticError):
+        _div(7, 2)
     # floats divide as they are
     assert _div(1.0, 3) == 1.0 / 3 and _div(np.ones(2), 4)[1] == 0.25
 
@@ -221,11 +218,13 @@ def test_exact_division_checks_the_remainder():
 def test_corrupted_operand_is_refused():
     a, b = 47, 89
     R = _quartic_r(a, b, 20, b)
+    assert type(R) is list and all(type(x) is int for x in R)
     _quartic_bundle(R, a, b, b)
     R[7] += 1
     with pytest.raises(ArithmeticError):
         _quartic_bundle(R, a, b, b)
     R3, S3 = _cubic_rs(a, b, 20, b * b)
+    assert type(S3) is list
     S3[5] += 1
     with pytest.raises(ArithmeticError):
         _cubic_fprime(R3, S3, a, b, b * b)
