@@ -29,7 +29,7 @@ from mpmath import mpf
 
 from .critical import (
     cubic_rho_at_minus_one,
-    quartic_rho_exact,
+    quartic_critical_point,
     radius,
     s_tilde_radius_cubic,
 )
@@ -61,6 +61,12 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+
+    def line(self) -> str:
+        """The one-line report printed per criterion."""
+        return "criterion %2d  %-38s %s  (%5.1fs)  %s" % (
+            self.number, self.title, "PASS" if self.passed else "FAIL",
+            self.seconds, self.detail)
 
 
 def _expect(cond: bool, msg: str, notes: List[str]):
@@ -181,7 +187,7 @@ def criterion_6() -> CriterionResult:
     notes: List[str] = []
     with PREC.ctx():
         ok = _expect(
-            abs(quartic_rho_exact(mpf(-1), PREC)
+            abs(quartic_critical_point(mpf(-1), PREC)[0]
                 - mpmath.sqrt(3) / (12 * mpmath.pi)) < mpf("1e-12"),
             "quartic rho(-1)", notes)
         ok &= _expect(
@@ -353,13 +359,13 @@ CRITERIA: List[Callable[[], CriterionResult]] = [
 ]
 
 
-def run_all(verbose: bool = True) -> List[CriterionResult]:
+def run_all(verbose: bool = True, numbers=None) -> List[CriterionResult]:
+    """Run the criteria with the given numbers (all by default) in order."""
+    chosen = CRITERIA if numbers is None else [CRITERIA[n - 1] for n in sorted(set(numbers))]
     results = []
-    for fn in CRITERIA:
+    for fn in chosen:
         res = fn()
         results.append(res)
         if verbose:
-            print("criterion %2d  %-38s %s  (%5.1fs)  %s"
-                  % (res.number, res.title,
-                     "PASS" if res.passed else "FAIL", res.seconds, res.detail))
+            print(res.line())
     return results

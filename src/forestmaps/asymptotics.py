@@ -29,8 +29,8 @@ from mpmath import mpf
 from .critical import (
     asymptotic_constant,
     cubic_expansion_data,
+    quartic_affine_rho,
     quartic_critical_point,
-    quartic_rho_exact,
 )
 from .exact import Q
 from .fast import (
@@ -62,7 +62,7 @@ def coefficient_asymptotic_check(
     n_max = max(n_list)
     with prec.ctx():
         um = rat_to_mpf(u)
-        rho = quartic_rho_exact(um, prec)
+        rho = quartic_critical_point(um, prec)[0]
         c_u = asymptotic_constant(4, um, prec)
         a, b = SUBEXP_POWERS[1 if u > 0 else (0 if u == 0 else -1)]
         if u == 0:
@@ -126,7 +126,7 @@ def log_singularity_probe(
     if not (-1 <= u < 0):
         raise ValueError("the logarithmic regime needs u in [-1, 0)")
     with prec.ctx():
-        rho = quartic_rho_exact(rat_to_mpf(u), prec)
+        rho = quartic_critical_point(rat_to_mpf(u), prec)[0]
     s = float(rho)
     uf = float(u)
     qmax = max(z_fracs)
@@ -194,7 +194,7 @@ def cubic_beta_fit(
     u = Q(u)
     if not (-1 <= u < 0):
         raise ValueError("the expansion applies for u in [-1, 0)")
-    data = cubic_expansion_data(float(u), prec)
+    data = cubic_expansion_data(u, prec)
     s = float(data["rho"])
     fprime_rho = float(data["fprime_rho"])
     alpha = float(data["alpha"])
@@ -240,8 +240,8 @@ def quartic_smoothness_gap(u: float = 0.05, prec: Optional[Precision] = None) ->
         prec = Precision(digits, 1e-20)
     with prec.ctx():
         um = mpf(u)
-        rho, tau = quartic_critical_point(um, prec)
-        affine = (1 + um) / 27 - um * mpmath.sqrt(3) / (12 * mpmath.pi)
+        rho, tau, _ = quartic_critical_point(um, prec)
+        affine = quartic_affine_rho(um)
         bound = mpmath.exp(-2 * mpmath.pi / (mpmath.sqrt(3) * um))
         tau_gap = mpf(1) / 27 - tau
         tau_pred = mpmath.exp(-2 * mpmath.pi * (1 + 1 / um) / mpmath.sqrt(3))

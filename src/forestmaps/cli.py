@@ -57,6 +57,27 @@ def _parse_u(text: str, symbolic: bool = False):
                        EXIT_BAD_FLAGS)
 
 
+def _comma_list(text: str, flag: str, parse, valid, need: str) -> list:
+    """The comma-separated values of a flag, each converted by `parse` and
+    kept only if `valid`; anything else is a flag error that says what the
+    flag needs."""
+    values = []
+    for item in text.split(","):
+        try:
+            value = parse(item)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not valid(value):
+            raise CliError("%s: cannot use %r (%s)" % (flag, item, need), EXIT_BAD_FLAGS)
+        values.append(value)
+    return values
+
+
+def _n_list(text: str) -> list:
+    # no map has fewer than 3 faces
+    return _comma_list(text, "--n-list", int, lambda n: n >= 3, "integers >= 3")
+
+
 def _precision(args):
     from .hyp import Precision
 
@@ -199,8 +220,7 @@ def cmd_radius(args):
     if any(u < -1 for u in us):
         raise CliError("radius needs u >= -1", EXIT_BAD_FLAGS)
     profiles = []
-    for uq in us:
-        u = float(uq)
+    for u in us:
         prof = radius(args.p, u, prec)
         rec = {
             "u": prof.u, "rho": prof.rho, "tau": prof.tau, "sigma": prof.sigma,
@@ -210,7 +230,7 @@ def cmd_radius(args):
         if args.s_tilde:
             if args.p != 3 or u <= 0:
                 raise CliError("--s-tilde applies to p=3 with u > 0", EXIT_BAD_FLAGS)
-            rec["s_tilde_radius"] = s_tilde_radius_cubic(uq, prec)
+            rec["s_tilde_radius"] = s_tilde_radius_cubic(u, prec)
         profiles.append(rec)
     _emit(args, {"profiles": profiles},
           csv_rows=[(r["u"], r["rho"], r["tau"], r["sigma"], r["c_u"])
@@ -224,14 +244,15 @@ def cmd_asymptotics(args):
 
     prec = _precision(args)
     if args.mode == "ratios":
-        ns = [int(x) for x in args.n_list.split(",")]
-        rows = coefficient_asymptotic_check(args.p, _parse_u(args.u), ns, prec)
+        rows = coefficient_asymptotic_check(args.p, _parse_u(args.u), _n_list(args.n_list),
+                                            prec)
         payload = {"rows": [{"n": r["n"], "ratio": r["ratio"]} for r in rows]}
         _emit(args, payload,
               csv_rows=[(r["n"], rat_to_str(r["f_n"]), r["ratio"]) for r in rows],
               csv_header=("n", "f_n", "ratio"))
         return
-    fracs = tuple(float(x) for x in args.fracs.split(","))
+    fracs = tuple(_comma_list(args.fracs, "--fracs", float, lambda x: 0 < x < 1,
+                              "z/rho values in (0, 1)"))
     if args.mode == "log-probe":
         res = log_singularity_probe(_parse_u(args.u), fracs, prec,
                                     order=args.order, tol=args.tol)
@@ -256,12 +277,12 @@ def cmd_random(args):
 
     prec = _precision(args)
     u = _parse_u(args.u)
-    payload = {"u": rat_to_str(u), "kappa": kappa(float(u), prec)}
+    ns = _n_list(args.n_list) if args.n_list else []
+    payload = {"u": rat_to_str(u), "kappa": kappa(u, prec)}
     if u > 0:
-        payload["component_slope"] = component_slope(float(u), prec)
-        law = s_limit_law(float(u), args.k_max, prec)
+        payload["component_slope"] = component_slope(u, prec)
+        law = s_limit_law(u, args.k_max, prec)
         payload["size_law_limit"] = law
-        ns = [int(x) for x in args.n_list.split(",")] if args.n_list else []
         if ns:
             payload["finite_n"] = [
                 {"n": r["n"], "E_active_over_n": r["E_active_over_n"],
@@ -311,15 +332,12 @@ def cmd_mu_expand(args):
 def cmd_repro(args):
     from .acceptance import CRITERIA, run_all
 
+    numbers = None
     if args.criteria:
-        wanted = {int(x) for x in args.criteria.split(",")}
-        results = [fn() for fn in CRITERIA if int(fn.__name__.split("_")[1]) in wanted]
-        for r in results:
-            print("criterion %2d  %-38s %s  (%5.1fs)  %s"
-                  % (r.number, r.title, "PASS" if r.passed else "FAIL",
-                     r.seconds, r.detail))
-    else:
-        results = run_all(verbose=True)
+        numbers = _comma_list(args.criteria, "--criteria", int,
+                              lambda n: 1 <= n <= len(CRITERIA),
+                              "criterion numbers 1-%d" % len(CRITERIA))
+    results = run_all(verbose=True, numbers=numbers)
     passed = sum(1 for r in results if r.passed)
     print("%d/%d criteria passed" % (passed, len(results)))
     if passed != len(results):

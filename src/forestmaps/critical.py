@@ -32,8 +32,8 @@ from typing import Dict, NamedTuple, Optional
 import mpmath
 from mpmath import mpf
 
-from .hyp import (CUBIC_BOUNDARY, DEFAULT_PREC, Precision, phi_numeric, psi_family,
-                  psi_numeric, rat_to_mpf)
+from .hyp import (CUBIC_BOUNDARY, DEFAULT_PREC, QUARTIC_BOUNDARY, Precision, as_mpf,
+                  phi_family, psi_family, psi_numeric, rat_to_mpf)
 
 REGIMES = {1: "positive_u", 0: "zero_u", -1: "negative_u"}
 SUBEXP = {1: "n^{-5/2}", 0: "n^{-3}", -1: "n^{-3}ln^{-2}n"}
@@ -184,15 +184,18 @@ def _zeroin(f, lo, hi, prec: Precision, f_lo=None, f_hi=None):
 # ---------------------------------------------------------------------------
 
 def quartic_tau(u, prec: Precision = DEFAULT_PREC):
-    """The critical point tau in (0, 1/27) solving 1 = u Phi'(tau), u > 0."""
+    """The critical point tau in (0, 1/27) solving 1 = u Phi'(tau), u > 0.
+    Returns (tau, residual, phi_family(tau))."""
     if u <= 0:
         raise ValueError("the characteristic condition applies only for u > 0")
     with prec.ctx():
         u = mpf(u)
         b = mpf(1) / 27
+        # kept per point: the search has evaluated the root it returns
+        phi_at = cache(lambda x: phi_family(x, prec))
 
         def f(x):
-            return 1 - u * phi_numeric("phi_prime", x, prec, "boundary")
+            return 1 - u * phi_at(x)[1]
 
         # Phi' increases from 0 to +infinity on (0, 1/27)
         hi = b * (1 - mpf(10) ** (-prec.working_digits + 8))
@@ -203,7 +206,8 @@ def quartic_tau(u, prec: Precision = DEFAULT_PREC):
                 "precision resolves; raise working_digits" % u
             )
         lo, f_lo = _bracket_below(f, mpf(10) ** (-6), 100, "quartic critical point")
-        return _zeroin(f, lo, hi, prec, f_lo, f_hi)
+        tau, res = _zeroin(f, lo, hi, prec, f_lo, f_hi)
+        return tau, res, phi_at(tau)
 
 
 # Each critical point is solved once per process.  The solvers read only
@@ -223,15 +227,21 @@ def _solved(solver, u, prec: Precision) -> tuple:
 
 
 def quartic_critical_point(u, prec: Precision = DEFAULT_PREC):
-    """(rho, tau) for p = 4 at full working precision: for u > 0, tau
-    solves 1 = u Phi'(tau) and rho = tau - u Phi(tau); for u <= 0,
-    tau = 1/27 and rho follows the affine law."""
+    """(rho, tau, phi_family(tau)) for p = 4 at full working precision:
+    for u > 0, tau solves 1 = u Phi'(tau) and rho = tau - u Phi(tau); for
+    u <= 0, tau = 1/27 and rho follows the affine law."""
     with prec.ctx():
         um = mpf(u)
         if um > 0:
-            tau = _solved(quartic_tau, um, prec)[0]
-            return tau - um * phi_numeric("phi", tau, prec, "boundary"), tau
-        return (1 + um) / 27 - um * mpmath.sqrt(3) / (12 * mpmath.pi), mpf(1) / 27
+            tau, _, family = _solved(quartic_tau, um, prec)
+            return tau - um * family[0], tau, family
+        return quartic_affine_rho(um), mpf(1) / 27, phi_family(QUARTIC_BOUNDARY, prec)
+
+
+def quartic_affine_rho(um):
+    """The radius (1+u)/27 - u sqrt(3)/(12 pi) of u <= 0 (continued to any
+    u) at the working precision."""
+    return (1 + um) / 27 - um * mpmath.sqrt(3) / (12 * mpmath.pi)
 
 
 def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
@@ -264,7 +274,7 @@ def _radius_quartic(u, prec: Precision) -> SingularProfile:
     with prec.ctx():
         um = mpf(u)
         reg = _sign_regime(um)
-        rho, tau = quartic_critical_point(um, prec)
+        rho, tau, _ = quartic_critical_point(um, prec)
         res = _solved(quartic_tau, um, prec)[1] if um > 0 else 0
         return SingularProfile(
             p=4, u=float(um), rho=float(rho), tau=float(tau), sigma=0.0,
@@ -273,22 +283,21 @@ def _radius_quartic(u, prec: Precision) -> SingularProfile:
         )
 
 
-def quartic_rho_exact(u, prec: Precision = DEFAULT_PREC):
-    """mpf radius for p = 4 (full working precision, for tight comparisons)."""
-    return quartic_critical_point(u, prec)[0]
-
-
 # ---------------------------------------------------------------------------
 # cubic characteristic data
 # ---------------------------------------------------------------------------
+
+def _cubic_root(um, power: int = 1):
+    """sqrt(pi^2 (1 - u^2) + 8 u^2), the radical of the closed cubic forms,
+    to an odd power."""
+    return (mpmath.pi ** 2 * (1 - um * um) + 8 * um * um) ** (mpf(power) / 2)
+
 
 def cubic_delta_negative(u, prec: Precision = DEFAULT_PREC):
     """delta = sqrt(1 - 4 sigma) on the critical parabola, -1 < u <= 0."""
     with prec.ctx():
         um = mpf(u)
-        return (2 * mpmath.sqrt(2) * um
-                + mpmath.sqrt(mpmath.pi ** 2 * (1 - um * um) + 8 * um * um)) \
-            / (mpmath.pi * (1 + um))
+        return (2 * mpmath.sqrt(2) * um + _cubic_root(um)) / (mpmath.pi * (1 + um))
 
 
 def cubic_rho_closed(u, prec: Precision = DEFAULT_PREC):
@@ -300,12 +309,15 @@ def cubic_rho_closed(u, prec: Precision = DEFAULT_PREC):
             3 * (1 - um ** 2) ** 2 * pi ** 4
             + 96 * um ** 2 * pi ** 2 * (1 - um ** 2)
             + 512 * um ** 4
-            + 16 * um * mpmath.sqrt(2) * (pi ** 2 * (1 - um ** 2) + 8 * um ** 2) ** mpf(1.5)
+            + 16 * um * mpmath.sqrt(2) * _cubic_root(um, 3)
         )
         return num / (192 * pi ** 4 * (1 + um) ** 3)
 
 
-def _limit_at_minus_one(fn, prec: Precision, steps: int = 12):
+_RICHARDSON_STEPS = 12
+
+
+def _limit_at_minus_one(fn, prec: Precision):
     """Limit of fn(u, prec) as u -> -1 via Richardson extrapolation.
 
     The closed forms are 0/0 at u = -1; the limit is evaluated on the nodes
@@ -316,18 +328,18 @@ def _limit_at_minus_one(fn, prec: Precision, steps: int = 12):
     guarded = replace(prec, working_digits=prec.working_digits + 20)
     with guarded.ctx():
         h0 = mpf(1) / 64
-        table = [fn(-1 + h0 / 2 ** k, guarded) for k in range(steps)]
+        table = [fn(-1 + h0 / 2 ** k, guarded) for k in range(_RICHARDSON_STEPS)]
         # Richardson for an expansion in powers of h
-        for j in range(1, steps):
-            for k in range(steps - 1, j - 1, -1):
+        for j in range(1, _RICHARDSON_STEPS):
+            for k in range(_RICHARDSON_STEPS - 1, j - 1, -1):
                 table[k] = (2 ** j * table[k] - table[k - 1]) / (2 ** j - 1)
     with prec.ctx():
         return +table[-1]
 
 
-def cubic_rho_at_minus_one(prec: Precision = DEFAULT_PREC, steps: int = 12):
+def cubic_rho_at_minus_one(prec: Precision = DEFAULT_PREC):
     """Limit of the closed cubic radius as u -> -1."""
-    return _limit_at_minus_one(cubic_rho_closed, prec, steps)
+    return _limit_at_minus_one(cubic_rho_closed, prec)
 
 
 class _PhiReduced(NamedTuple):
@@ -525,10 +537,9 @@ def asymptotic_constant(p: int, u, prec: Precision = DEFAULT_PREC):
         um = mpf(u)
         if um == 0:
             return 2 / (243 * mpmath.sqrt(3) * mpmath.pi)
-        rho, tau = quartic_critical_point(um, prec)
+        rho, _, family = quartic_critical_point(um, prec)
         if um > 0:
-            tp = phi_numeric("theta_prime", tau, prec, "boundary")
-            pp = phi_numeric("phi_second", tau, prec, "boundary")
+            _, _, pp, _, tp = family
             return tp * mpmath.sqrt(rho ** 3 / (2 * mpmath.pi * um * pp))
         return 72 * mpmath.sqrt(3) * mpmath.pi * (1 / um) ** 2 * rho ** 3
 
@@ -539,9 +550,8 @@ def cubic_beta(u, prec: Precision = DEFAULT_PREC):
     if not -1 <= u < 0:
         raise ValueError("beta is stated for u in [-1, 0)")
     with prec.ctx():
-        um = mpf(u)
-        return (4 * um - 3 * mpmath.sqrt(2)
-                * mpmath.sqrt(mpmath.pi ** 2 * (1 - um * um) + 8 * um * um)) / (2 * um * um)
+        um = as_mpf(u)
+        return (4 * um - 3 * mpmath.sqrt(2) * _cubic_root(um)) / (2 * um * um)
 
 
 def cubic_expansion_data(u, prec: Precision = DEFAULT_PREC) -> dict:
@@ -554,9 +564,9 @@ def cubic_expansion_data(u, prec: Precision = DEFAULT_PREC) -> dict:
     if not -1 <= u < 0:
         raise ValueError("the expansion data applies for u in [-1, 0)")
     with prec.ctx():
-        um = mpf(u)
+        um = as_mpf(u)
         rho, tau, sigma, delta = _cubic_negative_point(um, prec)
-        root = mpmath.sqrt(mpmath.pi ** 2 * (1 - um * um) + 8 * um * um)
+        root = _cubic_root(um)
         a_s = 4 * mpmath.pi / (delta * root)
         a_r = mpmath.pi * delta / (2 * root)
         b_s = -2 * mpmath.sqrt(2) * mpmath.pi / (um * delta)

@@ -10,9 +10,13 @@ methods are kept deliberately independent:
   q/(1-q) bounds the tail);
 * the hypergeometric route through mpmath's 2F1, whose connection
   machinery at the boundary is the analytic continuation that the singular
-  expansions linearize.
+  expansions linearize.  Each family comes whole from two 2F1 values:
+  :func:`phi_family` and :func:`psi_family` return every member at one
+  point, and the root solves keep those tuples per point.
 
-The two must agree on an overlap window; :func:`self_check` asserts that.
+:func:`phi_numeric` and :func:`psi_numeric` read one member by either
+method.  The two methods must agree on an overlap window;
+:func:`self_check` asserts that.
 Precision is always passed explicitly as a :class:`Precision` value and
 applied through local mpmath working-precision contexts, never globally.
 """
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 
-from .exact import Q, factorial_q
+from .exact import Q
 
 QUARTIC_BOUNDARY = Q(1, 27)
 CUBIC_BOUNDARY = Q(1, 64)
@@ -61,16 +65,15 @@ def rat_to_mpf(q):
     return mpf(q.numerator) / mpf(q.denominator)
 
 
-# ---------------------------------------------------------------------------
-# exact coefficients of the univariate series
-# ---------------------------------------------------------------------------
+def as_mpf(x):
+    """x as an mpf at the working precision; an exact rational (an int or a
+    Fraction) is rounded once, at that precision."""
+    return rat_to_mpf(x) if isinstance(x, numbers.Rational) else mpf(x)
 
-def theta_coeff(i: int):
-    """[x^i] theta(x) = 4 (3i-3)! / ((i-2)! i!^2), i >= 2."""
-    if i < 2:
-        return Q(0)
-    return 4 * factorial_q(3 * i - 3) / (factorial_q(i - 2) * factorial_q(i) ** 2)
 
+# ---------------------------------------------------------------------------
+# certified series route
+# ---------------------------------------------------------------------------
 
 # first index, first coefficient, ratio c_{i+1}/c_i, and limit ratio
 _SERIES_DATA = {
@@ -135,27 +138,25 @@ def _series_sum(base: str, x, deriv: int, prec: Precision):
 # hypergeometric (boundary-capable) route
 # ---------------------------------------------------------------------------
 
-def _hyp_quartic(kind: str, x, prec: Precision):
-    """One member of the quartic family from the two 2F1 values it needs,
-    each evaluated at most once."""
+def _hyp_quartic(x, prec: Precision):
+    """(Phi, Phi', Phi'', theta, theta') at x from two 2F1 values, each
+    evaluated once.  At x = 1/27 only Phi and theta are finite; the
+    derivatives are returned as +inf there."""
     with prec.ctx():
         x = mpf(x)
         if x == 0:
-            return mpf(6) if kind == "phi_second" else mpf(0)  # Phi''(0) = 2 c_2
+            return mpf(0), mpf(0), mpf(6), mpf(0), mpf(0)  # Phi''(0) = 2 c_2
         third = mpf(1) / 3
         f = mpmath.hyp2f1(third, 2 * third, 2, 27 * x)
         phi = x * (f - 1)
-        if kind == "phi":
-            return phi
-        if kind == "phi_second":
-            return -6 * (phi + x) / (x * (27 * x - 1))
+        if x == mpf(1) / 27:
+            # (27x-1) Phi' -> 0 at the boundary, where Phi' diverges
+            return phi, mpmath.inf, mpmath.inf, (-42 * phi + 12 * x) / 3, mpmath.inf
         g = mpmath.hyp2f1(1 + third, 1 + 2 * third, 3, 27 * x)
         phip = f - 1 + 3 * x * g
-        if kind == "phi_prime":
-            return phip
-        if kind == "theta":
-            return (2 * (27 * x - 1) * phip - 42 * phi + 12 * x) / 3
-        return 4 * phip - 4 * phi / x  # theta_prime
+        return (phi, phip, -6 * (phi + x) / (x * (27 * x - 1)),
+                (2 * (27 * x - 1) * phip - 42 * phi + 12 * x) / 3,
+                4 * phip - 4 * phi / x)
 
 
 def _hyp_cubic(t, prec: Precision):
@@ -182,31 +183,20 @@ def _hyp_cubic(t, prec: Precision):
 # public evaluators
 # ---------------------------------------------------------------------------
 
-_QUARTIC_BASE = {"phi": ("phi", 0), "phi_prime": ("phi", 1), "phi_second": ("phi", 2),
-                 "theta": ("theta", 0), "theta_prime": ("theta", 1)}
-# keys in the order of the tuple of _hyp_cubic
-_CUBIC_BASE = {"psi1": ("psi1", 0), "psi1_prime": ("psi1", 1),
-               "psi2": ("psi2", 0), "psi2_prime": ("psi2", 1)}
+# the members of each family in the order of its tuple, each with the
+# series it differentiates and the derivative order
+_QUARTIC_MEMBERS = {"phi": ("phi", 0), "phi_prime": ("phi", 1), "phi_second": ("phi", 2),
+                    "theta": ("theta", 0), "theta_prime": ("theta", 1)}
+_CUBIC_MEMBERS = {"psi1": ("psi1", 0), "psi1_prime": ("psi1", 1),
+                  "psi2": ("psi2", 0), "psi2_prime": ("psi2", 1)}
 
 
-def phi_numeric(kind: str, x, prec: Precision = DEFAULT_PREC, method: str = "auto"):
-    """Evaluate Phi/theta family member at x in [0, 1/27] to target_abs_tol.
-
-    method: 'series' (certified partial sums), 'boundary' (hypergeometric
-    continuation, required at and very near 1/27), or 'auto'.
-    """
-    if kind not in _QUARTIC_BASE:
-        raise ValueError("unknown quartic series %r" % kind)
-    return _dispatch(kind, x, prec, method, QUARTIC_BOUNDARY, _QUARTIC_BASE, _hyp_quartic)
-
-
-def psi_numeric(kind: str, t, prec: Precision = DEFAULT_PREC, method: str = "auto"):
-    """Evaluate Psi family member at t in [0, 1/64] to target_abs_tol."""
-    if kind not in _CUBIC_BASE:
-        raise ValueError("unknown cubic series %r" % kind)
-    member = list(_CUBIC_BASE).index(kind)
-    return _dispatch(kind, t, prec, method, CUBIC_BOUNDARY, _CUBIC_BASE,
-                     lambda _kind, x, prec: _hyp_cubic(x, prec)[member])
+def phi_family(x, prec: Precision = DEFAULT_PREC):
+    """(Phi, Phi', Phi'', theta, theta') at x in [0, 1/27] by the
+    hypergeometric route, from two 2F1 values; the derivatives are +inf at
+    x = 1/27."""
+    with prec.ctx():
+        return _hyp_quartic(_in_domain(x, QUARTIC_BOUNDARY)[0], prec)
 
 
 def psi_family(t, prec: Precision = DEFAULT_PREC):
@@ -216,36 +206,46 @@ def psi_family(t, prec: Precision = DEFAULT_PREC):
         return _hyp_cubic(_in_domain(t, CUBIC_BOUNDARY)[0], prec)
 
 
+def phi_numeric(kind: str, x, prec: Precision = DEFAULT_PREC, method: str = "auto"):
+    """Evaluate Phi/theta family member at x in [0, 1/27] to target_abs_tol.
+
+    method: 'series' (certified partial sums), 'boundary' (hypergeometric
+    continuation, required at and very near 1/27), or 'auto'.
+    """
+    return _dispatch(kind, x, prec, method, QUARTIC_BOUNDARY, _QUARTIC_MEMBERS, _hyp_quartic)
+
+
+def psi_numeric(kind: str, t, prec: Precision = DEFAULT_PREC, method: str = "auto"):
+    """Evaluate Psi family member at t in [0, 1/64] to target_abs_tol."""
+    return _dispatch(kind, t, prec, method, CUBIC_BOUNDARY, _CUBIC_MEMBERS, _hyp_cubic)
+
+
 def _in_domain(x, boundary):
     """(x, boundary) as mpf at the working precision; x outside
-    [0, boundary] is refused."""
-    if isinstance(x, numbers.Rational):
-        # exact inputs are honored at working precision (so the closed
-        # boundary point compares equal regardless of the caller's ambient
-        # mpmath context)
-        xm = rat_to_mpf(x)
-    else:
-        xm = mpf(x)
-    bd = rat_to_mpf(boundary)
+    [0, boundary] is refused.  Exact inputs are honored at the working
+    precision, so the closed boundary point compares equal regardless of
+    the caller's ambient mpmath context."""
+    xm, bd = as_mpf(x), rat_to_mpf(boundary)
     if xm < 0 or xm > bd:
         raise ValueError("argument %s outside [0, %s]" % (x, boundary))
     return xm, bd
 
 
-def _dispatch(kind, x, prec, method, boundary, base_map, hyp_fn):
+def _dispatch(kind, x, prec, method, boundary, members, family):
+    if kind not in members:
+        raise ValueError("unknown series %r (choose from %s)" % (kind, ", ".join(members)))
     with prec.ctx():
         xm, bd = _in_domain(x, boundary)
         if method == "auto":
             method = "series" if bd - xm > SWITCH_EPS else "boundary"
         if method == "series":
-            base, deriv = base_map[kind]
-            val, err = _series_sum(base, xm, deriv, prec)
-            return val
+            base, deriv = members[kind]
+            return _series_sum(base, xm, deriv, prec)[0]
         if method == "boundary":
-            if xm == bd and kind in ("phi_prime", "phi_second", "theta_prime",
-                                     "psi1_prime", "psi2_prime"):
+            value = family(xm, prec)[list(members).index(kind)]
+            if value == mpmath.inf:
                 raise ValueError("%s diverges at the boundary" % kind)
-            return hyp_fn(kind, xm, prec)
+            return value
         raise ValueError("unknown method %r" % method)
 
 
@@ -253,23 +253,15 @@ def self_check(prec: Precision = DEFAULT_PREC, tol: float = 1e-12) -> float:
     """Max |series - boundary| over an overlap window; must stay below tol."""
     worst = 0.0
     with prec.ctx():
-        for kind, (bdq, fn) in (
-            ("phi", (Q(1, 27), phi_numeric)),
-            ("phi_prime", (Q(1, 27), phi_numeric)),
-            ("phi_second", (Q(1, 27), phi_numeric)),
-            ("theta", (Q(1, 27), phi_numeric)),
-            ("theta_prime", (Q(1, 27), phi_numeric)),
-            ("psi1", (Q(1, 64), psi_numeric)),
-            ("psi1_prime", (Q(1, 64), psi_numeric)),
-            ("psi2", (Q(1, 64), psi_numeric)),
-            ("psi2_prime", (Q(1, 64), psi_numeric)),
-        ):
-            bd = rat_to_mpf(bdq)
-            for frac in (1.2e-3, 1.5e-3, 2e-3):
-                x = bd - mpf(frac)
-                a = fn(kind, x, prec, method="series")
-                b = fn(kind, x, prec, method="boundary")
-                worst = max(worst, abs(float(a - b)))
+        for fn, members, boundary in ((phi_numeric, _QUARTIC_MEMBERS, QUARTIC_BOUNDARY),
+                                      (psi_numeric, _CUBIC_MEMBERS, CUBIC_BOUNDARY)):
+            bd = rat_to_mpf(boundary)
+            for kind in members:
+                for frac in (1.2e-3, 1.5e-3, 2e-3):
+                    x = bd - mpf(frac)
+                    a = fn(kind, x, prec, method="series")
+                    b = fn(kind, x, prec, method="boundary")
+                    worst = max(worst, abs(float(a - b)))
     if worst > tol:
         raise AssertionError("series/boundary disagreement %.3e > %.0e" % (worst, tol))
     return worst

@@ -13,24 +13,22 @@ result and is refused; the activity constant kappa_u extends to u >= -1.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
-
-from mpmath import mpf
 
 from .critical import quartic_critical_point
 from .exact import Q
 from .fast import conv_trunc, quartic_series
-from .hyp import DEFAULT_PREC, Precision, phi_numeric, rat_to_mpf, theta_coeff
+from .hyp import DEFAULT_PREC, Precision, as_mpf, rat_to_mpf
+from .trees import theta_x
 
-BOUNDARY = Q(1, 27)
 
-
-def _density(weight, um, tau, prec: Precision):
-    """weight Phi(tau) / (tau - u Phi(tau)), the limit of E[count]/n for
-    the count whose weight is u (components) or 1 + u (active edges)."""
-    phi = phi_numeric("phi", tau, prec, "boundary")
-    return weight * phi / (tau - um * phi)
+def _density(weight, um, point):
+    """weight Phi(tau) / (tau - u Phi(tau)) at a critical point (rho, tau,
+    phi_family(tau)), the limit of E[count]/n for the count whose weight
+    is u (components) or 1 + u (active edges).  The point of u = 0 is the
+    u <= 0 branch, tau = 1/27."""
+    _, tau, family = point
+    return weight * family[0] / (tau - um * family[0])
 
 
 def component_slope(u, prec: Precision = DEFAULT_PREC) -> float:
@@ -38,8 +36,8 @@ def component_slope(u, prec: Precision = DEFAULT_PREC) -> float:
     if u <= 0:
         raise ValueError("the component-count law is established for u > 0 only")
     with prec.ctx():
-        um = mpf(u)
-        return float(_density(um, um, quartic_critical_point(um, prec)[1], prec))
+        um = as_mpf(u)
+        return float(_density(um, um, quartic_critical_point(um, prec)))
 
 
 def kappa(u, prec: Precision = DEFAULT_PREC) -> float:
@@ -51,16 +49,16 @@ def kappa(u, prec: Precision = DEFAULT_PREC) -> float:
     if u < -1:
         raise ValueError("u must be >= -1")
     with prec.ctx():
-        um = mpf(u)
-        return float(_density(1 + um, um, quartic_critical_point(um, prec)[1], prec))
+        um = as_mpf(u)
+        return float(_density(1 + um, um, quartic_critical_point(um, prec)))
 
 
 def kappa_smooth_reference(u, prec: Precision = DEFAULT_PREC) -> float:
     """The analytic continuation of the u <= 0 branch, (1+u) Phi(1/27) /
     (1/27 - u Phi(1/27)); kappa - this is exponentially small at 0+."""
     with prec.ctx():
-        um = mpf(u)
-        return float(_density(1 + um, um, mpf(1) / 27, prec))
+        um = as_mpf(u)
+        return float(_density(1 + um, um, quartic_critical_point(0, prec)))
 
 
 def kappa_transition_gap(u, prec: Precision = DEFAULT_PREC):
@@ -70,32 +68,26 @@ def kappa_transition_gap(u, prec: Precision = DEFAULT_PREC):
     distance 1/27 - tau itself: it must be formed at working precision
     (float64 would round it to zero well before u reaches 0.1)."""
     with prec.ctx():
-        um = mpf(u)
-        tau = quartic_critical_point(um, prec)[1]
-        return abs(_density(1 + um, um, tau, prec) - _density(1 + um, um, mpf(1) / 27, prec))
+        um = as_mpf(u)
+        return abs(_density(1 + um, um, quartic_critical_point(um, prec))
+                   - _density(1 + um, um, quartic_critical_point(0, prec)))
 
 
 def s_limit_law(u, k_max: int, prec: Precision = DEFAULT_PREC) -> List[float]:
     """Limit law of the root-component size, u > 0:
 
-        P(S = k) = 4 (3k)! / ((k-1)! k! (k+1)!) tau^k / theta'(tau).
+        P(S = k) = (k+1) theta_{k+1} tau^k / theta'(tau)
+                 = 4 (3k)! / ((k-1)! k! (k+1)!) tau^k / theta'(tau).
     """
     if u <= 0:
         raise ValueError("the root-component law is established for u > 0 only")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    theta = theta_x(4, k_max + 1)
     with prec.ctx():
-        um = mpf(u)
-        tau = quartic_critical_point(um, prec)[1]
-        tp = phi_numeric("theta_prime", tau, prec, "boundary")
-        out = []
-        for k in range(1, k_max + 1):
-            c = (
-                Q(math.factorial(3 * k) * 4)
-                / Q(math.factorial(k - 1) * math.factorial(k) * math.factorial(k + 1))
-            )
-            out.append(float(rat_to_mpf(c) * tau ** k / tp))
-        return out
+        _, tau, family = quartic_critical_point(as_mpf(u), prec)
+        return [float(rat_to_mpf((k + 1) * theta[k + 1]) * tau ** k / family[4])
+                for k in range(1, k_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +101,7 @@ def s_limit_law_tail_bound(u, k_max: int, prec: Precision = DEFAULT_PREC) -> flo
     q = 27 tau < 1, so the tail after P(k_max) is at most
     P(k_max) q/(1-q)."""
     with prec.ctx():
-        um = mpf(u)
-        tau = quartic_critical_point(um, prec)[1]
+        tau = quartic_critical_point(as_mpf(u), prec)[1]
         q = 27 * tau
         last = s_limit_law(u, k_max, prec)[-1]
         return float(last * q / (1 - q))
@@ -153,11 +144,12 @@ def finite_n_root_size(u, n: int, k_max: int) -> List[float]:
     u = Q(u)
     ser = quartic_series(u, n)
     R, fprime = ser["R"], ser["fprime"]
+    theta = theta_x(4, k_max + 1)
     out = []
     rk = list(R)  # R^1
     for k in range(1, k_max + 1):
         rk = conv_trunc(rk, R, n - 1)  # R^(k+1)
-        p = theta_coeff(k + 1) * rk[n - 1] / fprime[n - 1]
+        p = Q(theta[k + 1]) * rk[n - 1] / fprime[n - 1]
         out.append(float(Q(p)))
     return out
 

@@ -80,7 +80,7 @@ class ZSeries:
     def valuation(self) -> Optional[int]:
         """Index of the first nonzero coefficient, or None if all vanish."""
         for i, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if c:
                 return i
         return None
 
@@ -92,7 +92,7 @@ class ZSeries:
         if not isinstance(other, ZSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return all(_eq(self.coeffs[i], other.coeffs[i]) for i in range(n + 1))
+        return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
 
     def __hash__(self):  # pragma: no cover
         return hash((self.coeffs, self.order))
@@ -187,41 +187,9 @@ class ZSeries:
         for k in range(top, -1, -1):
             acc = acc * self
             ck = outer_coeffs[k]
-            if not _is_zero(ck):
-                acc = acc + ZSeries.const(_promote(ck, self.zero_coeff), n, self.zero_coeff)
+            if ck:
+                acc = acc + ZSeries.const(ck, n, self.zero_coeff)
         return acc
-
-    def reciprocal(self) -> "ZSeries":
-        """1/self for a series with invertible (unit) constant term."""
-        c0 = self.coeffs[0]
-        if _is_zero(c0):
-            raise ValueError("series with zero constant term has no reciprocal")
-        if isinstance(c0, UPoly):
-            if c0.degree != 0:
-                raise ValueError("constant term must be a unit (degree-0) to invert")
-            inv0 = UPoly((Q(1) / c0.coeffs[0],))
-        else:
-            inv0 = Q(1) / c0
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = self.zero_coeff
-            for k in range(1, n + 1):
-                ck = self.coeffs[k]
-                if not _is_zero(ck):
-                    acc = acc + ck * out[n - k]
-            out.append(-(acc * inv0))
-        return ZSeries(out, self.order)
-
-    def divide(self, other: "ZSeries") -> "ZSeries":
-        """self/other, allowing a common z-valuation to cancel exactly."""
-        v = other.valuation()
-        if v is None:
-            raise ZeroDivisionError("division by the zero series")
-        if v == 0:
-            return self * other.reciprocal()
-        num = self.shift_z(-v)
-        den = other.shift_z(-v)
-        return num * den.reciprocal()
 
     # -- u-specific operations (symbolic mode) -------------------------------
 
@@ -266,7 +234,7 @@ class ZSeries:
     def __str__(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if not c:
                 continue
             cs = str(c)
             if isinstance(c, UPoly) and c.degree not in (None, 0):
@@ -278,26 +246,5 @@ class ZSeries:
     __repr__ = __str__
 
 
-def _is_zero(c) -> bool:
-    if isinstance(c, UPoly):
-        return c.is_zero()
-    return c == 0
-
-
-def _eq(a, b) -> bool:
-    if isinstance(a, UPoly) or isinstance(b, UPoly):
-        ua = a if isinstance(a, UPoly) else UPoly((a,))
-        return ua == (b if isinstance(b, UPoly) else UPoly((b,)))
-    return a == b
-
-
 def _as_upoly(c) -> UPoly:
     return c if isinstance(c, UPoly) else UPoly((c,))
-
-
-def _promote(scalar, zero):
-    """Lift a rational scalar into the coefficient domain of `zero`."""
-    if isinstance(zero, UPoly) and not isinstance(scalar, UPoly):
-        return UPoly((scalar,))
-    return scalar
-

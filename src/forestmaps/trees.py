@@ -132,9 +132,16 @@ def phi_theta_tables(p: int, order: int) -> dict:
                 phi2[(i, j)] = c * trinomial_q(i, i, j)
     out = {"p": p, "order": order, "theta": theta, "phi1": phi1, "phi2": phi2}
     if p % 2 == 0:
-        out["theta_x"] = [theta.get((i, 0), 0) for i in range(order + 1)]
+        out["theta_x"] = theta_x(p, order)
         out["phi_x"] = [phi1.get((i, 0), 0) for i in range(order + 1)]
     return out
+
+
+def theta_x(p: int, order: int) -> list:
+    """Coefficients 0..order of theta(x) = theta(x, 0), without the
+    bivariate table."""
+    return [tree_count(p, 2 * i, "corner_rooted") * trinomial_q(i, i, 0) if i else 0
+            for i in range(order + 1)]
 
 
 def g_inner_table(p: int, order: int) -> Biv:

@@ -1,14 +1,18 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import functools
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestmaps.cli import main
 from forestmaps.exact import Q
@@ -147,6 +151,53 @@ def test_bad_u_is_a_flag_error(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "NaN" not in captured.out + captured.err
+
+
+# unparsable entries of any comma-list flag
+JUNK = st.sampled_from(["", "abc", "1.5e", "0x1", "-", "1/2", " ", "\u00bd"])
+# (argv before the list, the list flag, a valid entry, an entry out of range)
+LIST_FLAGS = [
+    (("asymptotics", "--mode", "ratios", "--p", "4", "--u", "0"), "--n-list",
+     st.integers(3, 500).map(str), st.integers(max_value=2).map(str)),
+    (("random", "--u", "1"), "--n-list",
+     st.integers(3, 500).map(str), st.integers(max_value=2).map(str)),
+    (("asymptotics", "--mode", "log-probe", "--u=-1/2"), "--fracs",
+     st.floats(0.01, 0.99).map(repr),
+     st.floats(allow_nan=True).filter(lambda x: not 0 < x < 1).map(repr)),
+    (("asymptotics", "--mode", "beta-fit", "--u=-1/2"), "--fracs",
+     st.floats(0.01, 0.99).map(repr),
+     st.floats(allow_nan=True).filter(lambda x: not 0 < x < 1).map(repr)),
+    (("repro",), "--criteria",
+     st.integers(1, 12).map(str), st.integers().filter(lambda n: not 1 <= n <= 12).map(str)),
+]
+
+
+@settings(max_examples=150, deadline=1000)
+@given(case=st.sampled_from(LIST_FLAGS), data=st.data())
+def test_bad_list_entries_are_flag_errors(case, data):
+    import forestmaps.acceptance  # noqa: F401 (imported once, outside the deadline)
+
+    head, flag, good, bad = case
+    items = data.draw(st.lists(good, max_size=3))
+    items.insert(data.draw(st.integers(0, len(items))), data.draw(bad | JUNK))
+    text = ",".join(items) or ","  # an empty flag means "none" where allowed
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stdout(out), redirect_stderr(err):
+        main([*head, "%s=%s" % (flag, text)])
+    assert exc.value.code == 2
+    assert out.getvalue() == "" and err.getvalue().startswith("error: " + flag)
+    assert "Traceback" not in err.getvalue() and "NaN" not in err.getvalue()
+
+
+def test_radius_keeps_an_exact_u_exact(capsys, monkeypatch):
+    from forestmaps import critical
+    from forestmaps.hyp import Precision
+
+    monkeypatch.setattr(critical, "_SOLVES", {})
+    out = run_cli(capsys, "--digits", "50", "radius", "--p", "4", "--u=1/3")
+    (prof,) = json.loads(out)["result"]["profiles"]
+    exact = critical.radius(4, Fraction(1, 3), Precision(50, 1e-23))
+    assert prof == {name: getattr(exact, name) for name in prof}
 
 
 def test_cubic_radius_at_20_digits_matches_30(capsys):

@@ -13,7 +13,7 @@ from forestmaps.critical import (
     cubic_expansion_data,
     cubic_rho_at_minus_one,
     cubic_rho_closed,
-    quartic_rho_exact,
+    quartic_critical_point,
     quartic_tau,
     radius,
     s_tilde_characteristic,
@@ -22,6 +22,7 @@ from forestmaps.critical import (
 from forestmaps.hyp import (
     Precision,
     phi_at_boundary,
+    phi_family,
     phi_numeric,
     phi_prime_singular_expansion,
     phi_singular_expansion,
@@ -119,6 +120,44 @@ def test_psi_family_is_the_four_members_from_two_2f1(hyp2f1_calls):
             psi_family(t, PREC)
 
 
+def test_phi_family_is_the_five_members_from_two_2f1(hyp2f1_calls):
+    bd = Fraction(1, 27)
+    for x in (0, mpf(1) / 189, mpf(1) / 54, mpf(1) / 27 * (1 - mpf("1e-6")), bd):
+        del hyp2f1_calls[:]
+        family = phi_family(x, PREC)
+        assert len(hyp2f1_calls) <= 2
+        for kind, value in zip(QUARTIC_KINDS, family):
+            if x == bd and kind.endswith(("prime", "second")):
+                assert value == mpmath.inf
+            else:
+                assert value == phi_numeric(kind, x, PREC, "boundary"), (kind, x)
+    # away from the boundary the certified series route agrees
+    for x in (mpf(1) / 189, mpf(1) / 54):
+        for kind, value in zip(QUARTIC_KINDS, phi_family(x, PREC)):
+            assert abs(value - phi_numeric(kind, x, PREC, "series")) < mpf("1e-19"), (kind, x)
+    for x in (-mpf("1e-30"), Fraction(1, 26)):
+        with pytest.raises(ValueError, match="outside"):
+            phi_family(x, PREC)
+
+
+def test_quartic_readers_reuse_the_search(hyp2f1_calls, monkeypatch):
+    from forestmaps import critical
+    from forestmaps.critical import asymptotic_constant
+    from forestmaps.randmodel import component_slope, kappa, s_limit_law
+
+    monkeypatch.setattr(critical, "_SOLVES", {})
+    for u in (mpf("0.5"), mpf("1.37")):
+        critical._solved(quartic_tau, u, PREC)
+        del hyp2f1_calls[:]
+        radius(4, u, PREC)
+        asymptotic_constant(4, u, PREC)
+        kappa(u, PREC)
+        component_slope(u, PREC)
+        s_limit_law(u, 3, PREC)
+        # every reader takes the family at tau from the search
+        assert hyp2f1_calls == [], u
+
+
 def test_cubic_radius_2f1_budget(hyp2f1_calls, monkeypatch):
     from forestmaps import critical
 
@@ -136,7 +175,7 @@ def test_quartic_tau_2f1_budget(hyp2f1_calls):
 
 
 @pytest.mark.parametrize("solver,spied", [
-    ("quartic_tau", "phi_numeric"),
+    ("quartic_tau", "phi_family"),
     ("s_tilde_characteristic", "psi_family"),
     ("cubic_characteristic_positive", "psi_family"),
     ("s_tilde_radius_cubic", "psi_family"),
@@ -147,9 +186,9 @@ def test_root_solves_evaluate_no_point_twice(monkeypatch, solver, spied):
     monkeypatch.setattr(critical, "_SOLVES", {})
     evaluate, points = getattr(critical, spied), []
 
-    def spy(*args):
-        points.append(args[1] if spied == "phi_numeric" else args[0])
-        return evaluate(*args)
+    def spy(x, prec):
+        points.append(x)
+        return evaluate(x, prec)
 
     monkeypatch.setattr(critical, spied, spy)
     if solver == "s_tilde_radius_cubic":  # an exact u, and a short series
@@ -227,9 +266,9 @@ def test_singular_expansions_are_leading_order():
 
 def test_quartic_radius_values():
     with PREC.ctx():
-        assert abs(quartic_rho_exact(mpf(-1), PREC)
+        assert abs(quartic_critical_point(mpf(-1), PREC)[0]
                    - mpmath.sqrt(3) / (12 * mpmath.pi)) < mpf("1e-45")
-        assert abs(quartic_rho_exact(mpf(0), PREC) - mpf(1) / 27) < mpf("1e-45")
+        assert abs(quartic_critical_point(mpf(0), PREC)[0] - mpf(1) / 27) < mpf("1e-45")
     prof = radius(4, 1, PREC)
     assert prof.residuals["char"] < 1e-12
     assert 0 < prof.tau < 1 / 27 and prof.rho < prof.tau
@@ -241,7 +280,7 @@ def test_quartic_tau_approach_rate():
     # 1/27 - tau_u ~ exp(-2 pi (1 + 1/u)/sqrt(3)) as u -> 0+
     prec = Precision(120, 1e-50)
     with prec.ctx():
-        tau, _ = quartic_tau(mpf("0.1"), prec)
+        tau, _, _ = quartic_tau(mpf("0.1"), prec)
         gap = mpf(1) / 27 - tau
         pred = mpmath.exp(-2 * mpmath.pi * 11 / mpmath.sqrt(3))
         assert 0.5 < float(gap / pred) < 2.0

@@ -55,7 +55,7 @@ def test_size_law_positive_partial_sums_below_one():
     from forestmaps.hyp import phi_numeric
 
     with PREC.ctx():
-        tau, _ = quartic_tau(1, PREC)
+        tau, _, _ = quartic_tau(1, PREC)
         v = 12 * tau / phi_numeric("theta_prime", tau, PREC, "boundary")
         assert law[0] == pytest.approx(float(v), rel=1e-10)
 
