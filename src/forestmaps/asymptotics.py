@@ -27,6 +27,7 @@ import numpy as np
 from mpmath import mpf
 
 from .critical import (
+    REGIMES,
     asymptotic_constant,
     cubic_expansion_data,
     quartic_affine_rho,
@@ -39,10 +40,14 @@ from .fast import (
     quartic_fseries_float,
     quartic_series,
 )
-from .hyp import DEFAULT_PREC, Precision, rat_to_mpf
+from .hyp import DEFAULT_PREC, Precision, as_mpf, rat_to_mpf
 from .trees import quartic_mullin_coeff
 
-SUBEXP_POWERS = {1: (2.5, 0), 0: (3.0, 0), -1: (3.0, 2)}
+# Each probe checks its float64 engine against the exact one on a prefix of
+# this many coefficients.  The log probe's F'' has order - 1 coefficients
+# and the beta fit's F' order + 1, so each probe needs a least order.
+LOG_PROBE_PREFIX, BETA_FIT_PREFIX = 150, 120
+MIN_ORDER = {"log-probe": LOG_PROBE_PREFIX + 1, "beta-fit": BETA_FIT_PREFIX - 1}
 
 
 def coefficient_asymptotic_check(
@@ -61,10 +66,9 @@ def coefficient_asymptotic_check(
     u = Q(u)
     n_max = max(n_list)
     with prec.ctx():
-        um = rat_to_mpf(u)
-        rho = quartic_critical_point(um, prec)[0]
-        c_u = asymptotic_constant(4, um, prec)
-        a, b = SUBEXP_POWERS[1 if u > 0 else (0 if u == 0 else -1)]
+        rho = quartic_critical_point(u, prec)[0]
+        c_u = asymptotic_constant(4, u, prec)
+        a, b = REGIMES[(u > 0) - (u < 0)][2]
         if u == 0:
             f = {n: quartic_mullin_coeff(4, n) for n in n_list}
         else:
@@ -111,7 +115,7 @@ def log_singularity_probe(
     order: Optional[int] = None,
     tol: float = 1e-6,
     constant: float = 72.0,
-    _validate_prefix: int = 150,
+    _validate_prefix: int = LOG_PROBE_PREFIX,
 ) -> dict:
     """Compare F''(z) + 4/u against constant*sqrt(3) pi rho / (u^2 ln(1-z/rho)).
 
@@ -125,9 +129,7 @@ def log_singularity_probe(
     u = Q(u)
     if not (-1 <= u < 0):
         raise ValueError("the logarithmic regime needs u in [-1, 0)")
-    with prec.ctx():
-        rho = quartic_critical_point(rat_to_mpf(u), prec)[0]
-    s = float(rho)
+    s = float(quartic_critical_point(u, prec)[0])
     uf = float(u)
     qmax = max(z_fracs)
     if order is None:
@@ -183,7 +185,7 @@ def cubic_beta_fit(
     z_fracs: Sequence[float] = (0.9, 0.93, 0.96, 0.98, 0.99),
     order: int = 4000,
     prec: Precision = DEFAULT_PREC,
-    _validate_prefix: int = 120,
+    _validate_prefix: int = BETA_FIT_PREFIX,
 ) -> dict:
     """Fit the log-correction coefficient of the cubic expansion at u < 0.
 
@@ -239,7 +241,7 @@ def quartic_smoothness_gap(u: float = 0.05, prec: Optional[Precision] = None) ->
         digits = int(2 * math.pi / (math.sqrt(3) * u) / math.log(10) * 1.6) + 40
         prec = Precision(digits, 1e-20)
     with prec.ctx():
-        um = mpf(u)
+        um = as_mpf(u)
         rho, tau, _ = quartic_critical_point(um, prec)
         affine = quartic_affine_rho(um)
         bound = mpmath.exp(-2 * mpmath.pi / (mpmath.sqrt(3) * um))

@@ -57,6 +57,10 @@ def _parse_u(text: str, symbolic: bool = False):
                        EXIT_BAD_FLAGS)
 
 
+def _flag_error(flag: str, value, need: str) -> CliError:
+    return CliError("%s: cannot use %r (%s)" % (flag, value, need), EXIT_BAD_FLAGS)
+
+
 def _comma_list(text: str, flag: str, parse, valid, need: str) -> list:
     """The comma-separated values of a flag, each converted by `parse` and
     kept only if `valid`; anything else is a flag error that says what the
@@ -68,9 +72,20 @@ def _comma_list(text: str, flag: str, parse, valid, need: str) -> list:
         except (ValueError, ZeroDivisionError):
             value = None
         if value is None or not valid(value):
-            raise CliError("%s: cannot use %r (%s)" % (flag, item, need), EXIT_BAD_FLAGS)
+            raise _flag_error(flag, item, need)
         values.append(value)
     return values
+
+
+def _at_least(args, name: str, least: int) -> None:
+    """A flag error unless the integer flag `name` is at least `least`."""
+    value = getattr(args, name)
+    if value < least:
+        raise _flag_error("--" + name.replace("_", "-"), value, "an integer >= %d" % least)
+
+
+# below 12 digits the outer cubic bracket starts at a negative t
+MIN_DIGITS = 12
 
 
 def _n_list(text: str) -> list:
@@ -84,6 +99,9 @@ def _precision(args):
     digits = args.digits
     if digits is None:
         digits = int(os.environ.get("FORESTMAPS_DIGITS", "50"))
+    if digits < MIN_DIGITS:
+        raise _flag_error("FORESTMAPS_DIGITS" if args.digits is None else "--digits",
+                          digits, "an integer >= %d" % MIN_DIGITS)
     return Precision(digits, 10.0 ** (-(digits // 2 - 2)))
 
 
@@ -123,6 +141,7 @@ def cmd_coeffs(args):
     from .solver import (MAX_SYMBOLIC_ORDER, series_f, series_g, series_h,
                          solve_rs, solve_s_tilde)
 
+    _at_least(args, "p", 3)
     u = _parse_u(args.u, symbolic=True)
     if u is None and args.order > MAX_SYMBOLIC_ORDER:
         raise CliError(
@@ -136,6 +155,8 @@ def cmd_coeffs(args):
         if name not in names:
             raise CliError("unknown series %r (choose from %s)"
                            % (name, ",".join(sorted(names))), EXIT_BAD_FLAGS)
+    # F, F', G and H start at z^3: no map has fewer than 3 faces
+    _at_least(args, "order", 3 if set(wanted) - {"R", "S", "Stilde"} else 1)
     # build only the requested series, all from one (R, S)
     p, order, want = args.p, args.order, set(wanted)
     table = {}
@@ -156,6 +177,8 @@ def cmd_coeffs(args):
 
 
 def cmd_oracle(args):
+    _at_least(args, "p", 3)
+    _at_least(args, "faces", 3)  # no map has fewer than 3 faces
     poly = oracle_f(args.p, args.faces, args.variant)
     payload = {
         "p": args.p,
@@ -180,6 +203,8 @@ def cmd_oracle(args):
 def cmd_verify(args):
     from .deverify import DE_NAMES, IDENTITY_NAMES, check_de, check_identity
 
+    _at_least(args, "order", 2)
+    _at_least(args, "de_order", 4)  # the equations are of second order
     u = _parse_u(args.u, symbolic=True)
     only = set(args.only.split(",")) if args.only else None
     rows = []
@@ -239,11 +264,17 @@ def cmd_radius(args):
 
 
 def cmd_asymptotics(args):
-    from .asymptotics import (coefficient_asymptotic_check, cubic_beta_fit,
+    from .asymptotics import (MIN_ORDER, coefficient_asymptotic_check, cubic_beta_fit,
                               log_singularity_probe)
 
     prec = _precision(args)
+    if not 0 < args.tol < float("inf"):
+        raise _flag_error("--tol", args.tol, "a positive number")
+    if args.mode in MIN_ORDER and args.order is not None:
+        _at_least(args, "order", MIN_ORDER[args.mode])
     if args.mode == "ratios":
+        if args.p != 4:  # c_u is exposed only for p = 4
+            raise _flag_error("--p", args.p, "4, the quartic family")
         rows = coefficient_asymptotic_check(args.p, _parse_u(args.u), _n_list(args.n_list),
                                             prec)
         payload = {"rows": [{"n": r["n"], "ratio": r["ratio"]} for r in rows]}
@@ -261,14 +292,12 @@ def cmd_asymptotics(args):
                          r["tail_bound"]) for r in res["rows"]],
               csv_header=("z_over_rho", "lhs", "rhs", "deviation", "tail_bound"))
         return
-    if args.mode == "beta-fit":
-        res = cubic_beta_fit(_parse_u(args.u), fracs, args.order or 4000, prec)
-        _emit(args, res,
-              csv_rows=[(r["z_frac"], r["fprime"], r["beta_pointwise"])
-                        for r in res["beta_rows"]],
-              csv_header=("z_over_rho", "fprime", "beta_pointwise"))
-        return
-    raise CliError("unknown asymptotics mode %r" % args.mode, EXIT_BAD_FLAGS)
+    # beta-fit, the last of the modes argparse admits
+    res = cubic_beta_fit(_parse_u(args.u), fracs,
+                         4000 if args.order is None else args.order, prec)
+    _emit(args, res,
+          csv_rows=[(r["z_frac"], r["fprime"], r["beta_pointwise"]) for r in res["beta_rows"]],
+          csv_header=("z_over_rho", "fprime", "beta_pointwise"))
 
 
 def cmd_random(args):
@@ -276,6 +305,7 @@ def cmd_random(args):
                             finite_n_root_size, kappa, s_limit_law)
 
     prec = _precision(args)
+    _at_least(args, "k_max", 1)
     u = _parse_u(args.u)
     ns = _n_list(args.n_list) if args.n_list else []
     payload = {"u": rat_to_str(u), "kappa": kappa(u, prec)}
@@ -309,6 +339,8 @@ def cmd_mu_expand(args):
     if name not in ("R-z", "S", "Stilde", "F"):
         raise CliError("unknown series %r for mu expansion" % name,
                        EXIT_BAD_FLAGS)
+    _at_least(args, "p", 3)
+    _at_least(args, "order", 3 if name == "F" else 1)
     if name == "Stilde":
         ser = solve_s_tilde(p, order)
         if p % 2:
@@ -385,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("radius", help="radii and critical data")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=int, required=True, choices=(3, 4))
     p.add_argument("--u", required=True, help="value or comma-separated grid")
     p.add_argument("--s-tilde", action="store_true",
                    help="include the inner S~ radius workflow (p=3, u>0)")
@@ -428,6 +460,9 @@ def main(argv: Optional[list] = None) -> None:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for name, value in sorted(vars(args).items()):
+            if isinstance(value, list):  # argparse reads --flag=-- as an empty list
+                raise _flag_error("--" + name.replace("_", "-"), "--", "a value")
         args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -12,21 +12,25 @@ mode of the implicit system:
   the outer inversion equation for R;
 * cubic, u <= 0: the orbit reaches the critical parabola 64 x = (1-4y)^2;
   everything is algebraic in delta = sqrt(1 - 4 sigma) and rho has a closed
-  form, which degenerates to 0/0 at u = -1 and is evaluated there by
-  Richardson extrapolation in 1 + u.
+  form, which degenerates to 0/0 at u = -1 and takes its closed limit
+  pi^2/384 there (:func:`cubic_rho_at_minus_one` extrapolates the closed
+  form to it independently).
 
-Root-finding is Brent's zeroin on proven-monotone brackets: interpolation
-steps that never leave the bracket, bisection when they stall, an absolute
-stop on the bracket width and one secant polish through the final bracket.
-Every returned root carries its residual, and :func:`radius` refuses a
-profile whose residuals miss the target tolerance.
+Each search for a critical point is one call of :func:`_root`: it brackets
+the root of a decreasing value on a proven-monotone interval, evaluating
+each point once, and solves it by Brent's zeroin (:func:`_zeroin`):
+interpolation steps that never leave the bracket, bisection when they
+stall, an absolute stop on the bracket width and one secant polish through
+the final bracket.  Every returned root carries its residual, and
+:func:`radius` refuses a profile whose residuals miss the target tolerance.
+Every public function converts u once, with :func:`hyp.as_mpf`, so a float,
+an mpf and an exact rational are all accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache
-from numbers import Rational
 from typing import Dict, NamedTuple, Optional
 
 import mpmath
@@ -35,8 +39,11 @@ from mpmath import mpf
 from .hyp import (CUBIC_BOUNDARY, DEFAULT_PREC, QUARTIC_BOUNDARY, Precision, as_mpf,
                   phi_family, psi_family, psi_numeric, rat_to_mpf)
 
-REGIMES = {1: "positive_u", 0: "zero_u", -1: "negative_u"}
-SUBEXP = {1: "n^{-5/2}", 0: "n^{-3}", -1: "n^{-3}ln^{-2}n"}
+# the sign of u -> (regime, subexponential class, (a, b) of the coefficient
+# law f_n ~ c_u rho^-n n^-a (ln n)^-b)
+REGIMES = {1: ("positive_u", "n^{-5/2}", (2.5, 0)),
+           0: ("zero_u", "n^{-3}", (3.0, 0)),
+           -1: ("negative_u", "n^{-3}ln^{-2}n", (3.0, 2))}
 
 
 @dataclass
@@ -52,56 +59,51 @@ class SingularProfile:
     residuals: Dict[str, float] = field(default_factory=dict)
 
 
-def _sign_regime(u) -> int:
-    if u > 0:
-        return 1
-    if u == 0:
-        return 0
-    return -1
-
-
 # the brackets close once lo ~ 1/u (quartic) or ~ 1/u^2 (cubic); 400 steps
 # reach 400 decades below the start, past that for any u that is resolved
 _BRACKET_STEPS = 400
 
 
-def _bracket_below(f, lo, shrink, name: str):
-    """Shrink lo by `shrink` until f(lo) >= 0 and return (lo, f(lo));
-    refuses after a bounded number of steps instead of searching forever
-    (u = inf never brackets)."""
-    for _ in range(_BRACKET_STEPS):
-        f_lo = f(lo)
-        if not f_lo < 0:
-            return lo, f_lo
-        lo /= shrink
-    raise ValueError(
-        "could not bracket the %s: f stays negative down to %s after %d "
-        "steps" % (name, mpmath.nstr(lo, 5), _BRACKET_STEPS)
-    )
+def _root(f, lo, shrink, hi, end, what, prec: Precision):
+    """The root of a value that decreases through zero below `end`, solved by
+    :func:`_zeroin`.  f(x) returns (value, data); returns (root, residual,
+    data at the root).  what = (name of the root, start of the refusal
+    near end).
 
-
-def _bracket_above(f, hi, end, what: str, prec: Precision):
-    """Move hi halfway to `end` until f(hi) <= 0 and return (hi, f(hi)).
-    Refuses, with the advice to raise the digits, once hi would come closer
-    to end than 10^(8 - digits) relative, the margin of :func:`quartic_tau`:
-    closer in, f is no longer resolved at the working precision."""
-    closest = end * mpf(10) ** (8 - prec.working_digits)
-    f_hi = f(hi)
-    while f_hi > 0:
-        hi = (hi + end) / 2
-        if end - hi < closest:
+    f is evaluated once per point: the bracket ends and the data at the
+    root are read from a memo kept for this solve.  lo is divided by
+    `shrink` until the value is >= 0, at most _BRACKET_STEPS times (u = inf
+    never brackets).  hi moves halfway to `end` until the value is <= 0;
+    the solve refuses, with the advice to raise the digits, once hi would
+    come closer to end than 10^(8 - digits) relative: closer in, f is no
+    longer resolved at the working precision."""
+    name, near_end = what
+    f = cache(f)
+    with prec.ctx():
+        for _ in range(_BRACKET_STEPS):
+            if not f(lo)[0] < 0:
+                break
+            lo /= shrink
+        else:
             raise ValueError(
-                "%s than the working precision resolves; raise the working "
-                "digits (--digits)" % what)
-        f_hi = f(hi)
-    return hi, f_hi
+                "could not bracket the %s: f stays negative down to %s after %d "
+                "steps" % (name, mpmath.nstr(lo, 5), _BRACKET_STEPS))
+        closest = end * mpf(10) ** (8 - prec.working_digits)
+        while f(hi)[0] > 0:
+            hi = (hi + end) / 2
+            if end - hi < closest:
+                raise ValueError(
+                    "%s than the working precision resolves; raise the working "
+                    "digits (--digits)" % near_end)
+        root, residual = _zeroin(lambda x: f(x)[0], lo, hi, prec)
+        return root, residual, f(root)[1]
 
 
-def _zeroin(f, lo, hi, prec: Precision, f_lo=None, f_hi=None):
+def _zeroin(f, lo, hi, prec: Precision):
     """Root of f on a sign-changing bracket [lo, hi] by Brent's zeroin,
     then one secant polish.  Returns (root, residual).  A caller that has
-    already evaluated f at an end passes the value as f_lo or f_hi, so that
-    no point is evaluated twice.
+    already evaluated f at an end passes a memoized f, so that no point is
+    evaluated twice.
 
     Each step takes an inverse-quadratic or secant step inside the current
     bracket and falls back to bisection whenever that step would leave the
@@ -123,13 +125,12 @@ def _zeroin(f, lo, hi, prec: Precision, f_lo=None, f_hi=None):
     the bracket and lowers |f|, so f is never evaluated outside [lo, hi]."""
     with prec.ctx():
         a, b = mpf(lo), mpf(hi)
-        fa = f(a) if f_lo is None else f_lo
-        fb = f(b) if f_hi is None else f_hi
+        fa, fb = f(a), f(b)
         if not (fa > 0 > fb or fa < 0 < fb):
             raise ValueError("root is not bracketed: f(%s)=%s f(%s)=%s" % (a, fa, b, fb))
         width_goal = mpf(10) ** (-prec.working_digits + 4)
-        # the evaluations plain bisection is allowed, less both ends (evaluated
-        # here or by the caller) and the polish
+        # the evaluations plain bisection is allowed, less both ends and the
+        # polish
         left = int(prec.working_digits * 3.4) + 30 - 3
         c, fc = a, fa
         d = e = b - a
@@ -189,25 +190,17 @@ def quartic_tau(u, prec: Precision = DEFAULT_PREC):
     if u <= 0:
         raise ValueError("the characteristic condition applies only for u > 0")
     with prec.ctx():
-        u = mpf(u)
+        um = as_mpf(u)
         b = mpf(1) / 27
-        # kept per point: the search has evaluated the root it returns
-        phi_at = cache(lambda x: phi_family(x, prec))
 
         def f(x):
-            return 1 - u * phi_at(x)[1]
+            family = phi_family(x, prec)
+            return 1 - um * family[1], family
 
         # Phi' increases from 0 to +infinity on (0, 1/27)
-        hi = b * (1 - mpf(10) ** (-prec.working_digits + 8))
-        f_hi = f(hi)
-        if f_hi >= 0:
-            raise ValueError(
-                "u=%s puts the critical point closer to 1/27 than the working "
-                "precision resolves; raise working_digits" % u
-            )
-        lo, f_lo = _bracket_below(f, mpf(10) ** (-6), 100, "quartic critical point")
-        tau, res = _zeroin(f, lo, hi, prec, f_lo, f_hi)
-        return tau, res, phi_at(tau)
+        return _root(f, mpf(10) ** (-6), 100, b * (1 - mpf(10) ** (8 - prec.working_digits)), b,
+                     ("quartic critical point",
+                      "u=%s puts the critical point closer to 1/27" % um), prec)
 
 
 # Each critical point is solved once per process.  The solvers read only
@@ -220,9 +213,10 @@ _SOLVES: Dict[tuple, tuple] = {}
 def _solved(solver, u, prec: Precision) -> tuple:
     """solver(u, prec), computed on the first request for its key."""
     with prec.ctx():
-        key = (solver.__name__, mpf(u), prec.working_digits)
+        um = as_mpf(u)
+    key = (solver.__name__, um, prec.working_digits)
     if key not in _SOLVES:
-        _SOLVES[key] = solver(u, prec)
+        _SOLVES[key] = solver(um, prec)
     return _SOLVES[key]
 
 
@@ -231,16 +225,17 @@ def quartic_critical_point(u, prec: Precision = DEFAULT_PREC):
     for u > 0, tau solves 1 = u Phi'(tau) and rho = tau - u Phi(tau); for
     u <= 0, tau = 1/27 and rho follows the affine law."""
     with prec.ctx():
-        um = mpf(u)
+        um = as_mpf(u)
         if um > 0:
             tau, _, family = _solved(quartic_tau, um, prec)
             return tau - um * family[0], tau, family
         return quartic_affine_rho(um), mpf(1) / 27, phi_family(QUARTIC_BOUNDARY, prec)
 
 
-def quartic_affine_rho(um):
+def quartic_affine_rho(u):
     """The radius (1+u)/27 - u sqrt(3)/(12 pi) of u <= 0 (continued to any
     u) at the working precision."""
+    um = as_mpf(u)
     return (1 + um) / 27 - um * mpmath.sqrt(3) / (12 * mpmath.pi)
 
 
@@ -250,37 +245,32 @@ def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
     u is a float or an exact rational; a rational is rounded once, at the
     working precision.  Each call returns a new profile.  Raises ValueError
     when a residual exceeds prec.target_abs_tol."""
-    if u < -1:
-        raise ValueError("u must be >= -1")
-    if isinstance(u, Rational) and not isinstance(u, int):
-        with prec.ctx():
-            u = rat_to_mpf(u)
-    if p == 4:
-        prof = _radius_quartic(u, prec)
-    elif p == 3:
-        prof = _radius_cubic(u, prec)
-    else:
-        raise ValueError("radius is implemented for p in {3, 4}")
-    for name, res in prof.residuals.items():
+    with prec.ctx():
+        um = as_mpf(u)
+        if not um >= -1:
+            raise ValueError("u must be >= -1")
+        if p == 4:
+            rho, tau, sigma, c_u, residuals = _radius_quartic(um, prec)
+        elif p == 3:
+            rho, tau, sigma, c_u, residuals = _radius_cubic(um, prec)
+        else:
+            raise ValueError("radius is implemented for p in {3, 4}")
+    for name, res in residuals.items():
         if not res <= prec.target_abs_tol:
             raise ValueError(
-                "u=%s: residual %r = %.3g exceeds the target %.0e; raise "
-                "the working digits (--digits)"
-                % (u, name, res, prec.target_abs_tol))
-    return prof
+                "u=%s: residual %r = %.3g exceeds the target %.0e; raise the "
+                "working digits (--digits)" % (um, name, res, prec.target_abs_tol))
+    regime, subexp_class, _ = REGIMES[(um > 0) - (um < 0)]
+    return SingularProfile(
+        p=p, u=float(um), rho=float(rho), tau=float(tau), sigma=float(sigma),
+        regime=regime, c_u=c_u, subexp_class=subexp_class, residuals=residuals)
 
 
-def _radius_quartic(u, prec: Precision) -> SingularProfile:
-    with prec.ctx():
-        um = mpf(u)
-        reg = _sign_regime(um)
-        rho, tau, _ = quartic_critical_point(um, prec)
-        res = _solved(quartic_tau, um, prec)[1] if um > 0 else 0
-        return SingularProfile(
-            p=4, u=float(um), rho=float(rho), tau=float(tau), sigma=0.0,
-            regime=REGIMES[reg], c_u=float(asymptotic_constant(4, um, prec)),
-            subexp_class=SUBEXP[reg], residuals={"char": float(res)},
-        )
+def _radius_quartic(um, prec: Precision):
+    """(rho, tau, sigma, c_u, residuals) of p = 4."""
+    rho, tau, _ = quartic_critical_point(um, prec)
+    res = _solved(quartic_tau, um, prec)[1] if um > 0 else 0
+    return rho, tau, 0, float(asymptotic_constant(4, um, prec)), {"char": float(res)}
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +286,14 @@ def _cubic_root(um, power: int = 1):
 def cubic_delta_negative(u, prec: Precision = DEFAULT_PREC):
     """delta = sqrt(1 - 4 sigma) on the critical parabola, -1 < u <= 0."""
     with prec.ctx():
-        um = mpf(u)
+        um = as_mpf(u)
         return (2 * mpmath.sqrt(2) * um + _cubic_root(um)) / (mpmath.pi * (1 + um))
 
 
 def cubic_rho_closed(u, prec: Precision = DEFAULT_PREC):
     """Closed algebraic form of the cubic radius for u in (-1, 0]."""
     with prec.ctx():
-        um = mpf(u)
+        um = as_mpf(u)
         pi = mpmath.pi
         num = (
             3 * (1 - um ** 2) ** 2 * pi ** 4
@@ -317,10 +307,11 @@ def cubic_rho_closed(u, prec: Precision = DEFAULT_PREC):
 _RICHARDSON_STEPS = 12
 
 
-def _limit_at_minus_one(fn, prec: Precision):
-    """Limit of fn(u, prec) as u -> -1 via Richardson extrapolation.
+def cubic_rho_at_minus_one(prec: Precision = DEFAULT_PREC):
+    """Limit of the closed cubic radius as u -> -1, by Richardson
+    extrapolation: independent evidence for the closed limit pi^2/384.
 
-    The closed forms are 0/0 at u = -1; the limit is evaluated on the nodes
+    The closed form is 0/0 at u = -1; the limit is evaluated on the nodes
     u = -1 + h/2^k and extrapolated polynomially in h.  The cancellation at
     the nodes and the extrapolation lose about 13 digits (the cubic radius
     at 20 digits was off by 5e-8), so the table carries 20 guard digits.
@@ -328,18 +319,13 @@ def _limit_at_minus_one(fn, prec: Precision):
     guarded = replace(prec, working_digits=prec.working_digits + 20)
     with guarded.ctx():
         h0 = mpf(1) / 64
-        table = [fn(-1 + h0 / 2 ** k, guarded) for k in range(_RICHARDSON_STEPS)]
+        table = [cubic_rho_closed(-1 + h0 / 2 ** k, guarded) for k in range(_RICHARDSON_STEPS)]
         # Richardson for an expansion in powers of h
         for j in range(1, _RICHARDSON_STEPS):
             for k in range(_RICHARDSON_STEPS - 1, j - 1, -1):
                 table[k] = (2 ** j * table[k] - table[k - 1]) / (2 ** j - 1)
     with prec.ctx():
         return +table[-1]
-
-
-def cubic_rho_at_minus_one(prec: Precision = DEFAULT_PREC):
-    """Limit of the closed cubic radius as u -> -1."""
-    return _limit_at_minus_one(cubic_rho_closed, prec)
 
 
 class _PhiReduced(NamedTuple):
@@ -398,21 +384,18 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
     if u <= 0:
         raise ValueError("the inner characteristic applies only for u > 0")
     with prec.ctx():
-        um = mpf(u)
+        um = as_mpf(u)
         b = mpf(1) / 64
-        # kept per point: the search has evaluated the root it returns
-        psi_at = cache(lambda t: psi_family(t, prec))
 
         def f(t):
-            _, _, p2, p2p = psi_at(t)
-            return 1 - um * um * (4 * p2 - 4 * p2 * p2 + 64 * t * t * p2p * p2p)
+            psi = psi_family(t, prec)
+            _, _, p2, p2p = psi
+            return 1 - um * um * (4 * p2 - 4 * p2 * p2 + 64 * t * t * p2p * p2p), psi
 
-        hi = b * (1 - mpf(10) ** (-min(30, prec.working_digits - 10)))
-        lo, f_lo = _bracket_below(f, b / 1000, 10, "inner critical point")
-        hi, f_hi = _bracket_above(f, hi, b, "u=%s puts the inner critical point "
-                                  "closer to 1/64" % mpmath.nstr(um, 5), prec)
-        t_crit, res = _zeroin(f, lo, hi, prec, f_lo, f_hi)
-        psi = psi_at(t_crit)
+        t_crit, res, psi = _root(
+            f, b / 1000, 10, b * (1 - mpf(10) ** (-min(30, prec.working_digits - 10))), b,
+            ("inner critical point", "u=%s puts the inner critical point closer to 1/64"
+             % mpmath.nstr(um, 5)), prec)
         _, _, p2, p2p = psi
         delta = um * (1 - 2 * p2 + 8 * t_crit * p2p) / (1 + um)
         rho_t = t_crit * delta ** 4
@@ -435,28 +418,21 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
     (rho, tau, sigma, residuals), the residuals as (name, value) pairs.
     """
     with prec.ctx():
-        um = mpf(u)
-        _, _, t_inner, _, res_inner = _solved(s_tilde_characteristic, u, prec)
-
-        @cache  # per point: the search has evaluated the root it returns
-        def on_curve(t):
-            psi = psi_family(t, prec)
-            d = _s_tilde_delta(um, psi[2])
-            return d, _phi_reduced(t, d, psi)
+        um = as_mpf(u)
+        _, _, t_inner, _, res_inner = _solved(s_tilde_characteristic, um, prec)
 
         def h(t):
-            ph = on_curve(t)[1]
-            return (1 - um * ph.phi1_x) * (1 - um * ph.phi2_y) \
-                - um * um * ph.phi1_y * ph.phi2_x
+            psi = psi_family(t, prec)
+            d = _s_tilde_delta(um, psi[2])
+            ph = _phi_reduced(t, d, psi)
+            return ((1 - um * ph.phi1_x) * (1 - um * ph.phi2_y)
+                    - um * um * ph.phi1_y * ph.phi2_x), (d, ph)
 
-        lo, h_lo = _bracket_below(h, t_inner / 1000, 10, "outer characteristic root")
-        hi = t_inner * (1 - mpf(10) ** (-min(25, prec.working_digits - 12)))
-        hi, h_hi = _bracket_above(h, hi, t_inner, "u=%s puts the outer characteristic "
-                                  "root closer to the inner critical point"
-                                  % mpmath.nstr(um, 5), prec)
-
-        t_star, res_outer = _zeroin(h, lo, hi, prec, h_lo, h_hi)
-        d, ph = on_curve(t_star)
+        t_star, res_outer, (d, ph) = _root(
+            h, t_inner / 1000, 10,
+            t_inner * (1 - mpf(10) ** (-min(25, prec.working_digits - 12))), t_inner,
+            ("outer characteristic root", "u=%s puts the outer characteristic root "
+             "closer to the inner critical point" % mpmath.nstr(um, 5)), prec)
         tau, sigma = t_star * d ** 4, (1 - d * d) / 4
         rho = tau - um * ph.phi1
         sp = um * ph.phi2_x / (1 - um * ph.phi2_y)
@@ -467,40 +443,30 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
         return rho, tau, sigma, residuals
 
 
-def _radius_cubic(u, prec: Precision) -> SingularProfile:
-    with prec.ctx():
-        um = mpf(u)
-        reg = _sign_regime(um)
-        if um > 0:
-            rho, tau, sigma, residuals = _solved(cubic_characteristic_positive, um, prec)
-            residuals = dict(residuals)
-        elif um == 0:
-            rho = mpf(1) / 64
-            tau, sigma = rho, mpf(0)
-            residuals = {"char": 0.0}
-        else:
-            rho, tau, sigma, delta = _cubic_negative_point(um, prec)
-            # consistency of the closed form with rho = tau - u Phi1(tau, sigma);
-            # the point lies on the parabola, t = 1/64, where only Psi1 is finite
-            phi1 = delta ** 3 * psi_numeric("psi1", CUBIC_BOUNDARY, prec, "boundary") - tau
-            res = abs(rho - (tau - um * phi1))
-            residuals = {"parabola": float(abs(64 * tau - (1 - 4 * sigma) ** 2)),
-                         "rho_vs_phi1": float(res)}
-        return SingularProfile(
-            p=3, u=float(um), rho=float(rho), tau=float(tau), sigma=float(sigma),
-            regime=REGIMES[reg], c_u=None, subexp_class=SUBEXP[reg],
-            residuals=residuals,
-        )
+def _radius_cubic(um, prec: Precision):
+    """(rho, tau, sigma, c_u, residuals) of p = 3; no c_u is exposed."""
+    if um > 0:
+        rho, tau, sigma, residuals = _solved(cubic_characteristic_positive, um, prec)
+        return rho, tau, sigma, None, dict(residuals)
+    if um == 0:
+        return mpf(1) / 64, mpf(1) / 64, 0, None, {"char": 0.0}
+    rho, tau, sigma, delta = _cubic_negative_point(um, prec)
+    # consistency of the closed form with rho = tau - u Phi1(tau, sigma);
+    # the point lies on the parabola, t = 1/64, where only Psi1 is finite
+    phi1 = delta ** 3 * psi_numeric("psi1", CUBIC_BOUNDARY, prec, "boundary") - tau
+    return rho, tau, sigma, None, {
+        "parabola": float(abs(64 * tau - (1 - 4 * sigma) ** 2)),
+        "rho_vs_phi1": float(abs(rho - (tau - um * phi1)))}
 
 
 def _cubic_negative_point(um, prec: Precision):
     """(rho, tau, sigma, delta) on the critical parabola for -1 <= u <= 0,
     tau = delta^4/64 and sigma = (1 - delta^2)/4.  The closed forms are 0/0
-    at u = -1, where both take the Richardson limit."""
+    at u = -1, where both take their closed limits: delta = pi/(2 sqrt 2)
+    by l'Hopital, and rho = pi^2/384."""
     with prec.ctx():
         if um == -1:
-            rho = cubic_rho_at_minus_one(prec)
-            delta = _limit_at_minus_one(cubic_delta_negative, prec)
+            rho, delta = mpmath.pi ** 2 / 384, mpmath.pi / (2 * mpmath.sqrt(2))
         else:
             rho, delta = cubic_rho_closed(um, prec), cubic_delta_negative(um, prec)
         return rho, delta ** 4 / 64, (1 - delta ** 2) / 4, delta
@@ -534,7 +500,7 @@ def asymptotic_constant(p: int, u, prec: Precision = DEFAULT_PREC):
     if p != 4:
         raise ValueError("asymptotic constants are implemented for p = 4")
     with prec.ctx():
-        um = mpf(u)
+        um = as_mpf(u)
         if um == 0:
             return 2 / (243 * mpmath.sqrt(3) * mpmath.pi)
         rho, _, family = quartic_critical_point(um, prec)
@@ -605,16 +571,12 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
     uq = as_rat(u)  # floats are refused: 0.1 would be solved at its binary expansion
     coeffs = solve_s_tilde(3, series_order, uq).coeffs
     with prec.ctx():
-        um = rat_to_mpf(uq)
+        um = as_mpf(uq)
+        horner = [rat_to_mpf(c) for c in reversed(coeffs)]
 
-        def s_at(z):
-            acc = mpf(0)
-            for c in reversed(coeffs):
-                acc = acc * z + rat_to_mpf(c)
-            return acc
-
+        @cache  # the walk's last two points are the ends of the zeroin bracket
         def g(z):
-            y = s_at(z)
+            y = mpmath.polyval(horner, z)
             if 64 * z >= (1 - 4 * y) ** 2:
                 return mpf(-1)  # past the critical parabola
             d = mpmath.sqrt(1 - 4 * y)
@@ -624,14 +586,13 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
         # the bracket's low end is the walk's last point with g > 0, or one
         # step below a first point that is already past the crossing
         z = mpf(1) / 640
-        lo, g_lo, g_z = z / mpf("1.05"), None, g(z)
-        while g_z > 0:
-            lo, g_lo = z, g_z
+        lo = z / mpf("1.05")
+        while g(z) > 0:
+            lo = z
             z *= mpf("1.05")
             if z > mpf(1) / 4:
                 raise ValueError("no crossing found; is u too small for the order?")
-            g_z = g(z)
-        rho_series, residual = _zeroin(g, lo, z, prec, g_lo, g_z)
+        rho_series, residual = _zeroin(g, lo, z, prec)
         rho_closed = _solved(s_tilde_characteristic, um, prec)[0]
         return {
             "rho_tilde": float(rho_series),
@@ -645,6 +606,6 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
 def cubic_a1_residual(u, prec: Precision = DEFAULT_PREC):
     """The closed delta must annihilate a1 = (1+u)/4 d^2 - u sqrt(2)/pi d + (u-1)/4."""
     with prec.ctx():
-        um = mpf(u)
+        um = as_mpf(u)
         d = _cubic_negative_point(um, prec)[3]
         return abs((1 + um) / 4 * d * d - um * mpmath.sqrt(2) / mpmath.pi * d + (um - 1) / 4)

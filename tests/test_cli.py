@@ -189,6 +189,68 @@ def test_bad_list_entries_are_flag_errors(case, data):
     assert "Traceback" not in err.getvalue() and "NaN" not in err.getvalue()
 
 
+INFINITE = st.sampled_from(["inf", "-inf", "nan"])
+# (argv with {} for the value, values out of the flag's range); "--" is no
+# value of any flag, and text that is no number is a parse error.  The list
+# flags, whose junk entries test_bad_list_entries_are_flag_errors draws, only
+# take "--" here.
+NUMERIC_FLAGS = [
+    (("--digits={}", "radius", "--p", "3", "--u", "1"), st.integers(max_value=11)),
+    (("random", "--u", "1", "--k-max={}"), st.integers(max_value=0)),
+    (("coeffs", "--p", "3", "--order={}"), st.integers(max_value=2)),
+    (("coeffs", "--p", "3", "--series", "R,S", "--order={}"), st.integers(max_value=0)),
+    (("coeffs", "--order", "4", "--p={}"), st.integers(max_value=2)),
+    (("mu-expand", "--order={}"), st.integers(max_value=0)),
+    (("mu-expand", "--series", "F", "--order={}"), st.integers(max_value=2)),
+    (("mu-expand", "--p={}"), st.integers(max_value=2)),
+    (("verify", "--order={}"), st.integers(max_value=1)),
+    (("verify", "--de-order={}"), st.integers(max_value=3)),
+    (("oracle", "--p", "3", "--faces={}"), st.integers(max_value=2)),
+    (("oracle", "--faces", "3", "--p={}"), st.integers(max_value=2)),
+    (("radius", "--u", "1", "--p={}"), st.integers().filter(lambda p: p not in (3, 4))),
+    (("asymptotics", "--mode", "ratios", "--u", "1", "--p={}"),
+     st.integers().filter(lambda p: p != 4)),
+    (("asymptotics", "--mode", "log-probe", "--u=-1/2", "--tol={}"),
+     st.floats(max_value=0).map(repr) | INFINITE),
+    (("asymptotics", "--mode", "log-probe", "--u=-1/2", "--order={}"),
+     st.integers(max_value=150)),
+    (("asymptotics", "--mode", "beta-fit", "--u=-1/2", "--order={}"),
+     st.integers(max_value=118)),
+    (("asymptotics", "--mode", "ratios", "--u", "0", "--n-list={}"), None),
+    (("asymptotics", "--mode", "log-probe", "--u=-1/2", "--fracs={}"), None),
+    (("random", "--u", "1", "--n-list={}"), None),
+    (("repro", "--criteria={}"), None),
+]
+
+
+@settings(max_examples=200, deadline=1000)
+@given(case=st.sampled_from(NUMERIC_FLAGS), data=st.data())
+def test_out_of_range_numbers_are_flag_errors(case, data):
+    import forestmaps.acceptance  # noqa: F401 (imported once, outside the deadline)
+
+    template, bad = case
+    value = data.draw(st.just("--") if bad is None else bad.map(str) | st.just("--") | JUNK)
+    argv = [arg.format(value) for arg in template]
+    flag = next(arg for arg in template if "{}" in arg).split("=")[0]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stdout(out), redirect_stderr(err):
+        main(argv)
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue() and "NaN" not in err.getvalue()
+    # argparse refuses what is no number; the range checks name the flag
+    assert err.getvalue().startswith(("error: " + flag, "usage: "))
+
+
+def test_cubic_radius_at_minus_one_resolves_at_100_digits(capsys):
+    import mpmath
+
+    out = run_cli(capsys, "--digits", "100", "radius", "--p", "3", "--u=-1")
+    (prof,) = json.loads(out)["result"]["profiles"]
+    assert prof["residuals"]["rho_vs_phi1"] <= 1e-48
+    assert prof["rho"] == float(mpmath.pi ** 2 / 384)
+
+
 def test_radius_keeps_an_exact_u_exact(capsys, monkeypatch):
     from forestmaps import critical
     from forestmaps.hyp import Precision

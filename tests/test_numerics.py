@@ -7,6 +7,8 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from forestmaps import critical
+from forestmaps.asymptotics import quartic_smoothness_gap
 from forestmaps.critical import (
     cubic_a1_residual,
     cubic_beta,
@@ -21,6 +23,7 @@ from forestmaps.critical import (
 )
 from forestmaps.hyp import (
     Precision,
+    as_mpf,
     phi_at_boundary,
     phi_family,
     phi_numeric,
@@ -199,6 +202,76 @@ def test_root_solves_evaluate_no_point_twice(monkeypatch, solver, spied):
     # passed on to the search, and each solve reads its data at the root
     # from the search's evaluation (the cubic solves include the S~ solve)
     assert len(points) == len(set(points))
+
+
+PREC20 = Precision(20, 1e-8)
+
+
+def _in_ctx(fn):
+    def call(u):
+        with PREC20.ctx():
+            return fn(u)
+    return call
+
+
+# every public function of critical that reads u, and quartic_smoothness_gap;
+# s_tilde_radius_cubic is left out: it takes only an exact u
+U_READERS = {
+    "radius_p4": (lambda u: radius(4, u, PREC20), Fraction(1, 3)),
+    "radius_p3": (lambda u: radius(3, u, PREC20), Fraction(1, 3)),
+    "radius_p3_negative": (lambda u: radius(3, u, PREC20), Fraction(-1, 3)),
+    "quartic_tau": (lambda u: quartic_tau(u, PREC20), Fraction(1, 3)),
+    "quartic_critical_point": (lambda u: quartic_critical_point(u, PREC20), Fraction(1, 3)),
+    "quartic_affine_rho": (_in_ctx(critical.quartic_affine_rho), Fraction(-1, 3)),
+    "asymptotic_constant": (lambda u: critical.asymptotic_constant(4, u, PREC20),
+                            Fraction(1, 3)),
+    "cubic_delta_negative": (lambda u: critical.cubic_delta_negative(u, PREC20),
+                             Fraction(-1, 3)),
+    "cubic_rho_closed": (lambda u: cubic_rho_closed(u, PREC20), Fraction(-1, 3)),
+    "s_tilde_characteristic": (lambda u: s_tilde_characteristic(u, PREC20), Fraction(1, 3)),
+    "cubic_characteristic_positive": (
+        lambda u: critical.cubic_characteristic_positive(u, PREC20), Fraction(1, 3)),
+    "cubic_beta": (lambda u: cubic_beta(u, PREC20), Fraction(-1, 3)),
+    "cubic_expansion_data": (lambda u: cubic_expansion_data(u, PREC20), Fraction(-1, 3)),
+    "cubic_a1_residual": (lambda u: cubic_a1_residual(u, PREC20), Fraction(-1, 3)),
+    "quartic_smoothness_gap": (lambda u: quartic_smoothness_gap(u, PREC20), Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(U_READERS))
+def test_an_exact_u_reads_as_its_mpf(name):
+    call, u = U_READERS[name]
+    with PREC20.ctx():
+        um = as_mpf(u)
+    assert call(u) == call(um)
+
+
+def test_root_refusals():
+    from forestmaps.critical import _root
+
+    with PREC20.ctx():
+        b = mpf(1) / 27
+        with pytest.raises(ValueError, match="could not bracket the test root: f stays "
+                                             "negative down to 1.0e-403 after 400 steps"):
+            _root(lambda x: (-1 - x, None), mpf(1) / 1000, 10, b / 2, b,
+                  ("test root", "unused"), PREC20)
+        # the root 10^-13 relative below b, closer than 10^(8 - 20)
+        root = b * (1 - mpf(10) ** -13)
+        with pytest.raises(ValueError, match=r"^u=7 puts the root closer to 1/27 than the "
+                                             r"working precision resolves; raise the working "
+                                             r"digits \(--digits\)$"):
+            _root(lambda x: (root - x, None), b / 1000, 10, b / 2, b,
+                  ("test root", "u=7 puts the root closer to 1/27"), PREC20)
+        # the data comes from the evaluation at the root
+        points = []
+
+        def f(x):
+            points.append(x)
+            return b / 3 - x, 2 * x
+
+        x, residual, data = _root(f, b / 1000, 10, b / 2, b, ("test root", "unused"), PREC20)
+        assert abs(x - b / 3) < mpf("1e-16") and data == 2 * x and residual == abs(b / 3 - x)
+        assert len(points) == len(set(points))
 
 
 def _log_flat(a, digits):
