@@ -96,12 +96,17 @@ def _n_list(text: str) -> list:
 def _precision(args):
     from .hyp import Precision
 
+    need = "an integer >= %d" % MIN_DIGITS
     digits = args.digits
     if digits is None:
-        digits = int(os.environ.get("FORESTMAPS_DIGITS", "50"))
+        text = os.environ.get("FORESTMAPS_DIGITS", "50")
+        try:
+            digits = int(text)
+        except ValueError:
+            raise _flag_error("FORESTMAPS_DIGITS", text, need)
     if digits < MIN_DIGITS:
         raise _flag_error("FORESTMAPS_DIGITS" if args.digits is None else "--digits",
-                          digits, "an integer >= %d" % MIN_DIGITS)
+                          digits, need)
     return Precision(digits, 10.0 ** (-(digits // 2 - 2)))
 
 
@@ -244,6 +249,8 @@ def cmd_radius(args):
     us = [_parse_u(x) for x in args.u.split(",")]
     if any(u < -1 for u in us):
         raise CliError("radius needs u >= -1", EXIT_BAD_FLAGS)
+    if args.s_tilde and (args.p != 3 or any(u <= 0 for u in us)):
+        raise CliError("--s-tilde applies to p=3 with u > 0", EXIT_BAD_FLAGS)
     profiles = []
     for u in us:
         prof = radius(args.p, u, prec)
@@ -253,8 +260,6 @@ def cmd_radius(args):
             "c_u": prof.c_u, "residuals": prof.residuals,
         }
         if args.s_tilde:
-            if args.p != 3 or u <= 0:
-                raise CliError("--s-tilde applies to p=3 with u > 0", EXIT_BAD_FLAGS)
             rec["s_tilde_radius"] = s_tilde_radius_cubic(u, prec)
         profiles.append(rec)
     _emit(args, {"profiles": profiles},
@@ -301,6 +306,7 @@ def cmd_asymptotics(args):
 
 
 def cmd_random(args):
+    from .fast import quartic_series
     from .randmodel import (component_slope, finite_n_expectations,
                             finite_n_root_size, kappa, s_limit_law)
 
@@ -314,12 +320,13 @@ def cmd_random(args):
         law = s_limit_law(u, args.k_max, prec)
         payload["size_law_limit"] = law
         if ns:
+            series = quartic_series(u, max(ns))  # both finite-n readers use it
             payload["finite_n"] = [
                 {"n": r["n"], "E_active_over_n": r["E_active_over_n"],
                  "E_components": rat_to_str(r["E_components"])}
-                for r in finite_n_expectations(u, ns)
+                for r in finite_n_expectations(u, ns, series)
             ]
-            fin = finite_n_root_size(u, max(ns), args.k_max)
+            fin = finite_n_root_size(u, max(ns), args.k_max, series)
             payload["size_law_finite_n"] = {"n": max(ns), "values": fin}
             rows = [(k + 1, law[k], fin[k]) for k in range(args.k_max)]
         else:

@@ -8,11 +8,20 @@ methods are kept deliberately independent:
   geometric tail majorant (the coefficient ratios increase toward the
   limit 27x resp. 64t from below, so the first neglected term times
   q/(1-q) bounds the tail);
-* the hypergeometric route through mpmath's 2F1, whose connection
-  machinery at the boundary is the analytic continuation that the singular
-  expansions linearize.  Each family comes whole from two 2F1 values:
-  :func:`phi_family` and :func:`psi_family` return every member at one
-  point, and the root solves keep those tuples per point.
+* the hypergeometric route.  Each family comes whole from two 2F1 values
+  at z = 27x resp. 64t, F(a, 1-a; 2; z) and F(1+a, 2-a; 3; z) with a = 1/3
+  resp. 1/4: :func:`phi_family` and :func:`psi_family` return every member
+  at one point, and the root solves keep those tuples per point.  Below
+  z = 1/2 the two values are mpmath's 2F1, which sums the series there.
+  From z = 1/2 on, where the root solves evaluate and mpmath's 2F1 turns
+  to its costly connection formulas, both come from the complete elliptic
+  integrals K and E of one AGM (DLMF 19.8), through a quadratic
+  transformation for a = 1/4 (DLMF 15.8(iii)) and the signature-3
+  transformation of Berndt, Bhargava and Garvan (Trans. AMS 347, 1995,
+  Thm 5.6) for a = 1/3.  The AGM starts from the complementary parameter
+  1 - m, formed in closed form from 1 - z with guard bits, so the values
+  keep the working precision as z -> 1.  The exact 2F1 at z = 1 gives
+  Phi(1/27) and Psi1(1/64).
 
 :func:`phi_numeric` and :func:`psi_numeric` read one member by either
 method.  The two methods must agree on an overlap window;
@@ -35,6 +44,17 @@ QUARTIC_BOUNDARY = Q(1, 27)
 CUBIC_BOUNDARY = Q(1, 64)
 # switchover to the boundary (hypergeometric-continuation) method
 SWITCH_EPS = 1e-3
+# on the boundary route, the kernels at z = 27x resp. 64t below this come
+# from two mpmath 2F1 values and from it up from K and E by one AGM.  mpmath
+# sums the 2F1 series directly up to z = 0.8 (a pair costs 0.3-1.5 ms at 20
+# and 50 digits, growing with z) and transforms it above (5-19 ms a pair);
+# one AGM pair costs 0.2-0.7 ms anywhere, but its transformations cancel as
+# z -> 0 (the cubic one loses log10(1/sqrt z) digits)
+_AGM_FROM = 0.5
+# bits carried beyond the working precision on the AGM route: 1 - z is then
+# exact, and they cover the digits the route loses, up to two at z = 1/2 and
+# log10 K(m) in E = K (1 - sum) toward z = 1
+_GUARD_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -138,45 +158,153 @@ def _series_sum(base: str, x, deriv: int, prec: Precision):
 # hypergeometric (boundary-capable) route
 # ---------------------------------------------------------------------------
 
+def _agm_ke(mc):
+    """(K(m), E(m)) from the complementary parameter mc = 1 - m in (0, 1], by
+    the arithmetic-geometric mean of 1 and sqrt(mc) (DLMF 19.8.1, 19.8.6):
+    K = pi / (2 M) and E = K (1 - sum 2^(n-1) c_n^2) with c_0^2 = m.  mc
+    comes in closed form, so K keeps its relative accuracy as m -> 1."""
+    a, g = mpf(1), mpmath.sqrt(mc)
+    total, weight = (1 - mc) / 2, 1
+    # c_(n+1) = c_n^2 / (4 a_(n+1)), so once c_n falls below sqrt(eps) a_n
+    # the mean and the sum are exact to eps; c_n at least halves every step
+    tol = mpmath.ldexp(1, -(mp.prec // 2))
+    while True:
+        c = (a - g) / 2
+        a, g = (a + g) / 2, mpmath.sqrt(a * g)
+        total += weight * c * c
+        weight *= 2
+        if c <= tol * a:
+            k = mpmath.pi / (2 * a)
+            return k, k * (1 - total)
+
+
+# Newton steps allowed in _cubic_v; from its start, 4 to 8 are taken on
+# (0, 1/2] at 12 to 300 digits
+_NEWTON_STEPS = 40
+
+
+def _cubic_v(w):
+    """The root v in (0, 2) of v^2 (9 - 4v) = 4w (3 - v)^3, the parameter v =
+    2 - y of the signature-3 transformation at 1 - z = w in (0, 1/2], by
+    Newton's method from the leading terms v = sqrt(12w) (1 - 5v/18 + ...).
+    Its residual is formed from two terms of the size of v^2, so v keeps its
+    relative accuracy as w -> 0."""
+    r = mpmath.sqrt(12 * w)
+    v = r / (1 + 5 * r / 18)
+    tol = mpmath.ldexp(1, -(mp.prec // 2))
+    for _ in range(_NEWTON_STEPS):
+        step = ((v * v * (9 - 4 * v) - 4 * w * (3 - v) ** 3)
+                / (6 * v * (3 - 2 * v) + 12 * w * (3 - v) ** 2))
+        v -= step
+        if abs(step) <= tol * v:  # converging quadratically: v is now exact
+            return v
+    raise ValueError("the signature-3 parameter did not converge at 1 - z = %s" % w)
+
+
+def _agm_2f1(den: int, z, w):
+    """(F(a, 1-a; 2; z), F(1+a, 2-a; 3; z)) for a = 1/den in {1/3, 1/4}, at
+    z in [1/2, 1) with w = 1 - z exact, from K and E by one AGM.
+
+    Both come from G = F(a, 1-a; 1; z) and H = (1-z) G'(z): with A = a(1-a),
+    F(a, 1-a; 2; z) = H / A and F(1+a, 2-a; 3; z) = 2 (A G - H) / (z A^2).
+
+    * a = 1/4, a quadratic transformation (DLMF 15.8(iii)): G = (2/pi) K(m)
+      / sqrt(1 + sqrt z) with m = 2 sqrt z / (1 + sqrt z), 1 - m = w / (1 +
+      sqrt z)^2, and H = (2/pi) sqrt(1 + sqrt z) (E - (1 - sqrt z) K) / (4z).
+    * a = 1/3, the signature-3 transformation (Berndt, Bhargava and Garvan,
+      Trans. AMS 347, 1995, Thm 5.6): with y = p(1+p) and v = 2 - y,
+      z = 27 y^2 / (4 (1+y)^3), w = v^2 (4y+1) / (4 (1+y)^3) and G = (1+y)
+      (2/pi) K(m) / sqrt(1+2p) with 1 - m = q (1+p)^3 / (1+2p), q = 1 - p =
+      2v / (3 + sqrt(1+4y)).  H = -(dG/dp) / (d ln(1-z)/dp), which reads
+      (2/pi) (1+y) (v K + (1+y) (1+2p) (E - (1-m) K) / y^2) / (9 sqrt(1+2p)).
+
+    dK/dm = (E - (1-m) K) / (2 m (1-m)) is DLMF 19.4.1, written in the
+    parameter.  The differences E - (1-m) K and A G - H lose up to two
+    digits at z = 1/2, which the caller's guard bits cover, and none toward
+    z = 1.
+    """
+    if den == 4:
+        s = mpmath.sqrt(z)
+        k, e = _agm_ke(w / (1 + s) ** 2)
+        r = mpmath.sqrt(1 + s)
+        big_g = 2 * k / (mpmath.pi * r)
+        big_h = r * (e - w / (1 + s) * k) / (2 * mpmath.pi * z)
+    else:
+        v = _cubic_v(w)
+        y = 2 - v
+        s = mpmath.sqrt(1 + 4 * y)  # 1 + 2p
+        mc = 2 * v / (3 + s) * ((1 + s) / 2) ** 3 / s
+        k, e = _agm_ke(mc)
+        c = 2 * (1 + y) / (mpmath.pi * mpmath.sqrt(s))
+        big_g = c * k
+        big_h = c * (v * k + (1 + y) * s * (e - mc * k) / (y * y)) / 9
+    a2 = mpf(den - 1) / den ** 2
+    return big_h / a2, 2 * (a2 * big_g - big_h) / (z * a2 * a2)
+
+
+def _kernel_2f1(den: int, z):
+    """The pair of :func:`_agm_2f1` as two mpmath 2F1 values, for z below
+    _AGM_FROM."""
+    a = mpf(1) / den
+    b = (den - 1) * a
+    return mpmath.hyp2f1(a, b, 2, z), mpmath.hyp2f1(1 + a, 1 + b, 3, z)
+
+
+def _family(members, den: int, scale: int, x):
+    """members(x, f, g) for the 2F1 pair (f, g) of a = 1/den at z = scale x,
+    0 < z < 1.  On the AGM route the family is formed with _GUARD_BITS extra
+    bits, so 1 - z is exact, and rounded once to the working precision."""
+    if scale * x < _AGM_FROM:
+        return members(x, *_kernel_2f1(den, scale * x))
+    with mp.workprec(mp.prec + _GUARD_BITS):
+        z = scale * x
+        family = members(x, *_agm_2f1(den, z, 1 - z))
+    return tuple(+m for m in family)
+
+
+def _quartic_members(x, f, g):
+    phi, phip = x * (f - 1), f - 1 + 3 * x * g
+    return (phi, phip, -6 * (phi + x) / (x * (27 * x - 1)),
+            (2 * (27 * x - 1) * phip - 42 * phi + 12 * x) / 3,
+            4 * phip - 4 * phi / x)
+
+
+def _cubic_members(t, f, g):
+    p1, p1p = t * f, f + 6 * t * g
+    p2 = (1 - (1 - 64 * t) * p1p - 48 * p1) / 2
+    return p1, p1p, p2, (8 * t - 6 * p1 - 16 * t * p2) / (t * (1 - 64 * t))
+
+
 def _hyp_quartic(x, prec: Precision):
-    """(Phi, Phi', Phi'', theta, theta') at x from two 2F1 values, each
-    evaluated once.  At x = 1/27 only Phi and theta are finite; the
-    derivatives are returned as +inf there."""
+    """(Phi, Phi', Phi'', theta, theta') at x from the 2F1 pair at z = 27x.
+    At x = 1/27 only Phi and theta are finite; the derivatives are returned
+    as +inf there."""
     with prec.ctx():
         x = mpf(x)
         if x == 0:
             return mpf(0), mpf(0), mpf(6), mpf(0), mpf(0)  # Phi''(0) = 2 c_2
-        third = mpf(1) / 3
-        f = mpmath.hyp2f1(third, 2 * third, 2, 27 * x)
-        phi = x * (f - 1)
         if x == mpf(1) / 27:
             # (27x-1) Phi' -> 0 at the boundary, where Phi' diverges
+            third = mpf(1) / 3
+            phi = x * (mpmath.hyp2f1(third, 2 * third, 2, 27 * x) - 1)
             return phi, mpmath.inf, mpmath.inf, (-42 * phi + 12 * x) / 3, mpmath.inf
-        g = mpmath.hyp2f1(1 + third, 1 + 2 * third, 3, 27 * x)
-        phip = f - 1 + 3 * x * g
-        return (phi, phip, -6 * (phi + x) / (x * (27 * x - 1)),
-                (2 * (27 * x - 1) * phip - 42 * phi + 12 * x) / 3,
-                4 * phip - 4 * phi / x)
+        return _family(_quartic_members, 3, 27, x)
 
 
 def _hyp_cubic(t, prec: Precision):
-    """(Psi1, Psi1', Psi2, Psi2') at t from two 2F1 values, each evaluated
-    once.  At t = 1/64 only Psi1 and Psi2 are finite; the derivatives are
-    returned as +inf there."""
+    """(Psi1, Psi1', Psi2, Psi2') at t from the 2F1 pair at z = 64t.  At
+    t = 1/64 only Psi1 and Psi2 are finite; the derivatives are returned as
+    +inf there."""
     with prec.ctx():
         t = mpf(t)
         if t == 0:
             return mpf(0), mpf(1), mpf(0), mpf(2)
-        quarter = mpf(1) / 4
-        f = mpmath.hyp2f1(quarter, 3 * quarter, 2, 64 * t)
-        p1 = t * f
         if t == mpf(1) / 64:
             # (1-64t) Psi1' -> 0 at the boundary, where Psi1' diverges
+            quarter = mpf(1) / 4
+            p1 = t * mpmath.hyp2f1(quarter, 3 * quarter, 2, 64 * t)
             return p1, mpmath.inf, (1 - 48 * p1) / 2, mpmath.inf
-        g = mpmath.hyp2f1(1 + quarter, 1 + 3 * quarter, 3, 64 * t)
-        p1p = f + 6 * t * g
-        p2 = (1 - (1 - 64 * t) * p1p - 48 * p1) / 2
-        return p1, p1p, p2, (8 * t - 6 * p1 - 16 * t * p2) / (t * (1 - 64 * t))
+        return _family(_cubic_members, 4, 64, t)
 
 
 # ---------------------------------------------------------------------------

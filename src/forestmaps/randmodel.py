@@ -107,20 +107,20 @@ def s_limit_law_tail_bound(u, k_max: int, prec: Precision = DEFAULT_PREC) -> flo
         return float(last * q / (1 - q))
 
 
-def finite_n_expectations(u, n_values: Sequence[int]) -> List[dict]:
+def finite_n_expectations(u, n_values: Sequence[int], series=None) -> List[dict]:
     """Exact finite-n expectations under both measures.
 
     E_c[C_n] - 1 = u [z^(n-1)] F''_zu / [z^(n-1)] F'  (forest components)
     E_i[I_n] = (u+1) [z^(n-1)] F''_zu / [z^(n-1)] F'  (active edges)
 
-    Both come from one series pipeline; their exact ratio (u+1)/u is an
-    identity, asserted here.
+    Both come from one series pipeline, quartic_series(u, max(n_values)),
+    built here unless the caller passes it as `series`; their exact ratio
+    (u+1)/u is an identity, asserted here.
     """
     u = Q(u)
     if u == 0:
         raise ValueError("u = 0 degenerates (single component, zero ratio)")
-    order = max(n_values)
-    ser = quartic_series(u, order)
+    ser = series or quartic_series(u, max(n_values))
     fzu, fprime = ser["fzu"], ser["fprime"]
     rows = []
     for n in n_values:
@@ -136,13 +136,16 @@ def finite_n_expectations(u, n_values: Sequence[int]) -> List[dict]:
     return rows
 
 
-def finite_n_root_size(u, n: int, k_max: int) -> List[float]:
+def finite_n_root_size(u, n: int, k_max: int, series=None) -> List[float]:
     """Exact P(S_n = k) for k = 1..k_max from coefficient extraction:
 
-        P(S_n = k) = theta_{k+1} [z^(n-1)] R^(k+1) / [z^(n-1)] theta(R).
+        P(S_n = k) = theta_{k+1} [z^(n-1)] R^(k+1) / [z^(n-1)] theta(R),
+
+    from quartic_series(u, n), built here unless the caller passes it as
+    `series`.
     """
     u = Q(u)
-    ser = quartic_series(u, n)
+    ser = series or quartic_series(u, n)
     R, fprime = ser["R"], ser["fprime"]
     theta = theta_x(4, k_max + 1)
     out = []

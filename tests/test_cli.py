@@ -154,7 +154,8 @@ def test_bad_u_is_a_flag_error(capsys, argv):
 
 
 # unparsable entries of any comma-list flag
-JUNK = st.sampled_from(["", "abc", "1.5e", "0x1", "-", "1/2", " ", "\u00bd"])
+JUNK_TEXT = ["", "abc", "1.5e", "0x1", "-", "1/2", " ", "\u00bd"]
+JUNK = st.sampled_from(JUNK_TEXT)
 # (argv before the list, the list flag, a valid entry, an entry out of range)
 LIST_FLAGS = [
     (("asymptotics", "--mode", "ratios", "--p", "4", "--u", "0"), "--n-list",
@@ -240,6 +241,55 @@ def test_out_of_range_numbers_are_flag_errors(case, data):
     assert "Traceback" not in err.getvalue() and "NaN" not in err.getvalue()
     # argparse refuses what is no number; the range checks name the flag
     assert err.getvalue().startswith(("error: " + flag, "usage: "))
+
+
+@pytest.mark.parametrize("value", JUNK_TEXT + ["11", "0", "-50", "12.5", "inf", "nan", "--"])
+def test_bad_digits_variable_is_a_flag_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("FORESTMAPS_DIGITS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", "--p", "4", "--u", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FORESTMAPS_DIGITS: cannot use ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("radius", "--p", "4", "--u", "1", "--s-tilde"),
+    ("radius", "--p", "3", "--u=1,0", "--s-tilde"),
+    ("radius", "--p", "3", "--u=-1/2", "--s-tilde"),
+], ids=" ".join)
+def test_s_tilde_is_refused_before_any_radius(capsys, monkeypatch, argv):
+    from forestmaps import critical
+
+    calls = []
+    monkeypatch.setattr(critical, "radius", lambda *args: calls.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2 and calls == []
+    assert "--s-tilde applies to p=3 with u > 0" in capsys.readouterr().err
+
+
+def test_random_builds_the_finite_n_series_once(capsys, monkeypatch):
+    from forestmaps import fast, randmodel
+
+    argv = ("random", "--u=91/43", "--k-max", "1", "--n-list", "40,80")
+    # the bundle the finite-n readers build on their own
+    alone = {"finite_n": randmodel.finite_n_expectations(Q(91, 43), [40, 80]),
+             "root_size": randmodel.finite_n_root_size(Q(91, 43), 80, 1)}
+    calls = []
+
+    def spy(u, order, _build=fast.quartic_series):
+        calls.append((u, order))
+        return _build(u, order)
+
+    for module in (fast, randmodel):
+        monkeypatch.setattr(module, "quartic_series", spy)
+    doc = json.loads(run_cli(capsys, *argv))["result"]
+    assert calls == [(Q(91, 43), 80)]
+    assert doc["size_law_finite_n"]["values"] == alone["root_size"]
+    assert [r["E_active_over_n"] for r in doc["finite_n"]] == [
+        r["E_active_over_n"] for r in alone["finite_n"]]
 
 
 def test_cubic_radius_at_minus_one_resolves_at_100_digits(capsys):

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from forestmaps import critical
+from forestmaps import critical, hyp
 from forestmaps.asymptotics import quartic_smoothness_gap
 from forestmaps.critical import (
     cubic_a1_residual,
@@ -85,34 +85,43 @@ def test_series_and_boundary_methods_agree_at_zero():
 
 
 @pytest.fixture
-def hyp2f1_calls(monkeypatch):
+def kernel_calls(monkeypatch):
+    """The kernel evaluations made: a family point takes one AGM pair
+    (hyp._agm_2f1) from z = 27x resp. 64t = 1/2 up, and two mpmath 2F1
+    values below it and at z = 1."""
     calls = []
-    hyp2f1 = mpmath.hyp2f1
+    for owner, name in ((mpmath, "hyp2f1"), (hyp, "_agm_2f1")):
+        def counted(*args, _evaluate=getattr(owner, name), **kwargs):
+            calls.append(args)
+            return _evaluate(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return hyp2f1(*args, **kwargs)
-
-    monkeypatch.setattr(mpmath, "hyp2f1", counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
-def test_each_family_member_takes_at_most_two_2f1(hyp2f1_calls):
-    for kinds, fn, bd in ((QUARTIC_KINDS, phi_numeric, mpf(1) / 27),
-                          (CUBIC_KINDS, psi_numeric, mpf(1) / 64)):
+def _kernel_cost(scale, x):
+    """Kernel evaluations of one family point at z = scale x, formed as
+    the evaluator forms it."""
+    with PREC.ctx():
+        z = scale * as_mpf(x)
+    return 0 if z == 0 else 1 if z == 1 else 2 if z < hyp._AGM_FROM else 1
+
+
+def test_each_family_member_takes_at_most_two_2f1(kernel_calls):
+    for kinds, fn, scale in ((QUARTIC_KINDS, phi_numeric, 27), (CUBIC_KINDS, psi_numeric, 64)):
         for kind in kinds:
-            for x in (bd / 7, bd / 2, bd * (1 - mpf("1e-6"))):
-                del hyp2f1_calls[:]
+            for x in (1 / mpf(7 * scale), 1 / mpf(2 * scale), (1 - mpf("1e-6")) / scale):
+                del kernel_calls[:]
                 fn(kind, x, PREC, "boundary")
-                assert len(hyp2f1_calls) <= 2, (kind, x)
+                assert len(kernel_calls) == _kernel_cost(scale, x), (kind, x)
 
 
-def test_psi_family_is_the_four_members_from_two_2f1(hyp2f1_calls):
+def test_psi_family_is_the_four_members_from_two_2f1(kernel_calls):
     bd = Fraction(1, 64)
     for t in (0, mpf(1) / 448, mpf(1) / 128, mpf(1) / 64 * (1 - mpf("1e-6")), bd):
-        del hyp2f1_calls[:]
+        del kernel_calls[:]
         family = psi_family(t, PREC)
-        assert len(hyp2f1_calls) <= 2
+        assert len(kernel_calls) == _kernel_cost(64, t)
         for kind, value in zip(CUBIC_KINDS, family):
             if t == bd and kind.endswith("prime"):
                 assert value == mpmath.inf
@@ -123,12 +132,12 @@ def test_psi_family_is_the_four_members_from_two_2f1(hyp2f1_calls):
             psi_family(t, PREC)
 
 
-def test_phi_family_is_the_five_members_from_two_2f1(hyp2f1_calls):
+def test_phi_family_is_the_five_members_from_two_2f1(kernel_calls):
     bd = Fraction(1, 27)
     for x in (0, mpf(1) / 189, mpf(1) / 54, mpf(1) / 27 * (1 - mpf("1e-6")), bd):
-        del hyp2f1_calls[:]
+        del kernel_calls[:]
         family = phi_family(x, PREC)
-        assert len(hyp2f1_calls) <= 2
+        assert len(kernel_calls) == _kernel_cost(27, x)
         for kind, value in zip(QUARTIC_KINDS, family):
             if x == bd and kind.endswith(("prime", "second")):
                 assert value == mpmath.inf
@@ -143,7 +152,7 @@ def test_phi_family_is_the_five_members_from_two_2f1(hyp2f1_calls):
             phi_family(x, PREC)
 
 
-def test_quartic_readers_reuse_the_search(hyp2f1_calls, monkeypatch):
+def test_quartic_readers_reuse_the_search(kernel_calls, monkeypatch):
     from forestmaps import critical
     from forestmaps.critical import asymptotic_constant
     from forestmaps.randmodel import component_slope, kappa, s_limit_law
@@ -151,30 +160,63 @@ def test_quartic_readers_reuse_the_search(hyp2f1_calls, monkeypatch):
     monkeypatch.setattr(critical, "_SOLVES", {})
     for u in (mpf("0.5"), mpf("1.37")):
         critical._solved(quartic_tau, u, PREC)
-        del hyp2f1_calls[:]
+        del kernel_calls[:]
         radius(4, u, PREC)
         asymptotic_constant(4, u, PREC)
         kappa(u, PREC)
         component_slope(u, PREC)
         s_limit_law(u, 3, PREC)
         # every reader takes the family at tau from the search
-        assert hyp2f1_calls == [], u
+        assert kernel_calls == [], u
 
 
-def test_cubic_radius_2f1_budget(hyp2f1_calls, monkeypatch):
+def test_cubic_radius_2f1_budget(kernel_calls, monkeypatch):
     from forestmaps import critical
 
     monkeypatch.setattr(critical, "_SOLVES", {})
     radius(3, 1.5, Precision(20, 1e-8))
-    # one psi_family evaluation, two 2F1 values, per point of the inner and
-    # the outer search: 50 calls (218 by plain bisection)
-    assert len(hyp2f1_calls) <= 50
+    # one psi_family evaluation per point of the inner and the outer search,
+    # 25 points: 21 by one AGM pair and 4 below z = 1/2 by two 2F1 values,
+    # 29 kernel evaluations (50 2F1 values when every point took two, 218 by
+    # plain bisection)
+    assert len(kernel_calls) <= 29
 
 
-def test_quartic_tau_2f1_budget(hyp2f1_calls):
+def test_quartic_tau_2f1_budget(kernel_calls):
     quartic_tau(0.57, PREC)
-    # two 2F1 values per evaluation of Phi': 46 calls (310 by plain bisection)
-    assert len(hyp2f1_calls) <= 46
+    # one phi_family evaluation per point, 22 points: 20 by one AGM pair and
+    # 2 below z = 1/2 by two 2F1 values, 24 kernel evaluations (46 2F1 values
+    # when every point took two, 310 by plain bisection)
+    assert len(kernel_calls) <= 24
+
+
+# z = 27x resp. 64t, or 1 - z: one point on each side of the switch to the
+# AGM route at z = 1/2, and its grid up to 1 - z = 1e-14
+KERNEL_POINTS = ("0.49", "0.5", "0.51", "0.7", "0.9", "0.99",
+                 "1-1e-3", "1-1e-6", "1-1e-9", "1-1e-14")
+
+
+@pytest.mark.parametrize("digits", [20, 50])
+@pytest.mark.parametrize("point", KERNEL_POINTS)
+def test_kernel_2f1_values_match_mpmath_at_double_digits(point, digits):
+    prec = Precision(digits, 10.0 ** (4 - digits // 2))
+    for scale, family, den in ((27, phi_family, 3), (64, psi_family, 4)):
+        with prec.ctx():
+            z = 1 - mpf(point[2:]) if point.startswith("1-") else mpf(point)
+            x = z / scale  # e.g. x = (1 - 10^-14)/27, rounded at the working digits
+            members = family(x, prec)
+        with mpmath.workdps(2 * digits):
+            # F(a, 1-a; 2; z) and F(1+a, 2-a; 3; z) read back from the members
+            if den == 3:
+                f = 1 + members[0] / x
+                g = (members[1] - members[0] / x) / (3 * x)
+            else:
+                f = members[0] / x
+                g = (members[1] - f) / (6 * x)
+            a = mpf(1) / den
+            for value, exact in ((f, mpmath.hyp2f1(a, 1 - a, 2, scale * x)),
+                                 (g, mpmath.hyp2f1(1 + a, 2 - a, 3, scale * x))):
+                assert abs(value / exact - 1) <= mpf(10) ** (3 - digits), (den, value, exact)
 
 
 @pytest.mark.parametrize("solver,spied", [
