@@ -26,11 +26,21 @@ leaves a fraction.  Each division goes through `_div`, which raises
 ArithmeticError on a nonzero remainder, and entry n becomes the rational
 X_n / s^n only in the returned lists.  The ``*_float`` entry points pass
 a = u, b = 1.0 and a float s (typically the radius of convergence, so that
-the dynamic range stays tame) and run on float64 numpy arrays, the only use
-of numpy; there every factor and divisor b is exactly 1.0 and leaves the
-float result unchanged.  Both recurrences are validated against the sweep
-solver in the test suite, and the float runs against the exact ones on a
-shared prefix.
+the dynamic range stays tame) and run on float64 numpy arrays; there every
+factor and divisor b is exactly 1.0 and leaves the float result unchanged.
+An ``np.longdouble`` scale runs the same code in extended precision.
+
+Only a few primitives see the container: `_vec` builds one, `_dot` and
+`conv_trunc` form products, `_div` divides, `_map` applies an entrywise
+formula (once per entry on lists, once on whole arrays) and `_Mirror` keeps
+a series back to front.  Each recurrence step takes dots of one series
+against another run backwards; the backward operand is a forward slice of
+the mirror, so numpy passes both to BLAS without copying them.  The O(n)
+steps (derivatives, W, V, F') are whole-array expressions over floats, each
+with the roundings of the entrywise formula.  Both recurrences are
+validated against the sweep solver in the test suite, the float runs
+against the exact ones on a shared prefix and against extended-precision
+runs over their full length.
 """
 
 from __future__ import annotations
@@ -46,17 +56,20 @@ from .exact import Q, exact_div, scaled, unscaled
 
 
 def _vec(s, values) -> Sequence:
-    """values in the container of the scale s: a list for an int s, a
-    float64 numpy array for a float s."""
+    """values in the container of the scale s: a list for an int s, else a
+    numpy array of the scale's type (float64 for a float s, extended
+    precision for an ``np.longdouble`` one)."""
     if isinstance(s, int):
         return list(values)
     import numpy as np
 
-    return np.array(values, dtype=float)
+    return np.array(values, dtype=type(s))
 
 
 def _dot(x: Sequence, y: Sequence):
-    """sum x[i] y[i]: numpy's dot on float64 arrays, an exact sum on lists."""
+    """sum x[i] y[i]: an exact sum on lists, numpy's dot on arrays.  The
+    recurrences pass both as forward slices (a reversed one is read from a
+    `_Mirror`), which numpy hands to BLAS without a copy."""
     if isinstance(x, list):
         return sum(map(mul, x, y))
     return x.dot(y)
@@ -65,20 +78,65 @@ def _dot(x: Sequence, y: Sequence):
 def _div(x, d):
     """x / d.  Between ints the quotient must be exact: a nonzero
     remainder raises ArithmeticError (:func:`~forestmaps.exact.exact_div`).
-    Otherwise this is plain true division."""
+    Otherwise this is plain true division, entrywise on an array."""
     if isinstance(x, int) and isinstance(d, int):
         return exact_div(x, d)
     return x / d
 
 
-def conv_trunc(a: Sequence, b: Sequence, n: int) -> list:
-    """Coefficients 0..n of the product of two coefficient sequences (both
-    float64 arrays, or both lists of ints or rationals), as a list."""
-    out = []
-    for k in range(n + 1):
-        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
-        out.append(_dot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1]))
-    return out
+def _map(f, *seqs) -> Sequence:
+    """f entry by entry over sequences of one length: on lists the list of
+    f at each index, on arrays f once on the whole arrays, whose arithmetic
+    (and `_div`) numpy then does entrywise with the same roundings."""
+    if isinstance(seqs[0], list):
+        return list(map(f, *seqs))
+    return f(*seqs)
+
+
+class _Mirror:
+    """A series kept a second time, back to front, in a buffer of its own.
+
+    ``m[i:j]`` is x[i:j] reversed (x[j-1], ..., x[i]) as a forward slice of
+    that buffer.  A recurrence step convolves one series with another run
+    backwards; numpy copies a negative-stride operand before each dot, a
+    forward one it hands to BLAS as it is.  The recurrences write each entry
+    to both, ``x[k] = m[k] = value``."""
+
+    __slots__ = ("buf", "end")
+
+    def __init__(self, x: Sequence, s):
+        self.buf = _vec(s, x[::-1])
+        self.end = len(x)  # x[k] is buf[end - 1 - k]
+
+    def __getitem__(self, k: slice) -> Sequence:
+        return self.buf[self.end - k.stop : self.end - k.start]
+
+    def __setitem__(self, k: int, value) -> None:
+        self.buf[self.end - 1 - k] = value
+
+
+def conv_trunc(a: Sequence, b: Sequence, n: int) -> Sequence:
+    """Coefficients 0..n of the product of two coefficient sequences, in
+    their container: one exact dot per coefficient on lists (of ints or
+    rationals), one ``np.convolve`` on arrays."""
+    if isinstance(a, list):
+        out = []
+        for k in range(n + 1):
+            lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+            out.append(_dot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1]))
+        return out
+    import numpy as np
+
+    def padded(v):
+        out = np.zeros(n + 2, dtype=v.dtype)
+        out[: min(len(v), n + 1)] = v[: n + 1]
+        return out
+
+    # The trailing zero of each operand keeps coefficients 0..n in the part
+    # of the full product where the overlap grows, which numpy computes as
+    # one dot per coefficient, a[0..k] against b[k..0]: the terms and the
+    # order of the list loop above.
+    return np.convolve(padded(a), padded(b))[: n + 1]
 
 
 def _recip(a: Sequence, n: int, s) -> Sequence:
@@ -88,20 +146,28 @@ def _recip(a: Sequence, n: int, s) -> Sequence:
         raise ZeroDivisionError("the reciprocal needs a nonzero constant term")
     inv0 = _div(1, a[0])
     out = _vec(s, [inv0] * (n + 1))
+    back = _Mirror(out, s)
     for k in range(1, n + 1):
         j = min(k, len(a) - 1)
-        out[k] = -inv0 * _dot(a[1 : j + 1], out[k - j : k][::-1])
+        out[k] = back[k] = -inv0 * _dot(a[1 : j + 1], back[k - j : k])
     return out
+
+
+def _z(s, n: int) -> Sequence:
+    """The series z through index n - 1 (n >= 2): the single entry s, at 1."""
+    return _vec(s, [0, s] + [0] * (n - 2))
 
 
 def _diff(a: Sequence, s) -> Sequence:
     """Derivative: one entry shorter than a."""
-    return _vec(s, [_div(k * a[k], s) for k in range(1, len(a))])
+    return _map(lambda k, x: _div(k * x, s), _vec(s, range(1, len(a))), a[1:])
 
 
 def _integrate(a: Sequence, s) -> Sequence:
     """Antiderivative with zero constant term: one entry longer than a."""
-    return _vec(s, [0] + [_div(x * s, k) for k, x in enumerate(a, 1)])
+    out = _vec(s, [0] * (len(a) + 1))
+    out[1:] = _map(lambda x, k: _div(x * s, k), a, _vec(s, range(1, len(a) + 1)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +200,21 @@ def _quartic_r(a, b, order: int, s) -> Sequence:
     P[2] = 27 * R2[2] - R[2]
     L[1] = a * s
     L[2] = up1 * R[2]
+    # the factors that the products below run backwards
+    Rm, Rpm, Cm, rppm = (_Mirror(x, s) for x in (R, Rp, C, rpp))
     for n in range(2, order):
         if n >= 3:
-            R2[n] = _dot(R[1:n], R[n - 1 : 0 : -1])
+            R2[n] = _dot(R[1:n], Rm[1:n])
             P[n] = 27 * R2[n] - R[n]
             L[n] = up1 * R[n]
-            Rp[n - 1] = _div(n * R[n], s)
-            B2[n - 1] = _dot(Rp[0:n], Rp[n - 1 :: -1])
-            C[n - 1] = _dot(B2[0:n], Rp[n - 1 :: -1])
-            rpp[n - 2] = _div(n * (n - 1) * R[n] * b, s * s)
+            Rp[n - 1] = Rpm[n - 1] = _div(n * R[n], s)
+            B2[n - 1] = _dot(Rp[0:n], Rpm[0:n])
+            C[n - 1] = Cm[n - 1] = _dot(B2[0:n], Rpm[0:n])
+            rpp[n - 2] = rppm[n - 2] = _div(n * (n - 1) * R[n] * b, s * s)
         # b times the known part of the ODE at z^(n-1)
-        known = _dot(P[2 : n + 1], rpp[n - 2 :: -1])
-        known += 6 * _dot(L[1 : n + 1], C[n - 1 :: -1])
-        R[n + 1] = _div(s * known, n * (n + 1) * b)
+        known = _dot(P[2 : n + 1], rppm[0 : n - 1])
+        known += 6 * _dot(L[1 : n + 1], Cm[0:n])
+        R[n + 1] = Rm[n + 1] = _div(s * known, n * (n + 1) * b)
     return R
 
 
@@ -156,26 +224,27 @@ def _quartic_bundle(R: Sequence, a, b, s) -> dict:
     R runs through z^order; W through z^order, the rest through
     z^(order-1)."""
     m = len(R) - 2
-    zero = 0 * s
-    # W = (R - z) / u, where z has the single entry s, at index 1
-    W = _vec(s, [_div((r - (s if n == 1 else zero)) * b, a) for n, r in enumerate(R)])
+    # W = (R - z) / u
+    W = _map(lambda r, z: _div((r - z) * b, a), R, _z(s, len(R)))
     # Phi'(R) = (1 - 1/R') / u, whose constant term is 0
-    V = _vec(s, [zero] + [_div(-x * b, a) for x in _recip(_diff(R, s), m, s)[1:]])
+    V = _recip(_diff(R, s), m, s)
+    V[1:] = _map(lambda x: _div(-x * b, a), V[1:])
+    V[0] = 0
     # theta(R) = (2 (27R - 1) V - 42 W + 12 R) / 3
-    t1 = conv_trunc(_vec(s, [27 * r for r in R]), V, m)
-    fprime = _vec(s, [_div(2 * (t - v) - 42 * w + 12 * r, 3)
-                      for t, v, w, r in zip(t1, V, W, R)])
+    t1 = conv_trunc(_map(lambda r: 27 * r, R), V, m)
+    fprime = _map(lambda t, v, w, r: _div(2 * (t - v) - 42 * w + 12 * r, 3),
+                  t1, V, W[: m + 1], R[: m + 1])
     return {"R": R, "W": W, "V": V, "fprime": fprime}
 
 
-def _quartic_fzu(ser: dict, b, s) -> list:
+def _quartic_fzu(ser: dict, b, s) -> Sequence:
     """F''_zu = W theta'(R) R' from the bundle, through z^(order-1)."""
     R, W, V = ser["R"], ser["W"], ser["V"]
     m = len(V) - 1
     # theta'(R) = 4V - 4 W/R ; W/R = (W shifted) * 1/(R shifted).  The
     # shifted R is b times a series with unit constant term
-    w_over_r = conv_trunc(W[1:], _recip([_div(r, b) for r in R[1:]], m, s), m)
-    theta_p = [4 * v - 4 * _div(x, b) for v, x in zip(V, w_over_r)]
+    w_over_r = conv_trunc(W[1:], _recip(_map(lambda r: _div(r, b), R[1:]), m, s), m)
+    theta_p = _map(lambda v, x: 4 * v - 4 * _div(x, b), V, w_over_r)
     return conv_trunc(conv_trunc(W, theta_p, m), _diff(R, s), m)
 
 
@@ -192,13 +261,15 @@ def _cubic_rs(a, b, order: int, s):
     S[1] = _div(2 * a * s, b)
     # A = 48z - 1 + 16(u+1)R + 2(3+u)S - 8(u+1)S^2; D_1 and A_0 never enter
     A[1] = _div((48 * b2 + 16 * up1 * b + 2 * (3 * b + a) * 2 * a) * s, b2)
+    # the factors that the products below run backwards
+    Rm, Sm, S2m, dRm, dSm, Am = (_Mirror(x, s) for x in (R, S, S2, dR, dS, A))
     for m in range(2, order + 1):
         # extend the products to index m (uses entries < m only)
-        R2[m] = _dot(R[1:m], R[m - 1 : 0 : -1])
-        RS[m] = _dot(R[1:m], S[m - 1 : 0 : -1])
-        S2[m] = _dot(S[1:m], S[m - 1 : 0 : -1])
+        R2[m] = _dot(R[1:m], Rm[1:m])
+        RS[m] = _dot(R[1:m], Sm[1:m])
+        S2[m] = S2m[m] = _dot(S[1:m], Sm[1:m])
         if m >= 3:
-            RS2[m] = _dot(R[1 : m - 1], S2[m - 1 : 1 : -1])
+            RS2[m] = _dot(R[1 : m - 1], S2m[2:m])
         dk = _div(
             (36 * s * s * b2 if m == 2 else zero)
             + 24 * up1 * b * s * R[m - 1]
@@ -208,28 +279,26 @@ def _cubic_rs(a, b, order: int, s):
             b2,
         )
         if m >= 3:
-            known_dr = _div(_dot(D[2:m], dR[m - 2 : 0 : -1]), s) + dk
-            known_ds = _div(_dot(D[2:m], dS[m - 2 : 0 : -1]), s)
+            known_dr = _div(_dot(D[2:m], dRm[1 : m - 1]), s) + dk
+            known_ds = _div(_dot(D[2:m], dSm[1 : m - 1]), s)
         else:
             known_dr, known_ds = dk, zero
-        known_ra = _dot(R[1:m], A[m - 1 : 0 : -1])
-        R[m] = _div(known_dr - known_ra, m)
+        known_ra = _dot(R[1:m], Am[1:m])
+        R[m] = Rm[m] = _div(known_dr - known_ra, m)
         D[m] = dk - R[m]
         bm = _div((a - 3 * b) * R[m] - 12 * b * s * S[m - 1] + 4 * up1 * RS[m], b)
         known_ds += _div(D[m] * S[1], s)
-        S[m] = _div(known_ds + 2 * bm, m)
-        A[m] = _div(16 * up1 * R[m] + 2 * (3 * b + a) * S[m] - 8 * up1 * S2[m], b)
-        dR[m - 1] = m * R[m]
-        dS[m - 1] = m * S[m]
+        S[m] = Sm[m] = _div(known_ds + 2 * bm, m)
+        A[m] = Am[m] = _div(16 * up1 * R[m] + 2 * (3 * b + a) * S[m] - 8 * up1 * S2[m], b)
+        dR[m - 1] = dRm[m - 1] = m * R[m]
+        dS[m - 1] = dSm[m - 1] = m * S[m]
     return R, S
 
 
 def _cubic_fprime(R: Sequence, S: Sequence, a, b, s) -> Sequence:
     """F' = (2z + S - 2R - S^2)/u - (2R + S^2) for p = 3 (needs u != 0)."""
-    zero = 0 * s
-    core = [2 * r + q for r, q in zip(R, conv_trunc(S, S, len(S) - 1))]
-    return _vec(s, [_div((2 * (s if n == 1 else zero) + x - c) * b, a) - c
-                    for n, (x, c) in enumerate(zip(S, core))])
+    core = _map(lambda r, q: 2 * r + q, R, conv_trunc(S, S, len(S) - 1))
+    return _map(lambda z, x, c: _div((2 * z + x - c) * b, a) - c, _z(s, len(S)), S, core)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +319,12 @@ def quartic_r_coeffs(u, order: int) -> list:
 
 
 def quartic_series(u, order: int) -> dict:
-    """Exact quartic bundle: R, W = Phi(R), V = Phi'(R), F', F, F''_zu.
+    """Exact quartic bundle: R, W = Phi(R), V = Phi'(R), F' and F.
 
     All entries are coefficient lists; R, W and F run through z^order, the
     others through z^(order-1).  The bundle divides by u; at u = 0 the
     closed spanning-tree forms apply instead, R = z, and every entry runs
-    through z^order.
+    through z^order.  F''_zu is built from it by :func:`quartic_fzu`.
     """
     a, b = _ratio(u)
     # through the public entry point, so per-function tracing sees it
@@ -265,19 +334,23 @@ def quartic_series(u, order: int) -> dict:
 
         tabs = phi_theta_tables(4, order)
         W = scaled(tabs["phi_x"], 1)
-        fprime = scaled(tabs["theta_x"], 1)
-        ser = {
-            "R": R,
-            "W": W,
-            "V": _diff(W, 1) + [0],
-            "fprime": fprime,
-            "fzu": conv_trunc(W, _diff(fprime, 1) + [0], order),
-        }
+        ser = {"R": R, "W": W, "V": _diff(W, 1) + [0], "fprime": scaled(tabs["theta_x"], 1)}
     else:
         ser = _quartic_bundle(R, a, b, b)
-        ser["fzu"] = _quartic_fzu(ser, b, b)
     ser["f"] = _integrate(ser["fprime"], b)[: order + 1]
     return {k: unscaled(v, b) for k, v in ser.items()}
+
+
+def quartic_fzu(series: dict, u) -> list:
+    """Exact F''_zu = d/du F' from the bundle ``quartic_series(u, order)``.
+
+    A coefficient list through z^(order-1), or through z^order at u = 0,
+    where F''_zu = W theta'(R) R' reduces to W times F''."""
+    a, b = _ratio(u)
+    if a == 0:
+        W, fprime = (scaled(series[k], 1) for k in ("W", "fprime"))
+        return unscaled(conv_trunc(W, _diff(fprime, 1) + [0], len(W) - 1), 1)
+    return unscaled(_quartic_fzu({k: scaled(series[k], b) for k in ("R", "W", "V")}, b, b), b)
 
 
 def cubic_rs_coeffs(u, order: int):

@@ -13,11 +13,12 @@ result and is refused; the activity constant kappa_u extends to u >= -1.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import List, Sequence
 
 from .critical import quartic_critical_point
-from .exact import Q
-from .fast import conv_trunc, quartic_series
+from .exact import Q, scaled
+from .fast import conv_trunc, quartic_fzu, quartic_series
 from .hyp import DEFAULT_PREC, Precision, as_mpf, rat_to_mpf
 from .trees import theta_x
 
@@ -114,14 +115,14 @@ def finite_n_expectations(u, n_values: Sequence[int], series=None) -> List[dict]
     E_i[I_n] = (u+1) [z^(n-1)] F''_zu / [z^(n-1)] F'  (active edges)
 
     Both come from one series pipeline, quartic_series(u, max(n_values)),
-    built here unless the caller passes it as `series`; their exact ratio
-    (u+1)/u is an identity, asserted here.
+    built here unless the caller passes it as `series`, and F''_zu from it;
+    their exact ratio (u+1)/u is an identity, asserted here.
     """
     u = Q(u)
     if u == 0:
         raise ValueError("u = 0 degenerates (single component, zero ratio)")
     ser = series or quartic_series(u, max(n_values))
-    fzu, fprime = ser["fzu"], ser["fprime"]
+    fzu, fprime = quartic_fzu(ser, u), ser["fprime"]
     rows = []
     for n in n_values:
         ratio = fzu[n - 1] / fprime[n - 1]
@@ -142,17 +143,19 @@ def finite_n_root_size(u, n: int, k_max: int, series=None) -> List[float]:
         P(S_n = k) = theta_{k+1} [z^(n-1)] R^(k+1) / [z^(n-1)] theta(R),
 
     from quartic_series(u, n), built here unless the caller passes it as
-    `series`.
+    `series`.  Only the powers below R^(k_max+1) are convolved, on the ints
+    R_j b^j for u = a/b; of each R^(k+1) one coefficient is taken, as a dot.
     """
     u = Q(u)
     ser = series or quartic_series(u, n)
-    R, fprime = ser["R"], ser["fprime"]
+    b = u.denominator
+    R, fprime = scaled(ser["R"][:n], b), ser["fprime"]
     theta = theta_x(4, k_max + 1)
     out = []
-    rk = list(R)  # R^1
+    rk = R  # R^k, k = 1
     for k in range(1, k_max + 1):
-        rk = conv_trunc(rk, R, n - 1)  # R^(k+1)
-        p = Q(theta[k + 1]) * rk[n - 1] / fprime[n - 1]
-        out.append(float(Q(p)))
+        top = sum(map(mul, rk, reversed(R)))  # [z^(n-1)] R^(k+1), times b^(n-1)
+        out.append(float(Q(theta[k + 1]) * Q(top, b ** (n - 1)) / fprime[n - 1]))
+        if k < k_max:
+            rk = conv_trunc(rk, R, n - 1)  # R^(k+1)
     return out
-

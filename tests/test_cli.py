@@ -292,6 +292,32 @@ def test_random_builds_the_finite_n_series_once(capsys, monkeypatch):
         r["E_active_over_n"] for r in alone["finite_n"]]
 
 
+@pytest.mark.parametrize("argv, builds", [
+    pytest.param(argv, builds, id=" ".join(argv)) for argv, builds in (
+        (("asymptotics", "--mode", "log-probe", "--u=-1/2"), 0),
+        (("asymptotics", "--mode", "ratios", "--p", "4", "--u=53/91", "--n-list", "40,80"), 0),
+        (("random", "--u=91/43", "--k-max", "1", "--n-list", "40,80"), 1),
+    )
+])
+def test_fzu_is_built_only_where_it_is_read(capsys, monkeypatch, argv, builds):
+    # imported first, so that the spy replaces the name each of them binds
+    from forestmaps import asymptotics, fast, randmodel  # noqa: F401
+
+    calls = []
+    build = fast.quartic_fzu
+
+    @functools.wraps(build)
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("forestmaps.") and vars(module).get("quartic_fzu") is build:
+            monkeypatch.setattr(module, "quartic_fzu", spy)
+    run_cli(capsys, *argv)
+    assert len(calls) == builds
+
+
 def test_cubic_radius_at_minus_one_resolves_at_100_digits(capsys):
     import mpmath
 

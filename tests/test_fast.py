@@ -1,5 +1,6 @@
 """High-order engines against the sweep solver and each other."""
 
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -7,17 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestmaps.critical import quartic_critical_point, radius
 from forestmaps.exact import Q, exact_div, scaled, unscaled
 from forestmaps.fast import (
     _cubic_fprime,
     _cubic_rs,
+    _diff,
     _div,
     _quartic_bundle,
     _quartic_r,
+    _recip,
+    conv_trunc,
     cubic_fprime_coeffs,
     cubic_fprime_float,
     cubic_rs_coeffs,
     quartic_fseries_float,
+    quartic_fzu,
     quartic_r_coeffs,
     quartic_series,
 )
@@ -58,7 +64,7 @@ def test_quartic_fzu_matches_symbolic_derivative():
         if c.coeffs else c
     )
     for u in (Q(1), Q(2, 3)):
-        fzu = quartic_series(u, 11)["fzu"]
+        fzu = quartic_fzu(quartic_series(u, 11), u)
         spec = dudiff.specialize_u(u)
         assert all(spec.coeff(i) == fzu[i] for i in range(10))
 
@@ -114,6 +120,73 @@ def test_float_engines_refuse_non_finite_coefficients():
             quartic_fseries_float(0.7, 4000, 0.05)
         with pytest.raises(ValueError, match="order 4000 and scale 0.2"):
             cubic_fprime_float(0.7, 4000, 0.2)
+
+
+# -- the float64 engines over their full length, against np.longdouble runs of
+# the same recurrences (an extended-precision scale gives extended arrays)
+
+extended = pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                              reason="np.longdouble is no wider than float64 here")
+
+
+def _max_rel_drift(approx, ref):
+    nonzero = ref != 0
+    return float(np.max(np.abs(approx[nonzero] - ref[nonzero]) / np.abs(ref[nonzero])))
+
+
+@extended
+def test_quartic_float_engine_holds_over_its_full_length():
+    # measured on x86-64 (80-bit long double): 4.9e-13 for R, W and V,
+    # 1.6e-10 for F' and F'' (their worst entry is 3944, where F' is small)
+    s = float(quartic_critical_point(Q(-1, 2))[0])
+    got = quartic_fseries_float(-0.5, 4068, s)
+    u, one, sl = np.longdouble(-0.5), np.longdouble(1), np.longdouble(s)
+    ref = _quartic_bundle(_quartic_r(u, one, 4068, sl), u, one, sl)
+    ref["fsecond"] = _diff(ref["fprime"], sl)
+    assert ref["R"].dtype == np.longdouble and len(got["fsecond"]) == 4067
+    for name in ("R", "W", "V"):
+        assert _max_rel_drift(got[name], ref[name]) < 5e-12, name
+    for name in ("fprime", "fsecond"):
+        assert _max_rel_drift(got[name], ref[name]) < 1e-9, name
+
+
+@extended
+def test_cubic_float_engine_holds_over_its_full_length():
+    # measured on x86-64 (80-bit long double): 1.2e-11
+    s = float(radius(3, Q(-1, 2)).rho)
+    got = cubic_fprime_float(-0.5, 2000, s)
+    u, one, sl = np.longdouble(-0.5), np.longdouble(1), np.longdouble(s)
+    ref = _cubic_fprime(*_cubic_rs(u, one, 2000, sl), u, one, sl)
+    assert ref.dtype == np.longdouble and len(got) == 2001
+    assert _max_rel_drift(got, ref) < 1e-10
+
+
+def test_array_products_match_exact_sums_of_their_inputs():
+    # positive terms: each float64 coefficient is within n 2^-53 of the exact
+    # value on the same float inputs (measured: 0.04 and 0.02 of that)
+    rng = np.random.default_rng(7)
+    n = 200
+    a, b = rng.uniform(0.5, 1.5, (2, n + 1))
+    got = conv_trunc(a, b, n)
+    ref = conv_trunc([Fraction(x) for x in a], [Fraction(x) for x in b], n)
+    assert len(got) == n + 1
+    assert all(abs(Fraction(g) - r) <= r * Fraction(n, 2**53) for g, r in zip(got, ref))
+    n = 100
+    # 1 / (1 - c) with c >= 0 has positive coefficients
+    c = -rng.uniform(0, 1, n + 1) / np.arange(1, n + 2) ** 2
+    c[0] = 1.0
+    got = _recip(c, n, 1.0)
+    ref = _recip([Fraction(x) for x in c], n, 1)
+    assert all(abs(Fraction(g) - r) <= r * Fraction(n, 2**53) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5, 7, 9, 10, 40])
+def test_array_product_takes_one_dot_per_coefficient(n):
+    # the terms and order of the list loop, so the same bits, short
+    # operands included (numpy's small-kernel correlation sums otherwise)
+    x, y = np.random.default_rng(n).standard_normal((2, n + 1))
+    loop = np.array([x[: k + 1].dot(y[k::-1]) for k in range(n + 1)])
+    assert conv_trunc(x, y, n).tobytes() == loop.tobytes()
 
 
 @st.composite
@@ -177,6 +250,7 @@ def _symbolic_sweep():
 def _check_integer_engines(u):
     sweep = _symbolic_sweep()
     got = {4: quartic_series(u, 11), 3: dict(zip("RS", cubic_rs_coeffs(u, 10)))}
+    got[4]["fzu"] = quartic_fzu(got[4], u)
     got[3]["fprime"] = cubic_fprime_coeffs(u, 10)
     assert quartic_r_coeffs(u, 11) == got[4]["R"]
     for p, names in ((4, ("R", "W", "V", "fprime", "f", "fzu")), (3, ("R", "S", "fprime"))):

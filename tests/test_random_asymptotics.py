@@ -1,6 +1,8 @@
 """Random-model constants and the asymptotic probes (desk-scale versions)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestmaps.asymptotics import (
     coefficient_asymptotic_check,
@@ -9,6 +11,7 @@ from forestmaps.asymptotics import (
     quartic_smoothness_gap,
 )
 from forestmaps.exact import Q
+from forestmaps.fast import conv_trunc, quartic_series
 from forestmaps.hyp import Precision, phi_at_boundary
 from forestmaps.randmodel import (
     component_slope,
@@ -18,6 +21,7 @@ from forestmaps.randmodel import (
     kappa_smooth_reference,
     s_limit_law,
 )
+from forestmaps.trees import theta_x
 
 PREC = Precision(50, 1e-20)
 
@@ -71,6 +75,26 @@ def test_finite_n_matches_limits():
     f200 = finite_n_root_size(Q(1), 200, 3)
     for k in range(3):
         assert abs(f200[k] - law[k]) < abs(f100[k] - law[k])
+
+
+def _root_size_from_full_powers(u, n, k_max):
+    """P(S_n = k) by the definition: every power R^(k+1) convolved in full
+    over the rational coefficients, then coefficient n - 1 read off."""
+    ser = quartic_series(u, n)
+    R, fprime = ser["R"], ser["fprime"]
+    theta = theta_x(4, k_max + 1)
+    out, rk = [], list(R)
+    for k in range(1, k_max + 1):
+        rk = conv_trunc(rk, R, n - 1)
+        out.append(float(Q(theta[k + 1]) * rk[n - 1] / fprime[n - 1]))
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(u=st.sampled_from([Q(1), Q(91, 43), Q(2, 7), Q(-1, 2), Q(-93, 100)]),
+       n=st.integers(3, 60), k_max=st.integers(1, 3))
+def test_root_size_reads_one_coefficient_of_the_full_power(u, n, k_max):
+    assert finite_n_root_size(u, n, k_max) == _root_size_from_full_powers(u, n, k_max)
 
 
 def test_finite_n_guards():
