@@ -45,6 +45,7 @@ from .asymptotics import (
     cubic_beta_fit,
     log_singularity_probe,
     quartic_smoothness_gap,
+    transition_digits,
 )
 from .series import ZSeries
 from .solver import compose_biv, series_f, series_h, solve, solve_rs, solve_s_tilde
@@ -234,13 +235,10 @@ def criterion_7() -> CriterionResult:
     notes: List[str] = []
     g = quartic_smoothness_gap(0.05)
     ok = _expect(g["gap"] < g["bound"], "radius gap %.2e >= bound" % g["gap"], notes)
-    import math
-
     from .randmodel import kappa_transition_gap
 
     def kgap(u):
-        digits = int(2 * math.pi / (math.sqrt(3) * u) / math.log(10) * 1.6) + 40
-        return float(kappa_transition_gap(u, Precision(digits, 1e-30)))
+        return float(kappa_transition_gap(u, Precision(transition_digits(u), 1e-30)))
 
     gap05 = kgap(0.05)
     bound = g["bound"]

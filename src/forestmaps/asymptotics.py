@@ -229,17 +229,23 @@ def cubic_beta_fit(
     }
 
 
+def transition_digits(u) -> int:
+    """Working digits that resolve a gap of the size of exp(-2 pi/(sqrt(3)
+    u)) at u > 0 as the difference of two values of the size of 1."""
+    return int(2 * math.pi / (math.sqrt(3) * u) / math.log(10) * 1.6) + 40
+
+
 def quartic_smoothness_gap(u: float = 0.05, prec: Optional[Precision] = None) -> dict:
     """|rho_u - affine law| at small u > 0; bounded by exp(-2 pi/(sqrt(3) u)).
 
     The gap is doubly exponentially small, so the working precision is
-    scaled with 1/u automatically unless an explicit context is passed.
+    scaled with 1/u (:func:`transition_digits`) unless an explicit context
+    is passed.
     """
     if u <= 0:
         raise ValueError("the smoothness gap is measured at u > 0")
     if prec is None:
-        digits = int(2 * math.pi / (math.sqrt(3) * u) / math.log(10) * 1.6) + 40
-        prec = Precision(digits, 1e-20)
+        prec = Precision(transition_digits(u), 1e-20)
     with prec.ctx():
         um = as_mpf(u)
         rho, tau, _ = quartic_critical_point(um, prec)

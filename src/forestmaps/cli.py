@@ -84,7 +84,8 @@ def _at_least(args, name: str, least: int) -> None:
         raise _flag_error("--" + name.replace("_", "-"), value, "an integer >= %d" % least)
 
 
-# below 12 digits the outer cubic bracket starts at a negative t
+# the fewest working digits: the residual target 10^-(digits//2 - 2) is
+# then 10^-4, and looser targets would pass profiles resolved to a few digits
 MIN_DIGITS = 12
 
 

@@ -16,19 +16,24 @@ mode of the implicit system:
   pi^2/384 there (:func:`cubic_rho_at_minus_one` extrapolates the closed
   form to it independently).
 
-Each search for a critical point is one call of :func:`_root`: it brackets
-the root of a decreasing value on a proven-monotone interval, evaluating
-each point once, and solves it by Brent's zeroin (:func:`_zeroin`):
-interpolation steps that never leave the bracket, bisection when they
-stall, an absolute stop on the bracket width and one secant polish through
-the final bracket.  Every returned root carries its residual, and
-:func:`radius` refuses a profile whose residuals miss the target tolerance.
-Every public function converts u once, with :func:`hyp.as_mpf`, so a float,
-an mpf and an exact rational are all accepted.
+Each search for a critical point is one call of :func:`_root` in s =
+ln(z/w), z = 27x (quartic) or 64t (cubic) and w = 1 - z: the point lies
+exponentially close to the boundary for small u and close to 0 for large
+u, and s gives the kernels both z and w without cancellation.  It brackets
+the root of a decreasing value on a proven-monotone interval by doubling
+steps, evaluating each point once, and solves it by Brent's zeroin
+(:func:`_zeroin`): interpolation steps that never leave the bracket,
+bisection when they stall, a stop relative in z and in w, and one secant
+polish through the final bracket.  Every returned root carries its
+residual, and :func:`radius` refuses a profile whose residuals miss the
+target tolerance.  Every public function converts u once, with
+:func:`hyp.as_mpf`, so a float, an mpf and an exact rational are all
+accepted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Dict, NamedTuple, Optional
@@ -37,7 +42,7 @@ import mpmath
 from mpmath import mpf
 
 from .hyp import (CUBIC_BOUNDARY, DEFAULT_PREC, QUARTIC_BOUNDARY, Precision, as_mpf,
-                  phi_family, psi_family, psi_numeric, rat_to_mpf)
+                  phi_family, phi_family_at, psi_family_at, psi_numeric, rat_to_mpf)
 
 # the sign of u -> (regime, subexponential class, (a, b) of the coefficient
 # law f_n ~ c_u rho^-n n^-a (ln n)^-b)
@@ -59,44 +64,43 @@ class SingularProfile:
     residuals: Dict[str, float] = field(default_factory=dict)
 
 
-# the brackets close once lo ~ 1/u (quartic) or ~ 1/u^2 (cubic); 400 steps
-# reach 400 decades below the start, past that for any u that is resolved
-_BRACKET_STEPS = 400
+# the walk's ends stay within 2^(_BRACKET_STEPS + 1) of its start: w or z
+# down to e^-131071, so u from about 4e-5 (1/27 - tau ~ e^(-3.6/u)) up to
+# e^131071, and a bound on the guard bits of the kernels at small z
+_BRACKET_STEPS = 16
 
 
-def _root(f, lo, shrink, hi, end, what, prec: Precision):
-    """The root of a value that decreases through zero below `end`, solved by
-    :func:`_zeroin`.  f(x) returns (value, data); returns (root, residual,
-    data at the root).  what = (name of the root, start of the refusal
-    near end).
+def _boundary_pair(s):
+    """(z, w) = (1/(1 + e^-s), 1/(1 + e^s)), so that z/w = e^s and z + w = 1,
+    each to the relative working precision at either end."""
+    return 1 / (1 + mpmath.exp(-s)), 1 / (1 + mpmath.exp(s))
+
+
+def _root(f, prec: Precision, top=None):
+    """The root of a value that decreases through zero, searched in
+    s = ln(z/w) and solved by :func:`_zeroin`.  f(z, w) returns (value,
+    data) at the point (z, w) = :func:`_boundary_pair` (s); returns (z, s,
+    residual, data) at the root.
 
     f is evaluated once per point: the bracket ends and the data at the
-    root are read from a memo kept for this solve.  lo is divided by
-    `shrink` until the value is >= 0, at most _BRACKET_STEPS times (u = inf
-    never brackets).  hi moves halfway to `end` until the value is <= 0;
-    the solve refuses, with the advice to raise the digits, once hi would
-    come closer to end than 10^(8 - digits) relative: closer in, f is no
-    longer resolved at the working precision."""
-    name, near_end = what
-    f = cache(f)
+    root are read from a memo kept for this solve.  The bracket starts at
+    [-1, 1], or at [top - 1, top] when the root lies below a known top with
+    value <= 0.  It moves down while its low end is negative or, without a
+    top, up while its high end is positive, by steps that double, at most
+    _BRACKET_STEPS times (u = inf never brackets)."""
+    value = cache(lambda s: f(*_boundary_pair(s)))
     with prec.ctx():
-        for _ in range(_BRACKET_STEPS):
-            if not f(lo)[0] < 0:
-                break
-            lo /= shrink
-        else:
-            raise ValueError(
-                "could not bracket the %s: f stays negative down to %s after %d "
-                "steps" % (name, mpmath.nstr(lo, 5), _BRACKET_STEPS))
-        closest = end * mpf(10) ** (8 - prec.working_digits)
-        while f(hi)[0] > 0:
-            hi = (hi + end) / 2
-            if end - hi < closest:
+        lo, hi = (mpf(-1), mpf(1)) if top is None else (top - 1, top)
+        steps = 0
+        while value(lo)[0] < 0 or (top is None and value(hi)[0] > 0):
+            if steps == _BRACKET_STEPS:
                 raise ValueError(
-                    "%s than the working precision resolves; raise the working "
-                    "digits (--digits)" % near_end)
-        root, residual = _zeroin(lambda x: f(x)[0], lo, hi, prec)
-        return root, residual, f(root)[1]
+                    "could not bracket the root: f keeps its sign on s in [%s, %s] "
+                    "after %d steps" % (mpmath.nstr(lo, 5), mpmath.nstr(hi, 5), steps))
+            steps += 1
+            lo, hi = (lo - 2 ** steps, lo) if value(lo)[0] < 0 else (hi, hi + 2 ** steps)
+        root, residual = _zeroin(lambda s: value(s)[0], lo, hi, prec)
+        return _boundary_pair(root)[0], root, residual, value(root)[1]
 
 
 def _zeroin(f, lo, hi, prec: Precision):
@@ -116,19 +120,20 @@ def _zeroin(f, lo, hi, prec: Precision):
     taken, so the width goal is met within the same evaluation cap as plain
     bisection.
 
-    The stop is absolute, on the bracket width: hi - lo < 10^(4 - digits)
-    max(1, |hi|).  A stop relative to the root would accept a spurious tiny
-    root made by cancellation in f (quartic_tau at u = 1e300 would return
-    tau = 3e-301, against the true 1/(6u)); the absolute stop leaves such
-    an input to the residual check, which refuses it.  The polish is the
-    secant through the final bracket ends; it is kept only if it lies in
-    the bracket and lowers |f|, so f is never evaluated outside [lo, hi]."""
+    The stop is Brent's, on the bracket width: |hi - lo| < 10^-digits
+    (10^4 + 4 |b|), b the current best end.  The critical-point searches
+    run in s = ln(z/w), where an absolute width in s is a relative one both
+    in z and in w = 1 - z; the term in |b| only stops a search whose ends
+    are too large for the working precision to resolve that width.  The
+    polish is the secant through the final bracket ends; it is kept only if
+    it lies in the bracket and lowers |f|, so f is never evaluated outside
+    [lo, hi]."""
     with prec.ctx():
         a, b = mpf(lo), mpf(hi)
         fa, fb = f(a), f(b)
         if not (fa > 0 > fb or fa < 0 < fb):
             raise ValueError("root is not bracketed: f(%s)=%s f(%s)=%s" % (a, fa, b, fb))
-        width_goal = mpf(10) ** (-prec.working_digits + 4)
+        eps = mpf(10) ** -prec.working_digits
         # the evaluations plain bisection is allowed, less both ends and the
         # polish
         left = int(prec.working_digits * 3.4) + 30 - 3
@@ -141,7 +146,7 @@ def _zeroin(f, lo, hi, prec: Precision):
             if abs(fc) < abs(fb):  # keep b the end with the smaller |f|
                 a, b, c = b, c, b
                 fa, fb, fc = fb, fc, fb
-            goal = width_goal * max(1, abs(max(b, c)))
+            goal = eps * (10 ** 4 + 4 * abs(b))
             if fb == 0 or abs(c - b) < goal or left == 0:
                 break
             tol = goal / 2
@@ -191,16 +196,14 @@ def quartic_tau(u, prec: Precision = DEFAULT_PREC):
         raise ValueError("the characteristic condition applies only for u > 0")
     with prec.ctx():
         um = as_mpf(u)
-        b = mpf(1) / 27
 
-        def f(x):
-            family = phi_family(x, prec)
+        def f(z, w):
+            family = phi_family_at(z, w, prec)
             return 1 - um * family[1], family
 
         # Phi' increases from 0 to +infinity on (0, 1/27)
-        return _root(f, mpf(10) ** (-6), 100, b * (1 - mpf(10) ** (8 - prec.working_digits)), b,
-                     ("quartic critical point",
-                      "u=%s puts the critical point closer to 1/27" % um), prec)
+        z, _, residual, family = _root(f, prec)
+        return z / 27, residual, family
 
 
 # Each critical point is solved once per process.  The solvers read only
@@ -244,7 +247,8 @@ def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
 
     u is a float or an exact rational; a rational is rounded once, at the
     working precision.  Each call returns a new profile.  Raises ValueError
-    when a residual exceeds prec.target_abs_tol."""
+    when a residual exceeds prec.target_abs_tol, and when u or rho lies
+    outside the range of a float, which the profile holds them as."""
     with prec.ctx():
         um = as_mpf(u)
         if not um >= -1:
@@ -260,6 +264,9 @@ def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
             raise ValueError(
                 "u=%s: residual %r = %.3g exceeds the target %.0e; raise the "
                 "working digits (--digits)" % (um, name, res, prec.target_abs_tol))
+    if not (math.isfinite(um) and float(rho) > 0):
+        raise ValueError("u=%s: rho = %s lies outside the range of a float"
+                         % (mpmath.nstr(um, 5), mpmath.nstr(rho, 5)))
     regime, subexp_class, _ = REGIMES[(um > 0) - (um < 0)]
     return SingularProfile(
         p=p, u=float(um), rho=float(rho), tau=float(tau), sigma=float(sigma),
@@ -337,47 +344,52 @@ class _PhiReduced(NamedTuple):
     phi2_y: object
 
 
-def _phi_reduced(t, d, psi) -> _PhiReduced:
+def _phi_reduced(t, d, e, psi) -> _PhiReduced:
     """Phi1, Phi2 and their partials in (x, y) at the reduced coordinate
-    (t, d), i.e. x = t d^4 and y = (1 - d^2)/4, from psi = psi_family(t).
+    (t, d), i.e. x = t d^4 and y = (1 - d^2)/4, from e = 1 - d and
+    psi = psi_family_at(64t, 1 - 64t).
 
     Through t = x/(1-4y)^2 and d = sqrt(1-4y) the two kernels reduce to
         Phi1 = d^3 Psi1(t) - x,    Phi2 = d Psi2(t) + (1-d)^2/4.
+    Each is written without a difference that cancels: Psi1 and Psi1'
+    enter less their first terms t and 1, Phi1 = d^3 (Psi1 - t d) and
+    Phi1_x = (Psi1' - d)/d, and Phi1_y = 8 t d Psi1' - 6 d Psi1 is t d
+    Psi2', since Psi2' = 8 Psi1' - 6 Psi1/t.
     """
-    p1, p1p, p2, p2p = psi
+    _, _, p2, p2p, p1_tail, p1p_tail = psi
     return _PhiReduced(
-        phi1=d ** 3 * p1 - t * d ** 4,
-        phi2=d * p2 + (1 - d) ** 2 / 4,
-        phi1_x=p1p / d - 1,
-        phi1_y=-6 * d * p1 + 8 * t * d * p1p,
+        phi1=d ** 3 * (p1_tail + t * e),
+        phi2=d * p2 + e * e / 4,
+        phi1_x=(p1p_tail + e) / d,
+        phi1_y=t * d * p2p,
         phi2_x=p2p / d ** 3,
-        phi2_y=(1 - d - 2 * p2 + 8 * t * p2p) / d,
+        phi2_y=(e - 2 * p2 + 8 * t * p2p) / d,
     )
 
 
 def _s_tilde_delta(u, p2):
-    """delta = sqrt(1 - 4 S~) on the S~ curve at the reduced coordinate t,
-    from p2 = Psi2(t) (u > 0).
+    """(d, 1 - d) for delta = sqrt(1 - 4 S~) on the S~ curve at the reduced
+    coordinate t, from p2 = Psi2(t) (u > 0).
 
     Eliminating x from the fixed point y = u Phi2(x, y) leaves the
     quadratic (1+u) d^2 - 2u(1 - 2 Psi2(t)) d - (1-u) = 0, whose positive
-    root starts at d = 1 for t = 0 and decreases.
+    root starts at d = 1 for t = 0 and decreases.  1 - d ~ 1/u is written
+    so that it does not cancel at large u.  The discriminant is 64 (u t
+    Psi2')^2 plus the inner characteristic, >= 0 up to the inner point, the
+    top of the outer search; there the sum is ~ 4/u^2 and may round below
+    0, which is read as 0.
     """
-    a = u * (1 - 2 * p2)
-    disc = a * a + 1 - u * u
-    if disc < 0:
-        raise ValueError(
-            "u=%s leaves the S~ curve (negative discriminant %s); raise the "
-            "working digits" % (mpmath.nstr(u, 5), mpmath.nstr(disc, 5)))
-    return (a + mpmath.sqrt(disc)) / (1 + u)
+    r = mpmath.sqrt(max(0, 1 - 4 * u * u * p2 * (1 - p2)))
+    return (u * (1 - 2 * p2) + r) / (1 + u), 4 * u * p2 / (1 + 2 * u * p2 + r)
 
 
 def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
     """Solve the inner (S~) critical system for u > 0.
 
-    Returns (rho_tilde, s_tilde_value, t_crit, delta, residual): the radius
-    of S~, its value there, and the reduced coordinates.  The scalar
-    characteristic in t = x/(1-4y)^2,
+    Returns (rho_tilde, s_tilde_value, s_crit, delta, residual, psi): the
+    radius of S~, its value there, the critical point in the search
+    coordinate s = ln(64t/(1 - 64t)), the reduced coordinate delta, and
+    psi_family_at there.  The scalar characteristic in t = x/(1-4y)^2,
         1 = u^2 (4 Psi2(t) - 4 Psi2(t)^2 + 64 t^2 Psi2'(t)^2),
     has an increasing right side, so the bracketed zeroin is safe.
     """
@@ -385,32 +397,29 @@ def s_tilde_characteristic(u, prec: Precision = DEFAULT_PREC):
         raise ValueError("the inner characteristic applies only for u > 0")
     with prec.ctx():
         um = as_mpf(u)
-        b = mpf(1) / 64
 
-        def f(t):
-            psi = psi_family(t, prec)
-            _, _, p2, p2p = psi
+        def f(z, w):
+            psi = psi_family_at(z, w, prec)
+            t, p2, p2p = z / 64, psi[2], psi[3]
             return 1 - um * um * (4 * p2 - 4 * p2 * p2 + 64 * t * t * p2p * p2p), psi
 
-        t_crit, res, psi = _root(
-            f, b / 1000, 10, b * (1 - mpf(10) ** (-min(30, prec.working_digits - 10))), b,
-            ("inner critical point", "u=%s puts the inner critical point closer to 1/64"
-             % mpmath.nstr(um, 5)), prec)
-        _, _, p2, p2p = psi
+        z, s_crit, res, psi = _root(f, prec)
+        t_crit, p2, p2p = z / 64, psi[2], psi[3]
         delta = um * (1 - 2 * p2 + 8 * t_crit * p2p) / (1 + um)
+        e = (1 + 2 * um * (p2 - 4 * t_crit * p2p)) / (1 + um)  # 1 - delta ~ 1/u
         rho_t = t_crit * delta ** 4
-        s_val = (1 - delta ** 2) / 4
+        s_val = e * (1 + delta) / 4
         # residual of the y-characteristic 1 = u dPhi2/dy at (rho_t, s_val)
-        char = abs(1 - um * _phi_reduced(t_crit, delta, psi).phi2_y)
-        return rho_t, s_val, t_crit, delta, float(max(res, char))
+        char = abs(1 - um * _phi_reduced(t_crit, delta, e, psi).phi2_y)
+        return rho_t, s_val, s_crit, delta, float(max(res, char)), psi
 
 
 def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
     """Two-step solve of the cubic characteristic system for u > 0.
 
-    Step 1 handles the S~ subsystem: its critical point bounds the search
-    window and the quadratic of :func:`_s_tilde_delta` walks the curve
-    (x, S~(x)) in the reduced coordinate t.  Step 2 solves the outer
+    Step 1 handles the S~ subsystem: its critical point is the top of the
+    search window and the quadratic of :func:`_s_tilde_delta` walks the
+    curve (x, S~(x)) in the reduced coordinate t.  Step 2 solves the outer
     condition, written without the S~ derivative as
         (1 - u Phi1_x)(1 - u Phi2_y) = u^2 Phi1_y Phi2_x
     at (x, y) = (t d^4, (1-d^2)/4); the left side changes sign exactly once
@@ -419,21 +428,21 @@ def cubic_characteristic_positive(u, prec: Precision = DEFAULT_PREC):
     """
     with prec.ctx():
         um = as_mpf(u)
-        _, _, t_inner, _, res_inner = _solved(s_tilde_characteristic, um, prec)
+        _, _, s_inner, _, res_inner, psi_inner = _solved(s_tilde_characteristic, um, prec)
+        inner = _boundary_pair(s_inner)
 
-        def h(t):
-            psi = psi_family(t, prec)
-            d = _s_tilde_delta(um, psi[2])
-            ph = _phi_reduced(t, d, psi)
+        def h(z, w):
+            # the top of the bracket is the inner point, whose psi the inner
+            # solve returns
+            psi = psi_inner if (z, w) == inner else psi_family_at(z, w, prec)
+            t = z / 64
+            d, e = _s_tilde_delta(um, psi[2])
+            ph = _phi_reduced(t, d, e, psi)
             return ((1 - um * ph.phi1_x) * (1 - um * ph.phi2_y)
-                    - um * um * ph.phi1_y * ph.phi2_x), (d, ph)
+                    - um * um * ph.phi1_y * ph.phi2_x), (t, d, e, ph)
 
-        t_star, res_outer, (d, ph) = _root(
-            h, t_inner / 1000, 10,
-            t_inner * (1 - mpf(10) ** (-min(25, prec.working_digits - 12))), t_inner,
-            ("outer characteristic root", "u=%s puts the outer characteristic root "
-             "closer to the inner critical point" % mpmath.nstr(um, 5)), prec)
-        tau, sigma = t_star * d ** 4, (1 - d * d) / 4
+        _, _, res_outer, (t, d, e, ph) = _root(h, prec, top=s_inner)
+        tau, sigma = t * d ** 4, e * (1 + d) / 4
         rho = tau - um * ph.phi1
         sp = um * ph.phi2_x / (1 - um * ph.phi2_y)
         char_sform = abs(1 - um * (ph.phi1_x + sp * ph.phi1_y))
@@ -581,7 +590,8 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
                 return mpf(-1)  # past the critical parabola
             d = mpmath.sqrt(1 - 4 * y)
             t = z / d ** 4
-            return 1 - um * _phi_reduced(t, d, psi_family(t, prec)).phi2_y
+            psi = psi_family_at(64 * t, 1 - 64 * t, prec)
+            return 1 - um * _phi_reduced(t, d, 1 - d, psi).phi2_y
 
         # the bracket's low end is the walk's last point with g > 0, or one
         # step below a first point that is already past the crossing

@@ -19,9 +19,14 @@ methods are kept deliberately independent:
   transformation for a = 1/4 (DLMF 15.8(iii)) and the signature-3
   transformation of Berndt, Bhargava and Garvan (Trans. AMS 347, 1995,
   Thm 5.6) for a = 1/3.  The AGM starts from the complementary parameter
-  1 - m, formed in closed form from 1 - z with guard bits, so the values
-  keep the working precision as z -> 1.  The exact 2F1 at z = 1 gives
-  Phi(1/27) and Psi1(1/64).
+  1 - m, formed in closed form from w = 1 - z with guard bits.  The
+  critical-point searches pass z and w, both formed from one coordinate
+  (:func:`phi_family_at`, :func:`psi_family_at`), so the values keep the
+  working precision as w -> 0; the members are written in w, with no
+  cancelling difference divided by w (Phi'' = 6f/w, Psi2' = 8 Psi1' - 6f).
+  Members of the size of z or z^2 take 2 log2(1/z) more guard bits, so
+  they keep it as z -> 0.  The exact 2F1 at z = 1 gives Phi(1/27) and
+  Psi1(1/64).
 
 :func:`phi_numeric` and :func:`psi_numeric` read one member by either
 method.  The two methods must agree on an overlap window;
@@ -51,9 +56,9 @@ SWITCH_EPS = 1e-3
 # one AGM pair costs 0.2-0.7 ms anywhere, but its transformations cancel as
 # z -> 0 (the cubic one loses log10(1/sqrt z) digits)
 _AGM_FROM = 0.5
-# bits carried beyond the working precision on the AGM route: 1 - z is then
-# exact, and they cover the digits the route loses, up to two at z = 1/2 and
-# log10 K(m) in E = K (1 - sum) toward z = 1
+# bits carried beyond the working precision by the kernels: 1 - x/boundary
+# is then exact, and they cover the digits the AGM route loses, up to two at
+# z = 1/2 and log10 K(m) in E = K (1 - sum) toward z = 1
 _GUARD_BITS = 20
 
 
@@ -250,61 +255,49 @@ def _kernel_2f1(den: int, z):
     return mpmath.hyp2f1(a, b, 2, z), mpmath.hyp2f1(1 + a, 1 + b, 3, z)
 
 
-def _family(members, den: int, scale: int, x):
-    """members(x, f, g) for the 2F1 pair (f, g) of a = 1/den at z = scale x,
-    0 < z < 1.  On the AGM route the family is formed with _GUARD_BITS extra
-    bits, so 1 - z is exact, and rounded once to the working precision."""
-    if scale * x < _AGM_FROM:
-        return members(x, *_kernel_2f1(den, scale * x))
-    with mp.workprec(mp.prec + _GUARD_BITS):
-        z = scale * x
-        family = members(x, *_agm_2f1(den, z, 1 - z))
+def _family(members, den: int, z, w):
+    """members(z, w, f, g) for the 2F1 pair (f, g) of a = 1/den at z in
+    (0, 1), with w = 1 - z given by the caller.
+
+    The family is formed with guard bits and rounded once to the working
+    precision.  From z = 1/2 on, on the AGM route, _GUARD_BITS cover the
+    digits the route loses.  Below, f - 1 (in Phi and Phi') and 1 - w Psi1'
+    (in Psi2) are of the size of z and theta of z^2, formed from terms of
+    the size of 1, so the argument adds 2 log2(1/z) bits, and w is formed
+    as 1 - z, exact at those bits: a w rounded apart from z would carry its
+    rounding, amplified by 1/z, into those members."""
+    with mp.workprec(mp.prec + _GUARD_BITS - 2 * min(0, mpmath.mag(z))):
+        if z < _AGM_FROM:
+            family = members(z, 1 - z, *_kernel_2f1(den, z))
+        else:
+            family = members(z, w, *_agm_2f1(den, z, w))
     return tuple(+m for m in family)
 
 
-def _quartic_members(x, f, g):
+def _quartic_members(z, w, f, g):
+    x = z / 27
     phi, phip = x * (f - 1), f - 1 + 3 * x * g
-    return (phi, phip, -6 * (phi + x) / (x * (27 * x - 1)),
-            (2 * (27 * x - 1) * phip - 42 * phi + 12 * x) / 3,
-            4 * phip - 4 * phi / x)
+    return (phi, phip, 6 * f / w, (12 * x - 2 * w * phip - 42 * phi) / 3, 12 * x * g)
 
 
-def _cubic_members(t, f, g):
+def _cubic_members(z, w, f, g):
+    t = z / 64
     p1, p1p = t * f, f + 6 * t * g
-    p2 = (1 - (1 - 64 * t) * p1p - 48 * p1) / 2
-    return p1, p1p, p2, (8 * t - 6 * p1 - 16 * t * p2) / (t * (1 - 64 * t))
+    return (p1, p1p, (1 - w * p1p - 48 * p1) / 2, 8 * p1p - 6 * f,
+            t * (f - 1), f - 1 + 6 * t * g)
 
 
-def _hyp_quartic(x, prec: Precision):
-    """(Phi, Phi', Phi'', theta, theta') at x from the 2F1 pair at z = 27x.
-    At x = 1/27 only Phi and theta are finite; the derivatives are returned
-    as +inf there."""
-    with prec.ctx():
-        x = mpf(x)
-        if x == 0:
-            return mpf(0), mpf(0), mpf(6), mpf(0), mpf(0)  # Phi''(0) = 2 c_2
-        if x == mpf(1) / 27:
-            # (27x-1) Phi' -> 0 at the boundary, where Phi' diverges
-            third = mpf(1) / 3
-            phi = x * (mpmath.hyp2f1(third, 2 * third, 2, 27 * x) - 1)
-            return phi, mpmath.inf, mpmath.inf, (-42 * phi + 12 * x) / 3, mpmath.inf
-        return _family(_quartic_members, 3, 27, x)
-
-
-def _hyp_cubic(t, prec: Precision):
-    """(Psi1, Psi1', Psi2, Psi2') at t from the 2F1 pair at z = 64t.  At
-    t = 1/64 only Psi1 and Psi2 are finite; the derivatives are returned as
-    +inf there."""
-    with prec.ctx():
-        t = mpf(t)
-        if t == 0:
-            return mpf(0), mpf(1), mpf(0), mpf(2)
-        if t == mpf(1) / 64:
-            # (1-64t) Psi1' -> 0 at the boundary, where Psi1' diverges
-            quarter = mpf(1) / 4
-            p1 = t * mpmath.hyp2f1(quarter, 3 * quarter, 2, 64 * t)
-            return p1, mpmath.inf, (1 - 48 * p1) / 2, mpmath.inf
-        return _family(_cubic_members, 4, 64, t)
+def _boundary_coordinates(x, boundary):
+    """(z, w) = (x / boundary, 1 - z) for x in [0, boundary], refused
+    outside; the closed boundary point gives (1, 0).  Both are exact for x
+    at the working precision: z takes at most 5 bits more than x, and
+    1 - z is exact from z = 1/2 on (Sterbenz)."""
+    xm, bd = _in_domain(x, boundary)
+    if xm == bd:
+        return mpf(1), mpf(0)
+    with mp.workprec(mp.prec + _GUARD_BITS):
+        z = boundary.denominator * xm
+        return z, 1 - z
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +312,51 @@ _CUBIC_MEMBERS = {"psi1": ("psi1", 0), "psi1_prime": ("psi1", 1),
                   "psi2": ("psi2", 0), "psi2_prime": ("psi2", 1)}
 
 
+def phi_family_at(z, w, prec: Precision = DEFAULT_PREC):
+    """(Phi, Phi', Phi'', theta, theta') at x = z/27, from the 2F1 pair at
+    z in [0, 1] with w = 1 - z given, so that both keep their relative
+    accuracy at either end.  The derivatives are +inf at z = 1."""
+    with prec.ctx():
+        if z == 0:
+            return mpf(0), mpf(0), mpf(6), mpf(0), mpf(0)  # Phi''(0) = 2 c_2
+        if w == 0:
+            # w Phi' -> 0 at the boundary, where Phi' diverges
+            x = mpf(1) / 27
+            phi = x * (mpmath.hyp2f1(mpf(1) / 3, mpf(2) / 3, 2, 1) - 1)
+            return phi, mpmath.inf, mpmath.inf, (12 * x - 42 * phi) / 3, mpmath.inf
+        return _family(_quartic_members, 3, z, w)
+
+
+def psi_family_at(z, w, prec: Precision = DEFAULT_PREC):
+    """(Psi1, Psi1', Psi2, Psi2', Psi1 - t, Psi1' - 1) at t = z/64, from the
+    2F1 pair at z in [0, 1] with w = 1 - z given.  The last two are the
+    members less their first terms, which the reduced cubic kernels read
+    and which cannot be formed from Psi1 ~ t and Psi1' ~ 1 at small t.  The
+    derivatives are +inf at z = 1."""
+    with prec.ctx():
+        if z == 0:
+            return mpf(0), mpf(1), mpf(0), mpf(2), mpf(0), mpf(0)
+        if w == 0:
+            # w Psi1' -> 0 at the boundary, where Psi1' diverges
+            t = mpf(1) / 64
+            p1 = t * mpmath.hyp2f1(mpf(1) / 4, mpf(3) / 4, 2, 1)
+            return p1, mpmath.inf, (1 - 48 * p1) / 2, mpmath.inf, p1 - t, mpmath.inf
+        return _family(_cubic_members, 4, z, w)
+
+
 def phi_family(x, prec: Precision = DEFAULT_PREC):
     """(Phi, Phi', Phi'', theta, theta') at x in [0, 1/27] by the
     hypergeometric route, from two 2F1 values; the derivatives are +inf at
     x = 1/27."""
     with prec.ctx():
-        return _hyp_quartic(_in_domain(x, QUARTIC_BOUNDARY)[0], prec)
+        return phi_family_at(*_boundary_coordinates(x, QUARTIC_BOUNDARY), prec)
 
 
 def psi_family(t, prec: Precision = DEFAULT_PREC):
     """(Psi1, Psi1', Psi2, Psi2') at t in [0, 1/64] by the hypergeometric
     route, from two 2F1 values; the derivatives are +inf at t = 1/64."""
     with prec.ctx():
-        return _hyp_cubic(_in_domain(t, CUBIC_BOUNDARY)[0], prec)
+        return psi_family_at(*_boundary_coordinates(t, CUBIC_BOUNDARY), prec)[:4]
 
 
 def phi_numeric(kind: str, x, prec: Precision = DEFAULT_PREC, method: str = "auto"):
@@ -340,12 +365,12 @@ def phi_numeric(kind: str, x, prec: Precision = DEFAULT_PREC, method: str = "aut
     method: 'series' (certified partial sums), 'boundary' (hypergeometric
     continuation, required at and very near 1/27), or 'auto'.
     """
-    return _dispatch(kind, x, prec, method, QUARTIC_BOUNDARY, _QUARTIC_MEMBERS, _hyp_quartic)
+    return _dispatch(kind, x, prec, method, QUARTIC_BOUNDARY, _QUARTIC_MEMBERS, phi_family)
 
 
 def psi_numeric(kind: str, t, prec: Precision = DEFAULT_PREC, method: str = "auto"):
     """Evaluate Psi family member at t in [0, 1/64] to target_abs_tol."""
-    return _dispatch(kind, t, prec, method, CUBIC_BOUNDARY, _CUBIC_MEMBERS, _hyp_cubic)
+    return _dispatch(kind, t, prec, method, CUBIC_BOUNDARY, _CUBIC_MEMBERS, psi_family)
 
 
 def _in_domain(x, boundary):

@@ -100,12 +100,21 @@ def s_limit_law_tail_bound(u, k_max: int, prec: Precision = DEFAULT_PREC) -> flo
 
     The term ratio (3k+1)(3k+2)(3k+3)/(k(k+1)(k+2)) tau stays below
     q = 27 tau < 1, so the tail after P(k_max) is at most
-    P(k_max) q/(1-q)."""
+    P(k_max) q/(1-q).  1 - q, which cancels as u -> 0+, is read as
+    6 f / Phi''(tau) with f = 1 + Phi(tau)/tau (Phi'' = 6f/(1 - 27x))."""
     with prec.ctx():
-        tau = quartic_critical_point(as_mpf(u), prec)[1]
-        q = 27 * tau
+        _, tau, family = quartic_critical_point(as_mpf(u), prec)
         last = s_limit_law(u, k_max, prec)[-1]
-        return float(last * q / (1 - q))
+        return float(last * 27 * tau * family[2] / (6 * (1 + family[0] / tau)))
+
+
+def _refuse_small_n(n_values: Sequence[int]) -> None:
+    """A ValueError for any n < 3: no map has fewer than 3 faces, so
+    [z^(n-1)] F', the denominator of the finite-n quantities, is 0 there."""
+    small = [n for n in n_values if n < 3]
+    if small:
+        raise ValueError("n must be >= 3 (no map has fewer than 3 faces), got %s"
+                         % ", ".join(map(str, small)))
 
 
 def finite_n_expectations(u, n_values: Sequence[int], series=None) -> List[dict]:
@@ -121,6 +130,7 @@ def finite_n_expectations(u, n_values: Sequence[int], series=None) -> List[dict]
     u = Q(u)
     if u == 0:
         raise ValueError("u = 0 degenerates (single component, zero ratio)")
+    _refuse_small_n(n_values)
     ser = series or quartic_series(u, max(n_values))
     fzu, fprime = quartic_fzu(ser, u), ser["fprime"]
     rows = []
@@ -147,6 +157,7 @@ def finite_n_root_size(u, n: int, k_max: int, series=None) -> List[float]:
     R_j b^j for u = a/b; of each R^(k+1) one coefficient is taken, as a dot.
     """
     u = Q(u)
+    _refuse_small_n([n])
     ser = series or quartic_series(u, n)
     b = u.denominator
     R, fprime = scaled(ser["R"][:n], b), ser["fprime"]

@@ -338,26 +338,35 @@ def test_radius_keeps_an_exact_u_exact(capsys, monkeypatch):
     assert prof == {name: getattr(exact, name) for name in prof}
 
 
-def test_cubic_radius_at_20_digits_matches_30(capsys):
-    rhos = [json.loads(run_cli(capsys, "--digits", d, "radius", "--p", "3",
-                               "--u", "0.3"))["result"]["profiles"][0]["rho"]
+# tau ~ 1/(6u) at u = 1e10 and ~ 1/(12u^2) at u = 1e5: 20 digits print all
+# the digits of 30 only if the searches stop relative to tau
+@pytest.mark.parametrize("p,u", [("3", "0.3"), ("4", "1e10"), ("3", "1e5")])
+def test_radius_at_20_digits_matches_30(capsys, p, u):
+    rhos = [json.loads(run_cli(capsys, "--digits", d, "radius", "--p", p,
+                               "--u", u))["result"]["profiles"][0]["rho"]
             for d in ("20", "30")]
     assert rhos[0] == rhos[1]
 
 
-@pytest.mark.parametrize("argv", [
-    ("--digits", "20", "radius", "--p", "3", "--u", "0.05"),
-    ("--digits", "20", "radius", "--p", "3", "--u", "0.1"),
-    ("--digits", "20", "radius", "--p", "3", "--u", "1e10"),
-    ("radius", "--p", "4", "--u", "1e300"),
-], ids=" ".join)
-def test_unresolved_radius_is_a_numeric_failure(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 4
-    captured = capsys.readouterr()
-    assert captured.out == "" and "NaN" not in captured.err
-    assert "digits" in captured.err
+# critical points exponentially close to the boundary (small u) or to 0
+# (large u): 1 - 27 tau is 2e-158 at u = 0.01, and tau ~ 1/(6u)
+RESOLVED = ([("--digits", "20", "radius", "--p", "4", "--u", u)
+             for u in ("0.005", "0.01", "0.05", "0.1", "1e10", "1e30", "1e300")]
+            + [("--digits", "20", "radius", "--p", "3", "--u", u)
+               for u in ("0.02", "0.05", "0.1", "0.16", "1e5", "1e10")]
+            + [("radius", "--p", "4", "--u", "1e300")])
+
+
+@pytest.mark.parametrize("argv", RESOLVED, ids=" ".join)
+def test_radius_near_either_end_matches_120_digits(capsys, argv):
+    from forestmaps.critical import radius
+    from forestmaps.hyp import Precision
+
+    (prof,) = json.loads(run_cli(capsys, *argv))["result"]["profiles"]
+    p, u = int(argv[-3]), Fraction(argv[-1])
+    ref = radius(p, u, Precision(120, 1e-58))
+    for name in ("rho", "tau"):
+        assert abs(prof[name] / getattr(ref, name) - 1) <= 1e-15, name
 
 
 @pytest.mark.parametrize("p,u", [(3, "symbolic"), (3, "0"), (3, "3/7"), (4, "symbolic"),

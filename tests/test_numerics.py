@@ -1,10 +1,13 @@
 """Hypergeometric evaluators, radii and critical constants."""
 
+import math
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from forestmaps import critical, hyp
@@ -33,6 +36,7 @@ from forestmaps.hyp import (
     psi2_at_boundary,
     psi2_singular_expansion,
     psi_family,
+    psi_family_at,
     psi_numeric,
     self_check,
     theta_at_boundary,
@@ -175,19 +179,19 @@ def test_cubic_radius_2f1_budget(kernel_calls, monkeypatch):
 
     monkeypatch.setattr(critical, "_SOLVES", {})
     radius(3, 1.5, Precision(20, 1e-8))
-    # one psi_family evaluation per point of the inner and the outer search,
-    # 25 points: 21 by one AGM pair and 4 below z = 1/2 by two 2F1 values,
-    # 29 kernel evaluations (50 2F1 values when every point took two, 218 by
-    # plain bisection)
-    assert len(kernel_calls) <= 29
+    # one psi_family_at evaluation per point of the inner and the outer
+    # search in s = ln(z/w), 21 points: 19 by one AGM pair and 2 below
+    # z = 1/2 by two 2F1 values, 23 kernel evaluations (218 by plain
+    # bisection)
+    assert len(kernel_calls) <= 23
 
 
 def test_quartic_tau_2f1_budget(kernel_calls):
     quartic_tau(0.57, PREC)
-    # one phi_family evaluation per point, 22 points: 20 by one AGM pair and
-    # 2 below z = 1/2 by two 2F1 values, 24 kernel evaluations (46 2F1 values
-    # when every point took two, 310 by plain bisection)
-    assert len(kernel_calls) <= 24
+    # one phi_family_at evaluation per point of the search in s = ln(z/w),
+    # 12 points: 11 by one AGM pair and 1 below z = 1/2 by two 2F1 values,
+    # 13 kernel evaluations (310 by plain bisection)
+    assert len(kernel_calls) <= 13
 
 
 # z = 27x resp. 64t, or 1 - z: one point on each side of the switch to the
@@ -219,6 +223,69 @@ def test_kernel_2f1_values_match_mpmath_at_double_digits(point, digits):
                 assert abs(value / exact - 1) <= mpf(10) ** (3 - digits), (den, value, exact)
 
 
+def _family_pair(den, x, digits):
+    """(family at x by the evaluator, the same family from the 2F1 pair at
+    x by mpmath), the latter at twice the digits plus 2 log10(1/z),
+    so that its members of the size of z^2 keep them."""
+    prec = Precision(digits, 10.0 ** (4 - digits // 2))
+    scale = 27 if den == 3 else 64
+    with prec.ctx():
+        xm = mpf(x)
+        family = (phi_family(xm, prec) if den == 3
+                  else psi_family_at(*hyp._boundary_coordinates(xm, hyp.CUBIC_BOUNDARY), prec))
+    with mpmath.workdps(2 * digits - 2 * int(mpmath.log10(scale * xm))):
+        z = scale * xm
+        a = mpf(1) / den
+        f, g = mpmath.hyp2f1(a, 1 - a, 2, z), mpmath.hyp2f1(1 + a, 2 - a, 3, z)
+        if den == 3:
+            phi, phip = xm * (f - 1), f - 1 + 3 * xm * g
+            ref = (phi, phip, -6 * (phi + xm) / (xm * (27 * xm - 1)),
+                   (2 * (27 * xm - 1) * phip - 42 * phi + 12 * xm) / 3, 4 * phip - 4 * phi / xm)
+        else:
+            p1, p1p = xm * f, f + 6 * xm * g
+            p2 = (1 - (1 - 64 * xm) * p1p - 48 * p1) / 2
+            ref = (p1, p1p, p2, (8 * xm - 6 * p1 - 16 * xm * p2) / (xm * (1 - 64 * xm)),
+                   p1 - xm, p1p - 1)
+    return family, ref
+
+
+# z = 27x resp. 64t: where the forms the members had before they were
+# written in w (Phi'' and Psi2' divided by w, theta' = 4 Phi' - 4 Phi/x)
+# do not cancel, and down to z = 1e-200, where f - 1, Psi2 and the tails
+# Psi1 - t and Psi1' - 1 are 200 digits below the terms they are formed of
+@pytest.mark.parametrize("digits", [20, 50])
+@pytest.mark.parametrize("z", ["0.9", "0.6", "0.3", "0.1", "1e-5", "1e-30", "1e-200"])
+def test_members_keep_the_working_precision_at_small_z(z, digits):
+    for den, scale in ((3, 27), (4, 64)):
+        family, ref = _family_pair(den, mpf(z) / scale, digits)
+        for member, (value, exact) in enumerate(zip(family, ref)):
+            assert abs(value / exact - 1) <= mpf(10) ** (3 - digits), (den, member)
+
+
+def test_reduced_kernels_match_their_old_forms():
+    # Phi1, Phi1_x and Phi1_y of _phi_reduced against their forms in Psi1
+    # and Psi1' at double the digits, and (d, 1 - d) of _s_tilde_delta
+    # against the root of the quadratic
+    for digits in (20, 50):
+        prec = Precision(digits, 10.0 ** (4 - digits // 2))
+        for z, u in (("0.2", "0.7"), ("0.7", "1.5"), ("0.95", "0.3")):
+            with prec.ctx():
+                zm = mpf(z)
+                psi = psi_family_at(zm, 1 - zm, prec)
+                d, e = critical._s_tilde_delta(mpf(u), psi[2])
+                new = critical._phi_reduced(zm / 64, d, e, psi)
+            with mpmath.workdps(2 * digits):
+                t, um = zm / 64, mpf(u)
+                p1, p1p, p2 = psi_family_at(zm, 1 - zm, Precision(2 * digits, 1e-8))[:3]
+                a = um * (1 - 2 * p2)
+                d2 = (a + mpmath.sqrt(a * a + 1 - um * um)) / (1 + um)
+                old = (d2 ** 3 * p1 - t * d2 ** 4, p1p / d2 - 1,
+                       -6 * d2 * p1 + 8 * t * d2 * p1p)
+                for value, exact in zip((d, 1 - e) + tuple(new[i] for i in (0, 2, 3)),
+                                        (d2, d2) + old):
+                    assert abs(value / exact - 1) <= mpf(10) ** (3 - digits), (z, u)
+
+
 @pytest.mark.parametrize("solver,spied", [
     ("quartic_tau", "phi_family"),
     ("s_tilde_characteristic", "psi_family"),
@@ -229,13 +296,15 @@ def test_root_solves_evaluate_no_point_twice(monkeypatch, solver, spied):
     from forestmaps import critical
 
     monkeypatch.setattr(critical, "_SOLVES", {})
-    evaluate, points = getattr(critical, spied), []
+    # the solves evaluate each family at a pair (z, w), by phi_family_at or
+    # psi_family_at
+    evaluate, points = getattr(critical, spied + "_at"), []
 
-    def spy(x, prec):
-        points.append(x)
-        return evaluate(x, prec)
+    def spy(z, w, prec):
+        points.append((z, w))
+        return evaluate(z, w, prec)
 
-    monkeypatch.setattr(critical, spied, spy)
+    monkeypatch.setattr(critical, spied + "_at", spy)
     if solver == "s_tilde_radius_cubic":  # an exact u, and a short series
         critical.s_tilde_radius_cubic(1, Precision(20, 1e-8), 25)
     else:
@@ -289,37 +358,53 @@ def test_an_exact_u_reads_as_its_mpf(name):
 
 
 def test_root_refusals():
-    from forestmaps.critical import _root
+    from forestmaps.critical import _boundary_pair, _root
 
     with PREC20.ctx():
-        b = mpf(1) / 27
-        with pytest.raises(ValueError, match="could not bracket the test root: f stays "
-                                             "negative down to 1.0e-403 after 400 steps"):
-            _root(lambda x: (-1 - x, None), mpf(1) / 1000, 10, b / 2, b,
-                  ("test root", "unused"), PREC20)
-        # the root 10^-13 relative below b, closer than 10^(8 - 20)
-        root = b * (1 - mpf(10) ** -13)
-        with pytest.raises(ValueError, match=r"^u=7 puts the root closer to 1/27 than the "
-                                             r"working precision resolves; raise the working "
-                                             r"digits \(--digits\)$"):
-            _root(lambda x: (root - x, None), b / 1000, 10, b / 2, b,
-                  ("test root", "u=7 puts the root closer to 1/27"), PREC20)
-        # the data comes from the evaluation at the root
+        # negative everywhere: the walk moves down 16 times, then refuses
+        with pytest.raises(ValueError, match=r"^could not bracket the root: f keeps its sign "
+                                             r"on s in \[-1.3107e\+5, -65535.0\] after 16 "
+                                             r"steps$"):
+            _root(lambda z, w: (-1 - z, None), PREC20)
+        # the data comes from the evaluation at the root, and no point is
+        # evaluated twice
         points = []
 
-        def f(x):
-            points.append(x)
-            return b / 3 - x, 2 * x
+        def f(z, w):
+            points.append(z)
+            return mpf(1) / 3 - z, 2 * z
 
-        x, residual, data = _root(f, b / 1000, 10, b / 2, b, ("test root", "unused"), PREC20)
-        assert abs(x - b / 3) < mpf("1e-16") and data == 2 * x and residual == abs(b / 3 - x)
+        z, s, residual, data = _root(f, PREC20)
+        assert abs(z - mpf(1) / 3) < mpf("1e-16") and data == 2 * z
+        assert residual == abs(mpf(1) / 3 - z) and z == _boundary_pair(s)[0]
         assert len(points) == len(set(points))
+        # roots next to either end are solved relative to their distance
+        # from it: w = e^-700 and z = 1e-300
+        _, s, _, _ = _root(lambda z, w: (mpmath.log(w) + 700, None), PREC20)
+        assert abs(_boundary_pair(s)[1] / mpmath.exp(-700) - 1) < mpf("1e-16")
+        z, _, _, _ = _root(lambda z, w: (mpf(-300) - mpmath.log10(z), None), PREC20)
+        assert abs(z / mpf("1e-300") - 1) < mpf("1e-16")
+        # below a top, the walk starts at [top - 1, top], moves down only and
+        # never evaluates above the top
+        top = mpf(5)
+        for root in (mpf("0.9"), mpf("0.99")):  # s = 2.2 and 4.6
+            points = []
+
+            def g(z, w):
+                points.append(z)
+                return root - z, None
+
+            z, s, _, _ = _root(g, PREC20, top=top)
+            assert abs(z - root) < mpf("1e-16") and s < top
+            assert max(points) <= _boundary_pair(top)[0]
+        with pytest.raises(ValueError, match="not bracketed"):
+            _root(g, PREC20, top=mpf(1))  # g(top) > 0
 
 
 def _log_flat(a, digits):
     """1 + a ln(b - x) with b = 1/27, log-flat at b like Phi' near 1/27; its
     root b - exp(-1/a) is exponentially close to b for small a.  The bracket
-    ends where quartic_tau's does, 10^(8 - digits) relative below b."""
+    ends 10^(8 - digits) relative below b."""
     b = mpf(1) / 27
     return (lambda x: 1 + a * mpmath.log(b - x), b - mpmath.exp(-1 / a),
             mpf(0), b * (1 - mpf(10) ** (8 - digits)))
@@ -431,6 +516,26 @@ def test_radius_refuses_an_unbracketable_u():
     assert time.perf_counter() - t0 < 5
 
 
+@settings(max_examples=16, deadline=None)
+@given(case=st.one_of(st.tuples(st.just(4), st.floats(-2, 300)),
+                      st.tuples(st.just(3), st.floats(math.log10(0.02), 10))))
+def test_tau_at_20_digits_matches_40(case):
+    # u log-uniform, from critical points next to the boundary to ones
+    # next to 0; radius refuses a tau whose residual misses its target
+    p, exponent = case
+    u = 10.0 ** exponent
+    tau20 = radius(p, u, Precision(20, 1e-8)).tau
+    assert abs(tau20 / radius(p, u, Precision(40, 1e-18)).tau - 1) <= 1e-15
+
+
+def test_radius_refuses_a_profile_outside_floats():
+    # rho ~ 1/(12 u^2) underflows a float from u ~ 1e154 on (p = 3), and
+    # u = 1e400 overflows one; the profile would print 0.0 and Infinity
+    for p, u in ((3, 10 ** 200), (4, 10 ** 400)):
+        with pytest.raises(ValueError, match="outside the range of a float"):
+            radius(p, u, PREC20)
+
+
 def test_radius_profiles_are_not_shared():
     from forestmaps import critical
 
@@ -465,7 +570,7 @@ def test_radius_decreasing_grids():
 
 
 def test_s_tilde_characteristic_and_continuation():
-    rho_t, s_val, t_c, delta, res = s_tilde_characteristic(1, PREC)
+    rho_t, _, _, _, res, _ = s_tilde_characteristic(1, PREC)
     assert float(rho_t) == pytest.approx(0.010320, abs=2e-5)
     assert res < 1e-12
     cont = s_tilde_radius_cubic(1, PREC, series_order=60)

@@ -36,13 +36,13 @@ def test_kappa_values():
 def test_component_slope_monotone_grid():
     vals = [component_slope(u, PREC) for u in (0.25, 0.5, 1, 2)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    # -> 0 as u -> 0+ (the critical point migrates exponentially close to
-    # 1/27, so small u needs more working digits)
-    assert component_slope(0.05, Precision(100, 1e-40)) < 0.02
+    # -> 0 as u -> 0+, where the critical point migrates exponentially close
+    # to 1/27 (1 - 27 tau ~ 2e-158 at u = 0.01); 50 digits resolve it
+    small = [component_slope(u, PREC) for u in (0.01, 0.05)]
+    assert small[0] < small[1] < 0.02
+    assert small[0] == pytest.approx(component_slope(0.01, Precision(100, 1e-40)), rel=1e-15)
     with pytest.raises(ValueError):
         component_slope(-0.5, PREC)
-    with pytest.raises(ValueError):
-        component_slope(0.01, PREC)  # unresolvable at 50 digits
 
 
 def test_size_law_positive_partial_sums_below_one():
@@ -97,9 +97,21 @@ def test_root_size_reads_one_coefficient_of_the_full_power(u, n, k_max):
     assert finite_n_root_size(u, n, k_max) == _root_size_from_full_powers(u, n, k_max)
 
 
-def test_finite_n_guards():
+def test_finite_n_guards(monkeypatch):
     with pytest.raises(ValueError):
         finite_n_expectations(Q(0), [10])
+    # n < 3 is refused before any series is built
+    from forestmaps import randmodel
+
+    def no_series(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(randmodel, "quartic_series", no_series)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match=r"n must be >= 3 .*got %d$" % n):
+            finite_n_expectations(Q(1), [40, n])
+        with pytest.raises(ValueError, match=r"n must be >= 3 .*got %d$" % n):
+            finite_n_root_size(Q(1), n, 2)
 
 
 def test_ratio_table_u0():
