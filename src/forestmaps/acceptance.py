@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import mpmath
 from mpmath import mpf
@@ -38,8 +38,7 @@ from .exact import Q
 from .fast import cubic_rs_coeffs
 from .hyp import Precision
 from .maps import oracle_f
-from .randmodel import finite_n_expectations, finite_n_root_size, kappa, \
-    kappa_smooth_reference, s_limit_law
+from .randmodel import finite_n_expectations, finite_n_root_size, kappa, s_limit_law
 from .asymptotics import (
     coefficient_asymptotic_check,
     cubic_beta_fit,
@@ -48,7 +47,7 @@ from .asymptotics import (
     transition_digits,
 )
 from .series import ZSeries
-from .solver import compose_biv, series_f, series_h, solve, solve_rs, solve_s_tilde
+from .solver import compose_biv, series_f, series_h, solve
 from .trees import phi_theta_tables, quartic_mullin_coeff
 from .upoly import UPoly
 

@@ -115,7 +115,6 @@ def log_singularity_probe(
     order: Optional[int] = None,
     tol: float = 1e-6,
     constant: float = 72.0,
-    _validate_prefix: int = LOG_PROBE_PREFIX,
 ) -> dict:
     """Compare F''(z) + 4/u against constant*sqrt(3) pi rho / (u^2 ln(1-z/rho)).
 
@@ -152,9 +151,9 @@ def log_singularity_probe(
                                  int(math.log(tol / 50.0) / math.log(qmax) * 1.3))
         )
     # validate the float engine against the exact one on a prefix
-    fp_exact = quartic_series(u, _validate_prefix + 2)["fprime"]
+    fp_exact = quartic_series(u, LOG_PROBE_PREFIX + 2)["fprime"]
     rel = _prefix_rel_err(g, [Q(fp_exact[n + 1]) * (n + 1)
-                              for n in range(_validate_prefix)], s)
+                              for n in range(LOG_PROBE_PREFIX)], s)
     ub = 1.0 / uf
     c_num = constant * math.sqrt(3.0) * math.pi * ub * ub * s
     rows = []
@@ -185,7 +184,6 @@ def cubic_beta_fit(
     z_fracs: Sequence[float] = (0.9, 0.93, 0.96, 0.98, 0.99),
     order: int = 4000,
     prec: Precision = DEFAULT_PREC,
-    _validate_prefix: int = BETA_FIT_PREFIX,
 ) -> dict:
     """Fit the log-correction coefficient of the cubic expansion at u < 0.
 
@@ -202,8 +200,8 @@ def cubic_beta_fit(
     alpha = float(data["alpha"])
     beta_closed = float(data["beta"])
     fp = cubic_fprime_float(float(u), order, s)
-    fp_exact = cubic_fprime_coeffs(u, _validate_prefix)
-    rel = _prefix_rel_err(fp, fp_exact[:_validate_prefix], s)
+    fp_exact = cubic_fprime_coeffs(u, BETA_FIT_PREFIX)
+    rel = _prefix_rel_err(fp, fp_exact[:BETA_FIT_PREFIX], s)
     powers = np.arange(len(fp))
     rows = []
     ys = []

@@ -34,6 +34,7 @@ accepted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Dict, NamedTuple, Optional
@@ -277,7 +278,11 @@ def _radius_quartic(um, prec: Precision):
     """(rho, tau, sigma, c_u, residuals) of p = 4."""
     rho, tau, _ = quartic_critical_point(um, prec)
     res = _solved(quartic_tau, um, prec)[1] if um > 0 else 0
-    return rho, tau, 0, float(asymptotic_constant(4, um, prec)), {"char": float(res)}
+    c_u = asymptotic_constant(4, um, prec)
+    # c_u ~ 7.8e-3/u^3 leaves the normal floats from about u = 1e102 on, where
+    # a float would hold 0.0 or a subnormal with few bits; report none there
+    c_u = float(c_u) if c_u >= sys.float_info.min else None
+    return rho, tau, 0, c_u, {"char": float(res)}
 
 
 # ---------------------------------------------------------------------------

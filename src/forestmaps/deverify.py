@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .exact import Q, canon
 from .series import ZSeries

@@ -14,7 +14,7 @@ series can be shared freely across threads.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exact import Q, QZERO, exact_div, rat_to_str
 from .upoly import UPoly
@@ -94,8 +94,9 @@ class ZSeries:
         n = min(self.order, other.order)
         return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
 
-    def __hash__(self):  # pragma: no cover
-        return hash((self.coeffs, self.order))
+    # equality ignores the order past the shorter series, so no hash can
+    # agree with it
+    __hash__ = None
 
     # -- ring operations ---------------------------------------------------
 
@@ -169,27 +170,6 @@ class ZSeries:
         for n, c in enumerate(self.coeffs, 1):
             out.append(exact_div(s * c, n))
         return ZSeries(out, self.order + 1)
-
-    # -- composition and inversion ------------------------------------------
-
-    def compose_outer(self, outer_coeffs: Sequence) -> "ZSeries":
-        """Evaluate sum_k outer_coeffs[k] * self**k by Horner.
-
-        `self` must have zero constant term, otherwise the composition is
-        not well defined on truncations.
-        """
-        v = self.valuation()
-        if v == 0:
-            raise ValueError("composition requires a series with zero constant term")
-        n = self.order
-        top = min(len(outer_coeffs) - 1, n if v else len(outer_coeffs) - 1)
-        acc = ZSeries.zero(n, self.zero_coeff)
-        for k in range(top, -1, -1):
-            acc = acc * self
-            ck = outer_coeffs[k]
-            if ck:
-                acc = acc + ZSeries.const(ck, n, self.zero_coeff)
-        return acc
 
     # -- u-specific operations (symbolic mode) -------------------------------
 

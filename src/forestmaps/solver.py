@@ -9,7 +9,14 @@ where Phi1, Phi2 are the tree-weighted doubly hypergeometric tables of
 :mod:`forestmaps.trees`.  One fixed-point sweep (R updated first from the
 previous S, then S from the current R) gains exactly one z-order, so the
 solver runs exactly `order` sweeps, each truncated at the order it is about
-to secure; no convergence test is needed.
+to secure; no convergence test is needed.  The sweep is the same for every
+p: for even p, Phi2 has no y-free entry and S stays the zero series.
+
+Every substitution of series into a table goes through
+:func:`compose_biv`: Phi1, Phi2 and theta, the inner sums of G and H, and
+the univariate outer series of the closed quartic forms, passed as
+one-column tables.  Where Y is the zero series it reads only the j = 0
+column, so even p costs no bivariate work.
 
 The generating function of forested maps follows as F' = theta(R, S) with
 F(0) = 0, the leaf-rooted variant as G' = (1 + 1/u) S, and the
@@ -152,27 +159,36 @@ def _domain(p: int, u):
 
 
 def compose_biv(table, x_series: ZSeries, y_series: ZSeries, order: int) -> ZSeries:
-    """Evaluate a bivariate table sum c_{ij} X^i Y^j on truncated series.
+    """The table sum c_{ij} X^i Y^j evaluated on truncated series.
 
-    X and Y must have zero constant term; the table is assumed truncated at
-    total degree <= order, which matches an order-correct substitution.
-    Grouped as Horner in Y over precomputed polynomials in X.
+    This is the one routine that substitutes series into a table: the tree
+    tables of :mod:`forestmaps.trees`, and any univariate outer series
+    sum c_k X^k given as the one-column table {(k, 0): c_k} with the zero
+    series as Y.  X and Y must have zero constant term; the result is
+    truncated at n = min(order, X.order, Y.order), so only the entries with
+    i + j <= n enter.  The powers X^i are built once, each product starting
+    at valuation i; the columns A_j = sum_i c_{ij} X^i are summed from them
+    and combined by Horner in Y, A_0 + Y (A_1 + Y (A_2 + ...)).  When Y is
+    the zero series only the j = 0 column is kept, which is how the sweep
+    runs at even p, where S = 0.
     """
     zero = x_series.zero_coeff
     if x_series.valuation() == 0 or y_series.valuation() == 0:
         raise ValueError("bivariate composition needs zero constant terms")
     n = min(order, x_series.order, y_series.order)
+    y_zero = y_series.is_zero()
     by_j: dict = {}
     for (i, j), c in table.items():
-        if i + j <= n:
+        if i + j <= n and not (y_zero and j):
             by_j.setdefault(j, []).append((i, c))
     if not by_j:
         return ZSeries.zero(n, zero)
     # powers of X up to the largest needed i
-    max_i = max((i for terms in by_j.values() for i, _ in terms), default=0)
-    xpow = [ZSeries.const(zero + 1, n, zero)]
-    for _ in range(max_i):
-        xpow.append((xpow[-1] * x_series).truncate(n) if len(xpow) > 1 else x_series.truncate(n))
+    max_i = max(i for terms in by_j.values() for i, _ in terms)
+    x = x_series.truncate(n)
+    xpow = [ZSeries.const(zero + 1, n, zero), x]
+    while len(xpow) <= max_i:
+        xpow.append(xpow[-1] * x)
     a_j = {}
     for j, terms in by_j.items():
         acc = ZSeries.zero(n, zero)
@@ -188,20 +204,19 @@ def compose_biv(table, x_series: ZSeries, y_series: ZSeries, order: int) -> ZSer
     return acc
 
 
-def solve_rs(p: int, order: int, u_mode=None, force_bivariate: bool = False):
+def solve_rs(p: int, order: int, u_mode=None):
     """Solve the defining system for (R, S) through z^order.
 
-    `u_mode` is None (symbolic) or an exact rational.  For even p the
-    second series vanishes identically and the univariate simplification is
-    used unless `force_bivariate` asks for the full system (the two must
-    agree; that equality is a test).
+    `u_mode` is None (symbolic) or an exact rational.  Every p runs the
+    same sweep; for even p, Phi2 has no y-free entry, so S comes out as
+    the zero series and Phi1(R, S) reads only the j = 0 column.
     """
     dom = _domain(p, _mode(u_mode))
-    R, S = _sweep_rs(p, order, dom, force_bivariate)
+    R, S = _sweep_rs(p, order, dom)
     return dom.unload(R), dom.unload(S)
 
 
-def _sweep_rs(p: int, order: int, dom, force_bivariate: bool = False):
+def _sweep_rs(p: int, order: int, dom):
     """(R, S) through z^order in the coefficient mode `dom`."""
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -215,21 +230,16 @@ def _sweep_rs(p: int, order: int, dom, force_bivariate: bool = False):
     z = dom.z(order)
     R = ZSeries.zero(order, zero)
     S = ZSeries.zero(order, zero)
-    even = p % 2 == 0 and not force_bivariate
 
     def pad(series):
         return ZSeries(list(series.coeffs), order, zero)
 
     for k in range(1, order + 1):
-        Rk, Sk = R.truncate(k), S.truncate(k)
-        if even:
-            phi1 = Rk.compose_outer(tables["phi_x"])
-        else:
-            phi1 = compose_biv(tables["phi1"], Rk, Sk, k)
+        Sk = S.truncate(k)
+        phi1 = compose_biv(tables["phi1"], R.truncate(k), Sk, k)
         R = pad(z.truncate(k) + dom.times_u(phi1))
-        if not even:
-            phi2 = compose_biv(tables["phi2"], R.truncate(k), Sk, k)
-            S = pad(dom.times_u(phi2))
+        phi2 = compose_biv(tables["phi2"], R.truncate(k), Sk, k)
+        S = pad(dom.times_u(phi2))
     return R, S
 
 
@@ -270,10 +280,7 @@ def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
     tables = phi_theta_tables(p, order)
     ufac = _u_factor(u)
     z = _z_series(order, u)
-    if p % 2 == 0 and S.is_zero():
-        phi1 = R.compose_outer(tables["phi_x"])
-    else:
-        phi1 = compose_biv(tables["phi1"], R, S, order)
+    phi1 = compose_biv(tables["phi1"], R, S, order)
     phi2 = compose_biv(tables["phi2"], R, S, order)
     return (R - z - phi1.scale(ufac), S - phi2.scale(ufac))
 
@@ -291,10 +298,7 @@ def series_f(p: int, order: int, u_mode=None, rs=None):
     dom = _domain(p, u)
     tables = phi_theta_tables(p, order)
     R, S = _rs(p, order, dom, rs)
-    if p % 2 == 0:
-        fprime = R.compose_outer(tables["theta_x"])
-    else:
-        fprime = compose_biv(tables["theta"], R, S, order)
+    fprime = compose_biv(tables["theta"], R, S, order)
     if p == 3 and u != 0:
         # F' = 2z/u + S/u - (1 + 1/u)(2R + S^2); only the grouped
         # combination (2z + S - 2R - S^2)/u is u-divisible term by term.
@@ -333,7 +337,8 @@ def series_f_explicit_quartic(order: int, u_mode=None, rs=None) -> ZSeries:
     else:
         outer = [psi1[k] - u * psi2[k] for k in range(order + 1)]
     R = rs[0] if rs is not None else solve_rs(4, order, u_mode)[0]
-    return R.compose_outer(outer)
+    column = {(k, 0): c for k, c in enumerate(outer) if c}
+    return compose_biv(column, R, ZSeries.zero(order, R.zero_coeff), order)
 
 
 def series_g(order: int, u_mode=None, rs=None):
@@ -396,7 +401,9 @@ def quartic_h_via_lambda(order: int, u_mode=None, rs=None) -> ZSeries:
     dom = _domain(4, _mode(u_mode))
     R = dom.load(rs[0]) if rs is not None else _sweep_rs(4, order, dom)[0]
     z = dom.z(order)
-    return dom.unload(dom.div_u(z * (R - z)) - R.compose_outer(lambda_series(order)))
+    column = {(k, 0): c for k, c in enumerate(lambda_series(order)) if c}
+    lam = compose_biv(column, R, ZSeries.zero(order, dom.zero), order)
+    return dom.unload(dom.div_u(z * (R - z)) - lam)
 
 
 def solve(p: int, order: int, u_mode=None) -> SolverOutput:

@@ -3,8 +3,12 @@
 The closed-form counts (leaf-rooted and corner-rooted trees by number of
 leaves) feed three families of truncated series:
 
-* the bivariate tables theta, Phi1, Phi2 consumed by the implicit solver,
-* their univariate specializations theta(x), Phi(x) when p is even,
+* the bivariate tables theta, Phi1, Phi2 consumed by the implicit solver
+  (at even p it reads their j = 0 columns from the tables themselves),
+* their univariate specializations theta(x), Phi(x) when p is even, as
+  coefficient lists; these feed :mod:`forestmaps.fast`,
+  :mod:`forestmaps.deverify` and the closed quartic form of F, not the
+  sweep,
 * the univariate cubic-case reductions Psi1, Psi2 and the quartic-case
   integral Lambda.
 
@@ -111,7 +115,7 @@ def phi_theta_tables(p: int, order: int) -> dict:
     For even p every Phi2 entry carries a positive y-power (t_odd = 0), so
     the solver's second unknown vanishes; the univariate specializations
     theta(x) = theta(x,0), Phi(x) = Phi1(x,0) are returned as coefficient
-    lists as well.
+    lists as well, for the recurrences and identities that work in x alone.
     """
     if order < 0:
         raise ValueError("order must be >= 0")

@@ -348,6 +348,13 @@ def test_radius_at_20_digits_matches_30(capsys, p, u):
     assert rhos[0] == rhos[1]
 
 
+# c_u ~ 7.8e-3/u^3 falls below the normal floats from about u = 1e102 on
+@pytest.mark.parametrize("u,c_u", [("1e300", None), ("1e10", 7.835966434898296e-33)])
+def test_quartic_c_u_is_null_below_the_normal_floats(capsys, u, c_u):
+    out = run_cli(capsys, "--digits", "20", "radius", "--p", "4", "--u", u)
+    assert json.loads(out)["result"]["profiles"][0]["c_u"] == c_u
+
+
 # critical points exponentially close to the boundary (small u) or to 0
 # (large u): 1 - 27 tau is 2e-158 at u = 0.01, and tau ~ 1/(6u)
 RESOLVED = ([("--digits", "20", "radius", "--p", "4", "--u", u)

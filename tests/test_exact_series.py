@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from forestmaps.exact import Q, rat_from_str, rat_to_str
 from forestmaps.series import ZSeries
+from forestmaps.solver import compose_biv
 from forestmaps.upoly import UP_U, UPoly
 
 
@@ -99,15 +100,21 @@ def test_truncation_is_min_of_operands():
         b.truncate(5)
 
 
+def _outer(coeffs, inner):
+    """sum_k coeffs[k] inner^k, as the one-column table {(k, 0)} with Y = 0."""
+    column = {(k, 0): c for k, c in enumerate(coeffs)}
+    return compose_biv(column, inner, ZSeries.zero(inner.order, inner.zero_coeff), inner.order)
+
+
 def test_compose_basics():
     inner = ZSeries([Q(0), Q(1), Q(1)], 4)  # z + z^2
-    sq = inner.compose_outer([Q(0), Q(0), Q(1)])  # x^2
+    sq = _outer([Q(0), Q(0), Q(1)], inner)  # x^2
     assert [sq.coeff(i) for i in range(5)] == [0, 0, 1, 2, 1]
-    ident = inner.compose_outer([Q(0), Q(1)])
+    ident = _outer([Q(0), Q(1)], inner)
     assert ident == inner
     const = ZSeries([Q(1), Q(1)], 3)
     with pytest.raises(ValueError):
-        const.compose_outer([Q(0), Q(1)])
+        _outer([Q(0), Q(1)], const)
 
 
 def test_compose_associativity():
@@ -117,10 +124,10 @@ def test_compose_associativity():
         f = rand_series(rng, 5)
         g = rand_series(rng, 5, zero_const=True)
         h = rand_series(rng, 5, zero_const=True)
-        gh = h.compose_outer(list(g.coeffs))
-        left = gh.compose_outer(list(f.coeffs))
-        fg = g.compose_outer(list(f.coeffs))
-        right = h.compose_outer(list(fg.coeffs))
+        gh = _outer(g.coeffs, h)
+        left = _outer(f.coeffs, gh)
+        fg = _outer(f.coeffs, g)
+        right = _outer(fg.coeffs, h)
         assert left == right
 
 
@@ -144,11 +151,18 @@ def test_phi_composed_with_r():
     from forestmaps.trees import phi_theta_tables
 
     R, _ = solve_rs(4, 3)
-    comp = R.compose_outer(
-        [UPoly((c,)) for c in phi_theta_tables(4, 3)["phi_x"]]
-    )
+    comp = _outer([UPoly((c,)) for c in phi_theta_tables(4, 3)["phi_x"]], R)
     assert comp.coeff(2) == UPoly((3,))
     assert comp.coeff(3) == UPoly((30, 18))
+
+
+def test_series_are_unhashable():
+    # equality reads only the shorter order, so no hash could agree with it
+    a, b = ZSeries([0, 1], 1), ZSeries([0, 1, 5], 2)
+    assert a == b
+    for series in (a, b):
+        with pytest.raises(TypeError):
+            hash(series)
 
 
 def test_calculus_shift_and_scale():

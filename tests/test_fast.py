@@ -28,7 +28,7 @@ from forestmaps.fast import (
     quartic_series,
 )
 from forestmaps.series import ZSeries
-from forestmaps.solver import series_f, solve_rs
+from forestmaps.solver import compose_biv, series_f, solve_rs
 from forestmaps.trees import phi_theta_tables
 from forestmaps.upoly import UPoly
 
@@ -238,7 +238,8 @@ def _symbolic_sweep():
         4: {
             "R": R4,
             "W": (R4 - z).divide_by_u(),
-            "V": R4.compose_outer([k * phi[k] for k in range(1, len(phi))]),
+            "V": compose_biv({(k - 1, 0): k * phi[k] for k in range(1, len(phi))},
+                             R4, ZSeries.zero(11, UPoly()), 11),
             "fprime": Fp4,
             "f": F4,
             "fzu": Fp4.map_coeffs(_du),

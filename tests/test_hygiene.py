@@ -1,0 +1,75 @@
+"""Source hygiene: every name a package module imports is read somewhere in it.
+
+No linter is a dependency of the package, so this is the lint step: it
+parses each module of ``src/forestmaps`` with :mod:`ast` and reports
+imported names that the module never loads.  A name listed in the
+module's ``__all__`` counts as read, so re-exports stay legal.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "forestmaps"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported(tree):
+    """(bound name, line) for every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.arg) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _read(tree):
+    """Every name the module loads, the strings of its ``__all__`` and the
+    names inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    for ann in _annotations(tree):
+        # string annotations such as "ZSeries" under postponed evaluation
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                expr = ast.parse(sub.value, mode="eval")
+                names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return names
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    read = _read(tree)
+    return [(name, line) for name, line in _imported(tree) if name not in read]
+
+
+def test_the_checker_sees_an_unused_import():
+    src = "from typing import List, Optional\nimport math\nx: Optional[int] = math.pi\n"
+    assert unused_imports(src) == [("List", 1)]
+    assert unused_imports("from .a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text()) == []

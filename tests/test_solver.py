@@ -52,18 +52,78 @@ def test_u_zero_collapse():
         assert S.is_zero()
 
 
-def test_even_p_bivariate_route_agrees():
-    for p in (4, 6):
-        R1, S1 = solve_rs(p, 8)
-        R2, S2 = solve_rs(p, 8, force_bivariate=True)
-        assert R1 == R2 and S2.is_zero()
-
-
 def test_system_residuals_vanish():
     for p in (3, 4, 5, 6):
         R, S = solve_rs(p, 12)
         r1, r2 = residual_rs(p, R, S)
         assert r1.is_zero() and r2.is_zero(), p
+        # Phi2 has no y-free entry at even p, so the sweep keeps S at 0
+        assert S.is_zero() == (p % 2 == 0), p
+
+
+# coefficient kinds of the two modes and of rational tables: (entries, zero)
+KINDS = {
+    "int": (st.integers(-9, 9), 0),
+    "Fraction": (st.fractions(-5, 5, max_denominator=6).map(Q), Q(0)),
+    "UPoly": (st.lists(st.fractions(-3, 3, max_denominator=4), max_size=3).map(UPoly),
+              UPoly()),
+}
+
+
+@st.composite
+def compose_cases(draw):
+    """(table, X, Y, order) in one coefficient kind; Y is the zero series
+    in about half of the cases, and about half of the tables have a constant
+    term."""
+    entry, zero = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+
+    def series():
+        n = draw(st.integers(0, 6))
+        return ZSeries([zero] + draw(st.lists(entry, min_size=n, max_size=n)), n, zero)
+
+    x = series()
+    y = ZSeries.zero(draw(st.integers(0, 6)), zero) if draw(st.booleans()) else series()
+    keys = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    table = draw(st.dictionaries(keys, entry, max_size=8))
+    if draw(st.booleans()):
+        table[(0, 0)] = draw(entry)
+    return table, x, y, draw(st.integers(0, 6))
+
+
+def _termwise(table, x, y, n):
+    """sum c_ij X^i Y^j through z^n by explicit repeated products, with every
+    entry of the table (those of i + j > n vanish through z^n)."""
+    zero = x.zero_coeff
+    total = ZSeries.zero(n, zero)
+    for (i, j), c in table.items():
+        term = ZSeries.const(zero + 1, n, zero)
+        for factor in [x] * i + [y] * j:
+            term = term * factor
+        total = total + term.scale(c)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(compose_cases())
+def test_compose_biv_matches_termwise_products(case):
+    table, x, y, order = case
+    n = min(order, x.order, y.order)
+    got = compose_biv(table, x, y, order)
+    assert got.order == n
+    assert got.coeffs == _termwise(table, x, y, n).coeffs
+
+
+def test_compose_biv_reads_only_the_first_column_at_zero_y():
+    class Unread:
+        def __rmul__(self, other):
+            raise AssertionError("an entry with j > 0 was read")
+
+    x = ZSeries.z(5, 0, 1)
+    got = compose_biv({(1, 0): 2, (0, 1): Unread(), (2, 2): Unread()}, x,
+                      ZSeries.zero(5, 0), 5)
+    assert got.coeffs == (0, 2, 0, 0, 0, 0)
+    with pytest.raises(ValueError):  # Y with a constant term
+        compose_biv({(1, 0): 2}, x, ZSeries([1, 1], 5, 0), 5)
 
 
 def test_specialize_before_equals_after():
