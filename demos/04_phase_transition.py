@@ -16,7 +16,7 @@ from forestmaps.critical import radius, s_tilde_radius_cubic
 from forestmaps.exact import Q
 from forestmaps.hyp import Precision
 
-PREC = Precision(50, 1e-20)
+PREC = Precision(50)
 
 print("=== radii across u (both valencies) ===")
 print("   u      rho(p=4)    rho(p=3)    regime")

@@ -19,7 +19,7 @@ from forestmaps.randmodel import (
     s_limit_law_tail_bound,
 )
 
-PREC = Precision(50, 1e-20)
+PREC = Precision(50)
 
 print("=== density of forest components, E[C_n]/n -> u Phi(tau)/rho ===")
 for u in (0.25, 0.5, 1, 2):

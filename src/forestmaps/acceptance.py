@@ -51,7 +51,7 @@ from .solver import compose_biv, series_f, series_h, solve
 from .trees import phi_theta_tables, quartic_mullin_coeff
 from .upoly import UPoly
 
-PREC = Precision(50, 1e-20)
+PREC = Precision(50)
 
 
 @dataclass
@@ -237,7 +237,7 @@ def criterion_7() -> CriterionResult:
     from .randmodel import kappa_transition_gap
 
     def kgap(u):
-        return float(kappa_transition_gap(u, Precision(transition_digits(u), 1e-30)))
+        return float(kappa_transition_gap(u, Precision(transition_digits(u))))
 
     gap05 = kgap(0.05)
     bound = g["bound"]

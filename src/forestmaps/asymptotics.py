@@ -243,7 +243,7 @@ def quartic_smoothness_gap(u: float = 0.05, prec: Optional[Precision] = None) ->
     if u <= 0:
         raise ValueError("the smoothness gap is measured at u > 0")
     if prec is None:
-        prec = Precision(transition_digits(u), 1e-20)
+        prec = Precision(transition_digits(u))
     with prec.ctx():
         um = as_mpf(u)
         rho, tau, _ = quartic_critical_point(um, prec)

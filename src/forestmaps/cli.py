@@ -84,8 +84,8 @@ def _at_least(args, name: str, least: int) -> None:
         raise _flag_error("--" + name.replace("_", "-"), value, "an integer >= %d" % least)
 
 
-# the fewest working digits: the residual target 10^-(digits//2 - 2) is
-# then 10^-4, and looser targets would pass profiles resolved to a few digits
+# the fewest working digits: the residual target of Precision is then
+# 10^-4, and looser targets would pass profiles resolved to a few digits
 MIN_DIGITS = 12
 
 
@@ -108,7 +108,7 @@ def _precision(args):
     if digits < MIN_DIGITS:
         raise _flag_error("FORESTMAPS_DIGITS" if args.digits is None else "--digits",
                           digits, need)
-    return Precision(digits, 10.0 ** (-(digits // 2 - 2)))
+    return Precision(digits)
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None):

@@ -25,10 +25,10 @@ steps, evaluating each point once, and solves it by Brent's zeroin
 (:func:`_zeroin`): interpolation steps that never leave the bracket,
 bisection when they stall, a stop relative in z and in w, and one secant
 polish through the final bracket.  Every returned root carries its
-residual, and :func:`radius` refuses a profile whose residuals miss the
-target tolerance.  Every public function converts u once, with
-:func:`hyp.as_mpf`, so a float, an mpf and an exact rational are all
-accepted.
+residual, and :func:`radius` and :func:`s_tilde_radius_cubic` refuse a
+result whose residuals miss the target of the working digits.  Every
+public function converts u once, with :func:`hyp.as_mpf`, so a float, an
+mpf and an exact rational are all accepted.
 """
 
 from __future__ import annotations
@@ -207,10 +207,9 @@ def quartic_tau(u, prec: Precision = DEFAULT_PREC):
         return z / 27, residual, family
 
 
-# Each critical point is solved once per process.  The solvers read only
-# the working digits from a Precision, so an entry is keyed by the solver,
-# u rounded at the working precision and the working digits; entries are
-# tuples of mpf and float, which no caller can alter.
+# Each critical point is solved once per process.  An entry is keyed by the
+# solver, u rounded at the working precision and the working digits;
+# entries are tuples of mpf and float, which no caller can alter.
 _SOLVES: Dict[tuple, tuple] = {}
 
 
@@ -248,8 +247,9 @@ def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
 
     u is a float or an exact rational; a rational is rounded once, at the
     working precision.  Each call returns a new profile.  Raises ValueError
-    when a residual exceeds prec.target_abs_tol, and when u or rho lies
-    outside the range of a float, which the profile holds them as."""
+    when a residual exceeds prec.target_abs_tol, the target that follows
+    from the working digits, and when u or rho lies outside the range of a
+    float, which the profile holds them as."""
     with prec.ctx():
         um = as_mpf(u)
         if not um >= -1:
@@ -261,10 +261,7 @@ def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
         else:
             raise ValueError("radius is implemented for p in {3, 4}")
     for name, res in residuals.items():
-        if not res <= prec.target_abs_tol:
-            raise ValueError(
-                "u=%s: residual %r = %.3g exceeds the target %.0e; raise the "
-                "working digits (--digits)" % (um, name, res, prec.target_abs_tol))
+        _check_residual(um, name, res, prec)
     if not (math.isfinite(um) and float(rho) > 0):
         raise ValueError("u=%s: rho = %s lies outside the range of a float"
                          % (mpmath.nstr(um, 5), mpmath.nstr(rho, 5)))
@@ -272,6 +269,14 @@ def radius(p: int, u, prec: Precision = DEFAULT_PREC) -> SingularProfile:
     return SingularProfile(
         p=p, u=float(um), rho=float(rho), tau=float(tau), sigma=float(sigma),
         regime=regime, c_u=c_u, subexp_class=subexp_class, residuals=residuals)
+
+
+def _check_residual(um, name: str, res, prec: Precision) -> None:
+    """ValueError unless the residual `name` at u = um meets prec.target_abs_tol."""
+    if not res <= prec.target_abs_tol:
+        raise ValueError(
+            "u=%s: residual %r = %.3g exceeds the target %.0e; raise the "
+            "working digits (--digits)" % (um, name, res, prec.target_abs_tol))
 
 
 def _radius_quartic(um, prec: Precision):
@@ -569,13 +574,14 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
     continuation.
 
     The truncated specialized-u expansion of S~ traces the curve
-    (z, S~(z)); along it the derivative blocker 1 - u dPhi2/dy (evaluated
-    through the Psi2 reduction) decreases through zero at the radius.  The
-    crossing is bracketed on a walk up the curve and solved by the bracketed
-    zeroin to the evaluator's full precision.  The closed characteristic
-    solve of :func:`s_tilde_characteristic` cross-checks the result; the
-    difference reflects the series truncation and is reported, not asserted
-    to be tiny.
+    (x, S~(x)); along it the derivative blocker 1 - u dPhi2/dy (evaluated
+    through the Psi2 reduction) decreases through zero at the radius, below
+    1/64.  The crossing is one :func:`_root` solve in s = ln(z/w), z = 64x;
+    a point past the critical parabola (where S~ may exceed 1/4) reads -1.
+    Raises ValueError when the residual exceeds prec.target_abs_tol, as where
+    the series has not converged at the radius and the crossing is the jump
+    at the parabola.  The closed :func:`s_tilde_characteristic` checks the
+    result; their difference, the truncation bias, is reported.
     """
     if u <= 0:
         raise ValueError("the S~ radius workflow applies for u > 0")
@@ -588,26 +594,19 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
         um = as_mpf(uq)
         horner = [rat_to_mpf(c) for c in reversed(coeffs)]
 
-        @cache  # the walk's last two points are the ends of the zeroin bracket
-        def g(z):
-            y = mpmath.polyval(horner, z)
-            if 64 * z >= (1 - 4 * y) ** 2:
-                return mpf(-1)  # past the critical parabola
-            d = mpmath.sqrt(1 - 4 * y)
-            t = z / d ** 4
+        def g(z, w):
+            x = z / 64
+            delta2 = 1 - 4 * mpmath.polyval(horner, x)
+            if delta2 <= 0 or z >= delta2 ** 2:
+                return mpf(-1), None  # past the critical parabola
+            d = mpmath.sqrt(delta2)
+            t = x / d ** 4
             psi = psi_family_at(64 * t, 1 - 64 * t, prec)
-            return 1 - um * _phi_reduced(t, d, 1 - d, psi).phi2_y
+            return 1 - um * _phi_reduced(t, d, 1 - d, psi).phi2_y, None
 
-        # the bracket's low end is the walk's last point with g > 0, or one
-        # step below a first point that is already past the crossing
-        z = mpf(1) / 640
-        lo = z / mpf("1.05")
-        while g(z) > 0:
-            lo = z
-            z *= mpf("1.05")
-            if z > mpf(1) / 4:
-                raise ValueError("no crossing found; is u too small for the order?")
-        rho_series, residual = _zeroin(g, lo, z, prec)
+        z, _, residual, _ = _root(g, prec)
+        _check_residual(um, "s_tilde_radius", residual, prec)
+        rho_series = z / 64
         rho_closed = _solved(s_tilde_characteristic, um, prec)[0]
         return {
             "rho_tilde": float(rho_series),

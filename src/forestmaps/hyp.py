@@ -64,18 +64,16 @@ _GUARD_BITS = 20
 
 @dataclass(frozen=True)
 class Precision:
+    """The working digits of a floating computation.  Every residual the
+    numerics report is held to :attr:`target_abs_tol`, which follows from
+    them, so all callers at the same digits share one target."""
+
     working_digits: int = 50
-    target_abs_tol: float = 1e-20
 
-    def __post_init__(self):
-        import math
-
-        need = -math.log10(self.target_abs_tol)
-        if self.working_digits < 2 * need:
-            raise ValueError(
-                "working_digits=%d is below twice the digits implied by "
-                "target_abs_tol=%g" % (self.working_digits, self.target_abs_tol)
-            )
+    @property
+    def target_abs_tol(self) -> float:
+        """10^-(working_digits // 2 - 2): 1e-23 at the default 50 digits."""
+        return 10.0 ** -(self.working_digits // 2 - 2)
 
     def ctx(self):
         return mp.workdps(self.working_digits)

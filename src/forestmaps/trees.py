@@ -5,8 +5,9 @@ leaves) feed three families of truncated series:
 
 * the bivariate tables theta, Phi1, Phi2 consumed by the implicit solver
   (at even p it reads their j = 0 columns from the tables themselves),
+  and the inner double sums of G and H; all five come from one builder,
 * their univariate specializations theta(x), Phi(x) when p is even, as
-  coefficient lists; these feed :mod:`forestmaps.fast`,
+  coefficient tuples; these feed :mod:`forestmaps.fast`,
   :mod:`forestmaps.deverify` and the closed quartic form of F, not the
   sweep,
 * the univariate cubic-case reductions Psi1, Psi2 and the quartic-case
@@ -16,16 +17,17 @@ Everything here is exact integer/rational arithmetic; no floating point.
 The counts are integers and are returned as Python ints (the canonical
 form of :func:`forestmaps.exact.canon`), so the solver's products over
 them pay for no gcd.
-Bivariate tables are plain dicts {(i, j): coefficient} truncated by total
-degree i + j <= order, which is what an order-correct substitution of two
-valuation->=1 series requires.
+Bivariate tables are read-only mappings {(i, j): coefficient} truncated
+by total degree i + j <= order, which is what an order-correct substitution
+of two valuation->=1 series requires; each is built once per (p, order).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from .exact import Q, QZERO, binomial_q, canon, exact_div, factorial_q, trinomial_q
 
@@ -105,7 +107,32 @@ def enumerate_tree_count(p: int, k: int, kind: str = "leaf_rooted") -> int:
 # bivariate tables
 # ---------------------------------------------------------------------------
 
-def phi_theta_tables(p: int, order: int) -> dict:
+# name -> (tree kind, shift, k) of the table
+# {(i, j): t_{2i+j+shift} * trinomial(i-k, i, j)}, i >= k, i + j <= order
+_TABLES = {
+    "theta": ("corner_rooted", 0, 0),
+    "phi1": ("leaf_rooted", 0, 1),
+    "phi2": ("leaf_rooted", 1, 0),
+    "g_inner": ("leaf_rooted", -1, 2),
+    "h_inner": ("leaf_rooted", -2, 3),
+}
+
+
+@cache
+def _table(name: str, p: int, order: int) -> Mapping:
+    """The bivariate table `name` of p-valent trees through total degree order."""
+    kind, shift, k = _TABLES[name]
+    out: Biv = {}
+    for i in range(k, order + 1):
+        for j in range(order + 1 - i):
+            n = 2 * i + j + shift
+            c = tree_count(p, n, kind) if n >= 1 else 0
+            if c:
+                out[(i, j)] = c * trinomial_q(i - k, i, j)
+    return MappingProxyType(out)
+
+
+def phi_theta_tables(p: int, order: int) -> Mapping:
     """Truncated tables for theta, Phi1, Phi2 (total degree <= order).
 
     theta(x,y) = sum t^c_{2i+j} * trinomial(i,i,j) x^i y^j
@@ -115,30 +142,17 @@ def phi_theta_tables(p: int, order: int) -> dict:
     For even p every Phi2 entry carries a positive y-power (t_odd = 0), so
     the solver's second unknown vanishes; the univariate specializations
     theta(x) = theta(x,0), Phi(x) = Phi1(x,0) are returned as coefficient
-    lists as well, for the recurrences and identities that work in x alone.
+    tuples as well, for the recurrences and identities that work in x alone.
+    The result and its tables are read-only.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    theta: Biv = {}
-    phi1: Biv = {}
-    phi2: Biv = {}
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            c = tree_count(p, 2 * i + j, "corner_rooted") if 2 * i + j >= 1 else 0
-            if c:
-                theta[(i, j)] = c * trinomial_q(i, i, j)
-            if i >= 1:
-                c = tree_count(p, 2 * i + j, "leaf_rooted")
-                if c:
-                    phi1[(i, j)] = c * trinomial_q(i - 1, i, j)
-            c = tree_count(p, 2 * i + j + 1, "leaf_rooted")
-            if c:
-                phi2[(i, j)] = c * trinomial_q(i, i, j)
-    out = {"p": p, "order": order, "theta": theta, "phi1": phi1, "phi2": phi2}
+    out = {"p": p, "order": order, **{name: _table(name, p, order)
+                                      for name in ("theta", "phi1", "phi2")}}
     if p % 2 == 0:
-        out["theta_x"] = theta_x(p, order)
-        out["phi_x"] = [phi1.get((i, 0), 0) for i in range(order + 1)]
-    return out
+        out["theta_x"] = tuple(out["theta"].get((i, 0), 0) for i in range(order + 1))
+        out["phi_x"] = tuple(out["phi1"].get((i, 0), 0) for i in range(order + 1))
+    return MappingProxyType(out)
 
 
 def theta_x(p: int, order: int) -> list:
@@ -148,30 +162,18 @@ def theta_x(p: int, order: int) -> list:
             for i in range(order + 1)]
 
 
-def g_inner_table(p: int, order: int) -> Biv:
+def g_inner_table(p: int, order: int) -> Mapping:
     """Table sum_{i>=2} t_{2i+j-1} * trinomial(i-2,i,j) x^i y^j.
 
     This is the double sum in the closed expression of the leaf-rooted map
     series G; it also enters H.
     """
-    out: Biv = {}
-    for i in range(2, order + 1):
-        for j in range(order + 1 - i):
-            c = tree_count(p, 2 * i + j - 1, "leaf_rooted")
-            if c:
-                out[(i, j)] = c * trinomial_q(i - 2, i, j)
-    return out
+    return _table("g_inner", p, order)
 
 
-def h_inner_table(p: int, order: int) -> Biv:
+def h_inner_table(p: int, order: int) -> Mapping:
     """Table sum_{i>=3} t_{2i+j-2} * trinomial(i-3,i,j) x^i y^j (enters H)."""
-    out: Biv = {}
-    for i in range(3, order + 1):
-        for j in range(order + 1 - i):
-            c = tree_count(p, 2 * i + j - 2, "leaf_rooted")
-            if c:
-                out[(i, j)] = c * trinomial_q(i - 3, i, j)
-    return out
+    return _table("h_inner", p, order)
 
 
 # ---------------------------------------------------------------------------

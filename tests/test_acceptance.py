@@ -12,7 +12,5 @@ from forestmaps.acceptance import CRITERIA
 @pytest.mark.parametrize("fn", CRITERIA, ids=[f.__name__ for f in CRITERIA])
 def test_criterion(fn):
     res = fn()
-    print("criterion %2d  %-38s %s  (%5.1fs)  %s"
-          % (res.number, res.title, "PASS" if res.passed else "FAIL",
-             res.seconds, res.detail))
+    print(res.line())
     assert res.passed, "criterion %d: %s" % (res.number, res.detail)

@@ -132,8 +132,27 @@ def test_radius_of_an_exact_u_matches_the_cli(capsys):
 
     out = run_cli(capsys, "--digits", "50", "radius", "--p", "4", "--u", "1/3")
     (prof,) = json.loads(out)["result"]["profiles"]
-    prec = Precision(50, 1e-23)
+    prec = Precision(50)
     assert abs(radius(4, Fraction(1, 3), prec).rho - prof["rho"]) <= prec.target_abs_tol
+
+
+def test_one_residual_target_per_digits():
+    # the acceptance suite, the library defaults and the command line gate
+    # residuals alike at the same working digits
+    from forestmaps import acceptance, cli
+    from forestmaps.hyp import DEFAULT_PREC
+
+    args = cli.build_parser().parse_args(["--digits", "50", "radius", "--p", "4", "--u", "1"])
+    precs = (acceptance.PREC, DEFAULT_PREC, cli._precision(args))
+    assert {prec.target_abs_tol for prec in precs} == {1e-23}
+
+
+def test_s_tilde_residual_above_the_target_exits_4(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--digits", "20", "radius", "--p", "3", "--u=0.05", "--s-tilde"])
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert "residual 's_tilde_radius'" in err and "--digits" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -334,7 +353,7 @@ def test_radius_keeps_an_exact_u_exact(capsys, monkeypatch):
     monkeypatch.setattr(critical, "_SOLVES", {})
     out = run_cli(capsys, "--digits", "50", "radius", "--p", "4", "--u=1/3")
     (prof,) = json.loads(out)["result"]["profiles"]
-    exact = critical.radius(4, Fraction(1, 3), Precision(50, 1e-23))
+    exact = critical.radius(4, Fraction(1, 3), Precision(50))
     assert prof == {name: getattr(exact, name) for name in prof}
 
 
@@ -371,7 +390,7 @@ def test_radius_near_either_end_matches_120_digits(capsys, argv):
 
     (prof,) = json.loads(run_cli(capsys, *argv))["result"]["profiles"]
     p, u = int(argv[-3]), Fraction(argv[-1])
-    ref = radius(p, u, Precision(120, 1e-58))
+    ref = radius(p, u, Precision(120))
     for name in ("rho", "tau"):
         assert abs(prof[name] / getattr(ref, name) - 1) <= 1e-15, name
 

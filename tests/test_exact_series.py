@@ -329,7 +329,7 @@ def test_integral_sweep_stays_in_ints():
     tabs = phi_theta_tables(4, 12)
     ints = [c for key in ("theta", "phi1", "phi2") for c in tabs[key].values()]
     ints += list(g_inner_table(3, 12).values()) + list(h_inner_table(3, 12).values())
-    ints += tabs["theta_x"] + tabs["phi_x"] + lambda_series(12)
+    ints += list(tabs["theta_x"] + tabs["phi_x"]) + lambda_series(12)
     ints += psi_series(12)["psi1"] + psi_series(12)["psi2"]
     assert all(type(c) is int for c in ints)
     for u in (1, -2, Q(3)):

@@ -44,12 +44,7 @@ from forestmaps.hyp import (
     theta_singular_expansion,
 )
 
-PREC = Precision(50, 1e-20)
-
-
-def test_precision_invariant():
-    with pytest.raises(ValueError):
-        Precision(20, 1e-20)  # needs >= 2x the implied digits
+PREC = Precision(50)
 
 
 def test_boundary_values():
@@ -178,7 +173,7 @@ def test_cubic_radius_2f1_budget(kernel_calls, monkeypatch):
     from forestmaps import critical
 
     monkeypatch.setattr(critical, "_SOLVES", {})
-    radius(3, 1.5, Precision(20, 1e-8))
+    radius(3, 1.5, Precision(20))
     # one psi_family_at evaluation per point of the inner and the outer
     # search in s = ln(z/w), 21 points: 19 by one AGM pair and 2 below
     # z = 1/2 by two 2F1 values, 23 kernel evaluations (218 by plain
@@ -203,7 +198,7 @@ KERNEL_POINTS = ("0.49", "0.5", "0.51", "0.7", "0.9", "0.99",
 @pytest.mark.parametrize("digits", [20, 50])
 @pytest.mark.parametrize("point", KERNEL_POINTS)
 def test_kernel_2f1_values_match_mpmath_at_double_digits(point, digits):
-    prec = Precision(digits, 10.0 ** (4 - digits // 2))
+    prec = Precision(digits)
     for scale, family, den in ((27, phi_family, 3), (64, psi_family, 4)):
         with prec.ctx():
             z = 1 - mpf(point[2:]) if point.startswith("1-") else mpf(point)
@@ -227,7 +222,7 @@ def _family_pair(den, x, digits):
     """(family at x by the evaluator, the same family from the 2F1 pair at
     x by mpmath), the latter at twice the digits plus 2 log10(1/z),
     so that its members of the size of z^2 keep them."""
-    prec = Precision(digits, 10.0 ** (4 - digits // 2))
+    prec = Precision(digits)
     scale = 27 if den == 3 else 64
     with prec.ctx():
         xm = mpf(x)
@@ -267,7 +262,7 @@ def test_reduced_kernels_match_their_old_forms():
     # and Psi1' at double the digits, and (d, 1 - d) of _s_tilde_delta
     # against the root of the quadratic
     for digits in (20, 50):
-        prec = Precision(digits, 10.0 ** (4 - digits // 2))
+        prec = Precision(digits)
         for z, u in (("0.2", "0.7"), ("0.7", "1.5"), ("0.95", "0.3")):
             with prec.ctx():
                 zm = mpf(z)
@@ -276,7 +271,7 @@ def test_reduced_kernels_match_their_old_forms():
                 new = critical._phi_reduced(zm / 64, d, e, psi)
             with mpmath.workdps(2 * digits):
                 t, um = zm / 64, mpf(u)
-                p1, p1p, p2 = psi_family_at(zm, 1 - zm, Precision(2 * digits, 1e-8))[:3]
+                p1, p1p, p2 = psi_family_at(zm, 1 - zm, Precision(2 * digits))[:3]
                 a = um * (1 - 2 * p2)
                 d2 = (a + mpmath.sqrt(a * a + 1 - um * um)) / (1 + um)
                 old = (d2 ** 3 * p1 - t * d2 ** 4, p1p / d2 - 1,
@@ -306,16 +301,16 @@ def test_root_solves_evaluate_no_point_twice(monkeypatch, solver, spied):
 
     monkeypatch.setattr(critical, spied + "_at", spy)
     if solver == "s_tilde_radius_cubic":  # an exact u, and a short series
-        critical.s_tilde_radius_cubic(1, Precision(20, 1e-8), 25)
+        critical.s_tilde_radius_cubic(1, Precision(20), 25)
     else:
         getattr(critical, solver)(1.5, PREC)
-    # the bracket ends found while bracketing, or on the S~ radius walk, are
-    # passed on to the search, and each solve reads its data at the root
-    # from the search's evaluation (the cubic solves include the S~ solve)
+    # the bracket ends found while bracketing are passed on to the search,
+    # and each solve reads its data at the root from the search's evaluation
+    # (the cubic solves and the S~ continuation include the S~ solve)
     assert len(points) == len(set(points))
 
 
-PREC20 = Precision(20, 1e-8)
+PREC20 = Precision(20)
 
 
 def _in_ctx(fn):
@@ -429,7 +424,7 @@ ROOT_CASES = {
 def test_root_finder_keeps_the_bracket_and_the_cap(case, digits, tol):
     from forestmaps.critical import _zeroin
 
-    prec = Precision(digits, tol)
+    prec = Precision(digits)
     with prec.ctx():
         f, root, lo, hi = ROOT_CASES[case](digits)
         points = []
@@ -478,7 +473,7 @@ def test_quartic_radius_values():
 
 def test_quartic_tau_approach_rate():
     # 1/27 - tau_u ~ exp(-2 pi (1 + 1/u)/sqrt(3)) as u -> 0+
-    prec = Precision(120, 1e-50)
+    prec = Precision(120)
     with prec.ctx():
         tau, _, _ = quartic_tau(mpf("0.1"), prec)
         gap = mpf(1) / 27 - tau
@@ -494,7 +489,7 @@ def test_cubic_radius_values():
     assert prof.residuals["rho_vs_phi1"] < 1e-30
     assert prof.residuals["parabola"] < 1e-30
     # the 0/0 limit at u = -1 keeps full float accuracy at 20 digits
-    assert abs(radius(3, -1, Precision(20, 1e-8)).rho - float(mpmath.pi ** 2 / 384)) < 1e-17
+    assert abs(radius(3, -1, Precision(20)).rho - float(mpmath.pi ** 2 / 384)) < 1e-17
 
 
 def test_cubic_positive_u_against_coefficient_ratios():
@@ -524,8 +519,8 @@ def test_tau_at_20_digits_matches_40(case):
     # next to 0; radius refuses a tau whose residual misses its target
     p, exponent = case
     u = 10.0 ** exponent
-    tau20 = radius(p, u, Precision(20, 1e-8)).tau
-    assert abs(tau20 / radius(p, u, Precision(40, 1e-18)).tau - 1) <= 1e-15
+    tau20 = radius(p, u, Precision(20)).tau
+    assert abs(tau20 / radius(p, u, Precision(40)).tau - 1) <= 1e-15
 
 
 def test_radius_refuses_a_profile_outside_floats():
@@ -542,7 +537,7 @@ def test_radius_profiles_are_not_shared():
     radius(4, 0.5, PREC).residuals["char"] = 99
     assert radius(4, 0.5, PREC).residuals["char"] < 1e-12
     # the memoized cubic solve holds only numbers and (name, value) pairs
-    prec = Precision(20, 1e-8)
+    prec = Precision(20)
     radius(3, 1.5, prec).residuals["char"] = 99
     _, _, _, residuals = critical._solved(critical.cubic_characteristic_positive, 1.5, prec)
     with pytest.raises(TypeError):
@@ -591,12 +586,37 @@ def test_s_tilde_series_is_solved_at_the_exact_u(monkeypatch):
         return solve(p, order, u)
 
     monkeypatch.setattr(solver, "solve_s_tilde", spy)
-    prec = Precision(20, 1e-8)
+    prec = Precision(20)
     cont = s_tilde_radius_cubic(Fraction(3, 10), prec, series_order=8)
     assert seen == [Fraction(3, 10)]
     assert 0.0135 < cont["rho_tilde"] < 0.0145 and cont["residual"] < 1e-12
     with pytest.raises(TypeError):
         s_tilde_radius_cubic(0.3, prec, series_order=8)
+
+
+@pytest.mark.parametrize("digits", [20, 50])
+@pytest.mark.parametrize("u", [10, 100, 1000])
+def test_s_tilde_radius_resolves_at_large_u(u, digits):
+    # the radius lies far below the first bracket of the search, where the
+    # truncated S~ exceeds 1/4; order 40 costs a tenth of the CLI's 80
+    cont = s_tilde_radius_cubic(u, Precision(digits), series_order=40)
+    # the truncation bias of the series
+    assert abs(cont["rho_tilde"] / cont["rho_tilde_closed"] - 1) < 0.03
+
+
+@pytest.mark.parametrize("u,digits,passes", [
+    (Fraction(1, 20), 20, False), (Fraction(1, 20), 50, False),
+    (Fraction(1, 10), 20, False), (Fraction(1, 10), 50, True), (Fraction(4, 25), 20, True),
+])
+def test_s_tilde_residual_is_gated(u, digits, passes):
+    # where the truncated series has not converged at the radius at these
+    # digits, the residual of the crossing misses their target
+    prec = Precision(digits)
+    if passes:
+        assert s_tilde_radius_cubic(u, prec, series_order=40)["residual"] <= prec.target_abs_tol
+    else:
+        with pytest.raises(ValueError, match="residual 's_tilde_radius'"):
+            s_tilde_radius_cubic(u, prec, series_order=40)
 
 
 def test_s_tilde_radius_tends_to_1_over_64():

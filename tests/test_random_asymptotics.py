@@ -23,7 +23,7 @@ from forestmaps.randmodel import (
 )
 from forestmaps.trees import theta_x
 
-PREC = Precision(50, 1e-20)
+PREC = Precision(50)
 
 
 def test_kappa_values():
@@ -40,7 +40,7 @@ def test_component_slope_monotone_grid():
     # to 1/27 (1 - 27 tau ~ 2e-158 at u = 0.01); 50 digits resolve it
     small = [component_slope(u, PREC) for u in (0.01, 0.05)]
     assert small[0] < small[1] < 0.02
-    assert small[0] == pytest.approx(component_slope(0.01, Precision(100, 1e-40)), rel=1e-15)
+    assert small[0] == pytest.approx(component_slope(0.01, Precision(100)), rel=1e-15)
     with pytest.raises(ValueError):
         component_slope(-0.5, PREC)
 
@@ -177,5 +177,5 @@ def test_smoothness_gap():
     assert g["gap"] < g["bound"]
     # kappa has no critical-point cancellation: its gap is the tau gap
     # times dkappa/dtau, an O(10) multiple of the bare bound
-    kg = float(kappa_transition_gap(0.1, Precision(80, 1e-30)))
+    kg = float(kappa_transition_gap(0.1, Precision(80)))
     assert g["bound"] * 1e-2 < kg < g["bound"] * 1e2

@@ -8,6 +8,8 @@ from forestmaps.trees import (
     biv_mul,
     biv_scale,
     enumerate_tree_count,
+    g_inner_table,
+    h_inner_table,
     lambda_series,
     phi_from_psi,
     phi_theta_tables,
@@ -35,8 +37,24 @@ def test_small_values():
 
 def test_quartic_univariate_series():
     tabs = phi_theta_tables(4, 4)
-    assert tabs["phi_x"][2:5] == [3, 30, 420]
-    assert tabs["theta_x"][2:4] == [6, 80]
+    assert tabs["phi_x"][2:5] == (3, 30, 420)
+    assert tabs["theta_x"][2:4] == (6, 80)
+
+
+def test_tables_are_built_once_and_read_only():
+    # every caller in the process shares one table per (p, order), so none
+    # may alter it
+    tabs = phi_theta_tables(4, 6)
+    assert tabs["phi1"] is phi_theta_tables(4, 6)["phi1"]
+    assert g_inner_table(3, 6) is g_inner_table(3, 6)
+    for table in (tabs["theta"], tabs["phi1"], tabs["phi2"], g_inner_table(3, 6),
+                  h_inner_table(3, 6)):
+        with pytest.raises(TypeError):
+            table[(1, 0)] = 0
+    with pytest.raises(TypeError):
+        tabs["phi_x"][2] = 0
+    with pytest.raises(TypeError):
+        tabs["theta"] = {}
 
 
 def test_even_p_phi2_carries_y():
