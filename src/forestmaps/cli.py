@@ -15,7 +15,8 @@ Every pipeline is reachable as a subcommand with machine-readable output:
 Exact values are serialized as rational strings, never floats; numeric
 outputs carry residual or tail-bound fields.  Identical invocations produce
 byte-identical output (the header carries only the package version).  Exit
-codes: 2 flag errors, 3 scale-guard refusals, 4 numeric non-convergence.
+codes: 2 flag errors (symbolic u above the solver's order limit included),
+3 scale-guard refusals, 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -144,17 +145,10 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None):
 # ---------------------------------------------------------------------------
 
 def cmd_coeffs(args):
-    from .solver import (MAX_SYMBOLIC_ORDER, series_f, series_g, series_h,
-                         solve_rs, solve_s_tilde)
+    from .solver import series_f, series_g, series_h, solve_rs, solve_s_tilde
 
     _at_least(args, "p", 3)
     u = _parse_u(args.u, symbolic=True)
-    if u is None and args.order > MAX_SYMBOLIC_ORDER:
-        raise CliError(
-            "symbolic u is limited to order %d (cost grows quartically); "
-            "pass --u with a rational for longer series" % MAX_SYMBOLIC_ORDER,
-            EXIT_BAD_FLAGS,
-        )
     wanted = [s.strip() for s in args.series.split(",")]
     names = ["F", "Fprime", "R", "S", "Stilde", "H"] + (["G"] if args.p == 3 else [])
     for name in wanted:
@@ -479,6 +473,11 @@ def main(argv: Optional[list] = None) -> None:
         print("refused: %s" % exc, file=sys.stderr)
         sys.exit(EXIT_SCALE_GUARD)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        from .solver import SymbolicOrderError  # imported only on failure
+
+        if isinstance(exc, SymbolicOrderError):
+            print("error: %s" % exc, file=sys.stderr)
+            sys.exit(EXIT_BAD_FLAGS)
         print("numeric failure: %s" % exc, file=sys.stderr)
         sys.exit(EXIT_NUMERIC)
 

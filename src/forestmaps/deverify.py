@@ -158,7 +158,7 @@ def _check_cubic_rs(order: int) -> ResidualReport:
     form asserted here.)
     """
     R, S = solve_rs(3, order + 1)
-    z = _z_series(order + 1, None)
+    z = _z_series(order + 1, UP_U)
     u = UP_U
     up1 = UPoly((1, 1))
     Rp, Sp = R.differentiate(), S.differentiate()
@@ -200,11 +200,13 @@ def load_de(name: str) -> dict:
     return de
 
 
-def de_residual(de: dict, target: ZSeries, u_value=None) -> ZSeries:
+def de_residual(de: dict, target: ZSeries, u_value=UP_U) -> ZSeries:
     """Evaluate the terms of a loaded DE on the target series.
 
-    For the W equation the target passed in must be uW (see module
-    docstring); the u-exponent bookkeeping is applied here.
+    u_value is the weight as a ring element of the target's coefficients:
+    the polynomial u (the default) or an exact rational.  For the W
+    equation the target passed in must be uW (see module docstring); the
+    u-exponent bookkeeping is applied here.
     """
     max_d = max((max(t["derivs"]) for t in de["terms"] if t["derivs"]), default=0)
     derivs = [target]
@@ -233,10 +235,7 @@ def de_residual(de: dict, target: ZSeries, u_value=None) -> ZSeries:
             raise AssertionError("u exponent bookkeeping went negative")
         val = product(ders).scale(t["coeff"])
         if u_pow:
-            if u_value is None:
-                val = val.scale(UPoly.u(u_pow))
-            else:
-                val = val.scale(Q(u_value) ** u_pow)
+            val = val.scale(u_value ** u_pow)
         if t["z_pow"]:
             val = val.shift_z(t["z_pow"]).truncate(total.order)
         total = total + val
@@ -251,11 +250,7 @@ def de_target_series(name: str, order: int, u_mode=None) -> ZSeries:
     if name == "quartic_h":
         return series_h(4, order, u_mode)
     if name == "cubic_w":
-        g = series_g(order, u_mode)
-        z = _z_series(order, u)
-        if u is None:
-            return g.scale(UPoly((0, 2))) - z
-        return g.scale(2 * u) - z
+        return series_g(order, u_mode).scale(2 * u) - _z_series(order, u)
     raise ValueError("unknown differential equation %r" % name)
 
 
@@ -271,7 +266,7 @@ def check_de(name: str, order: int, u_mode=None) -> ResidualReport:
     target = de_target_series(name, order, u_mode)
     u = _mode(u_mode)
     res = de_residual(de, target, u_value=u)
-    mode = "u symbolic" if u is None else "u = %s" % u
+    mode = "u symbolic" if isinstance(u, UPoly) else "u = %s" % u
     return ResidualReport(name, order, res.order, res.is_zero(), mode, residual=res)
 
 

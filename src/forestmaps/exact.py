@@ -1,4 +1,4 @@
-"""Exact rational scalars.
+"""Exact rational scalars and the one exact division.
 
 All symbolic computation in this package runs over arbitrary-precision
 rationals, ``fractions.Fraction`` (:func:`Q`).  They print as ``"p/q"`` (or
@@ -12,10 +12,11 @@ non-integral value is a ``Q``.  Integer arithmetic needs no gcd, and an int
 compares and hashes equal to the same rational.  Int / int true division
 gives a float, so every division in those layers keeps a ``Q`` on one side.
 
-At a rational weight u = a/b the exact series engines run on Python ints
-instead: entry n of a series holds its z^n coefficient times s^n for a
-power s of b, an integer (:func:`scaled`, :func:`unscaled`).  Every
-division there goes through :func:`exact_div`, which refuses a remainder.
+The exact series engines run on integers: Python ints at a rational weight
+u = a/b, where entry n of a series holds its z^n coefficient times s^n for
+a power s of b (:func:`scaled`, :func:`unscaled`), and integer polynomials
+in u (:class:`~forestmaps.upoly.UPoly`) at symbolic u.  Every division
+there goes through :func:`exact_div`, which refuses a remainder.
 """
 
 from __future__ import annotations
@@ -68,9 +69,13 @@ def rat_from_str(s: str) -> "Rat":
     return Q(Fraction(s))
 
 
-def exact_div(x: int, d: int) -> int:
-    """x / d for ints that d divides; a nonzero remainder raises
-    ArithmeticError (an explicit check, kept under ``python -O``)."""
+def exact_div(x, d):
+    """x / d in the ring of x.  A ``Q`` divides as a rational.  An int or a
+    :class:`~forestmaps.upoly.UPoly` (divided by an int or a UPoly) must
+    be divisible: a nonzero remainder raises ArithmeticError (an explicit
+    check, kept under ``python -O``)."""
+    if type(x) is Fraction:  # an isinstance test would cost more than the divmod
+        return x / d
     q, r = divmod(x, d)
     if r:
         raise ArithmeticError("inexact division by %s" % (d,))
@@ -105,13 +110,6 @@ def factorial_q(n: int) -> "Rat":
 
 
 _FACTORIALS = [1]
-
-
-def binomial_q(n: int, k: int) -> int:
-    """C(n, k) as an int; 0 outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def trinomial_q(a: int, b: int, c: int) -> int:

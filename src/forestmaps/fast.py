@@ -24,10 +24,13 @@ every stored entry is an integer; the quartic ODE is multiplied through by
 b (R'' and (1+u)R - z are stored times b), the only place where s = b
 leaves a fraction.  Each division goes through `_div`, which raises
 ArithmeticError on a nonzero remainder, and entry n becomes the rational
-X_n / s^n only in the returned lists.  The ``*_float`` entry points pass
-a = u, b = 1.0 and a float s (typically the radius of convergence, so that
-the dynamic range stays tame) and run on float64 numpy arrays; there every
-factor and divisor b is exactly 1.0 and leaves the float result unchanged.
+X_n / s^n only in the returned lists.  The same recurrences run over
+integer polynomials in u at a = u (``UP_U``), b = s = 1, on lists of
+:class:`~forestmaps.upoly.UPoly`, with every division exact in Z[u].  The
+``*_float`` entry points pass a = u, b = 1.0 and a float s (typically the
+radius of convergence, so that the dynamic range stays tame) and run on
+float64 numpy arrays; there every factor and divisor b is exactly 1.0 and
+leaves the float result unchanged.
 An ``np.longdouble`` scale runs the same code in extended precision.
 
 Only a few primitives see the container: `_vec` builds one, `_dot` and
@@ -49,6 +52,7 @@ from operator import mul
 from typing import Sequence
 
 from .exact import Q, exact_div, scaled, unscaled
+from .upoly import UPoly
 
 # ---------------------------------------------------------------------------
 # series helpers (entry n is the z^n coefficient times s^n)
@@ -75,11 +79,16 @@ def _dot(x: Sequence, y: Sequence):
     return x.dot(y)
 
 
+_EXACT = (int, UPoly)
+
+
 def _div(x, d):
-    """x / d.  Between ints the quotient must be exact: a nonzero
-    remainder raises ArithmeticError (:func:`~forestmaps.exact.exact_div`).
-    Otherwise this is plain true division, entrywise on an array."""
-    if isinstance(x, int) and isinstance(d, int):
+    """x / d.  Between exact operands, ints and integer polynomials in u,
+    this is :func:`~forestmaps.exact.exact_div`: a nonzero remainder
+    raises ArithmeticError.  Otherwise (a float operand, or an array) it
+    is plain true division, entrywise on an array."""
+    # exact types, not isinstance: numpy scalars would walk a long MRO
+    if type(x) in _EXACT and type(d) in _EXACT:
         return exact_div(x, d)
     return x / d
 

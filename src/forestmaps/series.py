@@ -1,12 +1,15 @@
 """Truncated power series in z with exact coefficients.
 
 A :class:`ZSeries` is a tuple of coefficients for z^0 .. z^order together
-with the truncation order.  Coefficients are exact rationals, Python ints
-scaled by powers of s (specialized-u mode, see :mod:`forestmaps.solver`) or
-:class:`~forestmaps.upoly.UPoly` values (symbolic-u mode); the modes share
-this one implementation.  Truncation bookkeeping is explicit: every binary
-operation returns a series truncated at the minimum of the operand orders,
-and nothing ever silently extends an order.
+with the truncation order.  Coefficients are exact rationals, or the
+entries of the solver's one exact domain (see :mod:`forestmaps.solver`):
+Python ints scaled by powers of s at a rational u, and integer
+:class:`~forestmaps.upoly.UPoly` values at symbolic u.  Every division
+goes through :func:`~forestmaps.exact.exact_div`, so the ints and
+polynomials refuse a remainder where the rationals divide as rationals.
+Truncation bookkeeping is explicit: every binary operation returns a
+series truncated at the minimum of the operand orders, and nothing ever
+silently extends an order.
 
 All values are immutable after construction and operations are pure, so
 series can be shared freely across threads.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .exact import Q, QZERO, exact_div, rat_to_str
+from .exact import QZERO, exact_div, rat_to_str
 from .upoly import UPoly
 
 
@@ -155,18 +158,16 @@ class ZSeries:
             [self.coeffs[i] * i for i in range(1, self.order + 1)], self.order - 1
         )
 
-    def integrate(self) -> "ZSeries":
-        """Antiderivative with zero constant term, valid one order higher."""
-        out = [self.zero_coeff]
-        for i, c in enumerate(self.coeffs):
-            out.append(c * Q(1, i + 1))
-        return ZSeries(out, self.order + 1)
+    def integrate(self, s: int = 1) -> "ZSeries":
+        """Antiderivative with zero constant term, valid one order higher.
 
-    def integrate_scaled(self, s: int) -> "ZSeries":
-        """Antiderivative of a series of scaled ints, entry n holding the
-        z^n coefficient times s^n: entry n of the result is s X_{n-1} / n,
-        an exact division (ArithmeticError on a remainder)."""
-        out = [0]
+        For a series of scaled entries, entry n holding the z^n coefficient
+        times s^n, pass that s: entry n of the result is s X_{n-1} / n, an
+        :func:`~forestmaps.exact.exact_div`.  Rationals divide as
+        rationals; ints and UPoly values raise ArithmeticError on a
+        remainder, so a series of canonical rationals that holds ints is
+        integrated over Q only after ``map_coeffs(Q)``."""
+        out = [self.zero_coeff]
         for n, c in enumerate(self.coeffs, 1):
             out.append(exact_div(s * c, n))
         return ZSeries(out, self.order + 1)

@@ -22,26 +22,29 @@ The generating function of forested maps follows as F' = theta(R, S) with
 F(0) = 0, the leaf-rooted variant as G' = (1 + 1/u) S, and the
 root-edge-outside variant H from its closed expression.
 
-Two coefficient modes share this implementation:
+Every solve runs in one exact domain, at a weight u = a/b, where entry n of
+a series holds its z^n coefficient times s^n:
 
-* symbolic u: the coefficients are UPoly values, multiplied by u, divided
-  by u (an exact polynomial division) and integrated as they are;
 * u specialized to an exact rational a/b (lowest terms, b > 0): the z^n
   coefficients of R, S, S~, F, G and H are integer polynomials in u of
-  degree below 2n for p = 3 and below n for p >= 4, so the sweep runs in
-  the coordinate z -> s z on Python ints, with s = b^2 for p = 3 and s = b
-  for p >= 4 (s = 1 at an integral u).  Entry n of a series holds its z^n
-  coefficient times s^n.  Multiplying by u multiplies by a and divides
-  by b, dividing by u multiplies by b and divides by a, and the
-  antiderivative's entry n is s X_{n-1} / n; each of these divisions
-  raises ArithmeticError on a nonzero remainder.  The public functions
-  take and return rationals (ints where integral): they scale once on
-  entry and unscale once on exit.
+  degree below 2n for p = 3 and below n for p >= 4, so the entries are
+  Python ints at s = b^2 for p = 3 and s = b for p >= 4 (s = 1 at an
+  integral u);
+* symbolic u: a = u, the polynomial ``UP_U``, and b = s = 1, so the
+  entries are the coefficients themselves, integer polynomials in u.
 
-The public entry points keep u as an argument (``None`` is symbolic) and
-pick the mode.  Symbolic mode is quartic in the order and is refused above
-MAX_SYMBOLIC_ORDER; use the specialized mode (or :mod:`forestmaps.fast`)
-for long series.
+Multiplying by u multiplies by a and divides by b, dividing by u multiplies
+by b and divides by a, and the antiderivative's entry n is s X_{n-1} / n.
+Each of these divisions goes through :func:`~forestmaps.exact.exact_div`
+and raises ArithmeticError on a nonzero remainder, over Z and over Z[u]
+alike.  The public functions take and return rationals (ints where
+integral) or polynomials: they scale once on entry and unscale once on
+exit.
+
+The public entry points keep u as an argument (``None`` or ``"symbolic"``
+is symbolic).  Symbolic solves are quartic in the order and are refused
+above MAX_SYMBOLIC_ORDER with :class:`SymbolicOrderError`; use a
+specialized u (or :mod:`forestmaps.fast`) for long series.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ MAX_SYMBOLIC_ORDER = 60
 class SolverOutput:
     p: int
     order: int
-    u: Optional[object]  # None for symbolic mode, exact rational otherwise
+    u: object  # UP_U for symbolic mode, exact rational otherwise
     R: ZSeries
     S: ZSeries
     S_tilde: ZSeries
@@ -71,65 +74,53 @@ class SolverOutput:
     H: ZSeries
 
 
+class SymbolicOrderError(ValueError):
+    """A symbolic-u solve above MAX_SYMBOLIC_ORDER was asked for."""
+
+
 def _mode(u_mode):
-    """Normalize the u parameter: None means symbolic, otherwise the
-    canonical exact value (an int when u is integral)."""
+    """The weight u as a ring element: the polynomial u for None or
+    "symbolic", otherwise the canonical exact value (an int when u is
+    integral)."""
     if u_mode is None or u_mode == "symbolic":
-        return None
+        return UP_U
     return canon(u_mode)
 
 
-def _u_factor(u):
-    return UP_U if u is None else u
-
-
 def _z_series(order, u):
-    if u is None:
-        return ZSeries.z(order, UPoly(), UPoly((1,)))
-    return ZSeries.z(order, 0, 1)
+    """The series z, with entries in the ring of u."""
+    zero = u * 0
+    return ZSeries.z(order, zero, zero + 1)
 
 
-class _Symbolic:
-    """Symbolic u: series of UPoly coefficients, stored as they are."""
+class _Domain:
+    """The entries of a solve at u = a/b: entry n holds the z^n coefficient
+    times s^n.  A rational u is taken in lowest terms (b > 0), with s = b^2
+    for p = 3 and s = b for p >= 4; symbolic u is a = u, b = s = 1.
+    Symbolic solves above MAX_SYMBOLIC_ORDER are refused here."""
 
-    zero = UPoly()
-
-    def z(self, order: int) -> ZSeries:
-        return _z_series(order, None)
-
-    def times_u(self, series: ZSeries) -> ZSeries:
-        return series.scale(UP_U)
-
-    def div_u(self, series: ZSeries) -> ZSeries:
-        """Exact polynomial division by u; ValueError on a remainder."""
-        return series.divide_by_u()
-
-    def integrate(self, series: ZSeries) -> ZSeries:
-        return series.integrate()
-
-    def load(self, series: ZSeries) -> ZSeries:
-        return series
-
-    def unload(self, series: ZSeries) -> ZSeries:
-        return series
-
-
-class _Scaled:
-    """u = a/b in lowest terms (b > 0): entry n of a series holds the int
-    X_n = x_n s^n, with s = b^2 for p = 3 and s = b for p >= 4."""
-
-    zero = 0
-
-    def __init__(self, p: int, u):
-        self.a, self.b = u.numerator, u.denominator
+    def __init__(self, p: int, u_mode, order: int):
+        u = _mode(u_mode)
+        if isinstance(u, UPoly):
+            if order > MAX_SYMBOLIC_ORDER:
+                raise SymbolicOrderError(
+                    "symbolic u is limited to order %d (cost grows quartically); "
+                    "specialize u for longer series" % MAX_SYMBOLIC_ORDER)
+            self.a, self.b = u, 1
+        else:
+            self.a, self.b = u.numerator, u.denominator
         self.s = self.b ** 2 if p == 3 else self.b
+        self.zero = self.a * 0
 
     def z(self, order: int) -> ZSeries:
-        return ZSeries.z(order, 0, self.s)
+        return ZSeries.z(order, self.zero, self.zero + self.s)
 
     def times_u(self, series: ZSeries) -> ZSeries:
-        """Multiply by a, then divide exactly by b."""
+        """Multiply by a, then divide exactly by b (at b = 1 there is
+        nothing to divide)."""
         a, b = self.a, self.b
+        if b == 1:
+            return series.scale(a)
         return ZSeries([exact_div(a * c, b) for c in series.coeffs], series.order)
 
     def div_u(self, series: ZSeries) -> ZSeries:
@@ -141,21 +132,21 @@ class _Scaled:
         return ZSeries([exact_div(b * c, a) for c in series.coeffs], series.order)
 
     def integrate(self, series: ZSeries) -> ZSeries:
-        return series.integrate_scaled(self.s)
+        return series.integrate(self.s)
 
     def load(self, series: ZSeries) -> ZSeries:
-        """Rational coefficients x_n as the ints x_n s^n."""
+        """Coefficients x_n as the entries x_n s^n: rationals as ints
+        (ArithmeticError where one is not), polynomials as they are."""
+        if isinstance(self.a, UPoly):
+            return series
         return ZSeries(scaled(series.coeffs, self.s), series.order, 0)
 
     def unload(self, series: ZSeries) -> ZSeries:
-        """Ints X_n as the rationals X_n / s^n (ints where integral)."""
+        """Entries X_n as the coefficients X_n / s^n (ints where integral)."""
+        if self.s == 1:
+            return series
         return ZSeries([c.numerator if c.denominator == 1 else c
                         for c in unscaled(series.coeffs, self.s)], series.order)
-
-
-def _domain(p: int, u):
-    """The coefficient mode of a solve at u (None is symbolic)."""
-    return _Symbolic() if u is None else _Scaled(p, u)
 
 
 def compose_biv(table, x_series: ZSeries, y_series: ZSeries, order: int) -> ZSeries:
@@ -211,7 +202,7 @@ def solve_rs(p: int, order: int, u_mode=None):
     same sweep; for even p, Phi2 has no y-free entry, so S comes out as
     the zero series and Phi1(R, S) reads only the j = 0 column.
     """
-    dom = _domain(p, _mode(u_mode))
+    dom = _Domain(p, u_mode, order)
     R, S = _sweep_rs(p, order, dom)
     return dom.unload(R), dom.unload(S)
 
@@ -220,11 +211,6 @@ def _sweep_rs(p: int, order: int, dom):
     """(R, S) through z^order in the coefficient mode `dom`."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if isinstance(dom, _Symbolic) and order > MAX_SYMBOLIC_ORDER:
-        raise ValueError(
-            "symbolic-u solves are limited to order %d; specialize u for long series"
-            % MAX_SYMBOLIC_ORDER
-        )
     tables = phi_theta_tables(p, order)
     zero = dom.zero
     z = dom.z(order)
@@ -258,12 +244,9 @@ def solve_s_tilde(p: int, order: int, u_mode=None) -> ZSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    u = _mode(u_mode)
-    dom = _domain(p, u)
+    dom = _Domain(p, u_mode, order)
     if p % 2 == 0:
         return ZSeries.zero(order, dom.zero)
-    if u is None and order > MAX_SYMBOLIC_ORDER:
-        raise ValueError("symbolic-u solves are limited to order %d" % MAX_SYMBOLIC_ORDER)
     tables = phi_theta_tables(p, order)
     z = dom.z(order)
     st = ZSeries.zero(order, dom.zero)
@@ -278,11 +261,10 @@ def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
     u = _mode(u_mode)
     order = min(R.order, S.order)
     tables = phi_theta_tables(p, order)
-    ufac = _u_factor(u)
     z = _z_series(order, u)
     phi1 = compose_biv(tables["phi1"], R, S, order)
     phi2 = compose_biv(tables["phi2"], R, S, order)
-    return (R - z - phi1.scale(ufac), S - phi2.scale(ufac))
+    return (R - z - phi1.scale(u), S - phi2.scale(u))
 
 
 def series_f(p: int, order: int, u_mode=None, rs=None):
@@ -294,12 +276,11 @@ def series_f(p: int, order: int, u_mode=None, rs=None):
     """
     if order < 3:
         raise ValueError("order must be >= 3 (smallest maps have 3 faces)")
-    u = _mode(u_mode)
-    dom = _domain(p, u)
+    dom = _Domain(p, u_mode, order)
     tables = phi_theta_tables(p, order)
     R, S = _rs(p, order, dom, rs)
     fprime = compose_biv(tables["theta"], R, S, order)
-    if p == 3 and u != 0:
+    if p == 3 and dom.a != 0:
         # F' = 2z/u + S/u - (1 + 1/u)(2R + S^2); only the grouped
         # combination (2z + S - 2R - S^2)/u is u-divisible term by term.
         z = dom.z(order)
@@ -332,10 +313,7 @@ def series_f_explicit_quartic(order: int, u_mode=None, rs=None) -> ZSeries:
                 tphi[i + j] += a * phi_prime[j]
     psi1 = [0] + [theta[i] * Q(1, i + 1) for i in range(order)]
     psi2 = [0] + [tphi[i] * Q(1, i + 1) for i in range(order)]
-    if u is None:
-        outer = [UPoly((psi1[k],)) - UP_U * psi2[k] for k in range(order + 1)]
-    else:
-        outer = [psi1[k] - u * psi2[k] for k in range(order + 1)]
+    outer = [psi1[k] - u * psi2[k] for k in range(order + 1)]
     R = rs[0] if rs is not None else solve_rs(4, order, u_mode)[0]
     column = {(k, 0): c for k, c in enumerate(outer) if c}
     return compose_biv(column, R, ZSeries.zero(order, R.zero_coeff), order)
@@ -348,12 +326,11 @@ def series_g(order: int, u_mode=None, rs=None):
         G = (1 + 1/u) (zS - u * sum t_{2i+j-1} trinom(i-2,i,j) R^i S^j)
     and integration of G' = (1 + 1/u) S are computed; they must agree.
     """
-    u = _mode(u_mode)
-    if u is not None and u == 0:
+    dom = _Domain(3, u_mode, order)
+    if dom.a == 0:
         # G(z, 0) is a genuine limit; go through the symbolic series.
         g = series_g(order, None, rs=None)
         return g.specialize_u(0)
-    dom = _domain(3, u)
     R, S = _rs(3, order, dom, rs)
     inner = compose_biv(g_inner_table(3, order), R, S, order)
     z = dom.z(order)
@@ -377,11 +354,10 @@ def series_h(p: int, order: int, u_mode=None, rs=None):
     """
     if order < 3:
         raise ValueError("order must be >= 3")
-    u = _mode(u_mode)
-    if u is not None and u == 0:
+    dom = _Domain(p, u_mode, order)
+    if dom.a == 0:
         h = series_h(p, order, None, rs=None)
         return h.specialize_u(0)
-    dom = _domain(p, u)
     R, S = _rs(p, order, dom, rs)
     z = dom.z(order)
     # (zR + zS^2 - z^2) is divisible by u because R - z and S are
@@ -398,7 +374,7 @@ def series_h(p: int, order: int, u_mode=None, rs=None):
 
 def quartic_h_via_lambda(order: int, u_mode=None, rs=None) -> ZSeries:
     """H = zR/u - z^2/u - Lambda(R) for p = 4; cross-route for series_h."""
-    dom = _domain(4, _mode(u_mode))
+    dom = _Domain(4, u_mode, order)
     R = dom.load(rs[0]) if rs is not None else _sweep_rs(4, order, dom)[0]
     z = dom.z(order)
     column = {(k, 0): c for k, c in enumerate(lambda_series(order)) if c}

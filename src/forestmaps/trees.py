@@ -29,7 +29,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
-from .exact import Q, QZERO, binomial_q, canon, exact_div, factorial_q, trinomial_q
+from .exact import Q, QZERO, canon, exact_div, factorial_q, trinomial_q
 
 Biv = Dict[Tuple[int, int], object]
 
@@ -260,31 +260,12 @@ def biv_mul(a: Biv, b: Biv, order: int) -> Biv:
 
 
 def sqrt_one_minus_4y(order: int, power: int = 1):
-    """Coefficient list in y of (1-4y)^(power/2), exact binomial expansion."""
-    # (1-4y)^(1/2): c_0 = 1, c_{n} = c_{n-1} * (-4) * (1/2 - (n-1)) / n
-    half = [Q(1)]
+    """Coefficient list in y of (1-4y)^(power/2), exact binomial expansion:
+    with alpha = power/2, c_0 = 1 and c_n = c_{n-1} (-4) (alpha - n + 1) / n."""
+    alpha = Q(power, 2)
+    out = [Q(1)]
     for n in range(1, order + 1):
-        half.append(half[-1] * Q(-4) * (Q(1, 2) - (n - 1)) / n)
-    if power % 2 == 0:
-        # integer powers handled exactly via binomial theorem
-        out = [QZERO] * (order + 1)
-        m = power // 2
-        if m >= 0:
-            for n in range(min(order, m) + 1):
-                out[n] = binomial_q(m, n) * Q(-4) ** n
-        else:
-            for n in range(order + 1):
-                out[n] = binomial_q(-m + n - 1, n) * Q(4) ** n
-        return out
-    # odd power: (1-4y)^(k + 1/2) = (1-4y)^k * (1-4y)^(1/2)
-    k = (power - 1) // 2
-    base = sqrt_one_minus_4y(order, 2 * k)
-    out = [QZERO] * (order + 1)
-    for a, ca in enumerate(base):
-        if ca == 0:
-            continue
-        for b in range(order + 1 - a):
-            out[a + b] += ca * half[b]
+        out.append(out[-1] * -4 * (alpha - n + 1) / n)
     return out
 
 

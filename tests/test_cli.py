@@ -103,6 +103,22 @@ def test_exit_code_bad_flags(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--p", "4", "--order", "61", "--u", "symbolic"),
+    ("mu-expand", "--p", "4", "--order", "61", "--series", "F"),
+    ("verify", "--order", "60", "--only", "cubic_rs_derivative_rational"),
+    ("verify", "--de-order", "61", "--only", "quartic_h"),
+], ids=" ".join)
+def test_symbolic_order_limit_is_a_flag_error(capsys, argv):
+    # the solver refuses symbolic u above order 60 once, for every command
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: symbolic u is limited to order 60 (cost grows quartically); "
+        "specialize u for longer series\n")
+
+
 def test_exit_code_numeric(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["asymptotics", "--mode", "log-probe", "--u=-1/2",

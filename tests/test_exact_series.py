@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from forestmaps.exact import Q, rat_from_str, rat_to_str
+from forestmaps.exact import Q, exact_div, rat_from_str, rat_to_str
 from forestmaps.series import ZSeries
 from forestmaps.solver import compose_biv
 from forestmaps.upoly import UP_U, UPoly
@@ -278,6 +278,30 @@ def test_upoly_divide_by_u_round_trip(a, k):
             (shifted + UPoly((1,))).divide_by_u(k)
 
 
+int_upolys = st.lists(st.integers(-30, 30), max_size=5).map(UPoly)
+divisors = st.one_of(st.integers(-30, 30).filter(bool), int_upolys.filter(bool))
+
+
+@given(int_upolys, divisors, int_upolys)
+def test_exact_div_over_integer_polynomials(a, d, r):
+    q = exact_div(a * d, d)
+    assert q == a and isinstance(q, UPoly)
+    assert all(type(c) is int for c in q.coeffs)
+    # a remainder left by d is refused, whatever the quotient
+    if divmod(r, d)[1]:
+        with pytest.raises(ArithmeticError):
+            exact_div(a * d + r, d)
+
+
+def test_exact_div_refuses_polynomial_remainders():
+    u = UP_U
+    assert exact_div(u * u - 1, u + 1) == u - 1 and exact_div(0, u) == UPoly()
+    for x, d in ((u * u, u + 2), (u, 2), (UPoly((3, 6)), UPoly((0, 2))),
+                 (UPoly((Q(1, 2),)), 1), (1, u)):
+        with pytest.raises(ArithmeticError):
+            exact_div(x, d)
+
+
 @given(zseries(), zseries(), zseries())
 def test_zseries_ring_laws_over_upoly(a, b, c):
     assert a * b == b * a and a + b == b + a
@@ -322,7 +346,7 @@ def test_solve_has_no_float(p, order, u):
 
 def test_integral_sweep_stays_in_ints():
     # the tree tables are ints, and so is the whole sweep at an integral u
-    from forestmaps.solver import _Scaled, _sweep_rs, solve_rs, solve_s_tilde
+    from forestmaps.solver import _Domain, _sweep_rs, solve_rs, solve_s_tilde
     from forestmaps.trees import (g_inner_table, h_inner_table, lambda_series,
                                   phi_theta_tables, psi_series)
 
@@ -337,5 +361,5 @@ def test_integral_sweep_stays_in_ints():
         assert all(type(c) is int for s in sweep for c in s.coeffs)
     # at a non-integral u the sweep runs on the scaled ints x_n s^n
     for p, u in ((3, Q(3, 7)), (4, Q(-5, 9))):
-        sweep = _sweep_rs(p, 10, _Scaled(p, u))
+        sweep = _sweep_rs(p, 10, _Domain(p, u, 10))
         assert all(type(c) is int for s in sweep for c in s.coeffs)

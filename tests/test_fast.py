@@ -30,7 +30,7 @@ from forestmaps.fast import (
 from forestmaps.series import ZSeries
 from forestmaps.solver import compose_biv, series_f, solve_rs
 from forestmaps.trees import phi_theta_tables
-from forestmaps.upoly import UPoly
+from forestmaps.upoly import UP_U, UPoly
 
 
 @pytest.mark.parametrize("u", [Q(1), Q(-1, 2), Q(7, 5)])
@@ -271,6 +271,24 @@ def test_integer_engines_match_sweep(u):
 @given(a=st.integers(-10**6, 10**6), b=st.integers(1, 10**6))
 def test_integer_engines_match_sweep_at_large_denominators(a, b):
     _check_integer_engines(Q(a, b))
+
+
+def test_recurrences_run_over_integer_polynomials():
+    # symbolic u is a = u, b = s = 1: every division is exact in Z[u]
+    sweep = _symbolic_sweep()
+    R4 = _quartic_r(UP_U, 1, 11, 1)
+    R3, S3 = _cubic_rs(UP_U, 1, 10, 1)
+    got = {4: {"R": R4, "fprime": _quartic_bundle(R4, UP_U, 1, 1)["fprime"]},
+           3: {"R": R3, "S": S3, "fprime": _cubic_fprime(R3, S3, UP_U, 1, 1)}}
+    for p, series in got.items():
+        for name, values in series.items():
+            ref = sweep[p][name]
+            assert values == [ref.coeff(i) for i in range(len(values))], (p, name)
+            assert all(type(c) is int for x in values if isinstance(x, UPoly)
+                       for c in x.coeffs), (p, name)
+    R4[5] += UPoly((0, 1))
+    with pytest.raises(ArithmeticError):
+        _quartic_bundle(R4, UP_U, 1, 1)
 
 
 def test_exact_division_checks_the_remainder():

@@ -10,7 +10,7 @@ from forestmaps.deverify import perturb
 from forestmaps.exact import Q
 from forestmaps.series import ZSeries
 from forestmaps.solver import (
-    _Scaled,
+    _Domain,
     _sweep_rs,
     compose_biv,
     quartic_h_via_lambda,
@@ -170,7 +170,7 @@ def test_rational_solve_is_the_symbolic_solve_specialized(p, order, a, b):
 def test_corrupted_scaled_operand_is_refused():
     # one scaled entry off by one leaves a remainder at the next exact division
     u = Q(47, 89)
-    dom = _Scaled(3, u)
+    dom = _Domain(3, u, 10)
     R, S = _sweep_rs(3, 10, dom)
     phi2 = phi_theta_tables(3, 10)["phi2"]
     dom.times_u(compose_biv(phi2, R, S, 10))
@@ -189,6 +189,20 @@ def test_corrupted_scaled_operand_is_refused():
         series_h(4, 12, u, rs=(perturb(R4, 7, Q(1, 9 ** 7)), ZSeries.zero(12, 0)))
     with pytest.raises(ArithmeticError):
         quartic_h_via_lambda(12, u, rs=(perturb(R4, 7, Q(1, 9 ** 7)),))
+
+
+def test_corrupted_symbolic_operand_is_refused():
+    # the symbolic twin of the u = 3/7 refusal: a bumped R gives F a
+    # coefficient outside Z[u] (1272/5 + 216u + 54u^2 at z^5)
+    R, S = solve_rs(4, 8)
+    with pytest.raises(ArithmeticError, match="inexact division by 5"):
+        series_f(4, 8, rs=(perturb(R, 3, upoly(1)), S))
+    R, S = solve_rs(4, 8, Q(3, 7))
+    with pytest.raises(ArithmeticError, match="inexact division by 5"):
+        series_f(4, 8, Q(3, 7), rs=(perturb(R, 3, 1), S))
+    R, S = solve_rs(3, 8)
+    with pytest.raises(ArithmeticError):  # the /u of the cubic F' shortcut
+        series_f(3, 8, rs=(perturb(R, 4, 1), S))
 
 
 def test_forest_series_printed_coefficients():
