@@ -57,6 +57,7 @@ def coefficient_asymptotic_check(
 
     The acceptance logic on these tables checks the monotone approach of
     the ratio toward 1, not closeness: convergence is slow except at u = 0.
+    The laws hold for u >= -1; a smaller u raises ValueError.
     """
     if p != 4:
         raise ValueError(
@@ -64,6 +65,8 @@ def coefficient_asymptotic_check(
             "only for p = 4"
         )
     u = Q(u)
+    if u < -1:
+        raise ValueError("u must be >= -1")
     n_max = max(n_list)
     with prec.ctx():
         rho = quartic_critical_point(u, prec)[0]

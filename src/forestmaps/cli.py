@@ -62,6 +62,16 @@ def _flag_error(flag: str, value, need: str) -> CliError:
     return CliError("%s: cannot use %r (%s)" % (flag, value, need), EXIT_BAD_FLAGS)
 
 
+def _parse_u_in(text: str, negative: bool = False):
+    """A rational u >= -1, and below 0 where `negative`: the range the
+    subcommand's laws hold in.  Anything else is a flag error."""
+    u = _parse_u(text)
+    if u < -1 or (negative and u >= 0):
+        raise _flag_error("--u", text, "a rational in [-1, 0)" if negative
+                          else "a rational >= -1")
+    return u
+
+
 def _comma_list(text: str, flag: str, parse, valid, need: str) -> list:
     """The comma-separated values of a flag, each converted by `parse` and
     kept only if `valid`; anything else is a flag error that says what the
@@ -275,7 +285,7 @@ def cmd_asymptotics(args):
     if args.mode == "ratios":
         if args.p != 4:  # c_u is exposed only for p = 4
             raise _flag_error("--p", args.p, "4, the quartic family")
-        rows = coefficient_asymptotic_check(args.p, _parse_u(args.u), _n_list(args.n_list),
+        rows = coefficient_asymptotic_check(args.p, _parse_u_in(args.u), _n_list(args.n_list),
                                             prec)
         payload = {"rows": [{"n": r["n"], "ratio": r["ratio"]} for r in rows]}
         _emit(args, payload,
@@ -285,7 +295,7 @@ def cmd_asymptotics(args):
     fracs = tuple(_comma_list(args.fracs, "--fracs", float, lambda x: 0 < x < 1,
                               "z/rho values in (0, 1)"))
     if args.mode == "log-probe":
-        res = log_singularity_probe(_parse_u(args.u), fracs, prec,
+        res = log_singularity_probe(_parse_u_in(args.u, negative=True), fracs, prec,
                                     order=args.order, tol=args.tol)
         _emit(args, res,
               csv_rows=[(r["z_frac"], r["lhs"], r["rhs"], r["deviation"],
@@ -293,7 +303,7 @@ def cmd_asymptotics(args):
               csv_header=("z_over_rho", "lhs", "rhs", "deviation", "tail_bound"))
         return
     # beta-fit, the last of the modes argparse admits
-    res = cubic_beta_fit(_parse_u(args.u), fracs,
+    res = cubic_beta_fit(_parse_u_in(args.u, negative=True), fracs,
                          4000 if args.order is None else args.order, prec)
     _emit(args, res,
           csv_rows=[(r["z_frac"], r["fprime"], r["beta_pointwise"]) for r in res["beta_rows"]],
@@ -307,7 +317,7 @@ def cmd_random(args):
 
     prec = _precision(args)
     _at_least(args, "k_max", 1)
-    u = _parse_u(args.u)
+    u = _parse_u_in(args.u)
     ns = _n_list(args.n_list) if args.n_list else []
     payload = {"u": rat_to_str(u), "kappa": kappa(u, prec)}
     if u > 0:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .exact import QZERO, exact_div, rat_to_str
-from .upoly import UPoly
+from .upoly import UP_U, UPoly
 
 
 class ZSeries:
@@ -175,16 +175,10 @@ class ZSeries:
     # -- u-specific operations (symbolic mode) -------------------------------
 
     def divide_by_u(self, power: int = 1) -> "ZSeries":
-        """Exact coefficient-wise division by u**power; error on remainder."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if not isinstance(c, UPoly):
-                raise TypeError("divide_by_u needs symbolic (UPoly) coefficients")
-            try:
-                out.append(c.divide_by_u(power))
-            except ValueError as exc:
-                raise ValueError("coefficient of z^%d: %s" % (i, exc)) from None
-        return ZSeries(out, self.order)
+        """Exact coefficient-wise division by u**power in Z[u]; a remainder
+        raises ArithmeticError."""
+        d = UP_U ** power
+        return ZSeries([exact_div(c, d) for c in self.coeffs], self.order)
 
     def specialize_u(self, value) -> "ZSeries":
         """Evaluate every UPoly coefficient at an exact rational u."""

@@ -10,7 +10,9 @@ where Phi1, Phi2 are the tree-weighted doubly hypergeometric tables of
 previous S, then S from the current R) gains exactly one z-order, so the
 solver runs exactly `order` sweeps, each truncated at the order it is about
 to secure; no convergence test is needed.  The sweep is the same for every
-p: for even p, Phi2 has no y-free entry and S stays the zero series.
+p: for even p, Phi2 has no y-free entry and S stays the zero series.  The
+series S~ = u Phi2(z, S~) is the same sweep with the empty table in place of
+Phi1, so that R stays z.
 
 Every substitution of series into a table goes through
 :func:`compose_biv`: Phi1, Phi2 and theta, the inner sums of G and H, and
@@ -20,7 +22,15 @@ column, so even p costs no bivariate work.
 
 The generating function of forested maps follows as F' = theta(R, S) with
 F(0) = 0, the leaf-rooted variant as G' = (1 + 1/u) S, and the
-root-edge-outside variant H from its closed expression.
+root-edge-outside variant H from its closed expression.  G and H divide by
+u only through
+
+    W1 = (R - z)/u = Phi1(R, S),      W2 = S/u = Phi2(R, S),
+
+two exact divisions at u != 0.  At u = 0 the system sits at the regular
+point R = z, S = 0 (the spanning-tree case), where W1 and W2 are the
+compositions themselves, read from the j = 0 columns; no u = 0 series goes
+through symbolic u.
 
 Every solve runs in one exact domain, at a weight u = a/b, where entry n of
 a series holds its z^n coefficient times s^n:
@@ -100,6 +110,7 @@ class _Domain:
     Symbolic solves above MAX_SYMBOLIC_ORDER are refused here."""
 
     def __init__(self, p: int, u_mode, order: int):
+        self.p = p
         u = _mode(u_mode)
         if isinstance(u, UPoly):
             if order > MAX_SYMBOLIC_ORDER:
@@ -124,12 +135,21 @@ class _Domain:
         return ZSeries([exact_div(a * c, b) for c in series.coeffs], series.order)
 
     def div_u(self, series: ZSeries) -> ZSeries:
-        """Divide by u: multiply by b, then divide exactly by a
-        (ArithmeticError on a remainder, ZeroDivisionError at u = 0)."""
+        """Divide by u (u != 0): multiply by b, then divide exactly by a
+        (ArithmeticError on a remainder)."""
         a, b = self.a, self.b
-        if a == 0:
-            raise ZeroDivisionError("cannot divide by u at u = 0; use symbolic mode")
         return ZSeries([exact_div(b * c, a) for c in series.coeffs], series.order)
+
+    def w(self, R: ZSeries, S: ZSeries):
+        """(W1, W2) = ((R - z)/u, S/u), which equal (Phi1(R, S), Phi2(R, S)):
+        the two divisions at u != 0; at u = 0, where R = z and S = 0, the
+        compositions themselves, which read only the j = 0 columns."""
+        order = min(R.order, S.order)
+        if self.a == 0:
+            tables = phi_theta_tables(self.p, order)
+            return (compose_biv(tables["phi1"], R, S, order),
+                    compose_biv(tables["phi2"], R, S, order))
+        return self.div_u(R - self.z(order)), self.div_u(S)
 
     def integrate(self, series: ZSeries) -> ZSeries:
         return series.integrate(self.s)
@@ -195,6 +215,13 @@ def compose_biv(table, x_series: ZSeries, y_series: ZSeries, order: int) -> ZSer
     return acc
 
 
+def _compose_column(coeffs, x_series: ZSeries, order: int) -> ZSeries:
+    """The univariate series sum c_k X^k, as the one-column table
+    {(k, 0): c_k} under :func:`compose_biv`."""
+    column = {(k, 0): c for k, c in enumerate(coeffs) if c}
+    return compose_biv(column, x_series, ZSeries.zero(order, x_series.zero_coeff), order)
+
+
 def solve_rs(p: int, order: int, u_mode=None):
     """Solve the defining system for (R, S) through z^order.
 
@@ -207,11 +234,14 @@ def solve_rs(p: int, order: int, u_mode=None):
     return dom.unload(R), dom.unload(S)
 
 
-def _sweep_rs(p: int, order: int, dom):
-    """(R, S) through z^order in the coefficient mode `dom`."""
+def _sweep_rs(p: int, order: int, dom, phi1=None):
+    """(R, S) through z^order in the coefficient mode `dom`; `phi1`
+    replaces the table of Phi1 (the empty table keeps R = z)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     tables = phi_theta_tables(p, order)
+    if phi1 is None:
+        phi1 = tables["phi1"]
     zero = dom.zero
     z = dom.z(order)
     R = ZSeries.zero(order, zero)
@@ -222,8 +252,7 @@ def _sweep_rs(p: int, order: int, dom):
 
     for k in range(1, order + 1):
         Sk = S.truncate(k)
-        phi1 = compose_biv(tables["phi1"], R.truncate(k), Sk, k)
-        R = pad(z.truncate(k) + dom.times_u(phi1))
+        R = pad(z.truncate(k) + dom.times_u(compose_biv(phi1, R.truncate(k), Sk, k)))
         phi2 = compose_biv(tables["phi2"], R.truncate(k), Sk, k)
         S = pad(dom.times_u(phi2))
     return R, S
@@ -239,21 +268,12 @@ def _rs(p: int, order: int, dom, rs):
 def solve_s_tilde(p: int, order: int, u_mode=None) -> ZSeries:
     """The series defined by S~ = u * Phi2(z, S~), S~(0) = 0.
 
-    Structurally this is S with every R occurrence replaced by z, so for
-    even p it vanishes identically.
+    This is S with every R occurrence replaced by z: the (R, S) sweep with
+    the empty table in place of Phi1, so R stays z.  For even p it
+    vanishes identically.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     dom = _Domain(p, u_mode, order)
-    if p % 2 == 0:
-        return ZSeries.zero(order, dom.zero)
-    tables = phi_theta_tables(p, order)
-    z = dom.z(order)
-    st = ZSeries.zero(order, dom.zero)
-    for k in range(1, order + 1):
-        stk = dom.times_u(compose_biv(tables["phi2"], z.truncate(k), st.truncate(k), k))
-        st = ZSeries(list(stk.coeffs), order, dom.zero)
-    return dom.unload(st)
+    return dom.unload(_sweep_rs(p, order, dom, phi1={})[1])
 
 
 def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
@@ -300,44 +320,29 @@ def series_f_explicit_quartic(order: int, u_mode=None, rs=None) -> ZSeries:
     """
     u = _mode(u_mode)
     tables = phi_theta_tables(4, order)
-    theta = tables["theta_x"]
-    phi = tables["phi_x"]
-    phi_prime = [phi[i + 1] * (i + 1) for i in range(order)] + [0]
-    # polynomial (in x) products and antiderivatives, truncated at x^order
-    tphi = [0] * (order + 1)
-    for i, a in enumerate(theta):
-        if a == 0:
-            continue
-        for j in range(order + 1 - i):
-            if phi_prime[j] != 0:
-                tphi[i + j] += a * phi_prime[j]
-    psi1 = [0] + [theta[i] * Q(1, i + 1) for i in range(order)]
-    psi2 = [0] + [tphi[i] * Q(1, i + 1) for i in range(order)]
-    outer = [psi1[k] - u * psi2[k] for k in range(order + 1)]
+    # x-series over Q, so that the antiderivatives divide as rationals
+    theta = ZSeries(tables["theta_x"], order - 1).map_coeffs(Q)
+    phi_prime = ZSeries(tables["phi_x"], order).differentiate()
+    outer = theta.integrate() - (theta * phi_prime).integrate().scale(u)
     R = rs[0] if rs is not None else solve_rs(4, order, u_mode)[0]
-    column = {(k, 0): c for k, c in enumerate(outer) if c}
-    return compose_biv(column, R, ZSeries.zero(order, R.zero_coeff), order)
+    return _compose_column(outer.coeffs, R, order)
 
 
 def series_g(order: int, u_mode=None, rs=None):
     """Series of leaf-rooted (quasi-cubic) forested maps, p = 3 only.
 
-    Both the closed expression
+    With W2 = S/u, both the closed expression
         G = (1 + 1/u) (zS - u * sum t_{2i+j-1} trinom(i-2,i,j) R^i S^j)
-    and integration of G' = (1 + 1/u) S are computed; they must agree.
+          = (zS - u * inner) + (z W2 - inner)
+    and integration of G' = S + W2 are computed; they must agree.
     """
     dom = _Domain(3, u_mode, order)
-    if dom.a == 0:
-        # G(z, 0) is a genuine limit; go through the symbolic series.
-        g = series_g(order, None, rs=None)
-        return g.specialize_u(0)
     R, S = _rs(3, order, dom, rs)
+    _, w2 = dom.w(R, S)
     inner = compose_biv(g_inner_table(3, order), R, S, order)
     z = dom.z(order)
-    expr = z * S - dom.times_u(inner)
-    g = expr + dom.div_u(expr)
-    g_from_integral = dom.integrate(S + dom.div_u(S)).truncate(order)
-    if g != g_from_integral:
+    g = (z * S - dom.times_u(inner)) + (z * w2 - inner)
+    if g != dom.integrate(S + w2).truncate(order):
         raise AssertionError("closed G expression disagrees with integral of (1+1/u) S")
     return dom.unload(g)
 
@@ -346,40 +351,34 @@ def series_h(p: int, order: int, u_mode=None, rs=None):
     """Series of forested maps whose root edge is outside the forest.
 
         H = zR/u + z S^2/u - z^2/u - 2 S * sum t_{2i+j-1} trinom(i-2,i,j) R^i S^j
-            - sum t_{2i+j-2} trinom(i-3,i,j) R^i S^j
+            - sum t_{2i+j-2} trinom(i-3,i,j) R^i S^j,
 
-    Empty inner sums at low truncation orders contribute 0.  For even p,
-    S = 0 and H' = 2 (R - z)/u; the integral of that expression is asserted
-    against the closed form.
+    whose first three terms are z W1 + z S W2.  Empty inner sums at low
+    truncation orders contribute 0.  For even p, S = 0 and H' = 2 W1; the
+    integral of that expression is asserted against the closed form.
     """
     if order < 3:
         raise ValueError("order must be >= 3")
     dom = _Domain(p, u_mode, order)
-    if dom.a == 0:
-        h = series_h(p, order, None, rs=None)
-        return h.specialize_u(0)
     R, S = _rs(p, order, dom, rs)
+    w1, w2 = dom.w(R, S)
     z = dom.z(order)
-    # (zR + zS^2 - z^2) is divisible by u because R - z and S are
-    core = z * (R - z) + z * (S * S)
-    h = dom.div_u(core)
+    h = z * w1 + z * (S * w2)
     h = h - (compose_biv(g_inner_table(p, order), R, S, order) * S).scale(2)
     h = h - compose_biv(h_inner_table(p, order), R, S, order)
-    if p % 2 == 0:
-        hp = dom.div_u((R - z).scale(2))
-        if dom.integrate(hp).truncate(order) != h:
-            raise AssertionError("even-p H' = 2(R-z)/u integral disagrees with H")
+    if p % 2 == 0 and dom.integrate(w1.scale(2)).truncate(order) != h:
+        raise AssertionError("even-p H' = 2(R-z)/u integral disagrees with H")
     return dom.unload(h)
 
 
 def quartic_h_via_lambda(order: int, u_mode=None, rs=None) -> ZSeries:
-    """H = zR/u - z^2/u - Lambda(R) for p = 4; cross-route for series_h."""
+    """H = z W1 - Lambda(R) for p = 4, W1 = (R - z)/u; cross-route for
+    series_h."""
     dom = _Domain(4, u_mode, order)
     R = dom.load(rs[0]) if rs is not None else _sweep_rs(4, order, dom)[0]
-    z = dom.z(order)
-    column = {(k, 0): c for k, c in enumerate(lambda_series(order)) if c}
-    lam = compose_biv(column, R, ZSeries.zero(order, dom.zero), order)
-    return dom.unload(dom.div_u(z * (R - z)) - lam)
+    w1, _ = dom.w(R, ZSeries.zero(order, dom.zero))
+    lam = _compose_column(lambda_series(order), R, order)
+    return dom.unload(dom.z(order) * w1 - lam)
 
 
 def solve(p: int, order: int, u_mode=None) -> SolverOutput:

@@ -189,14 +189,6 @@ class UPoly:
         """Inverse of :meth:`to_mu`."""
         return self.subst(UPoly((1, 1)))  # mu = u + 1
 
-    def divide_by_u(self, power: int = 1) -> "UPoly":
-        """Exact division by u**power; raises if any remainder survives."""
-        if self.is_zero():
-            return self
-        if any(c != 0 for c in self.coeffs[:power]):
-            raise ValueError("polynomial is not divisible by u**%d" % power)
-        return UPoly(self.coeffs[power:])
-
     def nonneg(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 

@@ -119,6 +119,15 @@ def test_symbolic_order_limit_is_a_flag_error(capsys, argv):
         "specialize u for longer series\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--p", "3", "--order", "61", "--u", "0", "--series", "G,H"),
+    ("verify", "--u", "0", "--de-order", "61", "--only", "cubic_w,quartic_h"),
+], ids=" ".join)
+def test_u_zero_is_not_held_to_the_symbolic_order_limit(capsys, argv):
+    main(list(argv))
+    assert capsys.readouterr().err == ""
+
+
 def test_exit_code_numeric(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["asymptotics", "--mode", "log-probe", "--u=-1/2",
@@ -175,6 +184,13 @@ def test_s_tilde_residual_above_the_target_exits_4(capsys):
     ("radius", "--p", "4", "--u", "nan"),
     ("radius", "--p", "4", "--u", "inf"),
     ("radius", "--p", "4", "--u=-2"),
+    ("--digits", "20", "asymptotics", "--mode", "ratios", "--p", "4", "--u=-2",
+     "--n-list", "20,40,80"),
+    ("random", "--u=-2"),
+    ("asymptotics", "--mode", "log-probe", "--u=-2"),
+    ("asymptotics", "--mode", "log-probe", "--u", "0"),
+    ("asymptotics", "--mode", "beta-fit", "--u=-2"),
+    ("asymptotics", "--mode", "beta-fit", "--u", "1/2"),
     ("radius", "--p", "3", "--u=0.5,-inf"),
     ("coeffs", "--p", "4", "--order", "3", "--u", "nan"),
     ("asymptotics", "--mode", "ratios", "--u", "inf"),

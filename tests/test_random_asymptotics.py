@@ -131,6 +131,12 @@ def test_ratio_table_rejects_cubic():
         coefficient_asymptotic_check(3, 1, [10], PREC)
 
 
+def test_ratio_table_rejects_u_below_minus_one():
+    # the laws hold for u >= -1, as radius requires
+    with pytest.raises(ValueError, match="u must be >= -1"):
+        coefficient_asymptotic_check(4, Q(-2), [20, 40], PREC)
+
+
 def test_log_probe_small():
     res = log_singularity_probe(Q(-1, 2), (0.9, 0.99), PREC, order=3000, tol=1e-4)
     devs = [r["deviation"] for r in res["rows"]]

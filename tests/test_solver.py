@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from forestmaps import solver
 from forestmaps.deverify import perturb
 from forestmaps.exact import Q
 from forestmaps.series import ZSeries
@@ -248,14 +249,30 @@ def test_s_tilde_is_s_with_r_replaced_by_z():
     # run the sweep with the first equation's table emptied: R stays z and
     # the second unknown becomes S~ by construction
     order = 8
-    tabs = phi_theta_tables(3, order)
-    z = ZSeries.z(order, UPoly(), UPoly((1,)))
-    st = ZSeries.zero(order, UPoly())
-    for k in range(1, order + 1):
-        stk = compose_biv(tabs["phi2"], z.truncate(k), st.truncate(k), k) \
-            .scale(UPoly.u())
-        st = ZSeries(list(stk.coeffs), order, UPoly())
-    assert st == solve_s_tilde(3, order)
+    for p, u in ((3, None), (5, None), (3, Q(-3, 7))):
+        tabs = phi_theta_tables(p, order)
+        weight = UPoly.u() if u is None else u
+        zero = weight * 0
+        z = ZSeries.z(order, zero, zero + 1)
+        st = ZSeries.zero(order, zero)
+        for k in range(1, order + 1):
+            stk = compose_biv(tabs["phi2"], z.truncate(k), st.truncate(k), k) \
+                .scale(weight)
+            st = ZSeries(list(stk.coeffs), order, zero)
+        assert st == solve_s_tilde(p, order, u), (p, u)
+
+
+def test_u_zero_builds_no_symbolic_domain(monkeypatch):
+    # at u = 0 the series divided by u are Phi1(z, 0) and Phi2(z, 0): no
+    # symbolic solve is needed, whatever the symbolic order limit
+    order = 12
+    g_ref = series_g(order).specialize_u(0)
+    h_ref = {p: series_h(p, order).specialize_u(0) for p in (3, 4, 5, 6)}
+    monkeypatch.setattr(solver, "MAX_SYMBOLIC_ORDER", 0)
+    assert series_g(order, 0) == g_ref
+    for p, ref in h_ref.items():
+        assert series_h(p, order, 0) == ref, p
+    assert quartic_h_via_lambda(order, 0) == series_h(4, order, 0)
 
 
 def test_s_tilde_even_p_vanishes():
@@ -279,7 +296,7 @@ def test_mu_expansion_printed_terms():
 
 def test_mu_divisibility_guard():
     out = solve(3, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         out.R.divide_by_u()  # R itself is not divisible by u (R = z + ...)
 
 
