@@ -53,9 +53,8 @@ def _parse_u(text: str, symbolic: bool = False):
     try:
         return rat_from_str(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError("cannot parse u=%r (use %sa decimal or 'p/q')"
-                       % (text, "'symbolic', " if symbolic else ""),
-                       EXIT_BAD_FLAGS)
+        raise _flag_error("--u", text, "%sa decimal or 'p/q'"
+                          % ("'symbolic', " if symbolic else ""))
 
 
 def _flag_error(flag: str, value, need: str) -> CliError:
@@ -251,9 +250,7 @@ def cmd_radius(args):
     from .critical import radius, s_tilde_radius_cubic
 
     prec = _precision(args)
-    us = [_parse_u(x) for x in args.u.split(",")]
-    if any(u < -1 for u in us):
-        raise CliError("radius needs u >= -1", EXIT_BAD_FLAGS)
+    us = _comma_list(args.u, "--u", rat_from_str, lambda u: u >= -1, "rationals >= -1")
     if args.s_tilde and (args.p != 3 or any(u <= 0 for u in us)):
         raise CliError("--s-tilde applies to p=3 with u > 0", EXIT_BAD_FLAGS)
     profiles = []

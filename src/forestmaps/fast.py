@@ -1,8 +1,8 @@
 """High-order series engines for a specialized (numeric) weight u.
 
-The sweep solver in :mod:`forestmaps.solver` costs O(order^4); these engines
-reach orders in the thousands by turning the defining equations into
-coefficient recurrences:
+The online solver in :mod:`forestmaps.solver` costs O(order^3) ring
+operations; these engines reach orders in the thousands by turning the
+defining equations into coefficient recurrences:
 
 * quartic (p = 4): R = z + u Phi(R) implies the closed second-order equation
       R (27R - 1) R'' + 6 R'^3 ((1+u) R - z) = 0,
@@ -41,7 +41,7 @@ against another run backwards; the backward operand is a forward slice of
 the mirror, so numpy passes both to BLAS without copying them.  The O(n)
 steps (derivatives, W, V, F') are whole-array expressions over floats, each
 with the roundings of the entrywise formula.  Both recurrences are
-validated against the sweep solver in the test suite, the float runs
+validated against the online solver in the test suite, the float runs
 against the exact ones on a shared prefix and against extended-precision
 runs over their full length.
 """

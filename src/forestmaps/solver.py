@@ -1,68 +1,58 @@
 """Order-by-order solution of the implicit map/forest series system.
 
 The pair (R, S) is the unique power-series solution with zero constant term
-of
+of R = z + u Phi1(R, S), S = u Phi2(R, S), where Phi1, Phi2 are the
+tree-weighted doubly hypergeometric tables of :mod:`forestmaps.trees`.  The
+solver forms one z-coefficient per step by online (relaxed) evaluation of
+the tables, :class:`_Online`: R_n from Phi1 at z^n, which reads only
+entries below n, then S_n from Phi2 at z^n, which reads R_n as well.  A
+step costs O(n^2) ring operations, a solve O(order^3).  For even p, Phi2
+has no y-free entry and S is the zero series.  S~ = u Phi2(z, S~) is the
+same solve with the empty table in place of Phi1, so that R stays z.
 
-    R = z + u * Phi1(R, S),      S = u * Phi2(R, S),
+The same evaluator over series known in full is :func:`compose_biv`, the
+one substitution of series into a table: theta, the inner sums of G and H,
+and the univariate outer series of the closed quartic forms, passed as
+one-column tables.  Where Y is the zero series only the j = 0 columns are
+built, so even p costs no bivariate work.
 
-where Phi1, Phi2 are the tree-weighted doubly hypergeometric tables of
-:mod:`forestmaps.trees`.  One fixed-point sweep (R updated first from the
-previous S, then S from the current R) gains exactly one z-order, so the
-solver runs exactly `order` sweeps, each truncated at the order it is about
-to secure; no convergence test is needed.  The sweep is the same for every
-p: for even p, Phi2 has no y-free entry and S stays the zero series.  The
-series S~ = u Phi2(z, S~) is the same sweep with the empty table in place of
-Phi1, so that R stays z.
-
-Every substitution of series into a table goes through
-:func:`compose_biv`: Phi1, Phi2 and theta, the inner sums of G and H, and
-the univariate outer series of the closed quartic forms, passed as
-one-column tables.  Where Y is the zero series it reads only the j = 0
-column, so even p costs no bivariate work.
-
-The generating function of forested maps follows as F' = theta(R, S) with
-F(0) = 0, the leaf-rooted variant as G' = (1 + 1/u) S, and the
-root-edge-outside variant H from its closed expression.  G and H divide by
-u only through
-
-    W1 = (R - z)/u = Phi1(R, S),      W2 = S/u = Phi2(R, S),
-
-two exact divisions at u != 0.  At u = 0 the system sits at the regular
-point R = z, S = 0 (the spanning-tree case), where W1 and W2 are the
-compositions themselves, read from the j = 0 columns; no u = 0 series goes
+F' = theta(R, S) with F(0) = 0 gives the forested maps, G' = (1 + 1/u) S
+the leaf-rooted variant, and a closed expression the root-edge-outside
+variant H.  G and H divide by u only through W1 = (R - z)/u = Phi1(R, S)
+and W2 = S/u = Phi2(R, S), two exact divisions at u != 0.  At u = 0 the
+system sits at the regular point R = z, S = 0 (the spanning-tree case),
+where W1 and W2 are the compositions themselves; no u = 0 series goes
 through symbolic u.
 
 Every solve runs in one exact domain, at a weight u = a/b, where entry n of
 a series holds its z^n coefficient times s^n:
 
 * u specialized to an exact rational a/b (lowest terms, b > 0): the z^n
-  coefficients of R, S, S~, F, G and H are integer polynomials in u of
-  degree below 2n for p = 3 and below n for p >= 4, so the entries are
-  Python ints at s = b^2 for p = 3 and s = b for p >= 4 (s = 1 at an
-  integral u);
+  coefficients are integer polynomials in u of degree below 2n for p = 3
+  and below n for p >= 4, so the entries are Python ints at s = b^2 for
+  p = 3 and s = b for p >= 4;
 * symbolic u: a = u, the polynomial ``UP_U``, and b = s = 1, so the
   entries are the coefficients themselves, integer polynomials in u.
 
 Multiplying by u multiplies by a and divides by b, dividing by u multiplies
-by b and divides by a, and the antiderivative's entry n is s X_{n-1} / n.
-Each of these divisions goes through :func:`~forestmaps.exact.exact_div`
-and raises ArithmeticError on a nonzero remainder, over Z and over Z[u]
-alike.  The public functions take and return rationals (ints where
-integral) or polynomials: they scale once on entry and unscale once on
-exit.
-
-The public entry points keep u as an argument (``None`` or ``"symbolic"``
-is symbolic).  Symbolic solves are quartic in the order and are refused
-above MAX_SYMBOLIC_ORDER with :class:`SymbolicOrderError`; use a
-specialized u (or :mod:`forestmaps.fast`) for long series.
+by b and divides by a, and the antiderivative's entry n is s X_{n-1} / n;
+each division goes through :func:`~forestmaps.exact.exact_div`, which
+raises ArithmeticError on a nonzero remainder.  The public functions take
+and return rationals (ints where integral) or polynomials, and keep u as an
+argument (``None`` or ``"symbolic"`` is symbolic).  Symbolic entries grow
+with the order, so symbolic solves are refused above MAX_SYMBOLIC_ORDER
+with :class:`SymbolicOrderError`; specialize u (or use
+:mod:`forestmaps.fast`) for long series.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 from .exact import Q, canon, exact_div, scaled, unscaled
+from .fast import _dot
 from .series import ZSeries
 from .trees import g_inner_table, h_inner_table, lambda_series, phi_theta_tables
 from .upoly import UP_U, UPoly
@@ -92,9 +82,7 @@ def _mode(u_mode):
     """The weight u as a ring element: the polynomial u for None or
     "symbolic", otherwise the canonical exact value (an int when u is
     integral)."""
-    if u_mode is None or u_mode == "symbolic":
-        return UP_U
-    return canon(u_mode)
+    return UP_U if u_mode is None or u_mode == "symbolic" else canon(u_mode)
 
 
 def _z_series(order, u):
@@ -115,8 +103,8 @@ class _Domain:
         if isinstance(u, UPoly):
             if order > MAX_SYMBOLIC_ORDER:
                 raise SymbolicOrderError(
-                    "symbolic u is limited to order %d (cost grows quartically); "
-                    "specialize u for longer series" % MAX_SYMBOLIC_ORDER)
+                    "symbolic u is limited to order %d; specialize u for "
+                    "longer series" % MAX_SYMBOLIC_ORDER)
             self.a, self.b = u, 1
         else:
             self.a, self.b = u.numerator, u.denominator
@@ -126,19 +114,17 @@ class _Domain:
     def z(self, order: int) -> ZSeries:
         return ZSeries.z(order, self.zero, self.zero + self.s)
 
+    def mul_u(self, c):
+        """c u: multiply by a, then divide exactly by b (unless b = 1)."""
+        return c * self.a if self.b == 1 else exact_div(self.a * c, self.b)
+
     def times_u(self, series: ZSeries) -> ZSeries:
-        """Multiply by a, then divide exactly by b (at b = 1 there is
-        nothing to divide)."""
-        a, b = self.a, self.b
-        if b == 1:
-            return series.scale(a)
-        return ZSeries([exact_div(a * c, b) for c in series.coeffs], series.order)
+        return series.map_coeffs(self.mul_u)
 
     def div_u(self, series: ZSeries) -> ZSeries:
         """Divide by u (u != 0): multiply by b, then divide exactly by a
         (ArithmeticError on a remainder)."""
-        a, b = self.a, self.b
-        return ZSeries([exact_div(b * c, a) for c in series.coeffs], series.order)
+        return ZSeries([exact_div(self.b * c, self.a) for c in series.coeffs], series.order)
 
     def w(self, R: ZSeries, S: ZSeries):
         """(W1, W2) = ((R - z)/u, S/u), which equal (Phi1(R, S), Phi2(R, S)):
@@ -169,122 +155,142 @@ class _Domain:
                         for c in unscaled(series.coeffs, self.s)], series.order)
 
 
+class _Online:
+    """The tables sum c_ij X^i Y^j, formed one z-entry at a time (relaxed
+    evaluation: van der Hoeven, "Relax, but don't be too lazy", J. Symbolic
+    Comput. 34 (2002)).
+
+    X and Y are lists of entries with zero constant term, which the caller
+    may extend as it goes; Y None is the zero series, whose j > 0 columns
+    are never built.  The powers X^i, Y^j and the column sums
+    A_j = sum_i c_ij X^i gain one entry when first read, one dot of entries
+    already known.  Entry n, A_0[n] + sum_{j > 0} sum_m A_j[m] Y^j[n - m],
+    reads X and Y below n, and X_n, Y_n only through the entries (1, 0) and
+    (0, 1).
+    """
+
+    def __init__(self, tables, x, y, zero):
+        self.zero, self.powers = zero, ([[zero + 1], x], [[zero + 1], y])
+        self.tables = [{} for _ in tables]  # j -> [the i, the c_ij, A_j]
+        for columns, table in zip(self.tables, tables):
+            for i, j in sorted(table):
+                if y is not None or not j:
+                    col = columns.setdefault(j, [[], [], []])
+                    col[0].append(i)
+                    col[1].append(table[i, j])
+
+    def _powers(self, v, top, m):
+        """The powers of X (v = 0) or Y (v = 1), V^2 .. V^top extended
+        through entry m: V^i[k] = sum_a V[a] V^(i-1)[k - a] reads V below k."""
+        pw = self.powers[v]
+        while len(pw) <= top:
+            pw.append([self.zero] * len(pw))  # V^i vanishes below z^i
+        for i in range(2, top + 1):
+            vi, prev = pw[i], pw[i - 1]
+            for k in range(len(vi), m + 1):
+                vi.append(_dot(pw[1][1 : k - i + 2], prev[k - 1 : i - 2 : -1]))
+        return pw
+
+    def _sums(self, col, m):
+        """The column sum A_j, extended through entry m; its i = 0 term
+        enters only at k = 0, where X^0 is 1."""
+        idx, cs, sums = col
+        for k in range(len(sums), m + 1):
+            lo, top = bisect_left(idx, min(k, 1)), bisect_right(idx, k)
+            pw = self._powers(0, idx[top - 1] if top else 0, k)
+            sums.append(_dot([pw[i][k] for i in idx[lo:top]], cs[lo:top]))
+        return sums
+
+    def entry(self, t, n):
+        """[z^n] of the table t."""
+        total = self.zero
+        for j, col in self.tables[t].items():
+            lo = col[0][0]
+            if not j:
+                total = total + self._sums(col, n)[n]
+            elif n - j >= lo:
+                yj = self._powers(1, j, n - lo)[j]
+                sums = self._sums(col, n - j)
+                total = total + _dot(sums[lo : n - j + 1], yj[n - lo : j - 1 : -1])
+        return total
+
+
 def compose_biv(table, x_series: ZSeries, y_series: ZSeries, order: int) -> ZSeries:
     """The table sum c_{ij} X^i Y^j evaluated on truncated series.
 
-    This is the one routine that substitutes series into a table: the tree
-    tables of :mod:`forestmaps.trees`, and any univariate outer series
+    This is the one routine that substitutes known series into a table: the
+    tree tables of :mod:`forestmaps.trees`, and any univariate outer series
     sum c_k X^k given as the one-column table {(k, 0): c_k} with the zero
     series as Y.  X and Y must have zero constant term; the result is
-    truncated at n = min(order, X.order, Y.order), so only the entries with
-    i + j <= n enter.  The powers X^i are built once, each product starting
-    at valuation i; the columns A_j = sum_i c_{ij} X^i are summed from them
-    and combined by Horner in Y, A_0 + Y (A_1 + Y (A_2 + ...)).  When Y is
-    the zero series only the j = 0 column is kept, which is how the sweep
-    runs at even p, where S = 0.
+    truncated at n = min(order, X.order, Y.order).  It is the solver's
+    :class:`_Online` run over X and Y known in full; where Y is the zero
+    series only the j = 0 column is read.
     """
-    zero = x_series.zero_coeff
     if x_series.valuation() == 0 or y_series.valuation() == 0:
         raise ValueError("bivariate composition needs zero constant terms")
-    n = min(order, x_series.order, y_series.order)
-    y_zero = y_series.is_zero()
-    by_j: dict = {}
-    for (i, j), c in table.items():
-        if i + j <= n and not (y_zero and j):
-            by_j.setdefault(j, []).append((i, c))
-    if not by_j:
-        return ZSeries.zero(n, zero)
-    # powers of X up to the largest needed i
-    max_i = max(i for terms in by_j.values() for i, _ in terms)
-    x = x_series.truncate(n)
-    xpow = [ZSeries.const(zero + 1, n, zero), x]
-    while len(xpow) <= max_i:
-        xpow.append(xpow[-1] * x)
-    a_j = {}
-    for j, terms in by_j.items():
-        acc = ZSeries.zero(n, zero)
-        for i, c in terms:
-            acc = acc + xpow[i].scale(c)
-        a_j[j] = acc
-    jmax = max(a_j)
-    acc = a_j[jmax]
-    for j in range(jmax - 1, -1, -1):
-        acc = acc * y_series
-        if j in a_j:
-            acc = acc + a_j[j]
-    return acc
+    n, zero = min(order, x_series.order, y_series.order), x_series.zero_coeff
+    y = None if y_series.is_zero() else list(y_series.coeffs)
+    online = _Online([table], list(x_series.coeffs), y, zero)
+    return ZSeries([online.entry(0, k) for k in range(n + 1)], n, zero)
 
 
 def _compose_column(coeffs, x_series: ZSeries, order: int) -> ZSeries:
-    """The univariate series sum c_k X^k, as the one-column table
-    {(k, 0): c_k} under :func:`compose_biv`."""
+    """The series sum c_k X^k, as the one-column table {(k, 0): c_k}."""
     column = {(k, 0): c for k, c in enumerate(coeffs) if c}
     return compose_biv(column, x_series, ZSeries.zero(order, x_series.zero_coeff), order)
 
 
 def solve_rs(p: int, order: int, u_mode=None):
-    """Solve the defining system for (R, S) through z^order.
-
-    `u_mode` is None (symbolic) or an exact rational.  Every p runs the
-    same sweep; for even p, Phi2 has no y-free entry, so S comes out as
-    the zero series and Phi1(R, S) reads only the j = 0 column.
-    """
+    """Solve the defining system for (R, S) through z^order; `u_mode` is
+    None (symbolic) or an exact rational."""
     dom = _Domain(p, u_mode, order)
     R, S = _sweep_rs(p, order, dom)
     return dom.unload(R), dom.unload(S)
 
 
 def _sweep_rs(p: int, order: int, dom, phi1=None):
-    """(R, S) through z^order in the coefficient mode `dom`; `phi1`
-    replaces the table of Phi1 (the empty table keeps R = z)."""
+    """(R, S) through z^order in the coefficient mode `dom`, one entry per
+    step: R_n from Phi1 at z^n, which reads R and S below n, then S_n from
+    Phi2 at z^n, which reads R_n through Phi2's (1, 0) entry.  `phi1`
+    replaces the table of Phi1 (the empty table keeps R = z).  Where Phi2
+    has no y-free entry (every even p), S is the zero series."""
     if order < 1:
         raise ValueError("order must be >= 1")
     tables = phi_theta_tables(p, order)
-    if phi1 is None:
-        phi1 = tables["phi1"]
-    zero = dom.zero
-    z = dom.z(order)
-    R = ZSeries.zero(order, zero)
-    S = ZSeries.zero(order, zero)
-
-    def pad(series):
-        return ZSeries(list(series.coeffs), order, zero)
-
-    for k in range(1, order + 1):
-        Sk = S.truncate(k)
-        R = pad(z.truncate(k) + dom.times_u(compose_biv(phi1, R.truncate(k), Sk, k)))
-        phi2 = compose_biv(tables["phi2"], R.truncate(k), Sk, k)
-        S = pad(dom.times_u(phi2))
-    return R, S
+    phi1, phi2 = tables["phi1"] if phi1 is None else phi1, tables["phi2"]
+    if (1, 0) in phi1 or (0, 1) in phi1 or (0, 1) in phi2:
+        raise ValueError("a (1, 0) entry of Phi1 or a (0, 1) entry reads "
+                         "R_n or S_n before it is set")
+    zero, z = dom.zero, dom.z(order).coeffs
+    R = [zero]
+    S = None if all(j for _, j in phi2) else [zero]
+    online = _Online((phi1, phi2), R, S, zero)
+    for n in range(1, order + 1):
+        R.append(z[n] + dom.mul_u(online.entry(0, n)))
+        if S is not None:
+            S.append(dom.mul_u(online.entry(1, n)))
+    return ZSeries(R, order, zero), ZSeries(S or [zero], order, zero)
 
 
 def _rs(p: int, order: int, dom, rs):
     """The (R, S) a caller passed, in the mode `dom`, or a fresh solve."""
-    if rs is None:
-        return _sweep_rs(p, order, dom)
-    return dom.load(rs[0]), dom.load(rs[1])
+    return _sweep_rs(p, order, dom) if rs is None else (dom.load(rs[0]), dom.load(rs[1]))
 
 
 def solve_s_tilde(p: int, order: int, u_mode=None) -> ZSeries:
-    """The series defined by S~ = u * Phi2(z, S~), S~(0) = 0.
-
-    This is S with every R occurrence replaced by z: the (R, S) sweep with
-    the empty table in place of Phi1, so R stays z.  For even p it
-    vanishes identically.
-    """
+    """The series defined by S~ = u * Phi2(z, S~), S~(0) = 0: S with every R
+    replaced by z, the (R, S) solve with the empty table in place of Phi1,
+    so that R stays z.  For even p it vanishes identically."""
     dom = _Domain(p, u_mode, order)
     return dom.unload(_sweep_rs(p, order, dom, phi1={})[1])
 
 
 def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
     """Residuals (R - z - u Phi1(R,S), S - u Phi2(R,S)); both must vanish."""
-    u = _mode(u_mode)
-    order = min(R.order, S.order)
+    u, order = _mode(u_mode), min(R.order, S.order)
     tables = phi_theta_tables(p, order)
-    z = _z_series(order, u)
-    phi1 = compose_biv(tables["phi1"], R, S, order)
-    phi2 = compose_biv(tables["phi2"], R, S, order)
-    return (R - z - phi1.scale(u), S - phi2.scale(u))
+    phi1, phi2 = (compose_biv(tables[name], R, S, order) for name in ("phi1", "phi2"))
+    return (R - _z_series(order, u) - phi1.scale(u), S - phi2.scale(u))
 
 
 def series_f(p: int, order: int, u_mode=None, rs=None):
@@ -297,15 +303,13 @@ def series_f(p: int, order: int, u_mode=None, rs=None):
     if order < 3:
         raise ValueError("order must be >= 3 (smallest maps have 3 faces)")
     dom = _Domain(p, u_mode, order)
-    tables = phi_theta_tables(p, order)
     R, S = _rs(p, order, dom, rs)
-    fprime = compose_biv(tables["theta"], R, S, order)
+    fprime = compose_biv(phi_theta_tables(p, order)["theta"], R, S, order)
     if p == 3 and dom.a != 0:
         # F' = 2z/u + S/u - (1 + 1/u)(2R + S^2); only the grouped
         # combination (2z + S - 2R - S^2)/u is u-divisible term by term.
-        z = dom.z(order)
         core = R.scale(2) + S * S
-        shortcut = dom.div_u(z.scale(2) + S - core) - core
+        shortcut = dom.div_u(dom.z(order).scale(2) + S - core) - core
         if shortcut != fprime:
             raise AssertionError("cubic F' shortcut disagrees with theta(R, S)")
     f = dom.integrate(fprime).truncate(order)
@@ -383,14 +387,10 @@ def quartic_h_via_lambda(order: int, u_mode=None, rs=None) -> ZSeries:
 
 def solve(p: int, order: int, u_mode=None) -> SolverOutput:
     """Solve everything: R, S, S~, F, F', G (p = 3), H."""
-    u = _mode(u_mode)
     R, S = solve_rs(p, order, u_mode)
     st = solve_s_tilde(p, order, u_mode)
     f, fprime = series_f(p, order, u_mode, rs=(R, S))
-    g = None
-    if p == 3:
-        g = series_g(order, u_mode, rs=(R, S))
+    g = series_g(order, u_mode, rs=(R, S)) if p == 3 else None
     h = series_h(p, order, u_mode, rs=(R, S))
-    return SolverOutput(
-        p=p, order=order, u=u, R=R, S=S, S_tilde=st, F=f, Fprime=fprime, G=g, H=h
-    )
+    return SolverOutput(p=p, order=order, u=_mode(u_mode), R=R, S=S, S_tilde=st, F=f,
+                        Fprime=fprime, G=g, H=h)

@@ -9,7 +9,7 @@ leaves) feed three families of truncated series:
 * their univariate specializations theta(x), Phi(x) when p is even, as
   coefficient tuples; these feed :mod:`forestmaps.fast`,
   :mod:`forestmaps.deverify` and the closed quartic form of F, not the
-  sweep,
+  solver,
 * the univariate cubic-case reductions Psi1, Psi2 and the quartic-case
   integral Lambda.
 

@@ -115,8 +115,7 @@ def test_symbolic_order_limit_is_a_flag_error(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert capsys.readouterr().err == (
-        "error: symbolic u is limited to order 60 (cost grows quartically); "
-        "specialize u for longer series\n")
+        "error: symbolic u is limited to order 60; specialize u for longer series\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,6 +271,10 @@ NUMERIC_FLAGS = [
     (("asymptotics", "--mode", "log-probe", "--u=-1/2", "--fracs={}"), None),
     (("random", "--u", "1", "--n-list={}"), None),
     (("repro", "--criteria={}"), None),
+    # any rational is a u of the series, and only radius bounds it below
+    (("coeffs", "--p", "3", "--order", "4", "--u={}"), st.nothing()),
+    (("radius", "--p", "4", "--u={}"),
+     st.fractions(max_value=-1).filter(lambda u: u != -1)),
 ]
 
 
@@ -281,9 +284,10 @@ def test_out_of_range_numbers_are_flag_errors(case, data):
     import forestmaps.acceptance  # noqa: F401 (imported once, outside the deadline)
 
     template, bad = case
-    value = data.draw(st.just("--") if bad is None else bad.map(str) | st.just("--") | JUNK)
-    argv = [arg.format(value) for arg in template]
     flag = next(arg for arg in template if "{}" in arg).split("=")[0]
+    junk = JUNK.filter(lambda text: text != "1/2") if flag == "--u" else JUNK  # 1/2 is a u
+    value = data.draw(st.just("--") if bad is None else bad.map(str) | st.just("--") | junk)
+    argv = [arg.format(value) for arg in template]
     out, err = io.StringIO(), io.StringIO()
     with pytest.raises(SystemExit) as exc, redirect_stdout(out), redirect_stderr(err):
         main(argv)

@@ -1,8 +1,10 @@
-"""Source hygiene: every name a package module imports is read somewhere in it.
+"""Source hygiene: every name a package module imports is read somewhere in
+it, and every private helper is used somewhere in the package.
 
 No linter is a dependency of the package, so this is the lint step: it
 parses each module of ``src/forestmaps`` with :mod:`ast` and reports
-imported names that the module never loads.  A name listed in the
+imported names that the module never loads, and private top-level
+functions and classes that no module refers to.  A name listed in the
 module's ``__all__`` counts as read, so re-exports stay legal.
 """
 
@@ -73,3 +75,42 @@ def test_the_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_defs(tree):
+    """(name, line) of every private top-level function and class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name.startswith("_") and not node.name.startswith("__"):
+            yield node.name, node.lineno
+
+
+def _referenced(tree):
+    """Every name the module loads, imports or reads as an attribute."""
+    names = _read(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def dead_private_defs(sources):
+    """(module, name, line) of each private top-level function or class of
+    the modules {module: source} that none of them refers to."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set().union(*map(_referenced, trees.values()))
+    return [(module, name, line) for module, tree in trees.items()
+            for name, line in _private_defs(tree) if name not in used]
+
+
+def test_the_checker_sees_a_dead_private_helper():
+    sources = {"a": "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\nclass _Gone:\n"
+                    "    def _method(self):\n        pass\n",
+               "b": "from .a import _used\n_used()\n"}
+    assert dead_private_defs(sources) == [("a", "_dead", 5), ("a", "_Gone", 9)]
+
+
+def test_every_private_helper_is_referenced():
+    assert dead_private_defs({path.name: path.read_text() for path in MODULES}) == []

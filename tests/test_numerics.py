@@ -598,8 +598,8 @@ def test_s_tilde_series_is_solved_at_the_exact_u(monkeypatch):
 @pytest.mark.parametrize("u", [10, 100, 1000])
 def test_s_tilde_radius_resolves_at_large_u(u, digits):
     # the radius lies far below the first bracket of the search, where the
-    # truncated S~ exceeds 1/4; order 40 costs a tenth of the CLI's 80
-    cont = s_tilde_radius_cubic(u, Precision(digits), series_order=40)
+    # truncated S~ exceeds 1/4; the default order is the CLI's
+    cont = s_tilde_radius_cubic(u, Precision(digits))
     # the truncation bias of the series
     assert abs(cont["rho_tilde"] / cont["rho_tilde_closed"] - 1) < 0.03
 
@@ -613,10 +613,10 @@ def test_s_tilde_residual_is_gated(u, digits, passes):
     # digits, the residual of the crossing misses their target
     prec = Precision(digits)
     if passes:
-        assert s_tilde_radius_cubic(u, prec, series_order=40)["residual"] <= prec.target_abs_tol
+        assert s_tilde_radius_cubic(u, prec)["residual"] <= prec.target_abs_tol
     else:
         with pytest.raises(ValueError, match="residual 's_tilde_radius'"):
-            s_tilde_radius_cubic(u, prec, series_order=40)
+            s_tilde_radius_cubic(u, prec)
 
 
 def test_s_tilde_radius_tends_to_1_over_64():

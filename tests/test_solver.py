@@ -245,21 +245,53 @@ def test_even_h_prime_shortcut():
     assert hp.integrate().truncate(8) == out.H
 
 
+def _reference_rs(p, order, u, phi1=None):
+    """(R, S) through z^order by the fixed-point sweep, in the coefficients
+    themselves: at each order k both tables are composed again on the
+    truncations at k, R first, then S.  `phi1` replaces Phi1 as in the
+    solver.  Each sweep gains one z-order, at O(order^4) ring operations."""
+    tabs = phi_theta_tables(p, order)
+    phi1 = tabs["phi1"] if phi1 is None else phi1
+    weight = UPoly.u() if u is None else u
+    zero = weight * 0
+    z = ZSeries.z(order, zero, zero + 1)
+    R = S = ZSeries.zero(order, zero)
+    for k in range(1, order + 1):
+        Rk = z.truncate(k) + compose_biv(phi1, R.truncate(k), S.truncate(k), k).scale(weight)
+        Sk = compose_biv(tabs["phi2"], Rk, S.truncate(k), k).scale(weight)
+        R, S = (ZSeries(list(x.coeffs), order, zero) for x in (Rk, Sk))
+    return R, S
+
+
 def test_s_tilde_is_s_with_r_replaced_by_z():
-    # run the sweep with the first equation's table emptied: R stays z and
-    # the second unknown becomes S~ by construction
+    # the sweep with the first equation's table emptied: R stays z and the
+    # second unknown becomes S~ by construction
     order = 8
     for p, u in ((3, None), (5, None), (3, Q(-3, 7))):
-        tabs = phi_theta_tables(p, order)
-        weight = UPoly.u() if u is None else u
-        zero = weight * 0
-        z = ZSeries.z(order, zero, zero + 1)
-        st = ZSeries.zero(order, zero)
-        for k in range(1, order + 1):
-            stk = compose_biv(tabs["phi2"], z.truncate(k), st.truncate(k), k) \
-                .scale(weight)
-            st = ZSeries(list(stk.coeffs), order, zero)
-        assert st == solve_s_tilde(p, order, u), (p, u)
+        R, s_tilde = _reference_rs(p, order, u, phi1={})
+        assert R == ZSeries.z(order) and s_tilde == solve_s_tilde(p, order, u), (p, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([3, 4, 5, 6]), order=st.integers(1, 12),
+       u=st.sampled_from([None, 0]) | st.builds(Q, st.integers(-10**6, 10**6),
+                                                st.integers(1, 10**6)))
+def test_online_solve_is_the_reference_sweep(p, order, u):
+    dom = _Domain(p, u, order)
+    for phi1 in (None, {}):  # (R, S), and S~ with R = z
+        got = [dom.unload(x) for x in _sweep_rs(p, order, dom, phi1)]
+        ref = _reference_rs(p, order, u, phi1)
+        for a, b in zip(got, ref):
+            assert a.order == b.order == order and a.coeffs == b.coeffs, (phi1, a, b)
+
+
+def test_online_order_is_enforced():
+    # a (1, 0) entry of Phi1 would read R_n, a (0, 1) entry S_n, while
+    # forming them
+    dom = _Domain(3, Q(2, 3), 6)
+    for phi1 in ({(1, 0): 1}, {(0, 1): 1}):
+        with pytest.raises(ValueError, match="before it is set"):
+            _sweep_rs(3, 6, dom, phi1)
 
 
 def test_u_zero_builds_no_symbolic_domain(monkeypatch):
