@@ -24,7 +24,7 @@ from typing import Dict, Tuple
 
 from .exact import Q, canon
 from .series import ZSeries
-from .solver import series_f, series_g, series_h, solve_rs, _z_series, _mode
+from .solver import series_f, series_g, series_h, solve_rs, _mode
 from .trees import (
     biv_add,
     biv_mul,
@@ -158,7 +158,7 @@ def _check_cubic_rs(order: int) -> ResidualReport:
     form asserted here.)
     """
     R, S = solve_rs(3, order + 1)
-    z = _z_series(order + 1, UP_U)
+    z = ZSeries.z(order + 1, UPoly())
     u = UP_U
     up1 = UPoly((1, 1))
     Rp, Sp = R.differentiate(), S.differentiate()
@@ -250,7 +250,7 @@ def de_target_series(name: str, order: int, u_mode=None) -> ZSeries:
     if name == "quartic_h":
         return series_h(4, order, u_mode)
     if name == "cubic_w":
-        return series_g(order, u_mode).scale(2 * u) - _z_series(order, u)
+        return series_g(order, u_mode).scale(2 * u) - ZSeries.z(order, u * 0)
     raise ValueError("unknown differential equation %r" % name)
 
 

@@ -14,9 +14,10 @@ gives a float, so every division in those layers keeps a ``Q`` on one side.
 
 The exact series engines run on integers: Python ints at a rational weight
 u = a/b, where entry n of a series holds its z^n coefficient times s^n for
-a power s of b (:func:`scaled`, :func:`unscaled`), and integer polynomials
-in u (:class:`~forestmaps.upoly.UPoly`) at symbolic u.  Every division
-there goes through :func:`exact_div`, which refuses a remainder.
+a power s of b chosen by :func:`weight_scale` (:func:`scaled`,
+:func:`unscaled`), and integer polynomials in u
+(:class:`~forestmaps.upoly.UPoly`) at symbolic u.  Every division there
+goes through :func:`exact_div`, which refuses a remainder.
 """
 
 from __future__ import annotations
@@ -80,6 +81,21 @@ def exact_div(x, d):
     if r:
         raise ArithmeticError("inexact division by %s" % (d,))
     return q
+
+
+def weight_scale(u, p: int):
+    """(a, b, s) for the series of valence p at the weight u = a/b (lowest
+    terms, b > 0; a = u, b = 1 for a polynomial u), entry n holding the z^n
+    coefficient times s^n: s = b^2 at p = 3 and b otherwise, since the z^n
+    coefficients have degree below 2n in u at p = 3 and below n at p >= 4."""
+    from .upoly import UPoly  # upoly imports this module
+
+    if isinstance(u, UPoly):
+        a, b = u, 1
+    else:
+        u = Q(u)
+        a, b = u.numerator, u.denominator
+    return a, b, b * b if p == 3 else b
 
 
 def scaled(coeffs, s: int) -> list:

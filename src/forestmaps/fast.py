@@ -17,11 +17,10 @@ defining equations into coefficient recurrences:
 
 Each recurrence, and each series helper, is written once over sequences
 whose entry n holds the z^n coefficient times s^n, for a weight u = a/b.
-The exact entry points take a rational u in lowest terms (b > 0) and run on
-lists of Python ints: the quartic engines at s = b, the cubic ones at
-s = b^2.  The coefficients are integer polynomials in u, so at these scales
-every stored entry is an integer; the quartic ODE is multiplied through by
-b (R'' and (1+u)R - z are stored times b), the only place where s = b
+The exact entry points take a rational u and run on lists of Python ints
+at the (a, b, s) of :func:`~forestmaps.exact.weight_scale`, where every
+stored entry is an integer; the quartic ODE is multiplied through by b
+(R'' and (1+u)R - z are stored times b), the only place where s = b
 leaves a fraction.  Each division goes through `_div`, which raises
 ArithmeticError on a nonzero remainder, and entry n becomes the rational
 X_n / s^n only in the returned lists.  The same recurrences run over
@@ -35,15 +34,17 @@ An ``np.longdouble`` scale runs the same code in extended precision.
 
 Only a few primitives see the container: `_vec` builds one, `_dot` and
 `conv_trunc` form products, `_div` divides, `_map` applies an entrywise
-formula (once per entry on lists, once on whole arrays) and `_Mirror` keeps
-a series back to front.  Each recurrence step takes dots of one series
-against another run backwards; the backward operand is a forward slice of
-the mirror, so numpy passes both to BLAS without copying them.  The O(n)
-steps (derivatives, W, V, F') are whole-array expressions over floats, each
-with the roundings of the entrywise formula.  Both recurrences are
-validated against the online solver in the test suite, the float runs
-against the exact ones on a shared prefix and against extended-precision
-runs over their full length.
+formula (once per entry on lists, once on whole arrays) and `_Mirror`
+keeps a series back to front.  The list primitives also serve
+:class:`~forestmaps.series.ZSeries`, whose product, derivative and
+antiderivative call `conv_trunc`, `_diff` and `_integrate` on its tuples.
+Each recurrence step takes dots of one series against another run
+backwards; the backward operand is a forward slice of the mirror, so numpy
+passes both to BLAS without copying them.  The O(n) steps (derivatives, W,
+V, F') are whole-array expressions over floats, each with the roundings of
+the entrywise formula.  Both recurrences are validated against the online
+solver in the test suite, the float runs against the exact ones on a shared
+prefix and against extended-precision runs over their full length.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Sequence
 
-from .exact import Q, exact_div, scaled, unscaled
+from .exact import exact_div, scaled, unscaled, weight_scale
 from .upoly import UPoly
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,7 @@ def _dot(x: Sequence, y: Sequence):
 
 
 _EXACT = (int, UPoly)
+_LISTS = (list, tuple)  # a tuple is the coefficients of a ZSeries
 
 
 def _div(x, d):
@@ -94,10 +96,11 @@ def _div(x, d):
 
 
 def _map(f, *seqs) -> Sequence:
-    """f entry by entry over sequences of one length: on lists the list of
-    f at each index, on arrays f once on the whole arrays, whose arithmetic
-    (and `_div`) numpy then does entrywise with the same roundings."""
-    if isinstance(seqs[0], list):
+    """f entry by entry over sequences of one length: on lists (or tuples)
+    the list of f at each index, on arrays f once on the whole arrays, whose
+    arithmetic (and `_div`) numpy then does entrywise with the same
+    roundings."""
+    if isinstance(seqs[0], _LISTS):
         return list(map(f, *seqs))
     return f(*seqs)
 
@@ -126,13 +129,20 @@ class _Mirror:
 
 def conv_trunc(a: Sequence, b: Sequence, n: int) -> Sequence:
     """Coefficients 0..n of the product of two coefficient sequences, in
-    their container: one exact dot per coefficient on lists (of ints or
-    rationals), one ``np.convolve`` on arrays."""
-    if isinstance(a, list):
-        out = []
-        for k in range(n + 1):
-            lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
-            out.append(_dot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1]))
+    their container.  On lists or tuples (of ints, rationals or UPolys)
+    each operand is trimmed to the span of its nonzero entries, each
+    coefficient with terms is one exact dot and the others are the ring's
+    zero ``a[0] * 0``, all in a list; on arrays it is one ``np.convolve``."""
+    if isinstance(a, _LISTS):
+        a, b = list(a[: n + 1]), list(b[: n + 1])
+        out = [a[0] * 0 if a else 0] * (n + 1)
+        ia = [i for i, x in enumerate(a) if x]
+        ib = [j for j, y in enumerate(b) if y]
+        if ia and ib:
+            la, ha, lb, hb = ia[0], ia[-1], ib[0], ib[-1]
+            for k in range(la + lb, min(n, ha + hb) + 1):
+                lo, hi = max(la, k - hb), min(ha, k - lb)
+                out[k] = _dot(a[lo : hi + 1], b[k - hi : k - lo + 1][::-1])
         return out
     import numpy as np
 
@@ -168,8 +178,10 @@ def _z(s, n: int) -> Sequence:
 
 
 def _diff(a: Sequence, s) -> Sequence:
-    """Derivative: one entry shorter than a."""
-    return _map(lambda k, x: _div(k * x, s), _vec(s, range(1, len(a))), a[1:])
+    """Derivative: one entry shorter than a.  At s = 1 nothing is divided,
+    so the entries may be polynomials with rational coefficients."""
+    d = _map(mul, _vec(s, range(1, len(a))), a[1:])
+    return d if s == 1 else _map(lambda x: _div(x, s), d)
 
 
 def _integrate(a: Sequence, s) -> Sequence:
@@ -305,7 +317,9 @@ def _cubic_rs(a, b, order: int, s):
 
 
 def _cubic_fprime(R: Sequence, S: Sequence, a, b, s) -> Sequence:
-    """F' = (2z + S - 2R - S^2)/u - (2R + S^2) for p = 3 (needs u != 0)."""
+    """F' = (2z + S - 2R - S^2)/u - (2R + S^2) for p = 3 (needs u != 0),
+    the grouping of 2z/u + S/u - (1 + 1/u)(2R + S^2) that divides by u
+    term by term."""
     core = _map(lambda r, q: 2 * r + q, R, conv_trunc(S, S, len(S) - 1))
     return _map(lambda z, x, c: _div((2 * z + x - c) * b, a) - c, _z(s, len(S)), S, core)
 
@@ -315,16 +329,10 @@ def _cubic_fprime(R: Sequence, S: Sequence, a, b, s) -> Sequence:
 # ---------------------------------------------------------------------------
 
 
-def _ratio(u):
-    """(a, b) with u = a/b in lowest terms and b > 0."""
-    u = Q(u)
-    return u.numerator, u.denominator
-
-
 def quartic_r_coeffs(u, order: int) -> list:
     """Exact coefficients R_0..R_order of R = z + u Phi(R) for p = 4."""
-    a, b = _ratio(u)
-    return unscaled(_quartic_r(a, b, order, b), b)
+    a, b, s = weight_scale(u, 4)
+    return unscaled(_quartic_r(a, b, order, s), s)
 
 
 def quartic_series(u, order: int) -> dict:
@@ -335,19 +343,19 @@ def quartic_series(u, order: int) -> dict:
     closed spanning-tree forms apply instead, R = z, and every entry runs
     through z^order.  F''_zu is built from it by :func:`quartic_fzu`.
     """
-    a, b = _ratio(u)
+    a, b, s = weight_scale(u, 4)
     # through the public entry point, so per-function tracing sees it
-    R = scaled(quartic_r_coeffs(u, order), b)
+    R = scaled(quartic_r_coeffs(u, order), s)
     if a == 0:
         from .trees import phi_theta_tables
 
         tabs = phi_theta_tables(4, order)
-        W = scaled(tabs["phi_x"], 1)
-        ser = {"R": R, "W": W, "V": _diff(W, 1) + [0], "fprime": scaled(tabs["theta_x"], 1)}
+        W = scaled(tabs["phi_x"], s)
+        ser = {"R": R, "W": W, "V": _diff(W, s) + [0], "fprime": scaled(tabs["theta_x"], s)}
     else:
-        ser = _quartic_bundle(R, a, b, b)
-    ser["f"] = _integrate(ser["fprime"], b)[: order + 1]
-    return {k: unscaled(v, b) for k, v in ser.items()}
+        ser = _quartic_bundle(R, a, b, s)
+    ser["f"] = _integrate(ser["fprime"], s)[: order + 1]
+    return {k: unscaled(v, s) for k, v in ser.items()}
 
 
 def quartic_fzu(series: dict, u) -> list:
@@ -355,30 +363,30 @@ def quartic_fzu(series: dict, u) -> list:
 
     A coefficient list through z^(order-1), or through z^order at u = 0,
     where F''_zu = W theta'(R) R' reduces to W times F''."""
-    a, b = _ratio(u)
+    a, b, s = weight_scale(u, 4)
     if a == 0:
-        W, fprime = (scaled(series[k], 1) for k in ("W", "fprime"))
-        return unscaled(conv_trunc(W, _diff(fprime, 1) + [0], len(W) - 1), 1)
-    return unscaled(_quartic_fzu({k: scaled(series[k], b) for k in ("R", "W", "V")}, b, b), b)
+        W, fprime = (scaled(series[k], s) for k in ("W", "fprime"))
+        return unscaled(conv_trunc(W, _diff(fprime, s) + [0], len(W) - 1), s)
+    return unscaled(_quartic_fzu({k: scaled(series[k], s) for k in ("R", "W", "V")}, b, s), s)
 
 
 def cubic_rs_coeffs(u, order: int):
     """Exact coefficients of (R, S) for p = 3 via the rational-derivative
     recurrence; returns two lists indexed by z-power."""
-    a, b = _ratio(u)
-    R, S = _cubic_rs(a, b, order, b * b)
-    return unscaled(R, b * b), unscaled(S, b * b)
+    a, b, s = weight_scale(u, 3)
+    R, S = _cubic_rs(a, b, order, s)
+    return unscaled(R, s), unscaled(S, s)
 
 
 def cubic_fprime_coeffs(u, order: int) -> list:
     """Exact F' coefficients for p = 3 through z^order."""
-    a, b = _ratio(u)
+    a, b, s = weight_scale(u, 3)
     if a == 0:
         from .trees import quartic_mullin_coeff
 
         return [quartic_mullin_coeff(3, n + 1) * (n + 1) for n in range(order + 1)]
-    R, S = (scaled(c, b * b) for c in cubic_rs_coeffs(u, order))
-    return unscaled(_cubic_fprime(R, S, a, b, b * b), b * b)
+    R, S = (scaled(c, s) for c in cubic_rs_coeffs(u, order))
+    return unscaled(_cubic_fprime(R, S, a, b, s), s)
 
 
 # ---------------------------------------------------------------------------

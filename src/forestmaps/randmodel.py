@@ -13,12 +13,11 @@ result and is refused; the activity constant kappa_u extends to u >= -1.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import List, Sequence
 
 from .critical import quartic_critical_point
-from .exact import Q, scaled
-from .fast import conv_trunc, quartic_fzu, quartic_series
+from .exact import Q, scaled, weight_scale
+from .fast import _dot, conv_trunc, quartic_fzu, quartic_series
 from .hyp import DEFAULT_PREC, Precision, as_mpf, rat_to_mpf
 from .trees import theta_x
 
@@ -154,19 +153,19 @@ def finite_n_root_size(u, n: int, k_max: int, series=None) -> List[float]:
 
     from quartic_series(u, n), built here unless the caller passes it as
     `series`.  Only the powers below R^(k_max+1) are convolved, on the ints
-    R_j b^j for u = a/b; of each R^(k+1) one coefficient is taken, as a dot.
+    R_j s^j at the scale s of :func:`~forestmaps.exact.weight_scale`; of
+    each R^(k+1) one coefficient is taken, as a dot.
     """
-    u = Q(u)
     _refuse_small_n([n])
     ser = series or quartic_series(u, n)
-    b = u.denominator
-    R, fprime = scaled(ser["R"][:n], b), ser["fprime"]
+    s = weight_scale(u, 4)[2]
+    R, fprime = scaled(ser["R"][:n], s), ser["fprime"]
     theta = theta_x(4, k_max + 1)
     out = []
     rk = R  # R^k, k = 1
     for k in range(1, k_max + 1):
-        top = sum(map(mul, rk, reversed(R)))  # [z^(n-1)] R^(k+1), times b^(n-1)
-        out.append(float(Q(theta[k + 1]) * Q(top, b ** (n - 1)) / fprime[n - 1]))
+        top = _dot(rk, R[::-1])  # [z^(n-1)] R^(k+1), times s^(n-1)
+        out.append(float(Q(theta[k + 1]) * Q(top, s ** (n - 1)) / fprime[n - 1]))
         if k < k_max:
             rk = conv_trunc(rk, R, n - 1)  # R^(k+1)
     return out

@@ -9,7 +9,9 @@ goes through :func:`~forestmaps.exact.exact_div`, so the ints and
 polynomials refuse a remainder where the rationals divide as rationals.
 Truncation bookkeeping is explicit: every binary operation returns a
 series truncated at the minimum of the operand orders, and nothing ever
-silently extends an order.
+silently extends an order.  The product, derivative and antiderivative run
+on the list primitives of :mod:`forestmaps.fast` (``conv_trunc``, ``_diff``
+and ``_integrate``), the package's one copy of exact series arithmetic.
 
 All values are immutable after construction and operations are pure, so
 series can be shared freely across threads.
@@ -20,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .exact import QZERO, exact_div, rat_to_str
+from .fast import _diff, _integrate, conv_trunc
 from .upoly import UP_U, UPoly
 
 
@@ -116,24 +119,7 @@ class ZSeries:
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        va = self.valuation()
-        vb = other.valuation()
-        if va is None or vb is None:
-            return ZSeries.zero(n, self.zero_coeff)
-        out = [self.zero_coeff] * (n + 1)
-        # a coefficient is zero exactly when it is falsy (UPoly included)
-        nonzero_b = [(j, b[j]) for j in range(vb, n + 1) if b[j]]
-        for i in range(va, min(len(a), n + 1)):
-            ca = a[i]
-            if not ca:
-                continue
-            top = n - i
-            for j, cb in nonzero_b:
-                if j > top:
-                    break
-                out[i + j] = out[i + j] + ca * cb
-        return ZSeries(out, n)
+        return ZSeries(conv_trunc(self.coeffs, other.coeffs, n), n)
 
     def scale(self, scalar) -> "ZSeries":
         """Multiply every coefficient by a scalar (rational or UPoly)."""
@@ -154,9 +140,7 @@ class ZSeries:
         """d/dz; the result is valid one order lower."""
         if self.order == 0:
             raise ValueError("cannot differentiate a series known only at order 0")
-        return ZSeries(
-            [self.coeffs[i] * i for i in range(1, self.order + 1)], self.order - 1
-        )
+        return ZSeries(_diff(self.coeffs, 1), self.order - 1)
 
     def integrate(self, s: int = 1) -> "ZSeries":
         """Antiderivative with zero constant term, valid one order higher.
@@ -167,9 +151,8 @@ class ZSeries:
         rationals; ints and UPoly values raise ArithmeticError on a
         remainder, so a series of canonical rationals that holds ints is
         integrated over Q only after ``map_coeffs(Q)``."""
-        out = [self.zero_coeff]
-        for n, c in enumerate(self.coeffs, 1):
-            out.append(exact_div(s * c, n))
+        out = _integrate(self.coeffs, s)
+        out[0] = self.zero_coeff
         return ZSeries(out, self.order + 1)
 
     # -- u-specific operations (symbolic mode) -------------------------------

@@ -25,12 +25,11 @@ where W1 and W2 are the compositions themselves; no u = 0 series goes
 through symbolic u.
 
 Every solve runs in one exact domain, at a weight u = a/b, where entry n of
-a series holds its z^n coefficient times s^n:
+a series holds its z^n coefficient times s^n, with the (a, b, s) of
+:func:`~forestmaps.exact.weight_scale`:
 
-* u specialized to an exact rational a/b (lowest terms, b > 0): the z^n
-  coefficients are integer polynomials in u of degree below 2n for p = 3
-  and below n for p >= 4, so the entries are Python ints at s = b^2 for
-  p = 3 and s = b for p >= 4;
+* u specialized to an exact rational a/b: the z^n coefficients are integer
+  polynomials in u, so the entries are Python ints;
 * symbolic u: a = u, the polynomial ``UP_U``, and b = s = 1, so the
   entries are the coefficients themselves, integer polynomials in u.
 
@@ -51,8 +50,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .exact import Q, canon, exact_div, scaled, unscaled
-from .fast import _dot
+from .exact import Q, canon, exact_div, scaled, unscaled, weight_scale
+from .fast import _cubic_fprime, _dot
 from .series import ZSeries
 from .trees import g_inner_table, h_inner_table, lambda_series, phi_theta_tables
 from .upoly import UP_U, UPoly
@@ -85,30 +84,19 @@ def _mode(u_mode):
     return UP_U if u_mode is None or u_mode == "symbolic" else canon(u_mode)
 
 
-def _z_series(order, u):
-    """The series z, with entries in the ring of u."""
-    zero = u * 0
-    return ZSeries.z(order, zero, zero + 1)
-
-
 class _Domain:
     """The entries of a solve at u = a/b: entry n holds the z^n coefficient
-    times s^n.  A rational u is taken in lowest terms (b > 0), with s = b^2
-    for p = 3 and s = b for p >= 4; symbolic u is a = u, b = s = 1.
+    times s^n, with (a, b, s) from :func:`~forestmaps.exact.weight_scale`.
     Symbolic solves above MAX_SYMBOLIC_ORDER are refused here."""
 
     def __init__(self, p: int, u_mode, order: int):
         self.p = p
         u = _mode(u_mode)
-        if isinstance(u, UPoly):
-            if order > MAX_SYMBOLIC_ORDER:
-                raise SymbolicOrderError(
-                    "symbolic u is limited to order %d; specialize u for "
-                    "longer series" % MAX_SYMBOLIC_ORDER)
-            self.a, self.b = u, 1
-        else:
-            self.a, self.b = u.numerator, u.denominator
-        self.s = self.b ** 2 if p == 3 else self.b
+        if isinstance(u, UPoly) and order > MAX_SYMBOLIC_ORDER:
+            raise SymbolicOrderError(
+                "symbolic u is limited to order %d; specialize u for "
+                "longer series" % MAX_SYMBOLIC_ORDER)
+        self.a, self.b, self.s = weight_scale(u, p)
         self.zero = self.a * 0
 
     def z(self, order: int) -> ZSeries:
@@ -290,15 +278,15 @@ def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
     u, order = _mode(u_mode), min(R.order, S.order)
     tables = phi_theta_tables(p, order)
     phi1, phi2 = (compose_biv(tables[name], R, S, order) for name in ("phi1", "phi2"))
-    return (R - _z_series(order, u) - phi1.scale(u), S - phi2.scale(u))
+    return (R - ZSeries.z(order, u * 0) - phi1.scale(u), S - phi2.scale(u))
 
 
 def series_f(p: int, order: int, u_mode=None, rs=None):
     """(F, F') with F' = theta(R, S) and F(0, u) = 0.
 
     F is exact through z^order, F' through z^(order-1).  For p = 3 the
-    shortcut F' = 2 z/u + S/u - (1 + 1/u)(2R + S^2) is asserted against the
-    theta-composition, exactly.
+    closed cubic form of :func:`~forestmaps.fast._cubic_fprime` is asserted
+    against the theta-composition, exactly.
     """
     if order < 3:
         raise ValueError("order must be >= 3 (smallest maps have 3 faces)")
@@ -306,11 +294,8 @@ def series_f(p: int, order: int, u_mode=None, rs=None):
     R, S = _rs(p, order, dom, rs)
     fprime = compose_biv(phi_theta_tables(p, order)["theta"], R, S, order)
     if p == 3 and dom.a != 0:
-        # F' = 2z/u + S/u - (1 + 1/u)(2R + S^2); only the grouped
-        # combination (2z + S - 2R - S^2)/u is u-divisible term by term.
-        core = R.scale(2) + S * S
-        shortcut = dom.div_u(dom.z(order).scale(2) + S - core) - core
-        if shortcut != fprime:
+        shortcut = _cubic_fprime(R.coeffs, S.coeffs, dom.a, dom.b, dom.s)
+        if ZSeries(shortcut) != fprime:
             raise AssertionError("cubic F' shortcut disagrees with theta(R, S)")
     f = dom.integrate(fprime).truncate(order)
     return dom.unload(f), dom.unload(fprime)

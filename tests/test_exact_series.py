@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from forestmaps.exact import Q, exact_div, rat_from_str, rat_to_str
+from forestmaps.fast import conv_trunc
 from forestmaps.series import ZSeries
 from forestmaps.solver import compose_biv
 from forestmaps.upoly import UP_U, UPoly
@@ -323,6 +324,94 @@ def test_zseries_ring_laws_over_scalars(a, b, c):
 def test_zseries_mu_and_divide_by_u_round_trip(a, b):
     assert ZSeries([c.from_mu() for c in a.to_mu().coeffs], a.order) == a
     assert b.scale(UP_U ** 2).divide_by_u(2) == b
+
+
+# -- the series arithmetic against the loops it replaced -----------------------
+
+
+def _reference_mul(a, b):
+    """ZSeries' own product before it ran on fast.conv_trunc: a scatter of
+    the products of nonzero coefficients onto the ring's zero."""
+    n = min(a.order, b.order)
+    zero = a.coeffs[0] * 0
+    va, vb = a.valuation(), b.valuation()
+    if va is None or vb is None:
+        return [zero] * (n + 1)
+    out = [zero] * (n + 1)
+    nonzero_b = [(j, b.coeffs[j]) for j in range(vb, n + 1) if b.coeffs[j]]
+    for i in range(va, n + 1):
+        ca = a.coeffs[i]
+        if not ca:
+            continue
+        for j, cb in nonzero_b:
+            if j > n - i:
+                break
+            out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+def _reference_differentiate(a):
+    return [a.coeffs[i] * i for i in range(1, a.order + 1)]
+
+
+def _reference_integrate(a, s):
+    return [a.coeffs[0] * 0] + [exact_div(s * c, n) for n, c in enumerate(a.coeffs, 1)]
+
+
+# each series has entries of one ring, whose zero is the last item
+RINGS = [(st.integers(-9, 9), 0),
+         (st.fractions(max_denominator=4).map(Q), Q(0)),
+         (st.lists(st.one_of(st.integers(-9, 9), st.fractions(max_denominator=4)),
+                   max_size=3).map(UPoly), UPoly())]
+
+
+@st.composite
+def masked_series(draw, ring):
+    """A series whose entries are zero off a random mask: any mask, no
+    entry at all, or a single term such as z."""
+    coeffs, zero = ring
+    order = draw(st.integers(0, 7))
+    mask = draw(st.one_of(
+        st.lists(st.booleans(), min_size=order + 1, max_size=order + 1),
+        st.just([False] * (order + 1)),
+        st.integers(0, order).map(lambda k: [i == k for i in range(order + 1)])))
+    # entry n is a multiple of n + 1, so that the antiderivatives of integer
+    # entries divide
+    return ZSeries([draw(coeffs) * (n + 1) if keep else zero
+                    for n, keep in enumerate(mask)], order, zero)
+
+
+@st.composite
+def series_pairs(draw):
+    ring = draw(st.sampled_from(RINGS))
+    return draw(masked_series(ring)), draw(masked_series(ring)), ring[1]
+
+
+def _same_entries(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g == r and type(g) is type(r)
+
+
+@given(series_pairs(), st.integers(1, 9))
+def test_series_arithmetic_is_the_reference_loops(pair, s):
+    a, b, zero = pair
+    n = min(a.order, b.order)
+    ref = _reference_mul(a, b)
+    terms = [any(a.coeffs[i] and b.coeffs[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    for got in ((a * b).coeffs, conv_trunc(list(a.coeffs), list(b.coeffs), n)):
+        _same_entries(got, ref)
+        # an entry with no terms is the ring's zero, not the int 0
+        assert all(type(c) is type(zero) for c, t in zip(got, terms) if not t)
+    if a.order:
+        _same_entries(a.differentiate().coeffs, _reference_differentiate(a))
+    try:
+        ref = _reference_integrate(a, s)
+    except ArithmeticError:  # a rational coefficient of a UPoly left a remainder
+        with pytest.raises(ArithmeticError):
+            a.integrate(s)
+    else:
+        _same_entries(a.integrate(s).coeffs, ref)
 
 
 def _no_float(value):

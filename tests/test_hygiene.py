@@ -1,11 +1,14 @@
 """Source hygiene: every name a package module imports is read somewhere in
-it, and every private helper is used somewhere in the package.
+it, every private helper is used somewhere in the package, and every public
+function and class is used somewhere in the repository.
 
 No linter is a dependency of the package, so this is the lint step: it
 parses each module of ``src/forestmaps`` with :mod:`ast` and reports
-imported names that the module never loads, and private top-level
-functions and classes that no module refers to.  A name listed in the
-module's ``__all__`` counts as read, so re-exports stay legal.
+imported names that the module never loads, private top-level functions
+and classes that no module refers to, and public ones that no Python file
+under ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` refers to.  A name
+listed in the module's ``__all__`` counts as read, so re-exports stay
+legal.
 """
 
 import ast
@@ -13,8 +16,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "forestmaps"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "forestmaps"
 MODULES = sorted(SRC.glob("*.py"))
+# the Python files outside the package that may use its public names
+READERS = sorted(path for top in ("tests", "demos", "perfbench")
+                 for path in (ROOT / top).rglob("*.py"))
 
 
 def _imported(tree):
@@ -77,11 +84,12 @@ def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _private_defs(tree):
-    """(name, line) of every private top-level function and class."""
+def _defs(tree, private):
+    """(name, line) of every private (or every public) top-level function
+    and class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                and node.name.startswith("_") and not node.name.startswith("__"):
+                and not node.name.startswith("__") and node.name.startswith("_") == private:
             yield node.name, node.lineno
 
 
@@ -96,21 +104,39 @@ def _referenced(tree):
     return names
 
 
-def dead_private_defs(sources):
-    """(module, name, line) of each private top-level function or class of
-    the modules {module: source} that none of them refers to."""
+def dead_defs(sources, private=True, readers=()):
+    """(module, name, line) of each private (or public) top-level function
+    or class of the modules {module: source} that none of them, nor any of
+    the sources `readers`, refers to."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    used = set().union(*map(_referenced, trees.values()))
+    used = set().union(*map(_referenced, trees.values()),
+                       *(_referenced(ast.parse(source)) for source in readers))
     return [(module, name, line) for module, tree in trees.items()
-            for name, line in _private_defs(tree) if name not in used]
+            for name, line in _defs(tree, private) if name not in used]
 
 
 def test_the_checker_sees_a_dead_private_helper():
     sources = {"a": "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\nclass _Gone:\n"
                     "    def _method(self):\n        pass\n",
                "b": "from .a import _used\n_used()\n"}
-    assert dead_private_defs(sources) == [("a", "_dead", 5), ("a", "_Gone", 9)]
+    assert dead_defs(sources) == [("a", "_dead", 5), ("a", "_Gone", 9)]
 
 
 def test_every_private_helper_is_referenced():
-    assert dead_private_defs({path.name: path.read_text() for path in MODULES}) == []
+    assert dead_defs({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_the_checker_sees_a_dead_public_name():
+    sources = {"a": "def used():\n    pass\n\n\ndef dead():\n    pass\n\n\ndef read():\n"
+                    "    pass\n\n\nclass Gone:\n    def method(self):\n        pass\n",
+               "b": "from .a import used\n"}
+    # a reader outside the package counts; prose in a docstring does not
+    readers = ["from forestmaps import a\na.read()\n", '"""Gone is dead."""\n']
+    assert dead_defs(sources, private=False, readers=readers) == [("a", "dead", 5),
+                                                                  ("a", "Gone", 13)]
+
+
+def test_every_public_name_is_referenced():
+    sources = {path.name: path.read_text() for path in MODULES}
+    readers = [path.read_text() for path in READERS]
+    assert dead_defs(sources, private=False, readers=readers) == []
