@@ -19,6 +19,7 @@ expectations:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -69,102 +70,104 @@ class CriterionResult:
             self.seconds, self.detail)
 
 
-def _expect(cond: bool, msg: str, notes: List[str]):
-    if not cond:
-        notes.append("FAILED: " + msg)
-    return cond
+def _criterion(title: str):
+    """Make a check into a criterion titled `title`.
+
+    The check is called with `expect(cond, msg)`, which records
+    "FAILED: " + msg when cond is false, and returns the detail reported
+    when nothing failed.  The criterion is timed, passes when nothing
+    failed, and is numbered by its position in :data:`CRITERIA`.
+    """
+    def wrap(check):
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            t0 = time.time()
+            failures: List[str] = []
+
+            def expect(cond: bool, msg: str) -> None:
+                if not cond:
+                    failures.append("FAILED: " + msg)
+
+            detail = check(expect)
+            return CriterionResult(CRITERIA.index(run) + 1, title, not failures,
+                                   "; ".join(failures) or detail, time.time() - t0)
+        return run
+    return wrap
 
 
-def criterion_1() -> CriterionResult:
+@_criterion("exact cubic F coefficients")
+def criterion_1(expect) -> str:
     """Exact cubic coefficients at z^3 and z^4, under one second."""
     t0 = time.time()
-    notes: List[str] = []
     f, _ = series_f(3, 4)
-    ok = _expect(f.coeff(3) == UPoly((6, 4)), "[z^3]F != 6+4u", notes)
-    ok &= _expect(f.coeff(4) == UPoly((140, 234, 144, 32)), "[z^4]F mismatch", notes)
+    expect(f.coeff(3) == UPoly((6, 4)), "[z^3]F != 6+4u")
+    expect(f.coeff(4) == UPoly((140, 234, 144, 32)), "[z^4]F mismatch")
     dt = time.time() - t0
-    ok &= _expect(dt < 1.0, "runtime %.2fs >= 1s" % dt, notes)
-    return CriterionResult(1, "exact cubic F coefficients", ok,
-                           "; ".join(notes) or "[z^3]F=6+4u, [z^4]F ok, %.2fs" % dt, dt)
+    expect(dt < 1.0, "runtime %.2fs >= 1s" % dt)
+    return "[z^3]F=6+4u, [z^4]F ok, %.2fs" % dt
 
 
-def criterion_2() -> CriterionResult:
+@_criterion("combinatorial oracle equivalence")
+def criterion_2(expect) -> str:
     """Oracle enumeration agrees with the solver for p in {3,4}, n in {3,4}."""
-    t0 = time.time()
-    notes: List[str] = []
-    ok = True
     for p in (3, 4):
         f, _ = series_f(p, 4)
         h = series_h(p, 4)
         for n in (3, 4):
             forests = oracle_f(p, n, "all_forests")
-            ok &= _expect(forests == f.coeff(n), "oracle F(%d,%d)" % (p, n), notes)
+            expect(forests == f.coeff(n), "oracle F(%d,%d)" % (p, n))
             active = oracle_f(p, n, "tree_rooted_activity")
-            ok &= _expect(active == forests,
-                          "activity variant differs at p=%d n=%d" % (p, n), notes)
+            expect(active == forests, "activity variant differs at p=%d n=%d" % (p, n))
             outside = oracle_f(p, n, "root_edge_outside")
-            ok &= _expect(outside == h.coeff(n), "oracle H(%d,%d)" % (p, n), notes)
-    return CriterionResult(2, "combinatorial oracle equivalence", ok,
-                           "; ".join(notes) or "forests=activities=[z^n]F, H variant ok",
-                           time.time() - t0)
+            expect(outside == h.coeff(n), "oracle H(%d,%d)" % (p, n))
+    return "forests=activities=[z^n]F, H variant ok"
 
 
-def criterion_3() -> CriterionResult:
+@_criterion("spanning-tree closed form (u=0)")
+def criterion_3(expect) -> str:
     """Spanning-tree closed form for p in {3,4,6} through z^30, exactly."""
-    t0 = time.time()
-    notes: List[str] = []
-    ok = True
     for p in (3, 4, 6):
         f, _ = series_f(p, 30, 0)
         for n in range(31):
-            ok &= _expect(f.coeff(n) == quartic_mullin_coeff(p, n),
-                          "p=%d n=%d" % (p, n), notes)
-    return CriterionResult(3, "spanning-tree closed form (u=0)", ok,
-                           "; ".join(notes) or "p in {3,4,6}, n <= 30 exact",
-                           time.time() - t0)
+            expect(f.coeff(n) == quartic_mullin_coeff(p, n), "p=%d n=%d" % (p, n))
+    return "p in {3,4,6}, n <= 30 exact"
 
 
-def criterion_4() -> CriterionResult:
+@_criterion("differential equations and identities")
+def criterion_4(expect) -> str:
     """Zero residual for the three DEs (order >= 10) and all identities (order 20)."""
-    t0 = time.time()
-    notes: List[str] = []
-    ok = True
     for name in DE_NAMES:
         rep = check_de(name, 13)
-        ok &= _expect(rep.is_zero and rep.valid_order >= 10,
-                      "%s (valid %d)" % (name, rep.valid_order), notes)
+        expect(rep.is_zero and rep.valid_order >= 10,
+               "%s (valid %d)" % (name, rep.valid_order))
     for name in IDENTITY_NAMES:
-        rep = check_identity(name, 20)
-        ok &= _expect(rep.is_zero, name, notes)
-    return CriterionResult(4, "differential equations and identities", ok,
-                           "; ".join(notes) or "3 DEs through z^11, 8 identities through z^18+",
-                           time.time() - t0)
+        expect(check_identity(name, 20).is_zero, name)
+    return "3 DEs through z^11, 8 identities through z^18+"
 
 
-def criterion_5() -> CriterionResult:
+@_criterion("(u+1)-positivity and printed mu-terms")
+def criterion_5(expect) -> str:
     """(u+1)-positivity with the printed leading terms, through order 12."""
-    t0 = time.time()
-    notes: List[str] = []
     order = 12
     out = solve(3, order)
     z = ZSeries.z(order, UPoly(), UPoly((1,)))
     r_part = (out.R - z).divide_by_u().to_mu()
     s_part = out.S.divide_by_u().to_mu()
     st_part = out.S_tilde.divide_by_u().to_mu()
-    ok = _expect(r_part.coeff(2) == UPoly((2, 4)), "(R-z)/u at z^2", notes)
-    ok &= _expect(r_part.coeff(3) == UPoly((16, 36, 48, 40)), "(R-z)/u at z^3", notes)
-    ok &= _expect(s_part.coeff(1) == UPoly((2,)), "S/u at z", notes)
-    ok &= _expect(s_part.coeff(2) == UPoly((6, 12, 12)), "S/u at z^2", notes)
-    ok &= _expect(s_part.coeff(3) == UPoly((72, 176, 240, 224, 128)), "S/u at z^3", notes)
-    ok &= _expect(st_part.coeff(2) == UPoly((10, 16, 4)), "S~/u at z^2", notes)
-    ok &= _expect(st_part.coeff(3) == UPoly((144, 320, 264, 96, 16)), "S~/u at z^3", notes)
+    expect(r_part.coeff(2) == UPoly((2, 4)), "(R-z)/u at z^2")
+    expect(r_part.coeff(3) == UPoly((16, 36, 48, 40)), "(R-z)/u at z^3")
+    expect(s_part.coeff(1) == UPoly((2,)), "S/u at z")
+    expect(s_part.coeff(2) == UPoly((6, 12, 12)), "S/u at z^2")
+    expect(s_part.coeff(3) == UPoly((72, 176, 240, 224, 128)), "S/u at z^3")
+    expect(st_part.coeff(2) == UPoly((10, 16, 4)), "S~/u at z^2")
+    expect(st_part.coeff(3) == UPoly((144, 320, 264, 96, 16)), "S~/u at z^3")
     for name, ser in (("(R-z)/u", r_part), ("S/u", s_part), ("S~/u", st_part)):
-        nonneg = all(c.nonneg() for c in ser.coeffs)
-        ok &= _expect(nonneg, "%s has a negative mu-coefficient" % name, notes)
+        expect(all(c.nonneg() for c in ser.coeffs),
+               "%s has a negative mu-coefficient" % name)
     for p in (3, 4):
         f = out.F if p == 3 else series_f(p, order)[0]
-        ok &= _expect(all(c.to_mu().nonneg() for c in f.coeffs),
-                      "F (p=%d) not (u+1)-positive" % p, notes)
+        expect(all(c.to_mu().nonneg() for c in f.coeffs),
+               "F (p=%d) not (u+1)-positive" % p)
     # dPhi2/dy composed at (z, S~) is (u+1)-positive as well; the parent
     # table needs one extra order so the derivative keeps its top shell
     tabs = phi_theta_tables(3, order + 1)
@@ -174,54 +177,45 @@ def criterion_5() -> CriterionResult:
             dtable[(i, j - 1)] = c * j
     st = out.S_tilde
     comp = compose_biv(dtable, z, st, order)
-    ok &= _expect(all(c.to_mu().nonneg() for c in comp.coeffs),
-                  "dPhi2/dy(z, S~) not (u+1)-positive", notes)
-    return CriterionResult(5, "(u+1)-positivity and printed mu-terms", ok,
-                           "; ".join(notes) or "printed terms exact; all mu-tables nonneg",
-                           time.time() - t0)
+    expect(all(c.to_mu().nonneg() for c in comp.coeffs),
+           "dPhi2/dy(z, S~) not (u+1)-positive")
+    return "printed terms exact; all mu-tables nonneg"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion("radii and critical points")
+def criterion_6(expect) -> str:
     """Radii: closed values, brackets, residuals, monotone grid."""
-    t0 = time.time()
-    notes: List[str] = []
     with PREC.ctx():
-        ok = _expect(
-            abs(quartic_critical_point(mpf(-1), PREC)[0]
-                - mpmath.sqrt(3) / (12 * mpmath.pi)) < mpf("1e-12"),
-            "quartic rho(-1)", notes)
-        ok &= _expect(
-            abs(cubic_rho_at_minus_one(PREC) - mpmath.pi ** 2 / 384) < mpf("1e-6"),
-            "cubic rho(-1) limit", notes)
+        expect(abs(quartic_critical_point(mpf(-1), PREC)[0]
+                   - mpmath.sqrt(3) / (12 * mpmath.pi)) < mpf("1e-12"),
+               "quartic rho(-1)")
+        expect(abs(cubic_rho_at_minus_one(PREC) - mpmath.pi ** 2 / 384) < mpf("1e-6"),
+               "cubic rho(-1) limit")
         from .critical import cubic_rho_closed
-        ok &= _expect(abs(cubic_rho_closed(0, PREC) - mpf(1) / 64) < mpf("1e-30"),
-                      "cubic rho(0) = 1/64", notes)
+        expect(abs(cubic_rho_closed(0, PREC) - mpf(1) / 64) < mpf("1e-30"),
+               "cubic rho(0) = 1/64")
     prof = radius(3, 1, PREC)
     # the plotted-curve extent quoted as 0.0098 is R(rho) = tau; the radius
     # itself is pinned against exact coefficient ratios below
-    ok &= _expect(0.0093 <= prof.tau <= 0.0103, "cubic tau(1) bracket", notes)
+    expect(0.0093 <= prof.tau <= 0.0103, "cubic tau(1) bracket")
     R, S = cubic_rs_coeffs(Q(1), 260)
     r1, r2 = float(R[129] / R[130]), float(R[258] / R[259])
     rho_ratio = 2 * r2 - r1  # one Richardson step on the 1/n bias
-    ok &= _expect(abs(prof.rho / rho_ratio - 1) < 0.01,
-                  "cubic rho(1) vs coefficient ratios", notes)
+    expect(abs(prof.rho / rho_ratio - 1) < 0.01, "cubic rho(1) vs coefficient ratios")
     st = s_tilde_radius_cubic(1, PREC)
-    ok &= _expect(0.0098 <= st["rho_tilde"] <= 0.0108, "S~ radius bracket", notes)
-    ok &= _expect(st["residual"] < 1e-12, "S~ radius residual", notes)
-    ok &= _expect(st["rho_tilde"] > prof.tau, "S~ radius above R(rho)", notes)
+    expect(0.0098 <= st["rho_tilde"] <= 0.0108, "S~ radius bracket")
+    expect(st["residual"] < 1e-12, "S~ radius residual")
+    expect(st["rho_tilde"] > prof.tau, "S~ radius above R(rho)")
     for p in (3, 4):
         rs = [radius(p, u, PREC) for u in (-1, -0.5, 0, 0.5, 1, 2)]
-        ok &= _expect(all(r.residuals.get("char", 0.0) < 1e-12 for r in rs),
-                      "p=%d residuals" % p, notes)
-        ok &= _expect(all(a.rho > b.rho for a, b in zip(rs, rs[1:])),
-                      "p=%d monotone radii" % p, notes)
-    return CriterionResult(6, "radii and critical points", ok,
-                           "; ".join(notes) or
-                           "closed radii to 1e-12/1e-6; brackets hit; grid decreasing",
-                           time.time() - t0)
+        expect(all(r.residuals.get("char", 0.0) < 1e-12 for r in rs),
+               "p=%d residuals" % p)
+        expect(all(a.rho > b.rho for a, b in zip(rs, rs[1:])), "p=%d monotone radii" % p)
+    return "closed radii to 1e-12/1e-6; brackets hit; grid decreasing"
 
 
-def criterion_7() -> CriterionResult:
+@_criterion("smooth phase transition at u=0+")
+def criterion_7(expect) -> str:
     """Exponentially smooth transition at u = 0.05 (radius and kappa).
 
     The radius gap beats the bare exponential bound outright (the critical
@@ -230,10 +224,8 @@ def criterion_7() -> CriterionResult:
     checked quantitatively: the gap stays within a two-decade window of the
     bound and its logarithm tracks -2 pi/(sqrt(3) u) across two u values.
     """
-    t0 = time.time()
-    notes: List[str] = []
     g = quartic_smoothness_gap(0.05)
-    ok = _expect(g["gap"] < g["bound"], "radius gap %.2e >= bound" % g["gap"], notes)
+    expect(g["gap"] < g["bound"], "radius gap %.2e >= bound" % g["gap"])
     from .randmodel import kappa_transition_gap
 
     def kgap(u):
@@ -241,74 +233,56 @@ def criterion_7() -> CriterionResult:
 
     gap05 = kgap(0.05)
     bound = g["bound"]
-    ok &= _expect(bound * 1e-2 < gap05 < bound * 1e2,
-                  "kappa gap %.2e not within two decades of %.2e" % (gap05, bound),
-                  notes)
+    expect(bound * 1e-2 < gap05 < bound * 1e2,
+           "kappa gap %.2e not within two decades of %.2e" % (gap05, bound))
     gap08 = kgap(0.08)
     rate = math.log(gap08 / gap05) / (1 / 0.08 - 1 / 0.05)
     target = -2 * math.pi / math.sqrt(3)
-    ok &= _expect(abs(rate / target - 1) < 0.05,
-                  "kappa gap rate %.3f vs %.3f" % (rate, target), notes)
-    return CriterionResult(7, "smooth phase transition at u=0+", ok,
-                           "; ".join(notes) or
-                           "rho gap %.1e < %.1e; kappa gap %.1e, rate %.3f ~ -2pi/sqrt3"
-                           % (g["gap"], bound, gap05, rate),
-                           time.time() - t0)
+    expect(abs(rate / target - 1) < 0.05, "kappa gap rate %.3f vs %.3f" % (rate, target))
+    return ("rho gap %.1e < %.1e; kappa gap %.1e, rate %.3f ~ -2pi/sqrt3"
+            % (g["gap"], bound, gap05, rate))
 
 
-def criterion_8() -> CriterionResult:
+@_criterion("quartic u=0 asymptotic ratio")
+def criterion_8(expect) -> str:
     """Tree-rooted (u=0) coefficient law at n=500 within 5%."""
-    t0 = time.time()
-    notes: List[str] = []
-    rows = coefficient_asymptotic_check(4, 0, [500], PREC)
-    ratio = rows[0]["ratio"]
-    ok = _expect(abs(ratio - 1) < 0.05, "ratio %.4f at n=500" % ratio, notes)
-    return CriterionResult(8, "quartic u=0 asymptotic ratio", ok,
-                           "; ".join(notes) or "f_500 ratio %.4f" % ratio,
-                           time.time() - t0)
+    ratio = coefficient_asymptotic_check(4, 0, [500], PREC)[0]["ratio"]
+    expect(abs(ratio - 1) < 0.05, "ratio %.4f at n=500" % ratio)
+    return "f_500 ratio %.4f" % ratio
 
 
-def criterion_9() -> CriterionResult:
+@_criterion("quartic u=1 ratio trend")
+def criterion_9(expect) -> str:
     """Quartic u=1: |ratio - 1| strictly decreasing over n = 50..400."""
-    t0 = time.time()
-    notes: List[str] = []
     rows = coefficient_asymptotic_check(4, 1, [50, 100, 200, 400], PREC)
     devs = [abs(r["ratio"] - 1) for r in rows]
-    ok = _expect(all(a > b for a, b in zip(devs, devs[1:])),
-                 "deviations %s not decreasing" % devs, notes)
-    return CriterionResult(9, "quartic u=1 ratio trend", ok,
-                           "; ".join(notes) or
-                           "|ratio-1|: " + ", ".join("%.4f" % d for d in devs),
-                           time.time() - t0)
+    expect(all(a > b for a, b in zip(devs, devs[1:])),
+           "deviations %s not decreasing" % devs)
+    return "|ratio-1|: " + ", ".join("%.4f" % d for d in devs)
 
 
-def criterion_10() -> CriterionResult:
+@_criterion("quartic u<0 logarithmic probe")
+def criterion_10(expect) -> str:
     """Log regime u=-1/2: probe deviations shrink, tails below 1e-6."""
-    t0 = time.time()
-    notes: List[str] = []
     res = log_singularity_probe(Q(-1, 2), (0.9, 0.99, 0.999), PREC, tol=1e-6)
     devs = [r["deviation"] for r in res["rows"]]
     tails = [r["tail_bound"] for r in res["rows"]]
-    ok = _expect(all(a > b for a, b in zip(devs, devs[1:])),
-                 "deviations %s not decreasing" % devs, notes)
-    ok &= _expect(max(tails) < 1e-6, "tail bound %.2e" % max(tails), notes)
-    return CriterionResult(10, "quartic u<0 logarithmic probe", ok,
-                           "; ".join(notes) or
-                           "devs " + ", ".join("%.3f" % d for d in devs)
-                           + "; max tail %.1e; %d terms" % (max(tails), res["order"]),
-                           time.time() - t0)
+    expect(all(a > b for a, b in zip(devs, devs[1:])),
+           "deviations %s not decreasing" % devs)
+    expect(max(tails) < 1e-6, "tail bound %.2e" % max(tails))
+    return ("devs " + ", ".join("%.3f" % d for d in devs)
+            + "; max tail %.1e; %d terms" % (max(tails), res["order"]))
 
 
-def criterion_11() -> CriterionResult:
+@_criterion("cubic u<0 expansion coefficient")
+def criterion_11(expect) -> str:
     """Cubic u=-1/2 singular expansion: beta recovered within 20%."""
-    t0 = time.time()
-    notes: List[str] = []
     fracs = (0.9, 0.95, 0.98, 0.99, 0.995, 0.998, 0.999)
     fit = cubic_beta_fit(Q(-1, 2), fracs, order=16000, prec=PREC)
     beta = fit["beta_closed"]
     devs = [abs(r["beta_pointwise"] / beta - 1) for r in fit["beta_rows"]]
-    ok = _expect(all(a > b for a, b in zip(devs, devs[1:])),
-                 "pointwise deviations %s not shrinking" % devs, notes)
+    expect(all(a > b for a, b in zip(devs, devs[1:])),
+           "pointwise deviations %s not shrinking" % devs)
     # two-parameter fit beta + c/ln(rho - z): the least-squares estimate of
     # the limit of the probe quantity
     import numpy as np
@@ -317,36 +291,28 @@ def criterion_11() -> CriterionResult:
     ys = np.array([r["beta_pointwise"] for r in fit["beta_rows"]])
     coef = np.polyfit(xs, ys, 1)
     beta_fit = float(coef[1])
-    ok &= _expect(abs(beta_fit / beta - 1) < 0.20,
-                  "extrapolated beta %.3f vs %.3f" % (beta_fit, beta), notes)
-    return CriterionResult(11, "cubic u<0 expansion coefficient", ok,
-                           "; ".join(notes) or
-                           "beta fit %.2f vs closed %.2f; last pointwise dev %.3f"
-                           % (beta_fit, beta, devs[-1]),
-                           time.time() - t0)
+    expect(abs(beta_fit / beta - 1) < 0.20,
+           "extrapolated beta %.3f vs %.3f" % (beta_fit, beta))
+    return ("beta fit %.2f vs closed %.2f; last pointwise dev %.3f"
+            % (beta_fit, beta, devs[-1]))
 
 
-def criterion_12() -> CriterionResult:
+@_criterion("random-model finite-n convergence")
+def criterion_12(expect) -> str:
     """Random-model finite-n expectations approach their limits."""
-    t0 = time.time()
-    notes: List[str] = []
     k1 = kappa(1, PREC)
     rows = finite_n_expectations(Q(1), [100, 200])
     d100 = abs(rows[0]["E_active_over_n"] / k1 - 1)
     d200 = abs(rows[1]["E_active_over_n"] / k1 - 1)
-    ok = _expect(d200 < 0.05, "n=200 deviation %.4f" % d200, notes)
-    ok &= _expect(d200 < d100, "no improvement from n=100 to n=200", notes)
+    expect(d200 < 0.05, "n=200 deviation %.4f" % d200)
+    expect(d200 < d100, "no improvement from n=100 to n=200")
     law = s_limit_law(1, 5, PREC)
     fins = {n: finite_n_root_size(Q(1), n, 5) for n in (60, 120, 200)}
     for k in range(5):
         seq = [abs(fins[n][k] - law[k]) for n in (60, 120, 200)]
-        ok &= _expect(all(a > b for a, b in zip(seq, seq[1:])),
-                      "size law k=%d not approaching" % (k + 1), notes)
-    return CriterionResult(12, "random-model finite-n convergence", ok,
-                           "; ".join(notes) or
-                           "E_i/n dev %.4f -> %.4f; size law monotone for k<=5"
-                           % (d100, d200),
-                           time.time() - t0)
+        expect(all(a > b for a, b in zip(seq, seq[1:])),
+               "size law k=%d not approaching" % (k + 1))
+    return "E_i/n dev %.4f -> %.4f; size law monotone for k<=5" % (d100, d200)
 
 
 CRITERIA: List[Callable[[], CriterionResult]] = [

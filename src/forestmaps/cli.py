@@ -216,17 +216,10 @@ def cmd_verify(args):
     _at_least(args, "de_order", 4)  # the equations are of second order
     u = _parse_u(args.u, symbolic=True)
     only = set(args.only.split(",")) if args.only else None
-    rows = []
-    for name in IDENTITY_NAMES:
-        if only and name not in only:
-            continue
-        rep = check_identity(name, args.order)
-        rows.append(rep)
-    for name in DE_NAMES:
-        if only and name not in only:
-            continue
-        rep = check_de(name, args.de_order, u)
-        rows.append(rep)
+    checks = ([(name, check_identity, (args.order,)) for name in IDENTITY_NAMES]
+              + [(name, check_de, (args.de_order, u)) for name in DE_NAMES])
+    rows = [check(name, *rest) for name, check, rest in checks
+            if not only or name in only]
     if only and not rows:
         raise CliError("no identity or equation matches %r" % args.only,
                        EXIT_BAD_FLAGS)

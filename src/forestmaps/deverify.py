@@ -49,12 +49,6 @@ IDENTITY_NAMES = (
 
 DE_NAMES = ("quartic_fprime", "quartic_h", "cubic_w")
 
-_DE_FILES = {
-    "quartic_fprime": "de_quartic_fprime.json",
-    "quartic_h": "de_quartic_h.json",
-    "cubic_w": "de_cubic_w.json",
-}
-
 
 @dataclass
 class ResidualReport:
@@ -190,9 +184,9 @@ def _check_cubic_rs(order: int) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 def load_de(name: str) -> dict:
-    if name not in _DE_FILES:
+    if name not in DE_NAMES:
         raise ValueError("unknown differential equation %r" % name)
-    path = resources.files("forestmaps.data").joinpath(_DE_FILES[name])
+    path = resources.files("forestmaps.data").joinpath("de_%s.json" % name)
     with path.open() as f:
         de = json.load(f)
     for term in de["terms"]:

@@ -153,8 +153,9 @@ def conv_trunc(a: Sequence, b: Sequence, n: int) -> Sequence:
 
     # The trailing zero of each operand keeps coefficients 0..n in the part
     # of the full product where the overlap grows, which numpy computes as
-    # one dot per coefficient, a[0..k] against b[k..0]: the terms and the
-    # order of the list loop above.
+    # one dot per coefficient, a[0..k] against b[k..0]: the order of the
+    # terms in the list loop above, which also skips the terms outside each
+    # operand's nonzero span.
     return np.convolve(padded(a), padded(b))[: n + 1]
 
 

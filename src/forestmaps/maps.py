@@ -309,16 +309,18 @@ def tutte_poly(m: CombMap) -> Dict[Tuple[int, int], object]:
     return {k: c for k, c in out.items() if c != 0}
 
 
+def _at_nu_1(poly: Dict[Tuple[int, int], int]) -> UPoly:
+    """A {(mu_pow, nu_pow): coeff} polynomial at nu = 1, as a polynomial in
+    u = mu - 1."""
+    mu = [0] * (max((i for i, _ in poly), default=-1) + 1)
+    for (i, _j), c in poly.items():
+        mu[i] += c
+    return UPoly(mu).from_mu()
+
+
 def tutte_at_mu_1(m: CombMap) -> UPoly:
     """T_M(u+1, 1) as a polynomial in u: must equal :func:`forest_poly`."""
-    tp = tutte_poly(m)
-    coeffs: Dict[int, int] = {}
-    # evaluate at nu = 1: collapse the nu exponent
-    for (i, _j), c in tp.items():
-        coeffs[i] = coeffs.get(i, 0) + c
-    # now polynomial in mu; substitute mu = u + 1
-    mu_poly = UPoly([coeffs.get(i, 0) for i in range(max(coeffs, default=0) + 1)])
-    return mu_poly.from_mu()
+    return _at_nu_1(tutte_poly(m))
 
 
 def spanning_trees(m: CombMap) -> List[FrozenSet[int]]:
@@ -372,42 +374,25 @@ def bernardi_activities(m: CombMap, tree: FrozenSet[int]) -> Tuple[int, int]:
         a, b = ends[e]
         adj[a].append((b, e))
         adj[b].append((a, e))
-    internal = 0
-    for e in tree:
-        # fundamental cocycle: edges crossing the two components of tree - e
-        side = _component_after_removal(adj, ends[e], e, n_v)
-        cocycle = [
-            f
-            for f, (a, b) in enumerate(ends)
-            if (a in side) != (b in side)
-        ]
-        if min(cocycle, key=lambda f: rank[f]) == e:
-            internal += 1
+
+    def tour_minimal(e, edges):
+        return not any(rank[g] < rank[e] for g in edges)
+
+    # the fundamental cycle of a non-tree edge f is f plus its tree path;
+    # the fundamental cocycle of a tree edge e is e plus every non-tree
+    # edge whose tree path passes e
     external = 0
-    for e, (a, b) in enumerate(ends):
-        if e in tree:
-            continue
-        path = _tree_path(adj, a, b, n_v)
-        cycle = path + [e]
-        if min(cycle, key=lambda f: rank[f]) == e:
-            external += 1
-    return internal, external
+    cocycles = {e: [e] for e in tree}
+    for f, (a, b) in enumerate(ends):
+        if f not in tree:
+            path = _tree_path(adj, a, b)
+            external += tour_minimal(f, path)
+            for e in path:
+                cocycles[e].append(f)
+    return sum(tour_minimal(e, c) for e, c in cocycles.items()), external
 
 
-def _component_after_removal(adj, e_ends, e, n_v) -> set:
-    start = e_ends[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y, f in adj[x]:
-            if f != e and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _tree_path(adj, a, b, n_v) -> List[int]:
+def _tree_path(adj, a, b) -> List[int]:
     """Edges on the tree path between vertices a and b (BFS)."""
     if a == b:
         return []
@@ -448,22 +433,8 @@ def oracle_f(p: int, n_faces: int, variant: str = "all_forests") -> UPoly:
     restricts to forests avoiding the root edge (the series H).
     """
     maps = enumerate_maps(p, n_faces)
-    if variant == "all_forests":
-        total = UPoly()
-        for m in maps:
-            total = total + forest_poly(m)
-        return total
-    if variant == "root_edge_outside":
-        total = UPoly()
-        for m in maps:
-            total = total + forest_poly(m, exclude_root_edge=True)
-        return total
     if variant == "tree_rooted_activity":
-        mu_coeffs: Dict[int, int] = {}
-        for m in maps:
-            for tree in spanning_trees(m):
-                i, _ = bernardi_activities(m, tree)
-                mu_coeffs[i] = mu_coeffs.get(i, 0) + 1
-        mu_poly = UPoly([mu_coeffs.get(i, 0) for i in range(max(mu_coeffs, default=0) + 1)])
-        return mu_poly.from_mu()
+        return sum((_at_nu_1(activity_poly(m)) for m in maps), UPoly())
+    if variant in ("all_forests", "root_edge_outside"):
+        return sum((forest_poly(m, variant == "root_edge_outside") for m in maps), UPoly())
     raise ValueError("unknown oracle variant %r" % variant)

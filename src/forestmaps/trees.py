@@ -155,13 +155,6 @@ def phi_theta_tables(p: int, order: int) -> Mapping:
     return MappingProxyType(out)
 
 
-def theta_x(p: int, order: int) -> list:
-    """Coefficients 0..order of theta(x) = theta(x, 0), without the
-    bivariate table."""
-    return [tree_count(p, 2 * i, "corner_rooted") * trinomial_q(i, i, 0) if i else 0
-            for i in range(order + 1)]
-
-
 def g_inner_table(p: int, order: int) -> Mapping:
     """Table sum_{i>=2} t_{2i+j-1} * trinomial(i-2,i,j) x^i y^j.
 

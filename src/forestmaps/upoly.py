@@ -83,7 +83,10 @@ class UPoly:
             out[i] = out[i] + c
         return UPoly(out)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        if type(other) is int and other == 0:  # sum() starts from int 0
+            return self
+        return self.__add__(other)
 
     def __sub__(self, other):
         o = self._coerce(other)

@@ -34,8 +34,15 @@ def grid():
             for name in ("R-z", "S", "Stilde", "F"):
                 commands.append(["mu-expand", "--p", str(p), "--order", str(order),
                                  "--series", name])
+    for p in (3, 4):
+        for faces in (3, 4):
+            for variant in ("all_forests", "tree_rooted_activity", "root_edge_outside"):
+                commands.append(["oracle", "--p", str(p), "--faces", str(faces),
+                                 "--variant", variant, "--compare", "--dump-maps"])
     for u in ("symbolic", "47/93"):
         commands.append(["verify", "--u=" + u])
+    commands.append(["verify", "--only", "cubic_w,theta_from_phi"])
+    commands.append(["--format", "csv", "verify"])
     return commands
 
 

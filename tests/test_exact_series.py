@@ -240,7 +240,9 @@ def test_upoly_ring_laws(a, b, c):
 
 @given(upolys, upolys, scalars)
 def test_upoly_results_are_canonical(a, b, s):
-    for p in (a, b, a + b, a - b, a * b, a * s, s * b, a + s, a.to_mu(), b.from_mu()):
+    assert sum([a, b]) == a + b  # sum() starts from int 0
+    for p in (a, b, a + b, sum([a, b]), a - b, a * b, a * s, s * b, a + s, a.to_mu(),
+              b.from_mu()):
         assert all(_canonical(c) for c in p.coeffs)
         assert not p.coeffs or p.coeffs[-1] != 0
 

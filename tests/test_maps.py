@@ -10,6 +10,7 @@ from forestmaps.maps import (
     ScaleGuardError,
     activity_poly,
     bernardi_activities,
+    bernardi_tour_order,
     enumerate_maps,
     forest_poly,
     oracle_f,
@@ -118,6 +119,71 @@ def test_bernardi_sums_to_tutte():
     assert activity_poly(theta_graph()) == tutte_poly(theta_graph())
     for m in enumerate_maps(3, 3) + enumerate_maps(4, 3) + enumerate_maps(4, 4):
         assert activity_poly(m) == tutte_poly(m)
+
+
+def _reference_activities(m, tree):
+    """(internal, external) activity counts with one search per edge: the
+    side of tree - e for each tree edge e (its cocycle is every edge that
+    crosses), the tree path for each non-tree edge (its cycle)."""
+    vert = m.vertex_of()
+    ends = [(vert[a], vert[b]) for a, b in m.edges()]
+    rank = {e: i for i, e in enumerate(bernardi_tour_order(m, tree))}
+    adj = {v: [] for v in range(len(m.vertices()))}
+    for e in tree:
+        a, b = ends[e]
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    internal = 0
+    for e in tree:
+        side = _reference_side(adj, ends[e][0], e)
+        cocycle = [f for f, (a, b) in enumerate(ends) if (a in side) != (b in side)]
+        internal += min(cocycle, key=lambda f: rank[f]) == e
+    external = 0
+    for e, (a, b) in enumerate(ends):
+        if e not in tree:
+            cycle = _reference_path(adj, a, b) + [e]
+            external += min(cycle, key=lambda f: rank[f]) == e
+    return internal, external
+
+
+def _reference_side(adj, start, e):
+    """The vertices reached from start in the tree without edge e."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y, f in adj[x]:
+            if f != e and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _reference_path(adj, a, b):
+    """The edges of the tree path from a to b."""
+    prev = {a: None}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        for y, f in adj[x]:
+            if y not in prev:
+                prev[y] = (x, f)
+                stack.append(y)
+    path = []
+    while prev[b] is not None:
+        b, f = prev[b]
+        path.append(f)
+    return path
+
+
+def test_activities_are_the_two_search_reference():
+    trees = 0
+    for p, n_faces in ((3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5), (5, 5), (6, 4)):
+        for m in enumerate_maps(p, n_faces, guard=False):
+            for tree in spanning_trees(m):
+                assert bernardi_activities(m, tree) == _reference_activities(m, tree)
+                trees += 1
+    assert trees == 4653
 
 
 def test_theta_graph_has_three_spanning_trees():

@@ -21,7 +21,7 @@ from forestmaps.randmodel import (
     kappa_smooth_reference,
     s_limit_law,
 )
-from forestmaps.trees import theta_x
+from forestmaps.trees import phi_theta_tables
 
 PREC = Precision(50)
 
@@ -82,7 +82,7 @@ def _root_size_from_full_powers(u, n, k_max):
     over the rational coefficients, then coefficient n - 1 read off."""
     ser = quartic_series(u, n)
     R, fprime = ser["R"], ser["fprime"]
-    theta = theta_x(4, k_max + 1)
+    theta = phi_theta_tables(4, k_max + 1)["theta_x"]
     out, rk = [], list(R)
     for k in range(1, k_max + 1):
         rk = conv_trunc(rk, R, n - 1)
