@@ -41,7 +41,6 @@ from .fast import (
     quartic_series,
 )
 from .hyp import DEFAULT_PREC, Precision, as_mpf, rat_to_mpf
-from .trees import quartic_mullin_coeff
 
 # Each probe checks its float64 engine against the exact one on a prefix of
 # this many coefficients.  The log probe's F'' has order - 1 coefficients
@@ -72,11 +71,7 @@ def coefficient_asymptotic_check(
         rho = quartic_critical_point(u, prec)[0]
         c_u = asymptotic_constant(4, u, prec)
         a, b = REGIMES[(u > 0) - (u < 0)][2]
-        if u == 0:
-            f = {n: quartic_mullin_coeff(4, n) for n in n_list}
-        else:
-            ser = quartic_series(u, n_max)
-            f = {n: ser["f"][n] for n in n_list}
+        f = quartic_series(u, n_max)["f"]
         rows = []
         for n in n_list:
             fn = rat_to_mpf(Q(f[n]))

@@ -33,6 +33,7 @@ from .trees import (
     phi_from_psi,
     phi_theta_tables,
     psi_series,
+    table_column,
 )
 from .upoly import UPoly, UP_U
 
@@ -83,19 +84,17 @@ def check_identity(name: str, order: int) -> ResidualReport:
         return ZSeries([Q(c) for c in coeffs], order)
 
     if name == "phi_second_order_ode":
-        phi = _qseries(phi_theta_tables(4, order)["phi_x"])
+        phi = _qseries(table_column("phi1", 4, order))
         a = poly(0, -1, 27)  # x(27x - 1)
         res = a * phi.differentiate().differentiate() + phi.scale(Q(6)) + poly(0, 6)
         return _report(name, order, res)
     if name == "theta_from_phi":
-        tabs = phi_theta_tables(4, order)
-        phi, theta = _qseries(tabs["phi_x"]), _qseries(tabs["theta_x"])
+        phi, theta = (_qseries(table_column(t, 4, order)) for t in ("phi1", "theta"))
         res = theta.scale(Q(3)) - poly(-2, 54) * phi.differentiate() \
             + phi.scale(Q(42)) - poly(0, 12)
         return _report(name, order, res)
     if name == "lambda_from_phi":
-        tabs = phi_theta_tables(4, order)
-        phi = _qseries(tabs["phi_x"])
+        phi = _qseries(table_column("phi1", 4, order))
         lam = _qseries(lambda_series(order))
         res = lam.scale(Q(30)) - poly(0, -1, 27) * phi.differentiate() \
             - poly(1, -24) * phi - poly(0, 0, 3)

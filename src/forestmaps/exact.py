@@ -116,18 +116,6 @@ def unscaled(X, s: int) -> list:
     return out
 
 
-def factorial_q(n: int) -> "Rat":
-    """n! as an exact rational (memoized)."""
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    while len(_FACTORIALS) <= n:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return Q(_FACTORIALS[n])
-
-
-_FACTORIALS = [1]
-
-
 def trinomial_q(a: int, b: int, c: int) -> int:
     """(a+b+c)! / (a! b! c!) as an int."""
     if a < 0 or b < 0 or c < 0:

@@ -2,26 +2,37 @@
 
 The online solver in :mod:`forestmaps.solver` costs O(order^3) ring
 operations; these engines reach orders in the thousands by turning the
-defining equations into coefficient recurrences:
+defining equations into coefficient recurrences.  Both run in the unknowns
+W = Phi(R, S) that u multiplies in R = z + u Phi1 and S = u Phi2, so R and
+S come from products, nothing is divided by u, and u = 0 (R = z, S = 0:
+the spanning trees) is an ordinary point:
 
-* quartic (p = 4): R = z + u Phi(R) implies the closed second-order equation
-      R (27R - 1) R'' + 6 R'^3 ((1+u) R - z) = 0,
-  obtained by eliminating Phi via its hypergeometric ODE.  With R_1 = 1 and
-  R_2 = 3u this pins the series and yields an O(order^2) recurrence.
+* quartic (p = 4): W = Phi(R), R = z + u W.  Eliminating Phi'' through the
+  hypergeometric ODE of Phi gives, divided by u,
+      R (27R - 1) W'' + 6 R'^3 (z + (1+u) W) = 0,   z + (1+u) W = R + W,
+  which at u = 0 is the ODE of Phi itself.  With W_0 = W_1 = 0 its
+  coefficient at z^(n-1) fixes W_n: an O(order^2) recurrence.
 
-* cubic (p = 3): the pair (R, S) satisfies the rational system
-      D R' = R (48z - 1 + 16(u+1)R + 2(3+u)S - 8(u+1)S^2)
-      D S' = -2 (3z + (u-3)R - 12zS + 4(u+1)RS)
-      D    = 36z^2 + (24z - 1 + 24uz)R + 4(u+1)RS - 4(u+1)^2 RS^2 + 4(u+1)^2 R^2
-  which again gives an O(order^2) recurrence from R_1 = 1, S_1 = 2u.
+* cubic (p = 3): W1 = (R - z)/u = O(z^2) and W2 = S/u = 2z + ..., with
+  R = z + u W1 and S = u W2, satisfy
+      D W1' + E1 = 0,   D W2' + 2 E2 = 0,
+      D  = 36z^2 + (24z - 1 + 24uz) R + 4(u+1) RS - 4(u+1)^2 RS^2
+           + 4(u+1)^2 R^2
+      E1 = 4(u+4) z^2 + 4(u+1)(u-3)(R+z) W1 + 24(u-1) z W1 + 2(u-1) R W2
+           + 4u(1-u^2) R W2^2
+      E2 = z + (u-3) W1 + 4(u-2) z W2 + 4u(u+1) W1 W2
+  which again gives an O(order^2) recurrence; R^2 is read as z R + u R W1.
+
+From W the bundles follow by products and series quotients: at p = 4
+V = Phi'(R) = W'/R' and F' = theta(R) = (2(27R - 1) V - 42 W + 12 R)/3, at
+p = 3 F' = W2 - 2 W1 - u W2^2 - (2R + S^2).
 
 Each recurrence, and each series helper, is written once over sequences
 whose entry n holds the z^n coefficient times s^n, for a weight u = a/b.
 The exact entry points take a rational u and run on lists of Python ints
 at the (a, b, s) of :func:`~forestmaps.exact.weight_scale`, where every
-stored entry is an integer; the quartic ODE is multiplied through by b
-(R'' and (1+u)R - z are stored times b), the only place where s = b
-leaves a fraction.  Each division goes through `_div`, which raises
+stored entry is an integer; a product with u multiplies by a and divides
+by b.  Each division goes through `_div`, which raises
 ArithmeticError on a nonzero remainder, and entry n becomes the rational
 X_n / s^n only in the returned lists.  The same recurrences run over
 integer polynomials in u at a = u (``UP_U``), b = s = 1, on lists of
@@ -40,15 +51,16 @@ keeps a series back to front.  The list primitives also serve
 antiderivative call `conv_trunc`, `_diff` and `_integrate` on its tuples.
 Each recurrence step takes dots of one series against another run
 backwards; the backward operand is a forward slice of the mirror, so numpy
-passes both to BLAS without copying them.  The O(n) steps (derivatives, W,
-V, F') are whole-array expressions over floats, each with the roundings of
-the entrywise formula.  Both recurrences are validated against the online
+passes both to BLAS without copying them.  The O(n) steps (derivatives and
+F') are whole-array expressions over floats, each with the roundings of the
+entrywise formula.  Both recurrences are validated against the online
 solver in the test suite, the float runs against the exact ones on a shared
 prefix and against extended-precision runs over their full length.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -159,18 +171,18 @@ def conv_trunc(a: Sequence, b: Sequence, n: int) -> Sequence:
     return np.convolve(padded(a), padded(b))[: n + 1]
 
 
-def _recip(a: Sequence, n: int, s) -> Sequence:
-    """Reciprocal of a series with a[0] != 0 (a[0] = +-1 over ints),
-    through index n."""
-    if a[0] == 0:
-        raise ZeroDivisionError("the reciprocal needs a nonzero constant term")
-    inv0 = _div(1, a[0])
-    out = _vec(s, [inv0] * (n + 1))
-    back = _Mirror(out, s)
-    for k in range(1, n + 1):
-        j = min(k, len(a) - 1)
-        out[k] = back[k] = -inv0 * _dot(a[1 : j + 1], back[k - j : k])
-    return out
+def _quotient(x: Sequence, d: Sequence, n: int, s) -> Sequence:
+    """The series x / d through index n, for d[0] != 0, by one triangular
+    solve: q_k = (x_k - sum_{j>=1} d_j q_{k-j}) / d_0, each an exact
+    division over ints."""
+    if d[0] == 0:
+        raise ZeroDivisionError("the quotient needs a divisor with a nonzero constant term")
+    q = _vec(s, [0] * (n + 1))
+    back = _Mirror(q, s)
+    for k in range(n + 1):
+        j = min(k, len(d) - 1)
+        q[k] = back[k] = _div(x[k] - _dot(d[1 : j + 1], back[k - j : k]), d[0])
+    return q
 
 
 def _z(s, n: int) -> Sequence:
@@ -197,61 +209,40 @@ def _integrate(a: Sequence, s) -> Sequence:
 # ---------------------------------------------------------------------------
 
 
-def _quartic_r(a, b, order: int, s) -> Sequence:
-    """R_n s^n, n = 0..order, for R = z + u Phi(R) at p = 4."""
+def _quartic(a, b, order: int, s):
+    """(R_n s^n, W_n s^n), n = 0..order, for W = Phi(R), R = z + u W at p = 4."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    R = _vec(s, [0] * (order + 1))
+    # P = R (27R - 1) and L = z + (1+u) W = W + R, through index n - 1 at step
+    # n; Rp = R', B2 = R'^2 and C = R'^3 through n - 2; wpp = W'' through n - 3
+    R, W, R2, P, L = (_vec(s, [0] * (order + 1)) for _ in range(5))
+    Rp, B2, C, wpp = (_vec(s, [0] * order) for _ in range(4))
     R[1] = s
-    if order >= 2:
-        R[2] = _div(3 * a * s * s, b)
-    if order < 3:
-        return R
-    up1 = a + b  # (1+u) b
-    # Rp = R', B2 = R'^2, C = R'^3, rpp = b R'', R2 = R^2, P = 27 R^2 - R and
-    # L = b ((1+u) R - z), each extended by one entry per step
-    Rp, B2, C, rpp = (_vec(s, [0] * order) for _ in range(4))
-    R2, P, L = (_vec(s, [0] * (order + 1)) for _ in range(3))
-    Rp[0] = B2[0] = C[0] = _div(R[1], s)
-    Rp[1] = _div(2 * R[2], s)
-    B2[1] = 2 * Rp[1]
-    C[1] = 3 * Rp[1]
-    rpp[0] = _div(2 * R[2] * b, s * s)
-    R2[2] = R[1] * R[1]
-    P[1] = -s
-    P[2] = 27 * R2[2] - R[2]
-    L[1] = a * s
-    L[2] = up1 * R[2]
     # the factors that the products below run backwards
-    Rm, Rpm, Cm, rppm = (_Mirror(x, s) for x in (R, Rp, C, rpp))
-    for n in range(2, order):
-        if n >= 3:
-            R2[n] = _dot(R[1:n], Rm[1:n])
-            P[n] = 27 * R2[n] - R[n]
-            L[n] = up1 * R[n]
-            Rp[n - 1] = Rpm[n - 1] = _div(n * R[n], s)
-            B2[n - 1] = _dot(Rp[0:n], Rpm[0:n])
-            C[n - 1] = Cm[n - 1] = _dot(B2[0:n], Rpm[0:n])
-            rpp[n - 2] = rppm[n - 2] = _div(n * (n - 1) * R[n] * b, s * s)
-        # b times the known part of the ODE at z^(n-1)
-        known = _dot(P[2 : n + 1], rppm[0 : n - 1])
-        known += 6 * _dot(L[1 : n + 1], Cm[0:n])
-        R[n + 1] = Rm[n + 1] = _div(s * known, n * (n + 1) * b)
-    return R
+    Rm, Rpm, Cm, wppm = (_Mirror(x, s) for x in (R, Rp, C, wpp))
+    for n in range(2, order + 1):
+        k = n - 1
+        R2[k] = _dot(R[1:k], Rm[1:k])
+        P[k] = 27 * R2[k] - R[k]
+        L[k] = W[k] + R[k]
+        Rp[k - 1] = Rpm[k - 1] = _div(k * R[k], s)
+        B2[k - 1] = _dot(Rp[0:k], Rpm[0:k])
+        C[k - 1] = Cm[k - 1] = _dot(B2[0:k], Rpm[0:k])
+        if k >= 2:
+            wpp[k - 2] = wppm[k - 2] = _div(k * (k - 1) * W[k], s * s)
+        # the ODE at z^(n-1), whose P_1 = -1 term is -n (n-1) W_n
+        known = _dot(P[2:n], wppm[0 : n - 2]) + 6 * _dot(L[1:n], Cm[0 : n - 1])
+        W[n] = _div(s * known, n * (n - 1))
+        R[n] = Rm[n] = _div(a * W[n], b)
+    return R, W
 
 
-def _quartic_bundle(R: Sequence, a, b, s) -> dict:
-    """W = Phi(R), V = Phi'(R) and F' from R (needs u != 0).
+def _quartic_bundle(R: Sequence, W: Sequence, s) -> dict:
+    """V = Phi'(R) = W'/R' and F' = theta(R) from R and W = Phi(R).
 
-    R runs through z^order; W through z^order, the rest through
-    z^(order-1)."""
+    R and W run through z^order, V and F' through z^(order-1)."""
     m = len(R) - 2
-    # W = (R - z) / u
-    W = _map(lambda r, z: _div((r - z) * b, a), R, _z(s, len(R)))
-    # Phi'(R) = (1 - 1/R') / u, whose constant term is 0
-    V = _recip(_diff(R, s), m, s)
-    V[1:] = _map(lambda x: _div(-x * b, a), V[1:])
-    V[0] = 0
+    V = _quotient(_diff(W, s), _diff(R, s), m, s)
     # theta(R) = (2 (27R - 1) V - 42 W + 12 R) / 3
     t1 = conv_trunc(_map(lambda r: 27 * r, R), V, m)
     fprime = _map(lambda t, v, w, r: _div(2 * (t - v) - 42 * w + 12 * r, 3),
@@ -259,70 +250,66 @@ def _quartic_bundle(R: Sequence, a, b, s) -> dict:
     return {"R": R, "W": W, "V": V, "fprime": fprime}
 
 
-def _quartic_fzu(ser: dict, b, s) -> Sequence:
+def _quartic_fzu(ser: dict, s) -> Sequence:
     """F''_zu = W theta'(R) R' from the bundle, through z^(order-1)."""
     R, W, V = ser["R"], ser["W"], ser["V"]
     m = len(V) - 1
-    # theta'(R) = 4V - 4 W/R ; W/R = (W shifted) * 1/(R shifted).  The
-    # shifted R is b times a series with unit constant term
-    w_over_r = conv_trunc(W[1:], _recip(_map(lambda r: _div(r, b), R[1:]), m, s), m)
-    theta_p = _map(lambda v, x: 4 * v - 4 * _div(x, b), V, w_over_r)
+    # theta'(R) = 4V - 4 W/R, where W/R is the quotient of W and R shifted
+    # down by one index
+    theta_p = _map(lambda v, x: 4 * (v - x), V, _quotient(W[1:], R[1:], m, s))
     return conv_trunc(conv_trunc(W, theta_p, m), _diff(R, s), m)
 
 
-def _cubic_rs(a, b, order: int, s):
-    """(R_n s^n, S_n s^n), n = 0..order, for p = 3."""
+def _cubic(a, b, order: int, s):
+    """(R, S, W1, W2), entries X_n s^n, n = 0..order, for p = 3, with
+    R = z + u W1 and S = u W2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    R, S, R2, RS, S2, RS2, D, A = (_vec(s, [0] * (order + 1)) for _ in range(8))
-    # (j+1) R_{j+1} and (j+1) S_{j+1}: R' and S' before the division by s
-    dR, dS = _vec(s, [0] * order), _vec(s, [0] * order)
-    zero = R[0]
-    up1, b2 = a + b, b * b  # up1 = (1+u) b
+    R, S, W1, W2, RW1, RW2, Q, RQ, W12, D = (_vec(s, [0] * (order + 1)) for _ in range(10))
+    # (j+1) W1_{j+1} and (j+1) W2_{j+1}: W1' and W2' before the division by s
+    dW1, dW2 = _vec(s, [0] * order), _vec(s, [0] * order)
+    up1, am1, b2 = a + b, a - b, b * b  # up1 = (1+u) b, am1 = (u-1) b
     R[1] = s
     S[1] = _div(2 * a * s, b)
-    # A = 48z - 1 + 16(u+1)R + 2(3+u)S - 8(u+1)S^2; D_1 and A_0 never enter
-    A[1] = _div((48 * b2 + 16 * up1 * b + 2 * (3 * b + a) * 2 * a) * s, b2)
+    W2[1] = dW2[0] = 2 * s
+    D[1] = -s
     # the factors that the products below run backwards
-    Rm, Sm, S2m, dRm, dSm, Am = (_Mirror(x, s) for x in (R, S, S2, dR, dS, A))
+    Rm, W1m, W2m, Qm, dW1m, dW2m = (_Mirror(x, s) for x in (R, W1, W2, Q, dW1, dW2))
     for m in range(2, order + 1):
-        # extend the products to index m (uses entries < m only)
-        R2[m] = _dot(R[1:m], Rm[1:m])
-        RS[m] = _dot(R[1:m], Sm[1:m])
-        S2[m] = S2m[m] = _dot(S[1:m], Sm[1:m])
-        if m >= 3:
-            RS2[m] = _dot(R[1 : m - 1], S2m[2:m])
-        dk = _div(
-            (36 * s * s * b2 if m == 2 else zero)
-            + 24 * up1 * b * s * R[m - 1]
-            + 4 * up1 * b * RS[m]
-            - 4 * up1 * up1 * RS2[m]
-            + 4 * up1 * up1 * R2[m],
-            b2,
-        )
-        if m >= 3:
-            known_dr = _div(_dot(D[2:m], dRm[1 : m - 1]), s) + dk
-            known_ds = _div(_dot(D[2:m], dSm[1 : m - 1]), s)
-        else:
-            known_dr, known_ds = dk, zero
-        known_ra = _dot(R[1:m], Am[1:m])
-        R[m] = Rm[m] = _div(known_dr - known_ra, m)
-        D[m] = dk - R[m]
-        bm = _div((a - 3 * b) * R[m] - 12 * b * s * S[m - 1] + 4 * up1 * RS[m], b)
-        known_ds += _div(D[m] * S[1], s)
-        S[m] = Sm[m] = _div(known_ds + 2 * bm, m)
-        A[m] = Am[m] = _div(16 * up1 * R[m] + 2 * (3 * b + a) * S[m] - 8 * up1 * S2[m], b)
-        dR[m - 1] = dRm[m - 1] = m * R[m]
-        dS[m - 1] = dSm[m - 1] = m * S[m]
-    return R, S
+        # the products at index m (entries < m only): R W1, R W2, Q = W2^2,
+        # R Q and W1 W2
+        RW1[m] = _dot(R[1:m], W1m[1:m])
+        RW2[m] = _dot(R[1:m], W2m[1:m])
+        Q[m] = Qm[m] = _dot(W2[1:m], W2m[1:m])
+        RQ[m] = _dot(R[1 : m - 1], Qm[2:m])
+        W12[m] = _dot(W1[2:m], W2m[1 : m - 1])
+        zr, zw1 = s * R[m - 1], s * W1[m - 1]
+        # b^3 E1
+        e1 = (4 * (a + 4 * b) * b2 * s * s if m == 2 else 0) \
+            + 4 * up1 * (a - 3 * b) * b * (RW1[m] + zw1) + 24 * am1 * b2 * zw1 \
+            + 2 * am1 * b2 * RW2[m] - 4 * a * am1 * up1 * RQ[m]
+        W1[m] = W1m[m] = _div(_div(_dot(D[2:m], dW1m[1 : m - 1]), s) + _div(e1, b2 * b), m)
+        R[m] = Rm[m] = _div(a * W1[m], b)
+        # b^4 D_m with R^2 = z R + u R W1, RS = u R W2 and R S^2 = u^2 R Q
+        d = (36 * b2 * b2 * s * s if m == 2 else 0) + 4 * up1 * b2 * (6 * b + up1) * zr \
+            + 4 * up1 * (up1 * a * b * RW1[m] + a * b2 * RW2[m] - up1 * a * a * RQ[m])
+        D[m] = _div(d, b2 * b2) - R[m]
+        # b^2 E2
+        e2 = (a - 3 * b) * b * W1[m] + 4 * (a - 2 * b) * b * s * W2[m - 1] + 4 * a * up1 * W12[m]
+        W2[m] = W2m[m] = _div(_div(_dot(D[2 : m + 1], dW2m[0 : m - 1]), s) + 2 * _div(e2, b2), m)
+        S[m] = _div(a * W2[m], b)
+        dW1[m - 1] = dW1m[m - 1] = m * W1[m]
+        dW2[m - 1] = dW2m[m - 1] = m * W2[m]
+    return R, S, W1, W2
 
 
-def _cubic_fprime(R: Sequence, S: Sequence, a, b, s) -> Sequence:
-    """F' = (2z + S - 2R - S^2)/u - (2R + S^2) for p = 3 (needs u != 0),
-    the grouping of 2z/u + S/u - (1 + 1/u)(2R + S^2) that divides by u
-    term by term."""
-    core = _map(lambda r, q: 2 * r + q, R, conv_trunc(S, S, len(S) - 1))
-    return _map(lambda z, x, c: _div((2 * z + x - c) * b, a) - c, _z(s, len(S)), S, core)
+def _cubic_fprime(W1: Sequence, W2: Sequence, a, b, s) -> Sequence:
+    """F' = W2 - 2 W1 - u W2^2 - (2R + S^2) for p = 3, with R = z + u W1
+    and S = u W2: W2 - 2z - 2(1+u) W1 - u(1+u) W2^2."""
+    up1 = a + b
+    q = conv_trunc(W2, W2, len(W2) - 1)
+    return _map(lambda z, w1, w2, q: w2 - 2 * z - _div(2 * up1 * w1, b) - _div(a * up1 * q, b * b),
+                _z(s, len(W2)), W1, W2, q)
 
 
 # ---------------------------------------------------------------------------
@@ -330,64 +317,55 @@ def _cubic_fprime(R: Sequence, S: Sequence, a, b, s) -> Sequence:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _quartic_run(u, order: int) -> tuple:
+    """The scaled (R, W) of the exact quartic recurrence at the rational u,
+    as tuples.  The last run is kept: :func:`quartic_series` takes R from
+    :func:`quartic_r_coeffs`, which per-function tracing sees, and W from
+    the same run."""
+    a, b, s = weight_scale(u, 4)
+    return tuple(map(tuple, _quartic(a, b, order, s)))
+
+
 def quartic_r_coeffs(u, order: int) -> list:
     """Exact coefficients R_0..R_order of R = z + u Phi(R) for p = 4."""
-    a, b, s = weight_scale(u, 4)
-    return unscaled(_quartic_r(a, b, order, s), s)
+    return unscaled(_quartic_run(u, order)[0], weight_scale(u, 4)[2])
 
 
 def quartic_series(u, order: int) -> dict:
     """Exact quartic bundle: R, W = Phi(R), V = Phi'(R), F' and F.
 
     All entries are coefficient lists; R, W and F run through z^order, the
-    others through z^(order-1).  The bundle divides by u; at u = 0 the
-    closed spanning-tree forms apply instead, R = z, and every entry runs
-    through z^order.  F''_zu is built from it by :func:`quartic_fzu`.
+    others through z^(order-1), at u = 0 as at every other u.  F''_zu is
+    built from it by :func:`quartic_fzu`.
     """
-    a, b, s = weight_scale(u, 4)
-    # through the public entry point, so per-function tracing sees it
+    s = weight_scale(u, 4)[2]
     R = scaled(quartic_r_coeffs(u, order), s)
-    if a == 0:
-        from .trees import phi_theta_tables
-
-        tabs = phi_theta_tables(4, order)
-        W = scaled(tabs["phi_x"], s)
-        ser = {"R": R, "W": W, "V": _diff(W, s) + [0], "fprime": scaled(tabs["theta_x"], s)}
-    else:
-        ser = _quartic_bundle(R, a, b, s)
-    ser["f"] = _integrate(ser["fprime"], s)[: order + 1]
+    ser = _quartic_bundle(R, _quartic_run(u, order)[1], s)
+    ser["f"] = _integrate(ser["fprime"], s)
     return {k: unscaled(v, s) for k, v in ser.items()}
 
 
 def quartic_fzu(series: dict, u) -> list:
-    """Exact F''_zu = d/du F' from the bundle ``quartic_series(u, order)``.
-
-    A coefficient list through z^(order-1), or through z^order at u = 0,
-    where F''_zu = W theta'(R) R' reduces to W times F''."""
-    a, b, s = weight_scale(u, 4)
-    if a == 0:
-        W, fprime = (scaled(series[k], s) for k in ("W", "fprime"))
-        return unscaled(conv_trunc(W, _diff(fprime, s) + [0], len(W) - 1), s)
-    return unscaled(_quartic_fzu({k: scaled(series[k], s) for k in ("R", "W", "V")}, b, s), s)
+    """Exact F''_zu = d/du F' from the bundle ``quartic_series(u, order)``,
+    a coefficient list through z^(order-1)."""
+    s = weight_scale(u, 4)[2]
+    return unscaled(_quartic_fzu({k: scaled(series[k], s) for k in ("R", "W", "V")}, s), s)
 
 
 def cubic_rs_coeffs(u, order: int):
     """Exact coefficients of (R, S) for p = 3 via the rational-derivative
     recurrence; returns two lists indexed by z-power."""
     a, b, s = weight_scale(u, 3)
-    R, S = _cubic_rs(a, b, order, s)
+    R, S, _, _ = _cubic(a, b, order, s)
     return unscaled(R, s), unscaled(S, s)
 
 
 def cubic_fprime_coeffs(u, order: int) -> list:
     """Exact F' coefficients for p = 3 through z^order."""
     a, b, s = weight_scale(u, 3)
-    if a == 0:
-        from .trees import quartic_mullin_coeff
-
-        return [quartic_mullin_coeff(3, n + 1) * (n + 1) for n in range(order + 1)]
-    R, S = (scaled(c, s) for c in cubic_rs_coeffs(u, order))
-    return unscaled(_cubic_fprime(R, S, a, b, s), s)
+    _, _, W1, W2 = _cubic(a, b, order, s)
+    return unscaled(_cubic_fprime(W1, W2, a, b, s), s)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +392,7 @@ def quartic_fseries_float(u: float, order: int, scale: float) -> dict:
     ValueError when an entry is not finite.
     """
     u, s = float(u), float(scale)
-    ser = _quartic_bundle(_quartic_r(u, 1.0, order, s), u, 1.0, s)
+    ser = _quartic_bundle(*_quartic(u, 1.0, order, s), s)
     ser["fsecond"] = _diff(ser["fprime"], s)
     _require_finite(ser.values(), order, s)
     ser["scale"] = s
@@ -425,7 +403,6 @@ def cubic_fprime_float(u: float, order: int, scale: float):
     """Rescaled F' coefficients for p = 3 (float engine), a float64 array;
     raises ValueError when an entry is not finite."""
     u, s = float(u), float(scale)
-    R, S = _cubic_rs(u, 1.0, order, s)
-    fp = _cubic_fprime(R, S, u, 1.0, s)
+    fp = _cubic_fprime(*_cubic(u, 1.0, order, s)[2:], u, 1.0, s)
     _require_finite((fp,), order, s)
     return fp

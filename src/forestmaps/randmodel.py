@@ -19,7 +19,7 @@ from .critical import quartic_critical_point
 from .exact import Q, scaled, weight_scale
 from .fast import _dot, conv_trunc, quartic_fzu, quartic_series
 from .hyp import DEFAULT_PREC, Precision, as_mpf, rat_to_mpf
-from .trees import phi_theta_tables
+from .trees import table_column
 
 
 def _density(weight, um, point):
@@ -83,7 +83,7 @@ def s_limit_law(u, k_max: int, prec: Precision = DEFAULT_PREC) -> List[float]:
         raise ValueError("the root-component law is established for u > 0 only")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    theta = phi_theta_tables(4, k_max + 1)["theta_x"]
+    theta = table_column("theta", 4, k_max + 1)
     with prec.ctx():
         _, tau, family = quartic_critical_point(as_mpf(u), prec)
         return [float(rat_to_mpf((k + 1) * theta[k + 1]) * tau ** k / family[4])
@@ -160,7 +160,7 @@ def finite_n_root_size(u, n: int, k_max: int, series=None) -> List[float]:
     ser = series or quartic_series(u, n)
     s = weight_scale(u, 4)[2]
     R, fprime = scaled(ser["R"][:n], s), ser["fprime"]
-    theta = phi_theta_tables(4, k_max + 1)["theta_x"]
+    theta = table_column("theta", 4, k_max + 1)
     out = []
     rk = R  # R^k, k = 1
     for k in range(1, k_max + 1):

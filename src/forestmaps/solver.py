@@ -285,17 +285,18 @@ def series_f(p: int, order: int, u_mode=None, rs=None):
     """(F, F') with F' = theta(R, S) and F(0, u) = 0.
 
     F is exact through z^order, F' through z^(order-1).  For p = 3 the
-    closed cubic form of :func:`~forestmaps.fast._cubic_fprime` is asserted
-    against the theta-composition, exactly.
+    closed cubic form of :func:`~forestmaps.fast._cubic_fprime`, in
+    (W1, W2) = ``_Domain.w(R, S)``, is asserted against the
+    theta-composition, exactly, at every u.
     """
     if order < 3:
         raise ValueError("order must be >= 3 (smallest maps have 3 faces)")
     dom = _Domain(p, u_mode, order)
     R, S = _rs(p, order, dom, rs)
     fprime = compose_biv(phi_theta_tables(p, order)["theta"], R, S, order)
-    if p == 3 and dom.a != 0:
-        shortcut = _cubic_fprime(R.coeffs, S.coeffs, dom.a, dom.b, dom.s)
-        if ZSeries(shortcut) != fprime:
+    if p == 3:
+        w1, w2 = dom.w(R, S)
+        if ZSeries(_cubic_fprime(w1.coeffs, w2.coeffs, dom.a, dom.b, dom.s)) != fprime:
             raise AssertionError("cubic F' shortcut disagrees with theta(R, S)")
     f = dom.integrate(fprime).truncate(order)
     return dom.unload(f), dom.unload(fprime)

@@ -6,10 +6,10 @@ leaves) feed three families of truncated series:
 * the bivariate tables theta, Phi1, Phi2 consumed by the implicit solver
   (at even p it reads their j = 0 columns from the tables themselves),
   and the inner double sums of G and H; all five come from one builder,
-* their univariate specializations theta(x), Phi(x) when p is even, as
-  coefficient tuples; these feed :mod:`forestmaps.fast`,
-  :mod:`forestmaps.deverify` and the closed quartic form of F, not the
-  solver,
+* the y-free column of each table (:func:`table_column`), built in
+  O(order) without the table: the univariate specializations theta(x),
+  Phi(x) feed :mod:`forestmaps.randmodel`, :mod:`forestmaps.deverify` and
+  the closed quartic form of F, not the solver,
 * the univariate cubic-case reductions Psi1, Psi2 and the quartic-case
   integral Lambda.
 
@@ -29,7 +29,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
-from .exact import Q, QZERO, canon, exact_div, factorial_q, trinomial_q
+from .exact import Q, QZERO, exact_div, trinomial_q
 
 Biv = Dict[Tuple[int, int], object]
 
@@ -118,18 +118,33 @@ _TABLES = {
 }
 
 
+def _entry(name: str, p: int, i: int, j: int):
+    """Entry (i, j) of the table `name` of p-valent trees (i >= its k)."""
+    kind, shift, k = _TABLES[name]
+    n = 2 * i + j + shift
+    c = tree_count(p, n, kind) if n >= 1 else 0
+    return c * trinomial_q(i - k, i, j) if c else 0
+
+
 @cache
 def _table(name: str, p: int, order: int) -> Mapping:
     """The bivariate table `name` of p-valent trees through total degree order."""
-    kind, shift, k = _TABLES[name]
+    k = _TABLES[name][2]
     out: Biv = {}
     for i in range(k, order + 1):
         for j in range(order + 1 - i):
-            n = 2 * i + j + shift
-            c = tree_count(p, n, kind) if n >= 1 else 0
+            c = _entry(name, p, i, j)
             if c:
-                out[(i, j)] = c * trinomial_q(i - k, i, j)
+                out[(i, j)] = c
     return MappingProxyType(out)
+
+
+@cache
+def table_column(name: str, p: int, order: int) -> tuple:
+    """The y-free column of the table `name`, its entries (i, 0) for
+    i = 0..order as a coefficient tuple in x, built without the table."""
+    k = _TABLES[name][2]
+    return tuple(_entry(name, p, i, 0) if i >= k else 0 for i in range(order + 1))
 
 
 def phi_theta_tables(p: int, order: int) -> Mapping:
@@ -150,8 +165,8 @@ def phi_theta_tables(p: int, order: int) -> Mapping:
     out = {"p": p, "order": order, **{name: _table(name, p, order)
                                       for name in ("theta", "phi1", "phi2")}}
     if p % 2 == 0:
-        out["theta_x"] = tuple(out["theta"].get((i, 0), 0) for i in range(order + 1))
-        out["phi_x"] = tuple(out["phi1"].get((i, 0), 0) for i in range(order + 1))
+        out["theta_x"] = table_column("theta", p, order)
+        out["phi_x"] = table_column("phi1", p, order)
     return MappingProxyType(out)
 
 
@@ -182,12 +197,9 @@ def psi_series(order: int) -> dict:
     psi1 = [0] * (order + 1)
     psi2 = [0] * (order + 1)
     for i in range(1, order + 1):
-        psi1[i] = canon(factorial_q(4 * i - 4) / (
-            factorial_q(2 * i - 2) * factorial_q(i) * factorial_q(i - 1)
-        ))
-        psi2[i] = canon(
-            factorial_q(4 * i - 2) / (factorial_q(2 * i - 1) * factorial_q(i) ** 2)
-        )
+        psi1[i] = exact_div(factorial(4 * i - 4),
+                            factorial(2 * i - 2) * factorial(i) * factorial(i - 1))
+        psi2[i] = exact_div(factorial(4 * i - 2), factorial(2 * i - 1) * factorial(i) ** 2)
     return {"psi1": psi1, "psi2": psi2}
 
 
@@ -195,9 +207,8 @@ def lambda_series(order: int):
     """Lambda(x) = sum_{i>=3} (3i-6)! / ((i-3)! (i-2)! i!) x^i (quartic case)."""
     lam = [0] * (order + 1)
     for i in range(3, order + 1):
-        lam[i] = canon(factorial_q(3 * i - 6) / (
-            factorial_q(i - 3) * factorial_q(i - 2) * factorial_q(i)
-        ))
+        lam[i] = exact_div(factorial(3 * i - 6),
+                           factorial(i - 3) * factorial(i - 2) * factorial(i))
     return lam
 
 
@@ -208,20 +219,17 @@ def quartic_mullin_coeff(p: int, n: int):
              z^{2+(p-2)l/2},  l even when p is odd.
     """
     if n < 3:
-        return QZERO
+        return 0
     # n = 2 + (p-2) l / 2  =>  l = 2 (n-2) / (p-2)
     num = 2 * (n - 2)
     if num % (p - 2) != 0:
-        return QZERO
+        return 0
     ell = num // (p - 2)
     if ell < 1 or (p % 2 == 1 and ell % 2 == 1):
-        return QZERO
+        return 0
     half = (p - 2) * ell // 2
-    return (
-        p
-        * factorial_q((p - 1) * ell)
-        / (factorial_q(ell - 1) * factorial_q(1 + half) * factorial_q(2 + half))
-    )
+    return exact_div(p * factorial((p - 1) * ell),
+                     factorial(ell - 1) * factorial(1 + half) * factorial(2 + half))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,14 @@ def grid():
         commands.append(["verify", "--u=" + u])
     commands.append(["verify", "--only", "cubic_w,theta_from_phi"])
     commands.append(["--format", "csv", "verify"])
+    # the exact engines of fast.py, through the ratio tables and the finite-n
+    # expectations
+    for u in ("0", "1/3", "-1/2", "-1"):
+        commands.append(["--digits", "20", "asymptotics", "--mode", "ratios", "--p", "4",
+                         "--u=" + u, "--n-list", "20,40,80"])
+    for u in ("1/3", "2"):
+        commands.append(["--digits", "20", "random", "--u=" + u, "--k-max", "3",
+                         "--n-list", "20,40"])
     return commands
 
 

@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestmaps.asymptotics import coefficient_asymptotic_check
 from forestmaps.critical import quartic_critical_point, radius
 from forestmaps.exact import Q, exact_div, scaled, unscaled
 from forestmaps.fast import (
+    _cubic,
     _cubic_fprime,
-    _cubic_rs,
     _diff,
     _div,
+    _integrate,
+    _quartic,
     _quartic_bundle,
-    _quartic_r,
-    _recip,
+    _quartic_fzu,
+    _quotient,
     conv_trunc,
     cubic_fprime_coeffs,
     cubic_fprime_float,
@@ -29,7 +32,7 @@ from forestmaps.fast import (
 )
 from forestmaps.series import ZSeries
 from forestmaps.solver import compose_biv, series_f, solve_rs
-from forestmaps.trees import phi_theta_tables
+from forestmaps.trees import phi_theta_tables, quartic_mullin_coeff, table_column
 from forestmaps.upoly import UP_U, UPoly
 
 
@@ -87,6 +90,37 @@ def test_u_zero_paths():
     assert all(fpl[i] == fp0.coeff(i) for i in range(9))
 
 
+def _reference_u_zero(order):
+    """The closed spanning-tree forms that stood in for the engines at u = 0
+    (R = z, W = Phi(z), V = Phi'(z), F' = theta(z), F''_zu = W F'', and the
+    Mullin counts for the cubic F' and for F in the ratio tables), each
+    through z^order, as rationals."""
+    W = list(table_column("phi1", 4, order))
+    ref = {"R": [0, 1] + [0] * (order - 1), "W": W, "V": _diff(W, 1) + [0],
+           "fprime": list(table_column("theta", 4, order))}
+    ref["f"] = _integrate(ref["fprime"], 1)[: order + 1]
+    ref["fzu"] = conv_trunc(W, _diff(ref["fprime"], 1) + [0], order)
+    ref["cubic_fprime"] = [quartic_mullin_coeff(3, n + 1) * (n + 1) for n in range(order + 1)]
+    ref["mullin"] = [quartic_mullin_coeff(4, n) for n in range(order + 1)]
+    return {name: [Q(x) for x in values] for name, values in ref.items()}
+
+
+def test_u_zero_runs_the_recurrences_to_the_closed_forms():
+    order = 200
+    ref = _reference_u_zero(order)
+    got = quartic_series(Q(0), order)
+    got["fzu"] = quartic_fzu(got, Q(0))
+    got["cubic_fprime"] = cubic_fprime_coeffs(Q(0), order)
+    got["mullin"] = got["f"]
+    for name, values in got.items():
+        # V, F' and F''_zu stop at z^(order-1), as at every other u
+        assert len(values) == order + (name not in ("V", "fprime", "fzu")), name
+        assert values == ref[name][: len(values)], name
+        assert all(type(x) is Fraction for x in values), name
+    rows = coefficient_asymptotic_check(4, 0, (20, 40, 80))
+    assert [row["f_n"] for row in rows] == [ref["mullin"][n] for n in (20, 40, 80)]
+
+
 def _spectral_compare(float_arr, exact_list, scale, lo, hi):
     worst = 0.0
     for i in range(lo, hi):
@@ -103,7 +137,7 @@ def test_float_engines_track_exact_prefix():
     assert _spectral_compare(bun["R"], fe["R"], s, 1, 81) < 1e-11
     assert _spectral_compare(bun["fprime"], fe["fprime"], s, 3, 79) < 1e-10
     s3 = 0.02
-    Rf, Sf = _cubic_rs(-0.5, 1.0, 60, s3)
+    Rf, Sf, _, _ = _cubic(-0.5, 1.0, 60, s3)
     Re, Se = cubic_rs_coeffs(Q(-1, 2), 60)
     assert _spectral_compare(Rf, Re, s3, 1, 61) < 1e-11
     assert _spectral_compare(Sf, Se, s3, 1, 61) < 1e-11
@@ -141,7 +175,7 @@ def test_quartic_float_engine_holds_over_its_full_length():
     s = float(quartic_critical_point(Q(-1, 2))[0])
     got = quartic_fseries_float(-0.5, 4068, s)
     u, one, sl = np.longdouble(-0.5), np.longdouble(1), np.longdouble(s)
-    ref = _quartic_bundle(_quartic_r(u, one, 4068, sl), u, one, sl)
+    ref = _quartic_bundle(*_quartic(u, one, 4068, sl), sl)
     ref["fsecond"] = _diff(ref["fprime"], sl)
     assert ref["R"].dtype == np.longdouble and len(got["fsecond"]) == 4067
     for name in ("R", "W", "V"):
@@ -156,7 +190,7 @@ def test_cubic_float_engine_holds_over_its_full_length():
     s = float(radius(3, Q(-1, 2)).rho)
     got = cubic_fprime_float(-0.5, 2000, s)
     u, one, sl = np.longdouble(-0.5), np.longdouble(1), np.longdouble(s)
-    ref = _cubic_fprime(*_cubic_rs(u, one, 2000, sl), u, one, sl)
+    ref = _cubic_fprime(*_cubic(u, one, 2000, sl)[2:], u, one, sl)
     assert ref.dtype == np.longdouble and len(got) == 2001
     assert _max_rel_drift(got, ref) < 1e-10
 
@@ -175,8 +209,9 @@ def test_array_products_match_exact_sums_of_their_inputs():
     # 1 / (1 - c) with c >= 0 has positive coefficients
     c = -rng.uniform(0, 1, n + 1) / np.arange(1, n + 2) ** 2
     c[0] = 1.0
-    got = _recip(c, n, 1.0)
-    ref = _recip([Fraction(x) for x in c], n, 1)
+    one = [1] + [0] * n
+    got = _quotient(np.array(one, dtype=float), c, n, 1.0)
+    ref = _quotient(one, [Fraction(x) for x in c], n, 1)
     assert all(abs(Fraction(g) - r) <= r * Fraction(n, 2**53) for g, r in zip(got, ref))
 
 
@@ -209,8 +244,8 @@ def test_one_recurrence_serves_both_fields(u):
     assert S3 == [Ss3.coeff(i) for i in range(11)]
     # float64 field: the same recurrences on float(u) track the exact values
     s, s3 = 0.0414, 0.02
-    assert _spectral_compare(_quartic_r(float(u), 1.0, 40, s), quartic_r_coeffs(u, 40), s, 1, 41) < 1e-11
-    Rf, Sf = _cubic_rs(float(u), 1.0, 40, s3)
+    assert _spectral_compare(_quartic(float(u), 1.0, 40, s)[0], quartic_r_coeffs(u, 40), s, 1, 41) < 1e-11
+    Rf, Sf, _, _ = _cubic(float(u), 1.0, 40, s3)
     Re, Se = cubic_rs_coeffs(u, 40)
     assert _spectral_compare(Rf, Re, s3, 1, 41) < 1e-11
     assert _spectral_compare(Sf, Se, s3, 1, 41) < 1e-11
@@ -276,19 +311,20 @@ def test_integer_engines_match_sweep_at_large_denominators(a, b):
 def test_recurrences_run_over_integer_polynomials():
     # symbolic u is a = u, b = s = 1: every division is exact in Z[u]
     sweep = _symbolic_sweep()
-    R4 = _quartic_r(UP_U, 1, 11, 1)
-    R3, S3 = _cubic_rs(UP_U, 1, 10, 1)
-    got = {4: {"R": R4, "fprime": _quartic_bundle(R4, UP_U, 1, 1)["fprime"]},
-           3: {"R": R3, "S": S3, "fprime": _cubic_fprime(R3, S3, UP_U, 1, 1)}}
+    R4, W4 = _quartic(UP_U, 1, 11, 1)
+    R3, S3, W1, W2 = _cubic(UP_U, 1, 10, 1)
+    got = {4: {"R": R4, "W": W4, "fprime": _quartic_bundle(R4, W4, 1)["fprime"]},
+           3: {"R": R3, "S": S3, "fprime": _cubic_fprime(W1, W2, UP_U, 1, 1)}}
     for p, series in got.items():
         for name, values in series.items():
             ref = sweep[p][name]
             assert values == [ref.coeff(i) for i in range(len(values))], (p, name)
             assert all(type(c) is int for x in values if isinstance(x, UPoly)
                        for c in x.coeffs), (p, name)
-    R4[5] += UPoly((0, 1))
+    # theta(R) divides by 3, and u V_4 / 3 is not in Z[u]
+    W4[5] += UPoly((0, 1))
     with pytest.raises(ArithmeticError):
-        _quartic_bundle(R4, UP_U, 1, 1)
+        _quartic_bundle(R4, W4, 1)
 
 
 def test_exact_division_checks_the_remainder():
@@ -309,15 +345,33 @@ def test_exact_division_checks_the_remainder():
 
 
 def test_corrupted_operand_is_refused():
+    # an operand off by one leaves a remainder at one of the exact divisions
+    # that remain: a derivative's by s, a quotient's by the constant term of
+    # its divisor, and b's wherever u multiplies
     a, b = 47, 89
-    R = _quartic_r(a, b, 20, b)
-    assert type(R) is list and all(type(x) is int for x in R)
-    _quartic_bundle(R, a, b, b)
-    R[7] += 1
+    R, W = _quartic(a, b, 20, b)
+    assert type(R) is list and all(type(x) is int for x in R + W)
+    ser = _quartic_bundle(R, W, b)
+    _quartic_fzu(ser, b)
+    for x in (R, W):
+        x[7] += 1
+        with pytest.raises(ArithmeticError):
+            _quartic_bundle(R, W, b)  # the derivative divides by s
+        x[7] -= 1
+    W[7] += 1
     with pytest.raises(ArithmeticError):
-        _quartic_bundle(R, a, b, b)
-    R3, S3 = _cubic_rs(a, b, 20, b * b)
-    assert type(S3) is list
-    S3[5] += 1
+        _quartic_fzu({**ser, "W": W}, b)  # W/R divides by R_1 s = s
+    W[7] -= 1
+    R3, S3, W1, W2 = _cubic(a, b, 20, b * b)
+    assert all(type(x) is int for x in R3 + S3 + W1 + W2)
+    _cubic_fprime(W1, W2, a, b, b * b)
+    for x in (W1, W2):
+        x[5] += 1
+        with pytest.raises(ArithmeticError):
+            _cubic_fprime(W1, W2, a, b, b * b)  # u W1 and u W2^2 divide by b
+        x[5] -= 1
+    # a scale that is not a multiple of the one each recurrence needs
     with pytest.raises(ArithmeticError):
-        _cubic_fprime(R3, S3, a, b, b * b)
+        _quartic(a, b, 20, 1)
+    with pytest.raises(ArithmeticError):
+        _cubic(a, b, 20, b)

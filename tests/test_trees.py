@@ -4,6 +4,7 @@ import pytest
 
 from forestmaps.exact import Q
 from forestmaps.trees import (
+    _table,
     biv_add,
     biv_mul,
     biv_scale,
@@ -15,6 +16,7 @@ from forestmaps.trees import (
     phi_theta_tables,
     psi_series,
     quartic_mullin_coeff,
+    table_column,
     tree_count,
 )
 
@@ -39,6 +41,15 @@ def test_quartic_univariate_series():
     tabs = phi_theta_tables(4, 4)
     assert tabs["phi_x"][2:5] == (3, 30, 420)
     assert tabs["theta_x"][2:4] == (6, 80)
+
+
+def test_columns_are_the_y_free_entries_of_the_tables():
+    for p in (3, 4, 5, 6):
+        for name in ("theta", "phi1", "phi2", "g_inner", "h_inner"):
+            table = _table(name, p, 14)
+            column = table_column(name, p, 14)
+            assert column == tuple(table.get((i, 0), 0) for i in range(15)), (p, name)
+            assert all(type(c) is int for c in column)
 
 
 def test_tables_are_built_once_and_read_only():
@@ -102,3 +113,5 @@ def test_mullin_coefficients():
     # i.e. the 5 rooted planar one-vertex maps with 3 edges
     assert quartic_mullin_coeff(6, 4) == 5
     assert quartic_mullin_coeff(6, 5) == 0
+    # ints, like every closed count of the module
+    assert all(type(quartic_mullin_coeff(p, n)) is int for p in (3, 4, 5, 6) for n in range(12))
