@@ -7,9 +7,7 @@ prints the first coefficients, and shows the (u+1)-positivity that makes
 the whole range u >= -1 combinatorially meaningful.
 """
 
-from forestmaps.series import ZSeries
 from forestmaps.solver import solve
-from forestmaps.upoly import UPoly
 
 print("=== cubic maps (p = 3), symbolic u ===")
 out = solve(3, 6)
@@ -27,12 +25,7 @@ print("H =", out.H)
 print()
 
 print("=== the shifted variable mu = u + 1 ===")
-z = ZSeries.z(6, UPoly(), UPoly((1,)))
-for label, series in (
-    ("(R - z)/u", (out.R - z).divide_by_u()),
-    ("S / u", out.S.divide_by_u()),
-    ("S~ / u", out.S_tilde.divide_by_u()),
-):
+for label, series in (("(R - z)/u", out.W1), ("S / u", out.W2), ("S~ / u", out.W_tilde)):
     mu = series.to_mu()
     flag = all(c.nonneg() for c in mu.coeffs)
     print("%-10s in mu: %s" % (label, mu))

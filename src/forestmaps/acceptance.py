@@ -150,10 +150,7 @@ def criterion_5(expect) -> str:
     """(u+1)-positivity with the printed leading terms, through order 12."""
     order = 12
     out = solve(3, order)
-    z = ZSeries.z(order, UPoly(), UPoly((1,)))
-    r_part = (out.R - z).divide_by_u().to_mu()
-    s_part = out.S.divide_by_u().to_mu()
-    st_part = out.S_tilde.divide_by_u().to_mu()
+    r_part, s_part, st_part = (w.to_mu() for w in (out.W1, out.W2, out.W_tilde))
     expect(r_part.coeff(2) == UPoly((2, 4)), "(R-z)/u at z^2")
     expect(r_part.coeff(3) == UPoly((16, 36, 48, 40)), "(R-z)/u at z^3")
     expect(s_part.coeff(1) == UPoly((2,)), "S/u at z")
@@ -175,8 +172,8 @@ def criterion_5(expect) -> str:
     for (i, j), c in tabs["phi2"].items():
         if j >= 1:
             dtable[(i, j - 1)] = c * j
-    st = out.S_tilde
-    comp = compose_biv(dtable, z, st, order)
+    z = ZSeries.z(order, UPoly(), UPoly((1,)))
+    comp = compose_biv(dtable, z, out.S_tilde, order)
     expect(all(c.to_mu().nonneg() for c in comp.coeffs),
            "dPhi2/dy(z, S~) not (u+1)-positive")
     return "printed terms exact; all mu-tables nonneg"

@@ -95,6 +95,14 @@ def _prefix_rel_err(approx: np.ndarray, exact: Sequence, s: float) -> float:
     return rel
 
 
+def _check_order(mode: str, order: Optional[int]) -> None:
+    """Refuse an order below the exact prefix the probe `mode` checks its
+    float engine on."""
+    if order is not None and order < MIN_ORDER[mode]:
+        raise ValueError("%s needs order >= %d, the exact prefix its float "
+                         "engine is checked on" % (mode, MIN_ORDER[mode]))
+
+
 def _tail_bound(coeffs: np.ndarray, q: float, start: int) -> float:
     """Geometric tail majorant past index `start` for a positive series with
     eventually nonincreasing rescaled coefficients.
@@ -120,12 +128,13 @@ def log_singularity_probe(
     their relative deviation (expected to shrink as z -> rho since the
     neglected correction is O(1/ln^2)), and a truncation tail bound, which
     must come out below `tol` or the call refuses with a required-order
-    estimate.  `constant` exists for negative controls (72 is the true
-    prefactor).
+    estimate; an order below MIN_ORDER["log-probe"] raises ValueError.
+    `constant` exists for negative controls (72 is the true prefactor).
     """
     u = Q(u)
     if not (-1 <= u < 0):
         raise ValueError("the logarithmic regime needs u in [-1, 0)")
+    _check_order("log-probe", order)
     s = float(quartic_critical_point(u, prec)[0])
     uf = float(u)
     qmax = max(z_fracs)
@@ -187,11 +196,17 @@ def cubic_beta_fit(
 
     F'(z) = F'(rho) + alpha (rho - z) + beta (rho - z)/ln(rho - z) (1+o(1));
     alpha and F'(rho) come from the closed critical data, beta is estimated
-    pointwise and by least squares and compared with its closed form.
+    pointwise and by least squares and compared with its closed form.  The
+    least-squares fit of (alpha, beta) needs two distinct fractions, and
+    the order must reach MIN_ORDER["beta-fit"]; anything less raises
+    ValueError.
     """
     u = Q(u)
     if not (-1 <= u < 0):
         raise ValueError("the expansion applies for u in [-1, 0)")
+    _check_order("beta-fit", order)
+    if len(set(z_fracs)) < 2:
+        raise ValueError("the fit of alpha and beta needs at least two distinct fractions")
     data = cubic_expansion_data(u, prec)
     s = float(data["rho"])
     fprime_rho = float(data["fprime_rho"])

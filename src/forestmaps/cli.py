@@ -32,7 +32,6 @@ from typing import Optional
 from . import __version__
 from .exact import rat_from_str, rat_to_str
 from .maps import ScaleGuardError, enumerate_maps, oracle_f
-from .series import ZSeries
 
 EXIT_BAD_FLAGS = 2
 EXIT_SCALE_GUARD = 3
@@ -154,7 +153,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None):
 # ---------------------------------------------------------------------------
 
 def cmd_coeffs(args):
-    from .solver import series_f, series_g, series_h, solve_rs, solve_s_tilde
+    from .solver import solve
 
     _at_least(args, "p", 3)
     u = _parse_u(args.u, symbolic=True)
@@ -166,22 +165,11 @@ def cmd_coeffs(args):
                            % (name, ",".join(sorted(names))), EXIT_BAD_FLAGS)
     # F, F', G and H start at z^3: no map has fewer than 3 faces
     _at_least(args, "order", 3 if set(wanted) - {"R", "S", "Stilde"} else 1)
-    # build only the requested series, all from one (R, S)
-    p, order, want = args.p, args.order, set(wanted)
-    table = {}
-    if want - {"Stilde"}:
-        rs = solve_rs(p, order, u)
-        table["R"], table["S"] = rs
-    if want & {"F", "Fprime"}:
-        table["F"], table["Fprime"] = series_f(p, order, u, rs=rs)
-    if "Stilde" in want:
-        table["Stilde"] = solve_s_tilde(p, order, u)
-    if "G" in want:
-        table["G"] = series_g(order, u, rs=rs)
-    if "H" in want:
-        table["H"] = series_h(p, order, u, rs=rs)
-    payload = {"p": p, "order": order,
-               "series": {name: table[name].to_json() for name in wanted}}
+    fields = [{"Stilde": "S_tilde"}.get(name, name) for name in wanted]
+    out = solve(args.p, args.order, u, fields)
+    payload = {"p": args.p, "order": args.order,
+               "series": {name: getattr(out, field).to_json()
+                          for name, field in zip(wanted, fields)}}
     _emit(args, payload)
 
 
@@ -284,6 +272,9 @@ def cmd_asymptotics(args):
         return
     fracs = tuple(_comma_list(args.fracs, "--fracs", float, lambda x: 0 < x < 1,
                               "z/rho values in (0, 1)"))
+    if args.mode == "beta-fit" and len(set(fracs)) < 2:
+        # two unknowns, alpha and beta, need two equations
+        raise _flag_error("--fracs", args.fracs, "at least two distinct z/rho values")
     if args.mode == "log-probe":
         res = log_singularity_probe(_parse_u_in(args.u, negative=True), fracs, prec,
                                     order=args.order, tol=args.tol)
@@ -334,25 +325,18 @@ def cmd_random(args):
 
 
 def cmd_mu_expand(args):
-    from .solver import series_f, solve_rs, solve_s_tilde
-    from .upoly import UPoly
+    from .solver import solve
 
     p, order, name = args.p, args.order, args.series
-    if name not in ("R-z", "S", "Stilde", "F"):
+    # the series divided by u, W1 = (R - z)/u, W2 = S/u, W~ = S~/u, are
+    # the sweep's own; F is not divided
+    field = {"R-z": "W1", "S": "W2", "Stilde": "W_tilde", "F": "F"}.get(name)
+    if field is None:
         raise CliError("unknown series %r for mu expansion" % name,
                        EXIT_BAD_FLAGS)
     _at_least(args, "p", 3)
     _at_least(args, "order", 3 if name == "F" else 1)
-    if name == "Stilde":
-        ser = solve_s_tilde(p, order)
-        if p % 2:
-            ser = ser.divide_by_u()
-    elif name == "F":
-        ser = series_f(p, order)[0]
-    else:
-        R, S = solve_rs(p, order)
-        z = ZSeries.z(order, UPoly(), UPoly((1,)))
-        ser = (R - z if name == "R-z" else S).divide_by_u()
+    ser = getattr(solve(p, order, None, (field,)), field)
     mu = ser.to_mu()
     rows = []
     all_nonneg = True

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .exact import QZERO, exact_div, rat_to_str
+from .exact import QZERO, rat_to_str
 from .fast import _diff, _integrate, conv_trunc
-from .upoly import UP_U, UPoly
+from .upoly import UPoly
 
 
 class ZSeries:
@@ -156,12 +156,6 @@ class ZSeries:
         return ZSeries(out, self.order + 1)
 
     # -- u-specific operations (symbolic mode) -------------------------------
-
-    def divide_by_u(self, power: int = 1) -> "ZSeries":
-        """Exact coefficient-wise division by u**power in Z[u]; a remainder
-        raises ArithmeticError."""
-        d = UP_U ** power
-        return ZSeries([exact_div(c, d) for c in self.coeffs], self.order)
 
     def specialize_u(self, value) -> "ZSeries":
         """Evaluate every UPoly coefficient at an exact rational u."""

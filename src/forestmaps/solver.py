@@ -18,11 +18,12 @@ built, so even p costs no bivariate work.
 
 F' = theta(R, S) with F(0) = 0 gives the forested maps, G' = (1 + 1/u) S
 the leaf-rooted variant, and a closed expression the root-edge-outside
-variant H.  G and H divide by u only through W1 = (R - z)/u = Phi1(R, S)
-and W2 = S/u = Phi2(R, S), two exact divisions at u != 0.  At u = 0 the
-system sits at the regular point R = z, S = 0 (the spanning-tree case),
-where W1 and W2 are the compositions themselves; no u = 0 series goes
-through symbolic u.
+variant H.  G and H read u only through W1 = (R - z)/u = Phi1(R, S) and
+W2 = S/u = Phi2(R, S), and the sweep keeps both: they are the table entries
+it forms at each step before multiplying by u, so no series is ever divided
+by u, at u = 0 (the spanning-tree case, R = z, S = 0) included.  The S~
+sweep keeps W~ = S~/u = Phi2(z, S~) the same way.  :func:`solve` builds the
+series asked for from one (R, S) sweep and one S~ sweep at most.
 
 Every solve runs in one exact domain, at a weight u = a/b, where entry n of
 a series holds its z^n coefficient times s^n, with the (a, b, s) of
@@ -33,15 +34,15 @@ a series holds its z^n coefficient times s^n, with the (a, b, s) of
 * symbolic u: a = u, the polynomial ``UP_U``, and b = s = 1, so the
   entries are the coefficients themselves, integer polynomials in u.
 
-Multiplying by u multiplies by a and divides by b, dividing by u multiplies
-by b and divides by a, and the antiderivative's entry n is s X_{n-1} / n;
-each division goes through :func:`~forestmaps.exact.exact_div`, which
-raises ArithmeticError on a nonzero remainder.  The public functions take
-and return rationals (ints where integral) or polynomials, and keep u as an
-argument (``None`` or ``"symbolic"`` is symbolic).  Symbolic entries grow
-with the order, so symbolic solves are refused above MAX_SYMBOLIC_ORDER
-with :class:`SymbolicOrderError`; specialize u (or use
-:mod:`forestmaps.fast`) for long series.
+Multiplying by u multiplies by a and divides by b, and the antiderivative's
+entry n is s X_{n-1} / n; each division goes through
+:func:`~forestmaps.exact.exact_div`, which raises ArithmeticError on a
+nonzero remainder.  The public functions take and return rationals (ints
+where integral) or polynomials, and keep u as an argument (``None`` or
+``"symbolic"`` is symbolic).  Symbolic entries grow with the order, so
+symbolic solves are refused above MAX_SYMBOLIC_ORDER with
+:class:`SymbolicOrderError`; specialize u (or use :mod:`forestmaps.fast`)
+for long series.
 """
 
 from __future__ import annotations
@@ -53,24 +54,34 @@ from typing import Optional
 from .exact import Q, canon, exact_div, scaled, unscaled, weight_scale
 from .fast import _cubic_fprime, _dot
 from .series import ZSeries
-from .trees import g_inner_table, h_inner_table, lambda_series, phi_theta_tables
+from .trees import (g_inner_table, h_inner_table, lambda_series, phi_theta_tables,
+                    table_column)
 from .upoly import UP_U, UPoly
 
 MAX_SYMBOLIC_ORDER = 60
 
 
+# the series solve builds; W1 = (R - z)/u, W2 = S/u, W_tilde = S~/u
+SERIES = ("R", "S", "S_tilde", "W1", "W2", "W_tilde", "F", "Fprime", "G", "H")
+
+
 @dataclass
 class SolverOutput:
+    """The series of one :func:`solve`; those not asked for are None."""
+
     p: int
     order: int
     u: object  # UP_U for symbolic mode, exact rational otherwise
-    R: ZSeries
-    S: ZSeries
-    S_tilde: ZSeries
-    F: ZSeries
-    Fprime: ZSeries
-    G: Optional[ZSeries]
-    H: ZSeries
+    R: Optional[ZSeries] = None
+    S: Optional[ZSeries] = None
+    S_tilde: Optional[ZSeries] = None
+    W1: Optional[ZSeries] = None
+    W2: Optional[ZSeries] = None
+    W_tilde: Optional[ZSeries] = None
+    F: Optional[ZSeries] = None
+    Fprime: Optional[ZSeries] = None
+    G: Optional[ZSeries] = None
+    H: Optional[ZSeries] = None
 
 
 class SymbolicOrderError(ValueError):
@@ -90,7 +101,6 @@ class _Domain:
     Symbolic solves above MAX_SYMBOLIC_ORDER are refused here."""
 
     def __init__(self, p: int, u_mode, order: int):
-        self.p = p
         u = _mode(u_mode)
         if isinstance(u, UPoly) and order > MAX_SYMBOLIC_ORDER:
             raise SymbolicOrderError(
@@ -108,22 +118,6 @@ class _Domain:
 
     def times_u(self, series: ZSeries) -> ZSeries:
         return series.map_coeffs(self.mul_u)
-
-    def div_u(self, series: ZSeries) -> ZSeries:
-        """Divide by u (u != 0): multiply by b, then divide exactly by a
-        (ArithmeticError on a remainder)."""
-        return ZSeries([exact_div(self.b * c, self.a) for c in series.coeffs], series.order)
-
-    def w(self, R: ZSeries, S: ZSeries):
-        """(W1, W2) = ((R - z)/u, S/u), which equal (Phi1(R, S), Phi2(R, S)):
-        the two divisions at u != 0; at u = 0, where R = z and S = 0, the
-        compositions themselves, which read only the j = 0 columns."""
-        order = min(R.order, S.order)
-        if self.a == 0:
-            tables = phi_theta_tables(self.p, order)
-            return (compose_biv(tables["phi1"], R, S, order),
-                    compose_biv(tables["phi2"], R, S, order))
-        return self.div_u(R - self.z(order)), self.div_u(S)
 
     def integrate(self, series: ZSeries) -> ZSeries:
         return series.integrate(self.s)
@@ -232,16 +226,17 @@ def solve_rs(p: int, order: int, u_mode=None):
     """Solve the defining system for (R, S) through z^order; `u_mode` is
     None (symbolic) or an exact rational."""
     dom = _Domain(p, u_mode, order)
-    R, S = _sweep_rs(p, order, dom)
+    R, S, _, _ = _sweep_rs(p, order, dom)
     return dom.unload(R), dom.unload(S)
 
 
 def _sweep_rs(p: int, order: int, dom, phi1=None):
-    """(R, S) through z^order in the coefficient mode `dom`, one entry per
-    step: R_n from Phi1 at z^n, which reads R and S below n, then S_n from
-    Phi2 at z^n, which reads R_n through Phi2's (1, 0) entry.  `phi1`
-    replaces the table of Phi1 (the empty table keeps R = z).  Where Phi2
-    has no y-free entry (every even p), S is the zero series."""
+    """(R, S, W1, W2) through z^order in the coefficient mode `dom`, one
+    entry of each per step: W1_n = [z^n] Phi1, which reads R and S below n,
+    and R_n = z_n + u W1_n; then W2_n = [z^n] Phi2, which reads R_n through
+    Phi2's (1, 0) entry, and S_n = u W2_n.  `phi1` replaces the table of
+    Phi1 (the empty table keeps R = z and W1 = 0).  Where Phi2 has no y-free
+    entry (every even p), S and W2 are the zero series."""
     if order < 1:
         raise ValueError("order must be >= 1")
     tables = phi_theta_tables(p, order)
@@ -250,19 +245,27 @@ def _sweep_rs(p: int, order: int, dom, phi1=None):
         raise ValueError("a (1, 0) entry of Phi1 or a (0, 1) entry reads "
                          "R_n or S_n before it is set")
     zero, z = dom.zero, dom.z(order).coeffs
-    R = [zero]
-    S = None if all(j for _, j in phi2) else [zero]
+    R, W1 = [zero], [zero]
+    S, W2 = (None, None) if all(j for _, j in phi2) else ([zero], [zero])
     online = _Online((phi1, phi2), R, S, zero)
     for n in range(1, order + 1):
-        R.append(z[n] + dom.mul_u(online.entry(0, n)))
+        W1.append(online.entry(0, n))
+        R.append(z[n] + dom.mul_u(W1[n]))
         if S is not None:
-            S.append(dom.mul_u(online.entry(1, n)))
-    return ZSeries(R, order, zero), ZSeries(S or [zero], order, zero)
+            W2.append(online.entry(1, n))
+            S.append(dom.mul_u(W2[n]))
+    return tuple(ZSeries(x or [zero], order, zero) for x in (R, S, W1, W2))
 
 
-def _rs(p: int, order: int, dom, rs):
-    """The (R, S) a caller passed, in the mode `dom`, or a fresh solve."""
-    return _sweep_rs(p, order, dom) if rs is None else (dom.load(rs[0]), dom.load(rs[1]))
+def _rsw(p: int, order: int, dom, rs=None):
+    """(R, S, W1, W2) in the mode `dom`: one sweep, or for the (R, S) a
+    caller passed, W1 = Phi1(R, S) and W2 = Phi2(R, S) composed, which is
+    their definition at every u."""
+    if rs is None:
+        return _sweep_rs(p, order, dom)
+    R, S = dom.load(rs[0]), dom.load(rs[1])
+    tables = phi_theta_tables(p, order)
+    return (R, S) + tuple(compose_biv(tables[t], R, S, order) for t in ("phi1", "phi2"))
 
 
 def solve_s_tilde(p: int, order: int, u_mode=None) -> ZSeries:
@@ -281,102 +284,102 @@ def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
     return (R - ZSeries.z(order, u * 0) - phi1.scale(u), S - phi2.scale(u))
 
 
-def series_f(p: int, order: int, u_mode=None, rs=None):
-    """(F, F') with F' = theta(R, S) and F(0, u) = 0.
+def solve(p: int, order: int, u_mode=None, names=None, rs=None) -> SolverOutput:
+    """The series `names` of :data:`SERIES` (all of them by default, G only
+    at p = 3), from one (R, S) sweep and one S~ sweep at most.
 
-    F is exact through z^order, F' through z^(order-1).  For p = 3 the
-    closed cubic form of :func:`~forestmaps.fast._cubic_fprime`, in
-    (W1, W2) = ``_Domain.w(R, S)``, is asserted against the
-    theta-composition, exactly, at every u.
+    * F' = theta(R, S) and F its antiderivative, F(0, u) = 0; F is exact
+      through z^order, F' through z^(order-1).  For p = 3 the closed cubic
+      form of :func:`~forestmaps.fast._cubic_fprime` in (W1, W2) is asserted
+      against the theta-composition, exactly, at every u.
+    * G, the leaf-rooted (quasi-cubic) maps, p = 3 only: the closed
+      expression
+          G = (1 + 1/u) (zS - u * sum t_{2i+j-1} trinom(i-2,i,j) R^i S^j)
+            = (zS - u * inner) + (z W2 - inner)
+      is asserted against the integral of G' = S + W2.
+    * H, the maps whose root edge is outside the forest:
+          H = zR/u + z S^2/u - z^2/u - 2 S * sum t_{2i+j-1} trinom(i-2,i,j) R^i S^j
+              - sum t_{2i+j-2} trinom(i-3,i,j) R^i S^j,
+      whose first three terms are z W1 + z S W2.  Empty inner sums at low
+      truncation orders contribute 0.  For even p, S = 0 and H' = 2 W1; the
+      integral of that expression is asserted against the closed form.
+
+    `rs` hands in (R, S) in place of the sweep, for tests and cross-routes.
     """
-    if order < 3:
+    want = set(SERIES if names is None else names)
+    if names is None and p != 3:
+        want.discard("G")
+    unknown = (want - set(SERIES)) | (want & {"G"} if p != 3 else set())
+    if unknown:
+        raise ValueError("no series %s at p = %d" % (",".join(sorted(unknown)), p))
+    if order < 3 and want & {"F", "Fprime", "H"}:
         raise ValueError("order must be >= 3 (smallest maps have 3 faces)")
     dom = _Domain(p, u_mode, order)
-    R, S = _rs(p, order, dom, rs)
-    fprime = compose_biv(phi_theta_tables(p, order)["theta"], R, S, order)
-    if p == 3:
-        w1, w2 = dom.w(R, S)
-        if ZSeries(_cubic_fprime(w1.coeffs, w2.coeffs, dom.a, dom.b, dom.s)) != fprime:
-            raise AssertionError("cubic F' shortcut disagrees with theta(R, S)")
-    f = dom.integrate(fprime).truncate(order)
-    return dom.unload(f), dom.unload(fprime)
+    out = {}
+    if want - {"S_tilde", "W_tilde"}:
+        R, S, w1, w2 = _rsw(p, order, dom, rs)
+        out.update(R=R, S=S, W1=w1, W2=w2)
+        z = dom.z(order)
+        if want & {"F", "Fprime"}:
+            fprime = compose_biv(phi_theta_tables(p, order)["theta"], R, S, order)
+            if p == 3 and ZSeries(_cubic_fprime(w1.coeffs, w2.coeffs, dom.a, dom.b,
+                                                dom.s)) != fprime:
+                raise AssertionError("cubic F' shortcut disagrees with theta(R, S)")
+            out["F"], out["Fprime"] = dom.integrate(fprime).truncate(order), fprime
+        if "G" in want:
+            inner = compose_biv(g_inner_table(3, order), R, S, order)
+            g = (z * S - dom.times_u(inner)) + (z * w2 - inner)
+            if g != dom.integrate(S + w2).truncate(order):
+                raise AssertionError("closed G expression disagrees with integral of (1+1/u) S")
+            out["G"] = g
+        if "H" in want:
+            h = z * w1 + z * (S * w2)
+            h = h - (compose_biv(g_inner_table(p, order), R, S, order) * S).scale(2)
+            h = h - compose_biv(h_inner_table(p, order), R, S, order)
+            if p % 2 == 0 and dom.integrate(w1.scale(2)).truncate(order) != h:
+                raise AssertionError("even-p H' = 2 W1 integral disagrees with H")
+            out["H"] = h
+    if want & {"S_tilde", "W_tilde"}:
+        _, out["S_tilde"], _, out["W_tilde"] = _sweep_rs(p, order, dom, phi1={})
+    return SolverOutput(p=p, order=order, u=_mode(u_mode),
+                        **{name: dom.unload(out[name]) for name in want})
 
 
-def series_f_explicit_quartic(order: int, u_mode=None, rs=None) -> ZSeries:
+def series_f(p: int, order: int, u_mode=None, rs=None):
+    """(F, F') of :func:`solve`."""
+    out = solve(p, order, u_mode, ("F", "Fprime"), rs)
+    return out.F, out.Fprime
+
+
+def series_g(order: int, u_mode=None):
+    """G of :func:`solve`: leaf-rooted (quasi-cubic) forested maps, p = 3."""
+    return solve(3, order, u_mode, ("G",)).G
+
+
+def series_h(p: int, order: int, u_mode=None, rs=None):
+    """H of :func:`solve`: forested maps whose root edge is outside the
+    forest."""
+    return solve(p, order, u_mode, ("H",), rs).H
+
+
+def series_f_explicit_quartic(order: int, u_mode=None) -> ZSeries:
     """The closed 4-valent form F = Psi(R), Psi = int theta - u int theta*Phi'.
 
     An independent route to F (no integration of the composed series); it
     must agree exactly with :func:`series_f` at p = 4.
     """
     u = _mode(u_mode)
-    tables = phi_theta_tables(4, order)
     # x-series over Q, so that the antiderivatives divide as rationals
-    theta = ZSeries(tables["theta_x"], order - 1).map_coeffs(Q)
-    phi_prime = ZSeries(tables["phi_x"], order).differentiate()
+    theta = ZSeries(table_column("theta", 4, order), order - 1).map_coeffs(Q)
+    phi_prime = ZSeries(table_column("phi1", 4, order), order).differentiate()
     outer = theta.integrate() - (theta * phi_prime).integrate().scale(u)
-    R = rs[0] if rs is not None else solve_rs(4, order, u_mode)[0]
-    return _compose_column(outer.coeffs, R, order)
-
-
-def series_g(order: int, u_mode=None, rs=None):
-    """Series of leaf-rooted (quasi-cubic) forested maps, p = 3 only.
-
-    With W2 = S/u, both the closed expression
-        G = (1 + 1/u) (zS - u * sum t_{2i+j-1} trinom(i-2,i,j) R^i S^j)
-          = (zS - u * inner) + (z W2 - inner)
-    and integration of G' = S + W2 are computed; they must agree.
-    """
-    dom = _Domain(3, u_mode, order)
-    R, S = _rs(3, order, dom, rs)
-    _, w2 = dom.w(R, S)
-    inner = compose_biv(g_inner_table(3, order), R, S, order)
-    z = dom.z(order)
-    g = (z * S - dom.times_u(inner)) + (z * w2 - inner)
-    if g != dom.integrate(S + w2).truncate(order):
-        raise AssertionError("closed G expression disagrees with integral of (1+1/u) S")
-    return dom.unload(g)
-
-
-def series_h(p: int, order: int, u_mode=None, rs=None):
-    """Series of forested maps whose root edge is outside the forest.
-
-        H = zR/u + z S^2/u - z^2/u - 2 S * sum t_{2i+j-1} trinom(i-2,i,j) R^i S^j
-            - sum t_{2i+j-2} trinom(i-3,i,j) R^i S^j,
-
-    whose first three terms are z W1 + z S W2.  Empty inner sums at low
-    truncation orders contribute 0.  For even p, S = 0 and H' = 2 W1; the
-    integral of that expression is asserted against the closed form.
-    """
-    if order < 3:
-        raise ValueError("order must be >= 3")
-    dom = _Domain(p, u_mode, order)
-    R, S = _rs(p, order, dom, rs)
-    w1, w2 = dom.w(R, S)
-    z = dom.z(order)
-    h = z * w1 + z * (S * w2)
-    h = h - (compose_biv(g_inner_table(p, order), R, S, order) * S).scale(2)
-    h = h - compose_biv(h_inner_table(p, order), R, S, order)
-    if p % 2 == 0 and dom.integrate(w1.scale(2)).truncate(order) != h:
-        raise AssertionError("even-p H' = 2(R-z)/u integral disagrees with H")
-    return dom.unload(h)
+    return _compose_column(outer.coeffs, solve_rs(4, order, u_mode)[0], order)
 
 
 def quartic_h_via_lambda(order: int, u_mode=None, rs=None) -> ZSeries:
-    """H = z W1 - Lambda(R) for p = 4, W1 = (R - z)/u; cross-route for
-    series_h."""
+    """H = z W1 - Lambda(R) for p = 4, W1 = (R - z)/u = Phi1(R); cross-route
+    for series_h, from its own sweep or the (R, S) passed as `rs`."""
     dom = _Domain(4, u_mode, order)
-    R = dom.load(rs[0]) if rs is not None else _sweep_rs(4, order, dom)[0]
-    w1, _ = dom.w(R, ZSeries.zero(order, dom.zero))
+    R, _, w1, _ = _rsw(4, order, dom, rs)
     lam = _compose_column(lambda_series(order), R, order)
     return dom.unload(dom.z(order) * w1 - lam)
-
-
-def solve(p: int, order: int, u_mode=None) -> SolverOutput:
-    """Solve everything: R, S, S~, F, F', G (p = 3), H."""
-    R, S = solve_rs(p, order, u_mode)
-    st = solve_s_tilde(p, order, u_mode)
-    f, fprime = series_f(p, order, u_mode, rs=(R, S))
-    g = series_g(order, u_mode, rs=(R, S)) if p == 3 else None
-    h = series_h(p, order, u_mode, rs=(R, S))
-    return SolverOutput(p=p, order=order, u=_mode(u_mode), R=R, S=S, S_tilde=st, F=f,
-                        Fprime=fprime, G=g, H=h)

@@ -155,19 +155,14 @@ def phi_theta_tables(p: int, order: int) -> Mapping:
     Phi2(x,y)  = sum t_{2i+j+1} * trinomial(i,i,j) x^i y^j
 
     For even p every Phi2 entry carries a positive y-power (t_odd = 0), so
-    the solver's second unknown vanishes; the univariate specializations
-    theta(x) = theta(x,0), Phi(x) = Phi1(x,0) are returned as coefficient
-    tuples as well, for the recurrences and identities that work in x alone.
-    The result and its tables are read-only.
+    the solver's second unknown vanishes.  The univariate specializations
+    theta(x) = theta(x,0) and Phi(x) = Phi1(x,0) are the columns
+    :func:`table_column` builds.  The result and its tables are read-only.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = {"p": p, "order": order, **{name: _table(name, p, order)
-                                      for name in ("theta", "phi1", "phi2")}}
-    if p % 2 == 0:
-        out["theta_x"] = table_column("theta", p, order)
-        out["phi_x"] = table_column("phi1", p, order)
-    return MappingProxyType(out)
+    return MappingProxyType({"p": p, "order": order, **{
+        name: _table(name, p, order) for name in ("theta", "phi1", "phi2")}})
 
 
 def g_inner_table(p: int, order: int) -> Mapping:

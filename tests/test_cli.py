@@ -269,6 +269,9 @@ NUMERIC_FLAGS = [
      st.integers(max_value=118)),
     (("asymptotics", "--mode", "ratios", "--u", "0", "--n-list={}"), None),
     (("asymptotics", "--mode", "log-probe", "--u=-1/2", "--fracs={}"), None),
+    # the beta fit solves for two unknowns, so one distinct fraction is too few
+    (("asymptotics", "--mode", "beta-fit", "--u=-1/2", "--fracs={}"),
+     st.floats(0.01, 0.99).flatmap(lambda x: st.sampled_from([repr(x), "%r,%r" % (x, x)]))),
     (("random", "--u", "1", "--n-list={}"), None),
     (("repro", "--criteria={}"), None),
     # any rational is a u of the series, and only radius bounds it below
@@ -449,18 +452,49 @@ def test_coeffs_builds_each_series_as_solve_does(capsys, p, u):
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_mu_expand_matches_solve(capsys, p):
+    from forestmaps.exact import exact_div
     from forestmaps.solver import solve
+    from forestmaps.upoly import UP_U
 
     out = solve(p, 6)
-    table = {"R-z": (out.R - ZSeries.z(6, UPoly(), UPoly((1,)))).divide_by_u(),
-             "S": out.S.divide_by_u(),
-             "Stilde": out.S_tilde.divide_by_u() if p % 2 else out.S_tilde,
-             "F": out.F}
+    table = {"R-z": out.R - ZSeries.z(6, UPoly(), UPoly((1,))), "S": out.S,
+             "Stilde": out.S_tilde}
+    table = {name: ser.map_coeffs(lambda c: exact_div(c, UP_U)) for name, ser in table.items()}
+    table["F"] = out.F
     for name, ser in table.items():
         doc = json.loads(run_cli(capsys, "mu-expand", "--p", str(p), "--order", "6",
                                  "--series", name))
         assert [r["mu_coeffs"] for r in doc["result"]["rows"]] == \
             [c.to_strs() for c in ser.to_mu().coeffs]
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_one_sweep_serves_every_series(capsys, monkeypatch, p):
+    # coeffs runs one (R, S) sweep for all of its series, and S~ adds one
+    # sweep of its own; each mu-expand series is one sweep
+    from forestmaps import solver
+
+    sweeps = []
+    sweep = solver._sweep_rs
+
+    def counted(*args, phi1=None):
+        sweeps.append("S~" if phi1 == {} else "RS")
+        return sweep(*args, phi1=phi1)
+
+    monkeypatch.setattr(solver, "_sweep_rs", counted)
+    series = "F,Fprime,R,S,H" + (",G" if p == 3 else "")
+    for argv, expected in (
+        (["coeffs", "--series", series], ["RS"]),
+        (["coeffs", "--series", series + ",Stilde"], ["RS", "S~"]),
+        (["coeffs", "--series", "Stilde"], ["S~"]),
+        (["mu-expand", "--series", "R-z"], ["RS"]),
+        (["mu-expand", "--series", "S"], ["RS"]),
+        (["mu-expand", "--series", "Stilde"], ["S~"]),
+        (["mu-expand", "--series", "F"], ["RS"]),
+    ):
+        sweeps.clear()
+        run_cli(capsys, argv[0], "--p", str(p), "--order", "6", *argv[1:])
+        assert sweeps == expected, argv
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -54,10 +54,10 @@ def test_negative_control_perturbation(name):
 def test_negative_control_identity():
     # corrupting Phi's x^3 coefficient must surface in the second-order ODE
     from forestmaps.series import ZSeries
-    from forestmaps.trees import phi_theta_tables
+    from forestmaps.trees import table_column
 
     order = 12
-    phi = ZSeries(phi_theta_tables(4, order)["phi_x"], order)
+    phi = ZSeries(table_column("phi1", 4, order), order)
     bad = perturb(phi, 3)
     a = ZSeries([Q(0), Q(-1), Q(27)], order)
     res = a * bad.differentiate().differentiate() + bad.scale(Q(6)) \

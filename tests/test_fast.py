@@ -31,8 +31,8 @@ from forestmaps.fast import (
     quartic_series,
 )
 from forestmaps.series import ZSeries
-from forestmaps.solver import compose_biv, series_f, solve_rs
-from forestmaps.trees import phi_theta_tables, quartic_mullin_coeff, table_column
+from forestmaps.solver import compose_biv, series_f, solve, solve_rs
+from forestmaps.trees import quartic_mullin_coeff, table_column
 from forestmaps.upoly import UP_U, UPoly
 
 
@@ -263,23 +263,20 @@ def _du(c):
 def _symbolic_sweep():
     """The sweep solver at symbolic u: p = 4 through z^11, p = 3 through
     z^10, with W = (R - z)/u, V = Phi'(R) and F''_zu = d/du F'."""
-    R4, S4 = solve_rs(4, 11)
-    F4, Fp4 = series_f(4, 11, rs=(R4, S4))
-    phi = phi_theta_tables(4, 11)["phi_x"]
-    z = ZSeries.z(11, UPoly(), UPoly((1,)))
-    R3, S3 = solve_rs(3, 10)
-    _, Fp3 = series_f(3, 10, rs=(R3, S3))
+    q = solve(4, 11, names=("R", "W1", "F", "Fprime"))
+    c = solve(3, 10, names=("R", "S", "Fprime"))
+    phi = table_column("phi1", 4, 11)
     return {
         4: {
-            "R": R4,
-            "W": (R4 - z).divide_by_u(),
+            "R": q.R,
+            "W": q.W1,
             "V": compose_biv({(k - 1, 0): k * phi[k] for k in range(1, len(phi))},
-                             R4, ZSeries.zero(11, UPoly()), 11),
-            "fprime": Fp4,
-            "f": F4,
-            "fzu": Fp4.map_coeffs(_du),
+                             q.R, ZSeries.zero(11, UPoly()), 11),
+            "fprime": q.Fprime,
+            "f": q.F,
+            "fzu": q.Fprime.map_coeffs(_du),
         },
-        3: {"R": R3, "S": S3, "fprime": Fp3},
+        3: {"R": c.R, "S": c.S, "fprime": c.Fprime},
     }
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestmaps.asymptotics import (
+    MIN_ORDER,
     coefficient_asymptotic_check,
     cubic_beta_fit,
     log_singularity_probe,
@@ -21,7 +22,7 @@ from forestmaps.randmodel import (
     kappa_smooth_reference,
     s_limit_law,
 )
-from forestmaps.trees import phi_theta_tables
+from forestmaps.trees import table_column
 
 PREC = Precision(50)
 
@@ -82,7 +83,7 @@ def _root_size_from_full_powers(u, n, k_max):
     over the rational coefficients, then coefficient n - 1 read off."""
     ser = quartic_series(u, n)
     R, fprime = ser["R"], ser["fprime"]
-    theta = phi_theta_tables(4, k_max + 1)["theta_x"]
+    theta = table_column("theta", 4, k_max + 1)
     out, rk = [], list(R)
     for k in range(1, k_max + 1):
         rk = conv_trunc(rk, R, n - 1)
@@ -164,6 +165,26 @@ def test_log_probe_guards():
     with pytest.raises(ValueError):
         # unreachable tolerance with a capped order must refuse
         log_singularity_probe(Q(-1, 2), (0.999,), PREC, order=500, tol=1e-30)
+
+
+@pytest.mark.parametrize("probe", ["log-probe", "beta-fit"])
+def test_probes_refuse_an_order_below_their_exact_prefix(probe):
+    # the float engine is checked against that many exact coefficients
+    run = {"log-probe": lambda order: log_singularity_probe(Q(-1, 2), (0.9,), PREC,
+                                                            order=order, tol=0.1),
+           "beta-fit": lambda order: cubic_beta_fit(Q(-1, 2), (0.9, 0.99), order, PREC)}[probe]
+    for order in (1, 50, 100, MIN_ORDER[probe] - 1):
+        with pytest.raises(ValueError, match="needs order >= %d" % MIN_ORDER[probe]):
+            run(order)
+    assert run(MIN_ORDER[probe])["prefix_rel_err"] < 1e-8
+
+
+def test_beta_fit_needs_two_distinct_fractions():
+    # alpha and beta are two unknowns; lstsq would return the minimum-norm
+    # solution of one equation
+    for fracs in ((0.99,), (0.99, 0.99), ()):
+        with pytest.raises(ValueError, match="two distinct fractions"):
+            cubic_beta_fit(Q(-1, 2), fracs, 2000, PREC)
 
 
 def test_beta_fit_trend():

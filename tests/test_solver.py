@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from forestmaps import solver
 from forestmaps.deverify import perturb
-from forestmaps.exact import Q
+from forestmaps.exact import Q, exact_div
 from forestmaps.series import ZSeries
 from forestmaps.solver import (
     _Domain,
@@ -141,7 +141,13 @@ def test_specialize_before_equals_after():
             assert out.G.specialize_u(u0) == spec.G
 
 
-SOLVED = ("R", "S", "S_tilde", "F", "Fprime", "G", "H")
+def test_solve_builds_only_the_named_series():
+    out = solve(3, 6, names=("W2", "H"))
+    assert [name for name in solver.SERIES if getattr(out, name) is not None] == ["W2", "H"]
+    assert solve(4, 6).G is None  # G is the p = 3 series
+    for names, missing in ((("G",), "G"), (("H", "X"), "X")):
+        with pytest.raises(ValueError, match="no series %s at p = 4" % missing):
+            solve(4, 6, names=names)
 
 
 @cache
@@ -160,7 +166,7 @@ def test_rational_solve_is_the_symbolic_solve_specialized(p, order, a, b):
     # the scaled-int sweep against the UPoly sweep evaluated at u = a/b
     u = Q(a, b)
     symbolic, spec = _symbolic_solve(p, order), solve(p, order, u)
-    for name in SOLVED:
+    for name in solver.SERIES:
         ref = getattr(symbolic, name)
         if ref is None:
             assert getattr(spec, name) is None
@@ -172,24 +178,22 @@ def test_corrupted_scaled_operand_is_refused():
     # one scaled entry off by one leaves a remainder at the next exact division
     u = Q(47, 89)
     dom = _Domain(3, u, 10)
-    R, S = _sweep_rs(3, 10, dom)
+    R, S, _, _ = _sweep_rs(3, 10, dom)
     phi2 = phi_theta_tables(3, 10)["phi2"]
     dom.times_u(compose_biv(phi2, R, S, 10))
     with pytest.raises(ArithmeticError):  # the S update of the last sweep step
         dom.times_u(compose_biv(phi2, perturb(R, 10, 1), S, 10))
-    dom.div_u(S)
-    with pytest.raises(ArithmeticError):
-        dom.div_u(perturb(S, 5, 1))
     # through the public entry points: X_n + 1 is x_n + 1/s^n
     rs = solve_rs(3, 10, u)
-    with pytest.raises(ArithmeticError):  # the /u of the cubic F' shortcut
+    with pytest.raises(AssertionError, match="cubic F' shortcut"):
         series_f(3, 10, u, rs=(perturb(rs[0], 6, Q(1, 89 ** 12)), rs[1]))
     u = Q(-5, 9)
     R4 = solve_rs(4, 12, u)[0]
-    with pytest.raises(ArithmeticError):  # the /u of H's z(R - z)
-        series_h(4, 12, u, rs=(perturb(R4, 7, Q(1, 9 ** 7)), ZSeries.zero(12, 0)))
-    with pytest.raises(ArithmeticError):
-        quartic_h_via_lambda(12, u, rs=(perturb(R4, 7, Q(1, 9 ** 7)),))
+    bad = (perturb(R4, 7, Q(1, 9 ** 7)), ZSeries.zero(12, 0))
+    with pytest.raises(ArithmeticError, match="inexact division by 11"):
+        series_h(4, 12, u, rs=bad)  # the antiderivative of H' = 2 W1
+    # the Lambda route has no check of its own: it parts from series_h
+    assert quartic_h_via_lambda(12, u, rs=bad) != series_h(4, 12, u)
 
 
 def test_corrupted_symbolic_operand_is_refused():
@@ -201,9 +205,10 @@ def test_corrupted_symbolic_operand_is_refused():
     R, S = solve_rs(4, 8, Q(3, 7))
     with pytest.raises(ArithmeticError, match="inexact division by 5"):
         series_f(4, 8, Q(3, 7), rs=(perturb(R, 3, 1), S))
-    R, S = solve_rs(3, 8)
-    with pytest.raises(ArithmeticError):  # the /u of the cubic F' shortcut
-        series_f(3, 8, rs=(perturb(R, 4, 1), S))
+    for u in (None, 0):  # the cubic F' shortcut against theta(R, S)
+        R, S = solve_rs(3, 8, u)
+        with pytest.raises(AssertionError, match="cubic F' shortcut"):
+            series_f(3, 8, u, rs=(perturb(R, 4, 1), S))
 
 
 def test_forest_series_printed_coefficients():
@@ -239,10 +244,8 @@ def test_root_edge_outside_series():
 
 def test_even_h_prime_shortcut():
     # checked internally by series_h; do it explicitly once more at p=6
-    out = solve(6, 8)
-    z = ZSeries.z(8, UPoly(), UPoly((1,)))
-    hp = (out.R - z).scale(Q(2)).divide_by_u()
-    assert hp.integrate().truncate(8) == out.H
+    out = solve(6, 8, names=("W1", "H"))
+    assert out.W1.scale(2).integrate().truncate(8) == out.H
 
 
 def _reference_rs(p, order, u, phi1=None):
@@ -279,10 +282,48 @@ def test_s_tilde_is_s_with_r_replaced_by_z():
 def test_online_solve_is_the_reference_sweep(p, order, u):
     dom = _Domain(p, u, order)
     for phi1 in (None, {}):  # (R, S), and S~ with R = z
-        got = [dom.unload(x) for x in _sweep_rs(p, order, dom, phi1)]
+        got = [dom.unload(x) for x in _sweep_rs(p, order, dom, phi1)[:2]]
         ref = _reference_rs(p, order, u, phi1)
         for a, b in zip(got, ref):
             assert a.order == b.order == order and a.coeffs == b.coeffs, (phi1, a, b)
+
+
+def _reference_w(dom, p, R, S):
+    """(W1, W2) = ((R - z)/u, S/u) the way the solver once formed them, from
+    the sweep's (R, S): at u != 0 each entry multiplied by b, then divided
+    exactly by a; at u = 0, where R = z and S = 0, Phi1(R, S) and
+    Phi2(R, S) composed again."""
+    order = min(R.order, S.order)
+    if dom.a == 0:
+        tables = phi_theta_tables(p, order)
+        return (compose_biv(tables["phi1"], R, S, order),
+                compose_biv(tables["phi2"], R, S, order))
+
+    def div_u(series):
+        return ZSeries([exact_div(dom.b * c, dom.a) for c in series.coeffs], series.order)
+
+    return div_u(R - dom.z(order)), div_u(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([3, 4, 5, 6]), order=st.integers(1, 12),
+       u=st.sampled_from([None, 0]) | st.builds(Q, st.integers(-10**6, 10**6),
+                                                st.integers(1, 10**6)))
+@example(p=3, order=12, u=None)
+@example(p=4, order=12, u=0)
+def test_sweep_keeps_the_series_divided_by_u(p, order, u):
+    # W1, W2 of the (R, S) sweep and W~ of the S~ sweep against the
+    # divisions they replace
+    dom = _Domain(p, u, order)
+    R, S, w1, w2 = _sweep_rs(p, order, dom)
+    assert (w1, w2) == _reference_w(dom, p, R, S)
+    assert w1.order == w2.order == order
+    _, s_tilde, w1_tilde, w_tilde = _sweep_rs(p, order, dom, phi1={})
+    assert w1_tilde.is_zero()
+    if dom.a == 0:  # S~ = 0 and W~ = Phi2(z, 0)
+        assert s_tilde.is_zero() and w_tilde == w2
+    else:
+        assert w_tilde == _reference_w(dom, p, dom.z(order), s_tilde)[1]
 
 
 def test_online_order_is_enforced():
@@ -313,23 +354,16 @@ def test_s_tilde_even_p_vanishes():
 
 def test_mu_expansion_printed_terms():
     out = solve(3, 4)
-    z = ZSeries.z(4, UPoly(), UPoly((1,)))
-    r_mu = (out.R - z).divide_by_u().to_mu()
+    r_mu = out.W1.to_mu()
     assert r_mu.coeff(2) == upoly(2, 4)          # 2(2mu+1)
     assert r_mu.coeff(3) == upoly(16, 36, 48, 40)
-    s_mu = out.S.divide_by_u().to_mu()
+    s_mu = out.W2.to_mu()
     assert s_mu.coeff(1) == upoly(2)
     assert s_mu.coeff(2) == upoly(6, 12, 12)     # 6(2mu^2+2mu+1)
-    st_mu = out.S_tilde.divide_by_u().to_mu()
+    st_mu = out.W_tilde.to_mu()
     assert st_mu.coeff(2) == upoly(10, 16, 4)    # 2(2mu^2+8mu+5)
     const = ZSeries.const(UPoly((7,)), 3, UPoly())
     assert const.to_mu() == const  # u-free series unchanged
-
-
-def test_mu_divisibility_guard():
-    out = solve(3, 4)
-    with pytest.raises(ArithmeticError):
-        out.R.divide_by_u()  # R itself is not divisible by u (R = z + ...)
 
 
 def test_symbolic_order_guard():

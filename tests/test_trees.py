@@ -38,9 +38,8 @@ def test_small_values():
 
 
 def test_quartic_univariate_series():
-    tabs = phi_theta_tables(4, 4)
-    assert tabs["phi_x"][2:5] == (3, 30, 420)
-    assert tabs["theta_x"][2:4] == (6, 80)
+    assert table_column("phi1", 4, 4)[2:5] == (3, 30, 420)
+    assert table_column("theta", 4, 4)[2:4] == (6, 80)
 
 
 def test_columns_are_the_y_free_entries_of_the_tables():
@@ -63,7 +62,7 @@ def test_tables_are_built_once_and_read_only():
         with pytest.raises(TypeError):
             table[(1, 0)] = 0
     with pytest.raises(TypeError):
-        tabs["phi_x"][2] = 0
+        table_column("phi1", 4, 6)[2] = 0
     with pytest.raises(TypeError):
         tabs["theta"] = {}
 
