@@ -15,8 +15,9 @@ Every pipeline is reachable as a subcommand with machine-readable output:
 Exact values are serialized as rational strings, never floats; numeric
 outputs carry residual or tail-bound fields.  Identical invocations produce
 byte-identical output (the header carries only the package version).  Exit
-codes: 2 flag errors (symbolic u above the solver's order limit included),
-3 scale-guard refusals, 4 numeric non-convergence.
+codes: 2 flag errors (symbolic u above the solver's order limit and
+--n-list above MAX_N included), 3 scale-guard refusals, 4 numeric
+non-convergence.
 """
 
 from __future__ import annotations
@@ -98,9 +99,17 @@ def _at_least(args, name: str, least: int) -> None:
 MIN_DIGITS = 12
 
 
+# the largest n of --n-list.  Both readers take f_n from the exact quartic
+# series through max(n), whose cost grows like n^3.6: at n = 1000 a call took
+# 8-16 s, at 1500 38 s, and at 4000 none returned within 10 minutes (2-core
+# Intel Xeon, Python 3.11)
+MAX_N = 1000
+
+
 def _n_list(text: str) -> list:
     # no map has fewer than 3 faces
-    return _comma_list(text, "--n-list", int, lambda n: n >= 3, "integers >= 3")
+    return _comma_list(text, "--n-list", int, lambda n: 3 <= n <= MAX_N,
+                       "integers from 3 to %d" % MAX_N)
 
 
 def _precision(args):

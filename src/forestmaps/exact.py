@@ -12,12 +12,12 @@ non-integral value is a ``Q``.  Integer arithmetic needs no gcd, and an int
 compares and hashes equal to the same rational.  Int / int true division
 gives a float, so every division in those layers keeps a ``Q`` on one side.
 
-The exact series engines run on integers: Python ints at a rational weight
-u = a/b, where entry n of a series holds its z^n coefficient times s^n for
-a power s of b chosen by :func:`weight_scale` (:func:`scaled`,
-:func:`unscaled`), and integer polynomials in u
-(:class:`~forestmaps.upoly.UPoly`) at symbolic u.  Every division there
-goes through :func:`exact_div`, which refuses a remainder.
+The exact series engines run on Python ints at a rational weight u = a/b,
+where entry n of a series holds its z^n coefficient times s^n for a power s
+of b chosen by :func:`weight_scale` (:func:`scaled`, :func:`unscaled`);
+symbolic u runs them at u = 1 and u = 2^k (see :mod:`forestmaps.solver`).
+Every division there goes through :func:`exact_div`, which refuses a
+remainder.
 """
 
 from __future__ import annotations
@@ -71,10 +71,9 @@ def rat_from_str(s: str) -> "Rat":
 
 
 def exact_div(x, d):
-    """x / d in the ring of x.  A ``Q`` divides as a rational.  An int or a
-    :class:`~forestmaps.upoly.UPoly` (divided by an int or a UPoly) must
-    be divisible: a nonzero remainder raises ArithmeticError (an explicit
-    check, kept under ``python -O``)."""
+    """x / d in the ring of x.  A ``Q`` divides as a rational.  An int must
+    be divisible by the int d: a nonzero remainder raises ArithmeticError
+    (an explicit check, kept under ``python -O``)."""
     if type(x) is Fraction:  # an isinstance test would cost more than the divmod
         return x / d
     q, r = divmod(x, d)
@@ -84,17 +83,12 @@ def exact_div(x, d):
 
 
 def weight_scale(u, p: int):
-    """(a, b, s) for the series of valence p at the weight u = a/b (lowest
-    terms, b > 0; a = u, b = 1 for a polynomial u), entry n holding the z^n
-    coefficient times s^n: s = b^2 at p = 3 and b otherwise, since the z^n
-    coefficients have degree below 2n in u at p = 3 and below n at p >= 4."""
-    from .upoly import UPoly  # upoly imports this module
-
-    if isinstance(u, UPoly):
-        a, b = u, 1
-    else:
-        u = Q(u)
-        a, b = u.numerator, u.denominator
+    """(a, b, s) for the series of valence p at the rational weight u = a/b
+    (lowest terms, b > 0), entry n holding the z^n coefficient times s^n:
+    s = b^2 at p = 3 and b otherwise, since the z^n coefficients have degree
+    below 2n in u at p = 3 and below n at p >= 4."""
+    u = Q(u)
+    a, b = u.numerator, u.denominator
     return a, b, b * b if p == 3 else b
 
 

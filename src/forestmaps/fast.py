@@ -34,9 +34,7 @@ at the (a, b, s) of :func:`~forestmaps.exact.weight_scale`, where every
 stored entry is an integer; a product with u multiplies by a and divides
 by b.  Each division goes through `_div`, which raises
 ArithmeticError on a nonzero remainder, and entry n becomes the rational
-X_n / s^n only in the returned lists.  The same recurrences run over
-integer polynomials in u at a = u (``UP_U``), b = s = 1, on lists of
-:class:`~forestmaps.upoly.UPoly`, with every division exact in Z[u].  The
+X_n / s^n only in the returned lists.  The
 ``*_float`` entry points pass a = u, b = 1.0 and a float s (typically the
 radius of convergence, so that the dynamic range stays tame) and run on
 float64 numpy arrays; there every factor and divisor b is exactly 1.0 and
@@ -65,7 +63,6 @@ from operator import mul
 from typing import Sequence
 
 from .exact import exact_div, scaled, unscaled, weight_scale
-from .upoly import UPoly
 
 # ---------------------------------------------------------------------------
 # series helpers (entry n is the z^n coefficient times s^n)
@@ -92,17 +89,16 @@ def _dot(x: Sequence, y: Sequence):
     return x.dot(y)
 
 
-_EXACT = (int, UPoly)
 _LISTS = (list, tuple)  # a tuple is the coefficients of a ZSeries
 
 
 def _div(x, d):
-    """x / d.  Between exact operands, ints and integer polynomials in u,
-    this is :func:`~forestmaps.exact.exact_div`: a nonzero remainder
-    raises ArithmeticError.  Otherwise (a float operand, or an array) it
-    is plain true division, entrywise on an array."""
+    """x / d.  Between ints this is :func:`~forestmaps.exact.exact_div`: a
+    nonzero remainder raises ArithmeticError.  Otherwise (a rational or
+    float operand, or an array) it is plain true division, entrywise on an
+    array."""
     # exact types, not isinstance: numpy scalars would walk a long MRO
-    if type(x) in _EXACT and type(d) in _EXACT:
+    if type(x) is int and type(d) is int:
         return exact_div(x, d)
     return x / d
 

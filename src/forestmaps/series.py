@@ -1,12 +1,12 @@
 """Truncated power series in z with exact coefficients.
 
 A :class:`ZSeries` is a tuple of coefficients for z^0 .. z^order together
-with the truncation order.  Coefficients are exact rationals, or the
-entries of the solver's one exact domain (see :mod:`forestmaps.solver`):
-Python ints scaled by powers of s at a rational u, and integer
-:class:`~forestmaps.upoly.UPoly` values at symbolic u.  Every division
-goes through :func:`~forestmaps.exact.exact_div`, so the ints and
-polynomials refuse a remainder where the rationals divide as rationals.
+with the truncation order.  Coefficients are exact rationals, the entries
+of the solver's one exact domain (Python ints scaled by powers of s, see
+:mod:`forestmaps.solver`), or :class:`~forestmaps.upoly.UPoly` values,
+which the antiderivative does not divide.  Every division goes through
+:func:`~forestmaps.exact.exact_div`, so the ints refuse a remainder where
+the rationals divide as rationals.
 Truncation bookkeeping is explicit: every binary operation returns a
 series truncated at the minimum of the operand orders, and nothing ever
 silently extends an order.  The product, derivative and antiderivative run
@@ -148,9 +148,9 @@ class ZSeries:
         For a series of scaled entries, entry n holding the z^n coefficient
         times s^n, pass that s: entry n of the result is s X_{n-1} / n, an
         :func:`~forestmaps.exact.exact_div`.  Rationals divide as
-        rationals; ints and UPoly values raise ArithmeticError on a
-        remainder, so a series of canonical rationals that holds ints is
-        integrated over Q only after ``map_coeffs(Q)``."""
+        rationals; ints raise ArithmeticError on a remainder, so a series
+        of canonical rationals that holds ints is integrated over Q only
+        after ``map_coeffs(Q)``."""
         out = _integrate(self.coeffs, s)
         out[0] = self.zero_coeff
         return ZSeries(out, self.order + 1)

@@ -25,24 +25,33 @@ by u, at u = 0 (the spanning-tree case, R = z, S = 0) included.  The S~
 sweep keeps W~ = S~/u = Phi2(z, S~) the same way.  :func:`solve` builds the
 series asked for from one (R, S) sweep and one S~ sweep at most.
 
-Every solve runs in one exact domain, at a weight u = a/b, where entry n of
-a series holds its z^n coefficient times s^n, with the (a, b, s) of
-:func:`~forestmaps.exact.weight_scale`:
-
-* u specialized to an exact rational a/b: the z^n coefficients are integer
-  polynomials in u, so the entries are Python ints;
-* symbolic u: a = u, the polynomial ``UP_U``, and b = s = 1, so the
-  entries are the coefficients themselves, integer polynomials in u.
-
-Multiplying by u multiplies by a and divides by b, and the antiderivative's
-entry n is s X_{n-1} / n; each division goes through
+Every solve runs in one exact domain of Python ints, at a weight u = a/b,
+where entry n of a series holds its z^n coefficient times s^n, with the
+(a, b, s) of :func:`~forestmaps.exact.weight_scale`; the z^n coefficients
+are integer polynomials in u, so the entries are ints.  Multiplying by u
+multiplies by a and divides by b, and the antiderivative's entry n is
+s X_{n-1} / n; each division goes through
 :func:`~forestmaps.exact.exact_div`, which raises ArithmeticError on a
-nonzero remainder.  The public functions take and return rationals (ints
-where integral) or polynomials, and keep u as an argument (``None`` or
-``"symbolic"`` is symbolic).  Symbolic entries grow with the order, so
-symbolic solves are refused above MAX_SYMBOLIC_ORDER with
-:class:`SymbolicOrderError`; specialize u (or use :mod:`forestmaps.fast`)
-for long series.
+nonzero remainder.
+
+Symbolic u (``None`` or ``"symbolic"``) is solved by Kronecker
+substitution (von zur Gathen & Gerhard, *Modern Computer Algebra*, 3rd ed.
+2013, section 8.4; Harvey, J. Symbolic Comput. 44, 2009): the same int
+solve runs twice, at u = 1 and at u = 2^k (a = 2^k, b = s = 1), and the
+u-coefficients of each z^n entry are the balanced base-2^k digits of its
+value at 2^k.  R, S, W1, W2, S~, W~, F' and F have nonnegative
+u-coefficients, so the value at u = 1 of each bounds its coefficients; G,
+H and the two sides of each check in :func:`solve` are differences
+P - N of such series, bounded by max(P(1), N(1)).  The width k puts 2^(k-1)
+above every bound, so each digit is a coefficient and equality at 2^k is
+equality in Z[u].  Each antiderivative asserts that every digit of the
+integrand, not only its value, divides by n, and each unpacked polynomial
+must take, at u = 1, the value of the u = 1 solve.  Symbolic entries grow
+with the order, so symbolic solves are refused above MAX_SYMBOLIC_ORDER
+with :class:`SymbolicOrderError`; specialize u (or use
+:mod:`forestmaps.fast`) for long series.  The public functions take and
+return rationals (ints where integral) or integer polynomials in u, and
+keep u as an argument.
 """
 
 from __future__ import annotations
@@ -88,29 +97,30 @@ class SymbolicOrderError(ValueError):
     """A symbolic-u solve above MAX_SYMBOLIC_ORDER was asked for."""
 
 
+def _symbolic(u_mode) -> bool:
+    return u_mode is None or u_mode == "symbolic"
+
+
 def _mode(u_mode):
     """The weight u as a ring element: the polynomial u for None or
     "symbolic", otherwise the canonical exact value (an int when u is
     integral)."""
-    return UP_U if u_mode is None or u_mode == "symbolic" else canon(u_mode)
+    return UP_U if _symbolic(u_mode) else canon(u_mode)
 
 
 class _Domain:
-    """The entries of a solve at u = a/b: entry n holds the z^n coefficient
-    times s^n, with (a, b, s) from :func:`~forestmaps.exact.weight_scale`.
-    Symbolic solves above MAX_SYMBOLIC_ORDER are refused here."""
+    """The entries of a solve at the rational u = a/b: entry n holds the z^n
+    coefficient times s^n, with (a, b, s) from
+    :func:`~forestmaps.exact.weight_scale`.  In a Kronecker solve, k is the
+    digit width at u = 2^k, and `bounds` collects the series whose entries
+    at u = 1 bound the u-coefficients of what is checked or integrated."""
 
-    def __init__(self, p: int, u_mode, order: int):
-        u = _mode(u_mode)
-        if isinstance(u, UPoly) and order > MAX_SYMBOLIC_ORDER:
-            raise SymbolicOrderError(
-                "symbolic u is limited to order %d; specialize u for "
-                "longer series" % MAX_SYMBOLIC_ORDER)
-        self.a, self.b, self.s = weight_scale(u, p)
-        self.zero = self.a * 0
+    def __init__(self, p: int, u, k: Optional[int] = None):
+        self.a, self.b, self.s = weight_scale(canon(u), p)
+        self.k, self.bounds = k, []
 
     def z(self, order: int) -> ZSeries:
-        return ZSeries.z(order, self.zero, self.zero + self.s)
+        return ZSeries.z(order, 0, self.s)
 
     def mul_u(self, c):
         """c u: multiply by a, then divide exactly by b (unless b = 1)."""
@@ -119,14 +129,23 @@ class _Domain:
     def times_u(self, series: ZSeries) -> ZSeries:
         return series.map_coeffs(self.mul_u)
 
+    def bound(self, *series: ZSeries) -> None:
+        self.bounds.extend(series)
+
     def integrate(self, series: ZSeries) -> ZSeries:
+        """The antiderivative, entry n = s X_{n-1} / n.  At u = 2^k every
+        digit of X_{n-1}, a u-coefficient, must divide by n: divisibility
+        in Z[u], not only of the value."""
+        self.bound(series)
+        if self.k is not None:
+            for n, x in enumerate(series.coeffs, 1):
+                if any(d % n for d in _digits(x, self.k)):
+                    raise ArithmeticError("inexact division by %d" % n)
         return series.integrate(self.s)
 
     def load(self, series: ZSeries) -> ZSeries:
-        """Coefficients x_n as the entries x_n s^n: rationals as ints
-        (ArithmeticError where one is not), polynomials as they are."""
-        if isinstance(self.a, UPoly):
-            return series
+        """Coefficients x_n as the entries x_n s^n, ints (ArithmeticError
+        where one is not)."""
         return ZSeries(scaled(series.coeffs, self.s), series.order, 0)
 
     def unload(self, series: ZSeries) -> ZSeries:
@@ -135,6 +154,58 @@ class _Domain:
             return series
         return ZSeries([c.numerator if c.denominator == 1 else c
                         for c in unscaled(series.coeffs, self.s)], series.order)
+
+
+def _digits(x: int, k: int) -> list:
+    """The balanced base-2^k digits of x, lowest first: the coefficients, in
+    [-2^(k-1), 2^(k-1)), of the integer polynomial whose value at u = 2^k
+    is x."""
+    half, mask, digits = 1 << (k - 1), (1 << k) - 1, []
+    while x:
+        d = ((x + half) & mask) - half
+        digits.append(d)
+        x = (x - d) >> k
+    return digits
+
+
+def _digit_width(bounds) -> int:
+    """The digit width k of a Kronecker solve: 2^(k-1) exceeds every entry
+    of the series `bounds` at u = 1."""
+    return max((abs(c) for x in bounds for c in x.coeffs), default=0).bit_length() + 1
+
+
+def _exact(p: int, order: int, u_mode, run, rs=None) -> dict:
+    """The series {name: entries} that ``run(dom, rs)`` forms in the domain
+    `dom`, from the entries of the (R, S) passed as `rs` or from None, as
+    coefficients.  At a rational u that is one run.  At symbolic u it is
+    a run at u = 1, which sets the digit width k, and one at u = 2^k, whose
+    entries are unpacked digit by digit; `rs` is evaluated at each u."""
+    if not _symbolic(u_mode):
+        dom = _Domain(p, u_mode)
+        series = run(dom, None if rs is None else tuple(map(dom.load, rs)))
+        return {name: dom.unload(x) for name, x in series.items()}
+    if order > MAX_SYMBOLIC_ORDER:
+        raise SymbolicOrderError("symbolic u is limited to order %d; specialize u "
+                                 "for longer series" % MAX_SYMBOLIC_ORDER)
+    if rs is not None and not all(c.nonneg() for x in rs for c in x.coeffs):
+        # the values at u = 1 bound the coefficients of series in N[u] only
+        raise ValueError("a symbolic (R, S) needs nonnegative u-coefficients")
+
+    def run_at(dom):
+        return run(dom, None if rs is None else
+                   tuple(dom.load(x.specialize_u(dom.a)) for x in rs))
+
+    one = _Domain(p, 1)
+    at_one = run_at(one)
+    k = _digit_width(one.bounds + list(at_one.values()))
+    out = {}
+    for name, x in run_at(_Domain(p, 1 << k, k)).items():
+        poly = ZSeries([UPoly(_digits(c, k)) for c in x.coeffs], x.order, UPoly())
+        if poly.specialize_u(1) != at_one[name]:
+            raise ArithmeticError("a u-coefficient of %s exceeds the digit width %d"
+                                  % (name, k))
+        out[name] = poly
+    return out
 
 
 class _Online:
@@ -225,13 +296,12 @@ def _compose_column(coeffs, x_series: ZSeries, order: int) -> ZSeries:
 def solve_rs(p: int, order: int, u_mode=None):
     """Solve the defining system for (R, S) through z^order; `u_mode` is
     None (symbolic) or an exact rational."""
-    dom = _Domain(p, u_mode, order)
-    R, S, _, _ = _sweep_rs(p, order, dom)
-    return dom.unload(R), dom.unload(S)
+    out = _exact(p, order, u_mode, lambda dom, _: dict(zip("RS", _sweep_rs(p, order, dom))))
+    return out["R"], out["S"]
 
 
 def _sweep_rs(p: int, order: int, dom, phi1=None):
-    """(R, S, W1, W2) through z^order in the coefficient mode `dom`, one
+    """(R, S, W1, W2) through z^order in the domain `dom`, one
     entry of each per step: W1_n = [z^n] Phi1, which reads R and S below n,
     and R_n = z_n + u W1_n; then W2_n = [z^n] Phi2, which reads R_n through
     Phi2's (1, 0) entry, and S_n = u W2_n.  `phi1` replaces the table of
@@ -244,26 +314,26 @@ def _sweep_rs(p: int, order: int, dom, phi1=None):
     if (1, 0) in phi1 or (0, 1) in phi1 or (0, 1) in phi2:
         raise ValueError("a (1, 0) entry of Phi1 or a (0, 1) entry reads "
                          "R_n or S_n before it is set")
-    zero, z = dom.zero, dom.z(order).coeffs
-    R, W1 = [zero], [zero]
-    S, W2 = (None, None) if all(j for _, j in phi2) else ([zero], [zero])
-    online = _Online((phi1, phi2), R, S, zero)
+    z = dom.z(order).coeffs
+    R, W1 = [0], [0]
+    S, W2 = (None, None) if all(j for _, j in phi2) else ([0], [0])
+    online = _Online((phi1, phi2), R, S, 0)
     for n in range(1, order + 1):
         W1.append(online.entry(0, n))
         R.append(z[n] + dom.mul_u(W1[n]))
         if S is not None:
             W2.append(online.entry(1, n))
             S.append(dom.mul_u(W2[n]))
-    return tuple(ZSeries(x or [zero], order, zero) for x in (R, S, W1, W2))
+    return tuple(ZSeries(x or [0], order, 0) for x in (R, S, W1, W2))
 
 
 def _rsw(p: int, order: int, dom, rs=None):
-    """(R, S, W1, W2) in the mode `dom`: one sweep, or for the (R, S) a
-    caller passed, W1 = Phi1(R, S) and W2 = Phi2(R, S) composed, which is
-    their definition at every u."""
+    """(R, S, W1, W2) in the domain `dom`: one sweep, or for the entries
+    (R, S) a caller passed, W1 = Phi1(R, S) and W2 = Phi2(R, S) composed,
+    which is their definition at every u."""
     if rs is None:
         return _sweep_rs(p, order, dom)
-    R, S = dom.load(rs[0]), dom.load(rs[1])
+    R, S = rs
     tables = phi_theta_tables(p, order)
     return (R, S) + tuple(compose_biv(tables[t], R, S, order) for t in ("phi1", "phi2"))
 
@@ -272,8 +342,8 @@ def solve_s_tilde(p: int, order: int, u_mode=None) -> ZSeries:
     """The series defined by S~ = u * Phi2(z, S~), S~(0) = 0: S with every R
     replaced by z, the (R, S) solve with the empty table in place of Phi1,
     so that R stays z.  For even p it vanishes identically."""
-    dom = _Domain(p, u_mode, order)
-    return dom.unload(_sweep_rs(p, order, dom, phi1={})[1])
+    return _exact(p, order, u_mode,
+                  lambda dom, _: {"S": _sweep_rs(p, order, dom, phi1={})[1]})["S"]
 
 
 def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
@@ -314,7 +384,15 @@ def solve(p: int, order: int, u_mode=None, names=None, rs=None) -> SolverOutput:
         raise ValueError("no series %s at p = %d" % (",".join(sorted(unknown)), p))
     if order < 3 and want & {"F", "Fprime", "H"}:
         raise ValueError("order must be >= 3 (smallest maps have 3 faces)")
-    dom = _Domain(p, u_mode, order)
+    out = _exact(p, order, u_mode, lambda dom, rs: _series(p, order, dom, want, rs), rs)
+    return SolverOutput(p=p, order=order, u=_mode(u_mode), **out)
+
+
+def _series(p: int, order: int, dom, want, rs) -> dict:
+    """The entries of the series `want` of :func:`solve` in the domain
+    `dom`.  Each check, and each difference P - N returned, enters the
+    bounds through its parts: a side P - N through P and N, the side an
+    antiderivative through its integrand."""
     out = {}
     if want - {"S_tilde", "W_tilde"}:
         R, S, w1, w2 = _rsw(p, order, dom, rs)
@@ -322,27 +400,32 @@ def solve(p: int, order: int, u_mode=None, names=None, rs=None) -> SolverOutput:
         z = dom.z(order)
         if want & {"F", "Fprime"}:
             fprime = compose_biv(phi_theta_tables(p, order)["theta"], R, S, order)
-            if p == 3 and ZSeries(_cubic_fprime(w1.coeffs, w2.coeffs, dom.a, dom.b,
-                                                dom.s)) != fprime:
-                raise AssertionError("cubic F' shortcut disagrees with theta(R, S)")
+            if p == 3:
+                # W2 - (2z + 2(1+u) W1 + u(1+u) W2^2), whose part N is
+                # W2 - F' at u = 1, so W2 bounds both sides
+                if ZSeries(_cubic_fprime(w1.coeffs, w2.coeffs, dom.a, dom.b,
+                                         dom.s)) != fprime:
+                    raise AssertionError("cubic F' shortcut disagrees with theta(R, S)")
+                dom.bound(w2)
             out["F"], out["Fprime"] = dom.integrate(fprime).truncate(order), fprime
         if "G" in want:
             inner = compose_biv(g_inner_table(3, order), R, S, order)
-            g = (z * S - dom.times_u(inner)) + (z * w2 - inner)
-            if g != dom.integrate(S + w2).truncate(order):
+            plus, minus = z * S + z * w2, dom.times_u(inner) + inner
+            dom.bound(plus, minus)
+            out["G"] = plus - minus
+            if out["G"] != dom.integrate(S + w2).truncate(order):
                 raise AssertionError("closed G expression disagrees with integral of (1+1/u) S")
-            out["G"] = g
         if "H" in want:
-            h = z * w1 + z * (S * w2)
-            h = h - (compose_biv(g_inner_table(p, order), R, S, order) * S).scale(2)
-            h = h - compose_biv(h_inner_table(p, order), R, S, order)
-            if p % 2 == 0 and dom.integrate(w1.scale(2)).truncate(order) != h:
+            plus = z * w1 + z * (S * w2)
+            minus = (compose_biv(g_inner_table(p, order), R, S, order) * S).scale(2) \
+                + compose_biv(h_inner_table(p, order), R, S, order)
+            dom.bound(plus, minus)
+            out["H"] = plus - minus
+            if p % 2 == 0 and dom.integrate(w1.scale(2)).truncate(order) != out["H"]:
                 raise AssertionError("even-p H' = 2 W1 integral disagrees with H")
-            out["H"] = h
     if want & {"S_tilde", "W_tilde"}:
         _, out["S_tilde"], _, out["W_tilde"] = _sweep_rs(p, order, dom, phi1={})
-    return SolverOutput(p=p, order=order, u=_mode(u_mode),
-                        **{name: dom.unload(out[name]) for name in want})
+    return {name: out[name] for name in want}
 
 
 def series_f(p: int, order: int, u_mode=None, rs=None):
@@ -379,7 +462,10 @@ def series_f_explicit_quartic(order: int, u_mode=None) -> ZSeries:
 def quartic_h_via_lambda(order: int, u_mode=None, rs=None) -> ZSeries:
     """H = z W1 - Lambda(R) for p = 4, W1 = (R - z)/u = Phi1(R); cross-route
     for series_h, from its own sweep or the (R, S) passed as `rs`."""
-    dom = _Domain(4, u_mode, order)
-    R, _, w1, _ = _rsw(4, order, dom, rs)
-    lam = _compose_column(lambda_series(order), R, order)
-    return dom.unload(dom.z(order) * w1 - lam)
+    def run(dom, rs):
+        R, _, w1, _ = _rsw(4, order, dom, rs)
+        plus, minus = dom.z(order) * w1, _compose_column(lambda_series(order), R, order)
+        dom.bound(plus, minus)
+        return {"H": plus - minus}
+
+    return _exact(4, order, u_mode, run, rs)["H"]

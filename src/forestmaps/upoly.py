@@ -123,38 +123,6 @@ class UPoly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        """(q, r) with self = q other + r.  By a constant, coefficient by
-        coefficient, each as Python's divmod; by a polynomial, long
-        division that stops at the first leading coefficient the divisor's
-        does not divide.  r is zero exactly when other divides self."""
-        d = self._coerce(other)
-        if d is None:
-            return NotImplemented
-        if not d:
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = d.coeffs[-1]
-        if len(d.coeffs) == 1:
-            qr = [divmod(c, lead) for c in self.coeffs]
-            return UPoly([q for q, _ in qr]), UPoly([r for _, r in qr])
-        m = len(d.coeffs) - 1
-        r = list(self.coeffs)
-        q = [0] * max(len(r) - m, 0)
-        for k in range(len(q) - 1, -1, -1):
-            c, rest = divmod(r[k + m], lead)
-            if rest:
-                break
-            q[k] = c
-            for i, dc in enumerate(d.coeffs):
-                r[k + i] -= c * dc
-        return UPoly(q), UPoly(r)
-
-    def __rdivmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return divmod(o, self)
-
     def __pow__(self, n: int) -> "UPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")

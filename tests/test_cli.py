@@ -203,6 +203,21 @@ def test_bad_u_is_a_flag_error(capsys, argv):
     assert "NaN" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("u", ["1", "0", "-1/2", "-1"])
+def test_n_above_the_exact_maximum_is_a_flag_error(capsys, u):
+    # f_n comes from the exact series through max(n), whose cost grows like
+    # n^3.6: a list that reaches past MAX_N is refused before any of it
+    from forestmaps.cli import MAX_N, _n_list
+
+    assert _n_list("3,%d" % MAX_N) == [3, MAX_N]
+    for head in (("asymptotics", "--mode", "ratios", "--p", "4"), ("random",)):
+        with pytest.raises(SystemExit) as exc:
+            main([*head, "--u=" + u, "--n-list", "100,1000,10000,20000"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            "error: --n-list: cannot use '10000' (integers from 3 to %d)\n" % MAX_N
+
+
 # unparsable entries of any comma-list flag
 JUNK_TEXT = ["", "abc", "1.5e", "0x1", "-", "1/2", " ", "\u00bd"]
 JUNK = st.sampled_from(JUNK_TEXT)
@@ -452,34 +467,35 @@ def test_coeffs_builds_each_series_as_solve_does(capsys, p, u):
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 def test_mu_expand_matches_solve(capsys, p):
-    from forestmaps.exact import exact_div
     from forestmaps.solver import solve
     from forestmaps.upoly import UP_U
 
     out = solve(p, 6)
-    table = {"R-z": out.R - ZSeries.z(6, UPoly(), UPoly((1,))), "S": out.S,
-             "Stilde": out.S_tilde}
-    table = {name: ser.map_coeffs(lambda c: exact_div(c, UP_U)) for name, ser in table.items()}
-    table["F"] = out.F
-    for name, ser in table.items():
+    # each series and the weight that multiplies the rows back into it: u
+    # for the series divided by u, 1 for F
+    table = {"R-z": (out.R - ZSeries.z(6, UPoly(), UPoly((1,))), UP_U),
+             "S": (out.S, UP_U), "Stilde": (out.S_tilde, UP_U), "F": (out.F, 1)}
+    for name, (ser, weight) in table.items():
         doc = json.loads(run_cli(capsys, "mu-expand", "--p", str(p), "--order", "6",
                                  "--series", name))
-        assert [r["mu_coeffs"] for r in doc["result"]["rows"]] == \
-            [c.to_strs() for c in ser.to_mu().coeffs]
+        rows = [UPoly.from_strs(r["mu_coeffs"]).from_mu() for r in doc["result"]["rows"]]
+        assert ZSeries(rows, 6).scale(weight) == ser, name
 
 
 @pytest.mark.parametrize("p", [3, 4])
 def test_one_sweep_serves_every_series(capsys, monkeypatch, p):
     # coeffs runs one (R, S) sweep for all of its series, and S~ adds one
-    # sweep of its own; each mu-expand series is one sweep
+    # sweep of its own; each mu-expand series is one sweep.  A symbolic
+    # request runs those sweeps once at u = 1 and once at u = 2^k, a
+    # rational u once.
     from forestmaps import solver
 
     sweeps = []
     sweep = solver._sweep_rs
 
-    def counted(*args, phi1=None):
-        sweeps.append("S~" if phi1 == {} else "RS")
-        return sweep(*args, phi1=phi1)
+    def counted(p, order, dom, phi1=None):
+        sweeps.append(("S~" if phi1 == {} else "RS", dom.a))
+        return sweep(p, order, dom, phi1=phi1)
 
     monkeypatch.setattr(solver, "_sweep_rs", counted)
     series = "F,Fprime,R,S,H" + (",G" if p == 3 else "")
@@ -487,6 +503,7 @@ def test_one_sweep_serves_every_series(capsys, monkeypatch, p):
         (["coeffs", "--series", series], ["RS"]),
         (["coeffs", "--series", series + ",Stilde"], ["RS", "S~"]),
         (["coeffs", "--series", "Stilde"], ["S~"]),
+        (["coeffs", "--u=3/7", "--series", series + ",Stilde"], ["RS", "S~"]),
         (["mu-expand", "--series", "R-z"], ["RS"]),
         (["mu-expand", "--series", "S"], ["RS"]),
         (["mu-expand", "--series", "Stilde"], ["S~"]),
@@ -494,7 +511,13 @@ def test_one_sweep_serves_every_series(capsys, monkeypatch, p):
     ):
         sweeps.clear()
         run_cli(capsys, argv[0], "--p", str(p), "--order", "6", *argv[1:])
-        assert sweeps == expected, argv
+        if "--u=3/7" in argv:
+            assert sweeps == [(kind, 3) for kind in expected], argv
+            continue
+        kinds, weights = [kind for kind, _ in sweeps], [a for _, a in sweeps]
+        k = weights[-1].bit_length() - 1
+        assert kinds == expected * 2, argv
+        assert weights == [1] * len(expected) + [2 ** k] * len(expected) and k >= 1, argv
 
 
 @pytest.mark.parametrize("argv,message", [

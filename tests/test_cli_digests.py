@@ -34,6 +34,11 @@ def grid():
             for name in ("R-z", "S", "Stilde", "F"):
                 commands.append(["mu-expand", "--p", str(p), "--order", str(order),
                                  "--series", name])
+    # symbolic solves past the orders above, at wider base-2^k digits
+    for p, order in ((3, 24), (4, 30)):
+        commands.append(["coeffs", "--p", str(p), "--order", str(order), "--u=symbolic",
+                         "--series", "F,Fprime,R,S,Stilde,H" + (",G" if p == 3 else "")])
+    commands.append(["mu-expand", "--p", "3", "--order", "24", "--series", "F"])
     for p in (3, 4):
         for faces in (3, 4):
             for variant in ("all_forests", "tree_rooted_activity", "root_edge_outside"):

@@ -68,9 +68,10 @@ def test_upoly_mu_roundtrip_and_division():
     for _ in range(30):
         p = rand_upoly(rng, 5)
         assert p.to_mu().from_mu() == p
-    assert exact_div(UPoly((0, 0, 3)), UP_U ** 2) == UPoly((3,))
-    with pytest.raises(ArithmeticError):
-        exact_div(UPoly((1, 2)), UP_U)
+    # no exact solve divides a polynomial: symbolic u runs in ints
+    for d in (UP_U ** 2, 3):
+        with pytest.raises(TypeError):
+            exact_div(UPoly((0, 0, 3)), d)
 
 
 def test_ring_axioms_on_random_series():
@@ -265,38 +266,6 @@ def test_upoly_mu_inverse(a):
     assert a.from_mu().to_mu() == a
 
 
-@given(int_upolys, st.integers(0, 4))
-def test_upoly_divide_by_u_round_trip(a, k):
-    shifted = a * UP_U ** k
-    assert exact_div(shifted, UP_U ** k) == a
-    if k:
-        with pytest.raises(ArithmeticError):
-            exact_div(shifted + UPoly((1,)), UP_U ** k)
-
-
-divisors = st.one_of(st.integers(-30, 30).filter(bool), int_upolys.filter(bool))
-
-
-@given(int_upolys, divisors, int_upolys)
-def test_exact_div_over_integer_polynomials(a, d, r):
-    q = exact_div(a * d, d)
-    assert q == a and isinstance(q, UPoly)
-    assert all(type(c) is int for c in q.coeffs)
-    # a remainder left by d is refused, whatever the quotient
-    if divmod(r, d)[1]:
-        with pytest.raises(ArithmeticError):
-            exact_div(a * d + r, d)
-
-
-def test_exact_div_refuses_polynomial_remainders():
-    u = UP_U
-    assert exact_div(u * u - 1, u + 1) == u - 1 and exact_div(0, u) == UPoly()
-    for x, d in ((u * u, u + 2), (u, 2), (UPoly((3, 6)), UPoly((0, 2))),
-                 (UPoly((Q(1, 2),)), 1), (1, u)):
-        with pytest.raises(ArithmeticError):
-            exact_div(x, d)
-
-
 @given(zseries(), zseries(), zseries())
 def test_zseries_ring_laws_over_upoly(a, b, c):
     assert a * b == b * a and a + b == b + a
@@ -317,7 +286,7 @@ def test_zseries_ring_laws_over_scalars(a, b, c):
 @given(zseries(), zseries(coeffs=int_upolys))
 def test_zseries_mu_and_divide_by_u_round_trip(a, b):
     assert ZSeries([c.from_mu() for c in a.to_mu().coeffs], a.order) == a
-    assert b.scale(UP_U ** 2).map_coeffs(lambda c: exact_div(c, UP_U ** 2)) == b
+    assert b.scale(UP_U ** 2).map_coeffs(lambda c: UPoly(c.coeffs[2:])) == b
 
 
 # -- the series arithmetic against the loops it replaced -----------------------
@@ -399,13 +368,8 @@ def test_series_arithmetic_is_the_reference_loops(pair, s):
         assert all(type(c) is type(zero) for c, t in zip(got, terms) if not t)
     if a.order:
         _same_entries(a.differentiate().coeffs, _reference_differentiate(a))
-    try:
-        ref = _reference_integrate(a, s)
-    except ArithmeticError:  # a rational coefficient of a UPoly left a remainder
-        with pytest.raises(ArithmeticError):
-            a.integrate(s)
-    else:
-        _same_entries(a.integrate(s).coeffs, ref)
+    if not isinstance(zero, UPoly):  # no exact solve integrates a polynomial
+        _same_entries(a.integrate(s).coeffs, _reference_integrate(a, s))
 
 
 def _no_float(value):
@@ -444,5 +408,5 @@ def test_integral_sweep_stays_in_ints():
         assert all(type(c) is int for s in sweep for c in s.coeffs)
     # at a non-integral u the sweep runs on the scaled ints x_n s^n
     for p, u in ((3, Q(3, 7)), (4, Q(-5, 9))):
-        sweep = _sweep_rs(p, 10, _Domain(p, u, 10))
+        sweep = _sweep_rs(p, 10, _Domain(p, u))
         assert all(type(c) is int for s in sweep for c in s.coeffs)

@@ -31,9 +31,9 @@ from forestmaps.fast import (
     quartic_series,
 )
 from forestmaps.series import ZSeries
-from forestmaps.solver import compose_biv, series_f, solve, solve_rs
+from forestmaps.solver import _digits, compose_biv, series_f, solve, solve_rs
 from forestmaps.trees import quartic_mullin_coeff, table_column
-from forestmaps.upoly import UP_U, UPoly
+from forestmaps.upoly import UPoly
 
 
 @pytest.mark.parametrize("u", [Q(1), Q(-1, 2), Q(7, 5)])
@@ -305,21 +305,31 @@ def test_integer_engines_match_sweep_at_large_denominators(a, b):
     _check_integer_engines(Q(a, b))
 
 
+def _integer_runs(a):
+    """The recurrences and their F' at u = a, b = s = 1."""
+    R4, W4 = _quartic(a, 1, 11, 1)
+    R3, S3, W1, W2 = _cubic(a, 1, 10, 1)
+    return {4: {"R": R4, "W": W4, "fprime": _quartic_bundle(R4, W4, 1)["fprime"]},
+            3: {"R": R3, "S": S3, "fprime": _cubic_fprime(W1, W2, a, 1, 1)}}
+
+
 def test_recurrences_run_over_integer_polynomials():
-    # symbolic u is a = u, b = s = 1: every division is exact in Z[u]
+    # by Kronecker substitution: at u = 2^k every division is exact, and the
+    # balanced base-2^k digits of each entry are its u-coefficients, which
+    # the entry at u = 1 bounds
     sweep = _symbolic_sweep()
-    R4, W4 = _quartic(UP_U, 1, 11, 1)
-    R3, S3, W1, W2 = _cubic(UP_U, 1, 10, 1)
-    got = {4: {"R": R4, "W": W4, "fprime": _quartic_bundle(R4, W4, 1)["fprime"]},
-           3: {"R": R3, "S": S3, "fprime": _cubic_fprime(W1, W2, UP_U, 1, 1)}}
+    at_one = _integer_runs(1)
+    k = max(abs(x) for series in at_one.values() for values in series.values()
+            for x in values).bit_length() + 1
+    got = _integer_runs(2 ** k)
     for p, series in got.items():
         for name, values in series.items():
             ref = sweep[p][name]
-            assert values == [ref.coeff(i) for i in range(len(values))], (p, name)
-            assert all(type(c) is int for x in values if isinstance(x, UPoly)
-                       for c in x.coeffs), (p, name)
+            assert [UPoly(_digits(x, k)) for x in values] == \
+                [ref.coeff(i) for i in range(len(values))], (p, name)
     # theta(R) divides by 3, and u V_4 / 3 is not in Z[u]
-    W4[5] += UPoly((0, 1))
+    R4, W4 = got[4]["R"], got[4]["W"]
+    W4[5] += 2 ** k
     with pytest.raises(ArithmeticError):
         _quartic_bundle(R4, W4, 1)
 

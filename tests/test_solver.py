@@ -1,6 +1,7 @@
 """The implicit solver against printed expansions and internal identities."""
 
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +25,8 @@ from forestmaps.solver import (
     solve_rs,
     solve_s_tilde,
 )
-from forestmaps.trees import phi_theta_tables
-from forestmaps.upoly import UPoly
+from forestmaps.trees import g_inner_table, h_inner_table, phi_theta_tables
+from forestmaps.upoly import UP_U, UPoly
 
 
 def upoly(*coeffs):
@@ -177,7 +178,7 @@ def test_rational_solve_is_the_symbolic_solve_specialized(p, order, a, b):
 def test_corrupted_scaled_operand_is_refused():
     # one scaled entry off by one leaves a remainder at the next exact division
     u = Q(47, 89)
-    dom = _Domain(3, u, 10)
+    dom = _Domain(3, u)
     R, S, _, _ = _sweep_rs(3, 10, dom)
     phi2 = phi_theta_tables(3, 10)["phi2"]
     dom.times_u(compose_biv(phi2, R, S, 10))
@@ -209,6 +210,10 @@ def test_corrupted_symbolic_operand_is_refused():
         R, S = solve_rs(3, 8, u)
         with pytest.raises(AssertionError, match="cubic F' shortcut"):
             series_f(3, 8, u, rs=(perturb(R, 4, 1), S))
+    # the values at u = 1 bound the u-coefficients only of series in N[u]
+    R, S = solve_rs(3, 8)
+    with pytest.raises(ValueError, match="nonnegative u-coefficients"):
+        series_f(3, 8, rs=(perturb(R, 4, -1), S))
 
 
 def test_forest_series_printed_coefficients():
@@ -245,7 +250,7 @@ def test_root_edge_outside_series():
 def test_even_h_prime_shortcut():
     # checked internally by series_h; do it explicitly once more at p=6
     out = solve(6, 8, names=("W1", "H"))
-    assert out.W1.scale(2).integrate().truncate(8) == out.H
+    assert out.H.differentiate() == out.W1.scale(2) and out.H.coeff(0).is_zero()
 
 
 def _reference_rs(p, order, u, phi1=None):
@@ -280,29 +285,11 @@ def test_s_tilde_is_s_with_r_replaced_by_z():
        u=st.sampled_from([None, 0]) | st.builds(Q, st.integers(-10**6, 10**6),
                                                 st.integers(1, 10**6)))
 def test_online_solve_is_the_reference_sweep(p, order, u):
-    dom = _Domain(p, u, order)
-    for phi1 in (None, {}):  # (R, S), and S~ with R = z
-        got = [dom.unload(x) for x in _sweep_rs(p, order, dom, phi1)[:2]]
-        ref = _reference_rs(p, order, u, phi1)
-        for a, b in zip(got, ref):
-            assert a.order == b.order == order and a.coeffs == b.coeffs, (phi1, a, b)
-
-
-def _reference_w(dom, p, R, S):
-    """(W1, W2) = ((R - z)/u, S/u) the way the solver once formed them, from
-    the sweep's (R, S): at u != 0 each entry multiplied by b, then divided
-    exactly by a; at u = 0, where R = z and S = 0, Phi1(R, S) and
-    Phi2(R, S) composed again."""
-    order = min(R.order, S.order)
-    if dom.a == 0:
-        tables = phi_theta_tables(p, order)
-        return (compose_biv(tables["phi1"], R, S, order),
-                compose_biv(tables["phi2"], R, S, order))
-
-    def div_u(series):
-        return ZSeries([exact_div(dom.b * c, dom.a) for c in series.coeffs], series.order)
-
-    return div_u(R - dom.z(order)), div_u(S)
+    # (R, S), and S~ (the sweep with R = z)
+    got = solve_rs(p, order, u) + (solve_s_tilde(p, order, u),)
+    ref = _reference_rs(p, order, u) + _reference_rs(p, order, u, phi1={})[1:]
+    for a, b in zip(got, ref):
+        assert a.order == b.order == order and a.coeffs == b.coeffs, (a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,24 +299,105 @@ def _reference_w(dom, p, R, S):
 @example(p=3, order=12, u=None)
 @example(p=4, order=12, u=0)
 def test_sweep_keeps_the_series_divided_by_u(p, order, u):
-    # W1, W2 of the (R, S) sweep and W~ of the S~ sweep against the
-    # divisions they replace
-    dom = _Domain(p, u, order)
-    R, S, w1, w2 = _sweep_rs(p, order, dom)
-    assert (w1, w2) == _reference_w(dom, p, R, S)
-    assert w1.order == w2.order == order
-    _, s_tilde, w1_tilde, w_tilde = _sweep_rs(p, order, dom, phi1={})
-    assert w1_tilde.is_zero()
-    if dom.a == 0:  # S~ = 0 and W~ = Phi2(z, 0)
-        assert s_tilde.is_zero() and w_tilde == w2
-    else:
-        assert w_tilde == _reference_w(dom, p, dom.z(order), s_tilde)[1]
+    # W1, W2 of the (R, S) sweep and W~ of the S~ sweep, multiplied by u,
+    # are R - z, S and S~; at u = 0, where R = z and S = S~ = 0, they are
+    # Phi1(R, S), Phi2(R, S) and Phi2(z, 0) composed again
+    out = solve(p, order, u, ("R", "S", "W1", "W2", "S_tilde", "W_tilde"))
+    weight = solver._mode(u)
+    z = ZSeries.z(order, weight * 0, weight * 0 + 1)
+    for w, x in ((out.W1, out.R - z), (out.W2, out.S), (out.W_tilde, out.S_tilde)):
+        assert w.order == order and w.scale(weight) == x
+    # the S~ sweep, with Phi1 emptied, keeps R = z and W1 = 0
+    dom = _Domain(p, 1 if u is None else u)
+    r_tilde, _, w1_tilde, _ = _sweep_rs(p, order, dom, phi1={})
+    assert r_tilde == dom.z(order) and w1_tilde.is_zero()
+    if weight == 0:
+        tables = phi_theta_tables(p, order)
+        assert out.W1 == compose_biv(tables["phi1"], out.R, out.S, order)
+        assert out.W2 == out.W_tilde == compose_biv(tables["phi2"], out.R, out.S, order)
+
+
+def _integrate_zu(series):
+    """The antiderivative over Z[u]: each u-coefficient of X_{n-1} divided
+    exactly by n."""
+    return ZSeries([UPoly()] + [UPoly([exact_div(c, n) for c in x.coeffs])
+                                for n, x in enumerate(series.coeffs, 1)],
+                   series.order + 1, UPoly())
+
+
+@cache
+def _reference_series(p, order):
+    """Every series of solver.SERIES that exists at (p, order), over Z[u],
+    the way the solver formed them before it ran at u = 1 and u = 2^k: the
+    online sweep over UPoly entries (a = u, b = s = 1), the compositions
+    over UPoly, and each antiderivative dividing every u-coefficient."""
+    dom = SimpleNamespace(z=lambda n: ZSeries.z(n, UPoly(), UPoly((1,))),
+                          mul_u=lambda c: c * UP_U)
+    sweeps = _sweep_rs(p, order, dom) + _sweep_rs(p, order, dom, phi1={})[1::2]
+    R, S, W1, W2, S_tilde, W_tilde = (x.map_coeffs(lambda c: UPoly() + c) for x in sweeps)
+    out = dict(R=R, S=S, W1=W1, W2=W2, S_tilde=S_tilde, W_tilde=W_tilde)
+    z, tables = dom.z(order), phi_theta_tables(p, order)
+    inner = compose_biv(g_inner_table(p, order), R, S, order)
+    if p == 3:
+        out["G"] = (z * S - inner.scale(UP_U)) + (z * W2 - inner)
+    if order >= 3:
+        fprime = compose_biv(tables["theta"], R, S, order)
+        out.update(Fprime=fprime, F=_integrate_zu(fprime).truncate(order))
+        out["H"] = z * W1 + z * (S * W2) - (inner * S).scale(2) \
+            - compose_biv(h_inner_table(p, order), R, S, order)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.sampled_from([3, 4, 5, 6]), order=st.integers(1, 24))
+@example(p=3, order=24)
+@example(p=4, order=24)
+def test_kronecker_solve_is_the_zu_solve(p, order):
+    ref = _reference_series(p, order)
+    out = solve(p, order, None, tuple(ref))
+    for name in solver.SERIES:
+        got = getattr(out, name)
+        if name not in ref:
+            assert got is None
+            continue
+        assert got.order == ref[name].order and got.coeffs == ref[name].coeffs, name
+        assert all(type(c) is UPoly for c in got.coeffs), name
+    if p == 4 and order >= 3:
+        assert quartic_h_via_lambda(order).coeffs == ref["H"].coeffs
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_too_narrow_digits_fail_the_u_one_check(monkeypatch, p):
+    # a digit width below the bit length of the largest u-coefficient wraps
+    # a digit, which the comparison with the u = 1 solve catches
+    names = ("R", "S", "W1", "W2", "S_tilde", "W_tilde")
+    ref = _reference_series(p, 12)
+    top = max(abs(c) for name in names for x in ref[name].coeffs for c in x.coeffs)
+    monkeypatch.setattr(solver, "_digit_width", lambda bounds: top.bit_length() - 1)
+    with pytest.raises(ArithmeticError, match="exceeds the digit width"):
+        solve(p, 12, None, names)
+
+
+def test_symbolic_sweeps_run_on_ints(monkeypatch):
+    # one sweep at u = 1 and one at u = 2^k for each of (R, S) and S~
+    sweeps = []
+    sweep = solver._sweep_rs
+
+    def spy(*args, **kwargs):
+        sweeps.append(sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(solver, "_sweep_rs", spy)
+    for p in (3, 4):
+        solve(p, 10)
+    assert len(sweeps) == 8
+    assert all(type(c) is int for out in sweeps for x in out for c in x.coeffs)
 
 
 def test_online_order_is_enforced():
     # a (1, 0) entry of Phi1 would read R_n, a (0, 1) entry S_n, while
     # forming them
-    dom = _Domain(3, Q(2, 3), 6)
+    dom = _Domain(3, Q(2, 3))
     for phi1 in ({(1, 0): 1}, {(0, 1): 1}):
         with pytest.raises(ValueError, match="before it is set"):
             _sweep_rs(3, 6, dom, phi1)
