@@ -13,14 +13,14 @@ from forestmaps.maps import (
     oracle_f,
     tutte_poly,
 )
-from forestmaps.solver import series_f
+from forestmaps.solver import solve
 
 print("=== rooted cubic maps with 3 faces ===")
 maps33 = enumerate_maps(3, 3)
 print("distinct rooted maps:", len(maps33))
 for m in maps33:
     print("  sigma=%s  forest polynomial: %s" % (m.sigma, forest_poly(m)))
-print("sum:", oracle_f(3, 3), " (solver says", series_f(3, 4)[0].coeff(3), ")")
+print("sum:", oracle_f(3, 3), " (solver says", solve(3, 4, names=("F",)).F.coeff(3), ")")
 print()
 
 print("=== Bernardi activities recover the Tutte polynomial ===")

@@ -31,7 +31,7 @@ print()
 
 print("=== sensitivity: a single corrupted coefficient must be caught ===")
 de = load_de("quartic_fprime")
-target = de_target_series("quartic_fprime", 9)
+_, target = de_target_series("quartic_fprime", 9)
 print("residual on true series:      zero =", de_residual(de, target).is_zero())
 bad = perturb(target, 4)
 print("residual after bumping z^4:   zero =", de_residual(de, bad).is_zero())

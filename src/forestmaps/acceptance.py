@@ -48,7 +48,7 @@ from .asymptotics import (
     transition_digits,
 )
 from .series import ZSeries
-from .solver import compose_biv, series_f, series_h, solve
+from .solver import compose_biv, solve
 from .trees import phi_theta_tables, quartic_mullin_coeff
 from .upoly import UPoly
 
@@ -99,7 +99,7 @@ def _criterion(title: str):
 def criterion_1(expect) -> str:
     """Exact cubic coefficients at z^3 and z^4, under one second."""
     t0 = time.time()
-    f, _ = series_f(3, 4)
+    f = solve(3, 4, names=("F",)).F
     expect(f.coeff(3) == UPoly((6, 4)), "[z^3]F != 6+4u")
     expect(f.coeff(4) == UPoly((140, 234, 144, 32)), "[z^4]F mismatch")
     dt = time.time() - t0
@@ -111,8 +111,8 @@ def criterion_1(expect) -> str:
 def criterion_2(expect) -> str:
     """Oracle enumeration agrees with the solver for p in {3,4}, n in {3,4}."""
     for p in (3, 4):
-        f, _ = series_f(p, 4)
-        h = series_h(p, 4)
+        out = solve(p, 4, names=("F", "H"))
+        f, h = out.F, out.H
         for n in (3, 4):
             forests = oracle_f(p, n, "all_forests")
             expect(forests == f.coeff(n), "oracle F(%d,%d)" % (p, n))
@@ -127,7 +127,7 @@ def criterion_2(expect) -> str:
 def criterion_3(expect) -> str:
     """Spanning-tree closed form for p in {3,4,6} through z^30, exactly."""
     for p in (3, 4, 6):
-        f, _ = series_f(p, 30, 0)
+        f = solve(p, 30, 0, ("F",)).F
         for n in range(31):
             expect(f.coeff(n) == quartic_mullin_coeff(p, n), "p=%d n=%d" % (p, n))
     return "p in {3,4,6}, n <= 30 exact"
@@ -162,7 +162,7 @@ def criterion_5(expect) -> str:
         expect(all(c.nonneg() for c in ser.coeffs),
                "%s has a negative mu-coefficient" % name)
     for p in (3, 4):
-        f = out.F if p == 3 else series_f(p, order)[0]
+        f = out.F if p == 3 else solve(p, order, names=("F",)).F
         expect(all(c.to_mu().nonneg() for c in f.coeffs),
                "F (p=%d) not (u+1)-positive" % p)
     # dPhi2/dy composed at (z, S~) is (u+1)-positive as well; the parent

@@ -120,16 +120,14 @@ def log_singularity_probe(
     prec: Precision = DEFAULT_PREC,
     order: Optional[int] = None,
     tol: float = 1e-6,
-    constant: float = 72.0,
 ) -> dict:
-    """Compare F''(z) + 4/u against constant*sqrt(3) pi rho / (u^2 ln(1-z/rho)).
+    """Compare F''(z) + 4/u against 72 sqrt(3) pi rho / (u^2 ln(1-z/rho)).
 
     u must be a rational in [-1, 0).  Each probe row reports both sides,
     their relative deviation (expected to shrink as z -> rho since the
     neglected correction is O(1/ln^2)), and a truncation tail bound, which
     must come out below `tol` or the call refuses with a required-order
     estimate; an order below MIN_ORDER["log-probe"] raises ValueError.
-    `constant` exists for negative controls (72 is the true prefactor).
     """
     u = Q(u)
     if not (-1 <= u < 0):
@@ -162,7 +160,7 @@ def log_singularity_probe(
     rel = _prefix_rel_err(g, [Q(fp_exact[n + 1]) * (n + 1)
                               for n in range(LOG_PROBE_PREFIX)], s)
     ub = 1.0 / uf
-    c_num = constant * math.sqrt(3.0) * math.pi * ub * ub * s
+    c_num = 72.0 * math.sqrt(3.0) * math.pi * ub * ub * s
     rows = []
     powers = np.arange(len(g))
     for frac in z_fracs:

@@ -15,9 +15,9 @@ Every pipeline is reachable as a subcommand with machine-readable output:
 Exact values are serialized as rational strings, never floats; numeric
 outputs carry residual or tail-bound fields.  Identical invocations produce
 byte-identical output (the header carries only the package version).  Exit
-codes: 2 flag errors (symbolic u above the solver's order limit and
---n-list above MAX_N included), 3 scale-guard refusals, 4 numeric
-non-convergence.
+codes: 2 flag errors (symbolic u above the solver's order limit, --n-list
+above MAX_N, and random's --n-list and --k-max at u <= 0 included), 3
+scale-guard refusals, 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -193,12 +193,10 @@ def cmd_oracle(args):
         "polynomial_in_u": poly.to_strs(),
     }
     if args.compare:
-        from .solver import series_f, series_h
+        from .solver import solve
 
-        if args.variant == "root_edge_outside":
-            ref = series_h(args.p, max(args.faces, 3)).coeff(args.faces)
-        else:
-            ref = series_f(args.p, max(args.faces, 3))[0].coeff(args.faces)
+        name = "H" if args.variant == "root_edge_outside" else "F"
+        ref = getattr(solve(args.p, args.faces, names=(name,)), name).coeff(args.faces)
         payload["solver_coefficient"] = ref.to_strs()
         payload["matches_solver"] = bool(poly == ref)
     if args.dump_maps:
@@ -306,11 +304,21 @@ def cmd_random(args):
                             finite_n_root_size, kappa, s_limit_law)
 
     prec = _precision(args)
-    _at_least(args, "k_max", 1)
+    if args.k_max is not None:
+        _at_least(args, "k_max", 1)
     u = _parse_u_in(args.u)
     ns = _n_list(args.n_list) if args.n_list else []
+    if u <= 0 and (ns or args.k_max is not None):
+        # the size law and the finite-n rows exist only for u > 0
+        flag, value = ("--n-list", args.n_list) if ns else ("--k-max", args.k_max)
+        raise _flag_error(flag, value, "only for u > 0")
     payload = {"u": rat_to_str(u), "kappa": kappa(u, prec)}
     if u > 0:
+        # the defaults, which the config then shows
+        if args.n_list is None:
+            args.n_list, ns = "100,200", [100, 200]
+        if args.k_max is None:
+            args.k_max = 5
         payload["component_slope"] = component_slope(u, prec)
         law = s_limit_law(u, args.k_max, prec)
         payload["size_law_limit"] = law
@@ -432,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="Boltzmann-model statistics")
     p.add_argument("--u", required=True)
-    p.add_argument("--k-max", type=int, default=5)
-    p.add_argument("--n-list", default="100,200")
+    p.add_argument("--k-max", type=int, help="u > 0 only (default: 5)")
+    p.add_argument("--n-list", help="u > 0 only (default: 100,200)")
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("mu-expand", help="(u+1)-positivity tables")

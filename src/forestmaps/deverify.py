@@ -24,7 +24,7 @@ from typing import Dict, Tuple
 
 from .exact import Q, canon
 from .series import ZSeries
-from .solver import series_f, series_g, series_h, solve_rs, _mode
+from .solver import solve, solve_rs
 from .trees import (
     biv_add,
     biv_mul,
@@ -48,7 +48,9 @@ IDENTITY_NAMES = (
     "cubic_rs_derivative_rational",
 )
 
-DE_NAMES = ("quartic_fprime", "quartic_h", "cubic_w")
+# each DE, with the valence and the solver series it constrains
+_DE_SOLVES = {"quartic_fprime": (4, "Fprime"), "quartic_h": (4, "H"), "cubic_w": (3, "G")}
+DE_NAMES = tuple(_DE_SOLVES)
 
 
 @dataclass
@@ -235,16 +237,17 @@ def de_residual(de: dict, target: ZSeries, u_value=UP_U) -> ZSeries:
     return total
 
 
-def de_target_series(name: str, order: int, u_mode=None) -> ZSeries:
-    """Series the named DE constrains (uW = 2uG - z stands in for W)."""
-    u = _mode(u_mode)
-    if name == "quartic_fprime":
-        return series_f(4, order, u_mode)[1]
-    if name == "quartic_h":
-        return series_h(4, order, u_mode)
+def de_target_series(name: str, order: int, u_mode=None) -> Tuple[object, ZSeries]:
+    """(u, the series the named DE constrains), u the weight as a ring
+    element of its coefficients (uW = 2uG - z stands in for W)."""
+    if name not in _DE_SOLVES:
+        raise ValueError("unknown differential equation %r" % name)
+    p, field = _DE_SOLVES[name]
+    out = solve(p, order, u_mode, (field,))
+    target, u = getattr(out, field), out.u
     if name == "cubic_w":
-        return series_g(order, u_mode).scale(2 * u) - ZSeries.z(order, u * 0)
-    raise ValueError("unknown differential equation %r" % name)
+        target = target.scale(2 * u) - ZSeries.z(order, u * 0)
+    return u, target
 
 
 def check_de(name: str, order: int, u_mode=None) -> ResidualReport:
@@ -256,8 +259,7 @@ def check_de(name: str, order: int, u_mode=None) -> ResidualReport:
     if order < 4:
         raise ValueError("order must be >= 4 to test a second-order equation")
     de = load_de(name)
-    target = de_target_series(name, order, u_mode)
-    u = _mode(u_mode)
+    u, target = de_target_series(name, order, u_mode)
     res = de_residual(de, target, u_value=u)
     mode = "u symbolic" if isinstance(u, UPoly) else "u = %s" % u
     return ResidualReport(name, order, res.order, res.is_zero(), mode, residual=res)

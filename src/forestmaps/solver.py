@@ -22,8 +22,14 @@ variant H.  G and H read u only through W1 = (R - z)/u = Phi1(R, S) and
 W2 = S/u = Phi2(R, S), and the sweep keeps both: they are the table entries
 it forms at each step before multiplying by u, so no series is ever divided
 by u, at u = 0 (the spanning-tree case, R = z, S = 0) included.  The S~
-sweep keeps W~ = S~/u = Phi2(z, S~) the same way.  :func:`solve` builds the
-series asked for from one (R, S) sweep and one S~ sweep at most.
+sweep keeps W~ = S~/u = Phi2(z, S~) the same way.
+
+:func:`solve` is the one entry: it builds any of the series :data:`SERIES`
+from one (R, S) sweep and one S~ sweep at most.  :func:`solve_rs` and
+:func:`solve_s_tilde` are its (R, S) and S~ requests; the closed quartic
+forms, :func:`series_f_explicit_quartic` and :func:`quartic_h_via_lambda`,
+are independent routes to F and H, and :func:`residual_rs` checks a
+solution of the system.
 
 Every solve runs in one exact domain of Python ints, at a weight u = a/b,
 where entry n of a series holds its z^n coefficient times s^n, with the
@@ -60,7 +66,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .exact import Q, canon, exact_div, scaled, unscaled, weight_scale
+from .exact import Q, canon, exact_div, unscaled, weight_scale
 from .fast import _cubic_fprime, _dot
 from .series import ZSeries
 from .trees import (g_inner_table, h_inner_table, lambda_series, phi_theta_tables,
@@ -143,11 +149,6 @@ class _Domain:
                     raise ArithmeticError("inexact division by %d" % n)
         return series.integrate(self.s)
 
-    def load(self, series: ZSeries) -> ZSeries:
-        """Coefficients x_n as the entries x_n s^n, ints (ArithmeticError
-        where one is not)."""
-        return ZSeries(scaled(series.coeffs, self.s), series.order, 0)
-
     def unload(self, series: ZSeries) -> ZSeries:
         """Entries X_n as the coefficients X_n / s^n (ints where integral)."""
         if self.s == 1:
@@ -174,32 +175,22 @@ def _digit_width(bounds) -> int:
     return max((abs(c) for x in bounds for c in x.coeffs), default=0).bit_length() + 1
 
 
-def _exact(p: int, order: int, u_mode, run, rs=None) -> dict:
-    """The series {name: entries} that ``run(dom, rs)`` forms in the domain
-    `dom`, from the entries of the (R, S) passed as `rs` or from None, as
-    coefficients.  At a rational u that is one run.  At symbolic u it is
-    a run at u = 1, which sets the digit width k, and one at u = 2^k, whose
-    entries are unpacked digit by digit; `rs` is evaluated at each u."""
+def _exact(p: int, order: int, u_mode, run) -> dict:
+    """The series {name: entries} that ``run(dom)`` forms in the domain
+    `dom`, as coefficients.  At a rational u that is one run.  At symbolic
+    u it is a run at u = 1, which sets the digit width k, and one at
+    u = 2^k, whose entries are unpacked digit by digit."""
     if not _symbolic(u_mode):
         dom = _Domain(p, u_mode)
-        series = run(dom, None if rs is None else tuple(map(dom.load, rs)))
-        return {name: dom.unload(x) for name, x in series.items()}
+        return {name: dom.unload(x) for name, x in run(dom).items()}
     if order > MAX_SYMBOLIC_ORDER:
         raise SymbolicOrderError("symbolic u is limited to order %d; specialize u "
                                  "for longer series" % MAX_SYMBOLIC_ORDER)
-    if rs is not None and not all(c.nonneg() for x in rs for c in x.coeffs):
-        # the values at u = 1 bound the coefficients of series in N[u] only
-        raise ValueError("a symbolic (R, S) needs nonnegative u-coefficients")
-
-    def run_at(dom):
-        return run(dom, None if rs is None else
-                   tuple(dom.load(x.specialize_u(dom.a)) for x in rs))
-
     one = _Domain(p, 1)
-    at_one = run_at(one)
+    at_one = run(one)
     k = _digit_width(one.bounds + list(at_one.values()))
     out = {}
-    for name, x in run_at(_Domain(p, 1 << k, k)).items():
+    for name, x in run(_Domain(p, 1 << k, k)).items():
         poly = ZSeries([UPoly(_digits(c, k)) for c in x.coeffs], x.order, UPoly())
         if poly.specialize_u(1) != at_one[name]:
             raise ArithmeticError("a u-coefficient of %s exceeds the digit width %d"
@@ -294,10 +285,10 @@ def _compose_column(coeffs, x_series: ZSeries, order: int) -> ZSeries:
 
 
 def solve_rs(p: int, order: int, u_mode=None):
-    """Solve the defining system for (R, S) through z^order; `u_mode` is
-    None (symbolic) or an exact rational."""
-    out = _exact(p, order, u_mode, lambda dom, _: dict(zip("RS", _sweep_rs(p, order, dom))))
-    return out["R"], out["S"]
+    """(R, S) of :func:`solve`, the solution of the defining system through
+    z^order."""
+    out = solve(p, order, u_mode, ("R", "S"))
+    return out.R, out.S
 
 
 def _sweep_rs(p: int, order: int, dom, phi1=None):
@@ -327,23 +318,10 @@ def _sweep_rs(p: int, order: int, dom, phi1=None):
     return tuple(ZSeries(x or [0], order, 0) for x in (R, S, W1, W2))
 
 
-def _rsw(p: int, order: int, dom, rs=None):
-    """(R, S, W1, W2) in the domain `dom`: one sweep, or for the entries
-    (R, S) a caller passed, W1 = Phi1(R, S) and W2 = Phi2(R, S) composed,
-    which is their definition at every u."""
-    if rs is None:
-        return _sweep_rs(p, order, dom)
-    R, S = rs
-    tables = phi_theta_tables(p, order)
-    return (R, S) + tuple(compose_biv(tables[t], R, S, order) for t in ("phi1", "phi2"))
-
-
 def solve_s_tilde(p: int, order: int, u_mode=None) -> ZSeries:
-    """The series defined by S~ = u * Phi2(z, S~), S~(0) = 0: S with every R
-    replaced by z, the (R, S) solve with the empty table in place of Phi1,
-    so that R stays z.  For even p it vanishes identically."""
-    return _exact(p, order, u_mode,
-                  lambda dom, _: {"S": _sweep_rs(p, order, dom, phi1={})[1]})["S"]
+    """S~ of :func:`solve`, defined by S~ = u * Phi2(z, S~), S~(0) = 0: S
+    with every R replaced by z.  For even p it vanishes identically."""
+    return solve(p, order, u_mode, ("S_tilde",)).S_tilde
 
 
 def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
@@ -354,9 +332,12 @@ def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
     return (R - ZSeries.z(order, u * 0) - phi1.scale(u), S - phi2.scale(u))
 
 
-def solve(p: int, order: int, u_mode=None, names=None, rs=None) -> SolverOutput:
+def solve(p: int, order: int, u_mode=None, names=None) -> SolverOutput:
     """The series `names` of :data:`SERIES` (all of them by default, G only
-    at p = 3), from one (R, S) sweep and one S~ sweep at most.
+    at p = 3), from one (R, S) sweep and one S~ sweep at most, at the weight
+    `u_mode`: None or "symbolic" for u kept as a variable, otherwise an
+    exact rational.  This is the solver's one entry; :func:`solve_rs` and
+    :func:`solve_s_tilde` ask it for (R, S) and for S~.
 
     * F' = theta(R, S) and F its antiderivative, F(0, u) = 0; F is exact
       through z^order, F' through z^(order-1).  For p = 3 the closed cubic
@@ -373,8 +354,6 @@ def solve(p: int, order: int, u_mode=None, names=None, rs=None) -> SolverOutput:
       whose first three terms are z W1 + z S W2.  Empty inner sums at low
       truncation orders contribute 0.  For even p, S = 0 and H' = 2 W1; the
       integral of that expression is asserted against the closed form.
-
-    `rs` hands in (R, S) in place of the sweep, for tests and cross-routes.
     """
     want = set(SERIES if names is None else names)
     if names is None and p != 3:
@@ -384,18 +363,18 @@ def solve(p: int, order: int, u_mode=None, names=None, rs=None) -> SolverOutput:
         raise ValueError("no series %s at p = %d" % (",".join(sorted(unknown)), p))
     if order < 3 and want & {"F", "Fprime", "H"}:
         raise ValueError("order must be >= 3 (smallest maps have 3 faces)")
-    out = _exact(p, order, u_mode, lambda dom, rs: _series(p, order, dom, want, rs), rs)
+    out = _exact(p, order, u_mode, lambda dom: _series(p, order, dom, want))
     return SolverOutput(p=p, order=order, u=_mode(u_mode), **out)
 
 
-def _series(p: int, order: int, dom, want, rs) -> dict:
+def _series(p: int, order: int, dom, want) -> dict:
     """The entries of the series `want` of :func:`solve` in the domain
     `dom`.  Each check, and each difference P - N returned, enters the
     bounds through its parts: a side P - N through P and N, the side an
     antiderivative through its integrand."""
     out = {}
     if want - {"S_tilde", "W_tilde"}:
-        R, S, w1, w2 = _rsw(p, order, dom, rs)
+        R, S, w1, w2 = _sweep_rs(p, order, dom)
         out.update(R=R, S=S, W1=w1, W2=w2)
         z = dom.z(order)
         if want & {"F", "Fprime"}:
@@ -428,28 +407,11 @@ def _series(p: int, order: int, dom, want, rs) -> dict:
     return {name: out[name] for name in want}
 
 
-def series_f(p: int, order: int, u_mode=None, rs=None):
-    """(F, F') of :func:`solve`."""
-    out = solve(p, order, u_mode, ("F", "Fprime"), rs)
-    return out.F, out.Fprime
-
-
-def series_g(order: int, u_mode=None):
-    """G of :func:`solve`: leaf-rooted (quasi-cubic) forested maps, p = 3."""
-    return solve(3, order, u_mode, ("G",)).G
-
-
-def series_h(p: int, order: int, u_mode=None, rs=None):
-    """H of :func:`solve`: forested maps whose root edge is outside the
-    forest."""
-    return solve(p, order, u_mode, ("H",), rs).H
-
-
 def series_f_explicit_quartic(order: int, u_mode=None) -> ZSeries:
     """The closed 4-valent form F = Psi(R), Psi = int theta - u int theta*Phi'.
 
     An independent route to F (no integration of the composed series); it
-    must agree exactly with :func:`series_f` at p = 4.
+    must agree exactly with the F of :func:`solve` at p = 4.
     """
     u = _mode(u_mode)
     # x-series over Q, so that the antiderivatives divide as rationals
@@ -459,13 +421,13 @@ def series_f_explicit_quartic(order: int, u_mode=None) -> ZSeries:
     return _compose_column(outer.coeffs, solve_rs(4, order, u_mode)[0], order)
 
 
-def quartic_h_via_lambda(order: int, u_mode=None, rs=None) -> ZSeries:
-    """H = z W1 - Lambda(R) for p = 4, W1 = (R - z)/u = Phi1(R); cross-route
-    for series_h, from its own sweep or the (R, S) passed as `rs`."""
-    def run(dom, rs):
-        R, _, w1, _ = _rsw(4, order, dom, rs)
+def quartic_h_via_lambda(order: int, u_mode=None) -> ZSeries:
+    """H = z W1 - Lambda(R) for p = 4, W1 = (R - z)/u = Phi1(R): a route to
+    the H of :func:`solve` that shares only its (R, S) sweep."""
+    def run(dom):
+        R, _, w1, _ = _sweep_rs(4, order, dom)
         plus, minus = dom.z(order) * w1, _compose_column(lambda_series(order), R, order)
         dom.bound(plus, minus)
         return {"H": plus - minus}
 
-    return _exact(4, order, u_mode, run, rs)["H"]
+    return _exact(4, order, u_mode, run)["H"]

@@ -1,13 +1,15 @@
 """The criterion harness reports a failed expectation as a failed criterion."""
 
+from types import SimpleNamespace
+
 from forestmaps import acceptance
 from forestmaps.series import ZSeries
 from forestmaps.upoly import UPoly
 
 
 def test_a_failed_expectation_fails_its_criterion(monkeypatch):
-    monkeypatch.setattr(acceptance, "series_f",
-                        lambda p, order: (ZSeries.zero(order, UPoly()), None))
+    monkeypatch.setattr(acceptance, "solve", lambda p, order, u_mode=None, names=None:
+                        SimpleNamespace(F=ZSeries.zero(order, UPoly())))
     res = acceptance.criterion_1()
     assert res.passed is False
     assert res.number == 1

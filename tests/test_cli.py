@@ -80,6 +80,22 @@ def test_random_json(capsys):
     assert len(doc["size_law_limit"]) == 3
 
 
+@pytest.mark.parametrize("u", ["0", "-1/2", "-1"])
+def test_random_refuses_finite_n_flags_at_u_not_positive(capsys, u):
+    # the size law and the finite-n rows exist only for u > 0, so the flags
+    # that shape them are flag errors below, not silently dropped
+    for flags, error in ((["--n-list", "100,200"], "--n-list: cannot use '100,200'"),
+                         (["--k-max", "7"], "--k-max: cannot use 7"),
+                         (["--k-max", "7", "--n-list", "20"], "--n-list: cannot use '20'")):
+        with pytest.raises(SystemExit) as exc:
+            main(["--digits", "20", "random", "--u=" + u, *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: %s (only for u > 0)\n" % error)
+    for flags in ([], ["--n-list="]):  # no flag, or an empty list, is kappa alone
+        doc = json.loads(run_cli(capsys, "--digits", "20", "random", "--u=" + u, *flags))
+        assert sorted(doc["result"]) == ["kappa", "u"]
+
+
 def test_mu_expand(capsys):
     out = run_cli(capsys, "mu-expand", "--p", "3", "--order", "6",
                   "--series", "R-z")
@@ -531,7 +547,7 @@ def test_series_names_are_checked_before_any_solve(capsys, monkeypatch, argv, me
     def refuse(*args, **kwargs):
         raise AssertionError("solved before the series names were checked")
 
-    for name in ("solve", "solve_rs", "solve_s_tilde", "series_f", "series_g", "series_h"):
+    for name in ("solve", "solve_rs", "solve_s_tilde"):
         monkeypatch.setattr(solver, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + ["--order", "6"] + argv[1:])

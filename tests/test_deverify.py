@@ -44,7 +44,7 @@ def test_unknown_names_rejected():
 @pytest.mark.parametrize("name", DE_NAMES)
 def test_negative_control_perturbation(name):
     de = load_de(name)
-    target = de_target_series(name, 9)
+    _, target = de_target_series(name, 9)
     assert de_residual(de, target).is_zero()
     for n in (3, 5):
         res = de_residual(de, perturb(target, n))

@@ -31,7 +31,7 @@ from forestmaps.fast import (
     quartic_series,
 )
 from forestmaps.series import ZSeries
-from forestmaps.solver import _digits, compose_biv, series_f, solve, solve_rs
+from forestmaps.solver import _digits, compose_biv, solve, solve_rs
 from forestmaps.trees import quartic_mullin_coeff, table_column
 from forestmaps.upoly import UPoly
 
@@ -54,14 +54,15 @@ def test_cubic_recurrence_matches_sweep(u):
 def test_quartic_bundle_matches_solver():
     u = Q(-1, 2)
     ser = quartic_series(u, 12)
-    f, fp = series_f(4, 12, u)
+    out = solve(4, 12, u, ("F", "Fprime"))
+    f, fp = out.F, out.Fprime
     assert all(ser["f"][i] == f.coeff(i) for i in range(13))
     assert all(ser["fprime"][i] == fp.coeff(i) for i in range(12))
 
 
 def test_quartic_fzu_matches_symbolic_derivative():
     # d/du of the symbolic coefficients, specialized, is the second route
-    fp = series_f(4, 10)[1]
+    fp = solve(4, 10, names=("Fprime",)).Fprime
     dudiff = fp.map_coeffs(
         lambda c: UPoly([c.coeffs[k] * k for k in range(1, len(c.coeffs))])
         if c.coeffs else c
@@ -75,7 +76,7 @@ def test_quartic_fzu_matches_symbolic_derivative():
 def test_cubic_fprime_matches_solver():
     u = Q(1)
     fpl = cubic_fprime_coeffs(u, 12)
-    _, fp = series_f(3, 12, u)
+    fp = solve(3, 12, u, ("Fprime",)).Fprime
     assert all(fpl[i] == fp.coeff(i) for i in range(12))
 
 
@@ -83,10 +84,10 @@ def test_u_zero_paths():
     R = quartic_r_coeffs(Q(0), 8)
     assert R[1] == 1 and all(R[i] == 0 for i in (0, 2, 3, 4))
     ser = quartic_series(Q(0), 8)
-    f0, _ = series_f(4, 8, 0)
+    f0 = solve(4, 8, 0, ("F",)).F
     assert all(ser["f"][i] == f0.coeff(i) for i in range(9))
     fpl = cubic_fprime_coeffs(Q(0), 8)
-    _, fp0 = series_f(3, 8, 0)
+    fp0 = solve(3, 8, 0, ("Fprime",)).Fprime
     assert all(fpl[i] == fp0.coeff(i) for i in range(9))
 
 

@@ -1,5 +1,7 @@
 """Random-model constants and the asymptotic probes (desk-scale versions)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,13 +152,19 @@ def test_log_probe_small():
 
 
 def test_log_probe_negative_control():
-    # a grossly wrong prefactor breaks the monotone approach; moderate
-    # perturbations are invisible at reachable fracs because the genuine
-    # O(1/ln) correction dominates them
-    res = log_singularity_probe(Q(-1, 2), (0.9, 0.99, 0.999), PREC,
-                                order=12000, tol=1e-4, constant=20.0)
-    devs = [r["deviation"] for r in res["rows"]]
+    # a grossly wrong prefactor, 20 in place of 72, breaks the monotone
+    # approach; moderate perturbations are invisible at reachable fracs
+    # because the genuine O(1/ln) correction dominates them
+    u = -0.5
+    res = log_singularity_probe(Q(-1, 2), (0.9, 0.99, 0.999), PREC, order=12000, tol=1e-4)
+    devs = []
+    for row in res["rows"]:
+        wrong = 20 * math.sqrt(3) * math.pi * res["rho"] / (u * u * math.log(1 - row["z_frac"]))
+        devs.append(abs(row["lhs"] - wrong) / abs(wrong))
     assert not all(a > b for a, b in zip(devs, devs[1:]))
+    # the same rows against the true prefactor approach monotonically
+    true = [row["deviation"] for row in res["rows"]]
+    assert all(a > b for a, b in zip(true, true[1:]))
 
 
 def test_log_probe_guards():

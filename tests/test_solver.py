@@ -17,10 +17,7 @@ from forestmaps.solver import (
     compose_biv,
     quartic_h_via_lambda,
     residual_rs,
-    series_f,
     series_f_explicit_quartic,
-    series_g,
-    series_h,
     solve,
     solve_rs,
     solve_s_tilde,
@@ -31,6 +28,25 @@ from forestmaps.upoly import UP_U, UPoly
 
 def upoly(*coeffs):
     return UPoly([Q(c) for c in coeffs])
+
+
+_SWEEP = solver._sweep_rs
+
+
+def _bump_r(monkeypatch, n, amount):
+    """Make each (R, S) sweep of the solver return R with entry n raised by
+    `amount`, and W1 = Phi1(R, S), W2 = Phi2(R, S) composed from it: a
+    corrupted solution that the rest of the solve must refuse.  The S~
+    sweep runs as it is."""
+    def bumped(p, order, dom, phi1=None):
+        R, S, w1, w2 = _SWEEP(p, order, dom, phi1)
+        if phi1 is None:
+            R = ZSeries([c + amount * (i == n) for i, c in enumerate(R.coeffs)], order, 0)
+            tables = phi_theta_tables(p, order)
+            w1, w2 = (compose_biv(tables[t], R, S, order) for t in ("phi1", "phi2"))
+        return R, S, w1, w2
+
+    monkeypatch.setattr(solver, "_sweep_rs", bumped)
 
 
 def test_quartic_r_expansion():
@@ -156,6 +172,27 @@ def _symbolic_solve(p, order):
     return solve(p, order)
 
 
+RATIONAL_U = st.builds(Q, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([3, 4, 5, 6]), order=st.integers(3, 12),
+       u=st.sampled_from([None, 0]) | RATIONAL_U, data=st.data())
+def test_any_subset_of_names_is_the_full_solve(p, order, u, data):
+    # a request of a few series returns what the request of all of them
+    # does; at symbolic u the digit width k depends on what is asked
+    names = [name for name in solver.SERIES if p == 3 or name != "G"]
+    subset = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    full = _symbolic_solve(p, order) if u is None else solve(p, order, u)
+    out = solve(p, order, u, tuple(subset))
+    for name in solver.SERIES:
+        got, ref = getattr(out, name), getattr(full, name)
+        if name in subset:
+            assert got.order == ref.order and got.coeffs == ref.coeffs, name
+        else:
+            assert got is None, name
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from([3, 4, 5, 6]), order=st.integers(3, 10),
        a=st.integers(-10**6, 10**6).filter(bool), b=st.integers(1, 10**6))
@@ -175,7 +212,7 @@ def test_rational_solve_is_the_symbolic_solve_specialized(p, order, a, b):
             assert ref.specialize_u(u) == getattr(spec, name), name
 
 
-def test_corrupted_scaled_operand_is_refused():
+def test_corrupted_scaled_operand_is_refused(monkeypatch):
     # one scaled entry off by one leaves a remainder at the next exact division
     u = Q(47, 89)
     dom = _Domain(3, u)
@@ -184,53 +221,48 @@ def test_corrupted_scaled_operand_is_refused():
     dom.times_u(compose_biv(phi2, R, S, 10))
     with pytest.raises(ArithmeticError):  # the S update of the last sweep step
         dom.times_u(compose_biv(phi2, perturb(R, 10, 1), S, 10))
-    # through the public entry points: X_n + 1 is x_n + 1/s^n
-    rs = solve_rs(3, 10, u)
+    # through solve, from a sweep whose R entry is off by one: X_n + 1 is
+    # x_n + 1/s^n
+    h = solve(4, 12, Q(-5, 9), ("H",)).H
+    _bump_r(monkeypatch, 6, 1)
     with pytest.raises(AssertionError, match="cubic F' shortcut"):
-        series_f(3, 10, u, rs=(perturb(rs[0], 6, Q(1, 89 ** 12)), rs[1]))
-    u = Q(-5, 9)
-    R4 = solve_rs(4, 12, u)[0]
-    bad = (perturb(R4, 7, Q(1, 9 ** 7)), ZSeries.zero(12, 0))
+        solve(3, 10, u, ("F",))
+    _bump_r(monkeypatch, 7, 1)
     with pytest.raises(ArithmeticError, match="inexact division by 11"):
-        series_h(4, 12, u, rs=bad)  # the antiderivative of H' = 2 W1
-    # the Lambda route has no check of its own: it parts from series_h
-    assert quartic_h_via_lambda(12, u, rs=bad) != series_h(4, 12, u)
+        solve(4, 12, Q(-5, 9), ("H",))  # the antiderivative of H' = 2 W1
+    # the Lambda route has no check of its own: it parts from the H of solve
+    assert quartic_h_via_lambda(12, Q(-5, 9)) != h
 
 
-def test_corrupted_symbolic_operand_is_refused():
+def test_corrupted_symbolic_operand_is_refused(monkeypatch):
     # the symbolic twin of the u = 3/7 refusal: a bumped R gives F a
     # coefficient outside Z[u] (1272/5 + 216u + 54u^2 at z^5)
-    R, S = solve_rs(4, 8)
+    _bump_r(monkeypatch, 3, 1)
     with pytest.raises(ArithmeticError, match="inexact division by 5"):
-        series_f(4, 8, rs=(perturb(R, 3, upoly(1)), S))
-    R, S = solve_rs(4, 8, Q(3, 7))
+        solve(4, 8, None, ("F",))
+    _bump_r(monkeypatch, 3, 7 ** 3)  # x_3 + 1 at u = 3/7, where s = 7
     with pytest.raises(ArithmeticError, match="inexact division by 5"):
-        series_f(4, 8, Q(3, 7), rs=(perturb(R, 3, 1), S))
+        solve(4, 8, Q(3, 7), ("F",))
+    _bump_r(monkeypatch, 4, 1)
     for u in (None, 0):  # the cubic F' shortcut against theta(R, S)
-        R, S = solve_rs(3, 8, u)
         with pytest.raises(AssertionError, match="cubic F' shortcut"):
-            series_f(3, 8, u, rs=(perturb(R, 4, 1), S))
-    # the values at u = 1 bound the u-coefficients only of series in N[u]
-    R, S = solve_rs(3, 8)
-    with pytest.raises(ValueError, match="nonnegative u-coefficients"):
-        series_f(3, 8, rs=(perturb(R, 4, -1), S))
+            solve(3, 8, u, ("F",))
 
 
 def test_forest_series_printed_coefficients():
-    f, _ = series_f(3, 4)
+    f = solve(3, 4, names=("F",)).F
     assert f.coeff(3) == upoly(6, 4)
     assert f.coeff(4) == upoly(140, 234, 144, 32)
     assert f.coeff(0).is_zero()  # F(0, u) = 0
 
 
 def test_quartic_explicit_form_matches():
-    assert series_f_explicit_quartic(6) == series_f(4, 6)[0]
-    assert series_f_explicit_quartic(10, Q(1)) == series_f(4, 10, Q(1))[0]
-    assert series_f_explicit_quartic(8, Q(0)) == series_f(4, 8, Q(0))[0]
+    for order, u in ((6, None), (10, Q(1)), (8, Q(0))):
+        assert series_f_explicit_quartic(order, u) == solve(4, order, u, ("F",)).F
 
 
 def test_quasi_cubic_series():
-    g = series_g(5)
+    g = solve(3, 5, names=("G",)).G
     assert g.coeff(0).is_zero() and g.coeff(1).is_zero()
     assert g.coeff(2) == upoly(1, 1)  # the unique 2-face map, forests {} / {bridge}
     gp = g.differentiate()
@@ -239,16 +271,16 @@ def test_quasi_cubic_series():
 
 
 def test_root_edge_outside_series():
-    h3 = series_h(3, 4)
+    h3 = solve(3, 4, names=("H",)).H
     assert h3.coeff(3) == upoly(4, 4)
-    h4 = series_h(4, 4)
+    h4 = solve(4, 4, names=("H",)).H
     assert h4.coeff(3) == upoly(2)
     assert quartic_h_via_lambda(4) == h4
     assert h4.coeff(0).is_zero()
 
 
 def test_even_h_prime_shortcut():
-    # checked internally by series_h; do it explicitly once more at p=6
+    # checked inside solve; do it explicitly once more at p=6
     out = solve(6, 8, names=("W1", "H"))
     assert out.H.differentiate() == out.W1.scale(2) and out.H.coeff(0).is_zero()
 
@@ -282,8 +314,7 @@ def test_s_tilde_is_s_with_r_replaced_by_z():
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from([3, 4, 5, 6]), order=st.integers(1, 12),
-       u=st.sampled_from([None, 0]) | st.builds(Q, st.integers(-10**6, 10**6),
-                                                st.integers(1, 10**6)))
+       u=st.sampled_from([None, 0]) | RATIONAL_U)
 def test_online_solve_is_the_reference_sweep(p, order, u):
     # (R, S), and S~ (the sweep with R = z)
     got = solve_rs(p, order, u) + (solve_s_tilde(p, order, u),)
@@ -294,8 +325,7 @@ def test_online_solve_is_the_reference_sweep(p, order, u):
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from([3, 4, 5, 6]), order=st.integers(1, 12),
-       u=st.sampled_from([None, 0]) | st.builds(Q, st.integers(-10**6, 10**6),
-                                                st.integers(1, 10**6)))
+       u=st.sampled_from([None, 0]) | RATIONAL_U)
 @example(p=3, order=12, u=None)
 @example(p=4, order=12, u=0)
 def test_sweep_keeps_the_series_divided_by_u(p, order, u):
@@ -407,13 +437,13 @@ def test_u_zero_builds_no_symbolic_domain(monkeypatch):
     # at u = 0 the series divided by u are Phi1(z, 0) and Phi2(z, 0): no
     # symbolic solve is needed, whatever the symbolic order limit
     order = 12
-    g_ref = series_g(order).specialize_u(0)
-    h_ref = {p: series_h(p, order).specialize_u(0) for p in (3, 4, 5, 6)}
+    g_ref = solve(3, order, names=("G",)).G.specialize_u(0)
+    h_ref = {p: solve(p, order, names=("H",)).H.specialize_u(0) for p in (3, 4, 5, 6)}
     monkeypatch.setattr(solver, "MAX_SYMBOLIC_ORDER", 0)
-    assert series_g(order, 0) == g_ref
+    assert solve(3, order, 0, ("G",)).G == g_ref
     for p, ref in h_ref.items():
-        assert series_h(p, order, 0) == ref, p
-    assert quartic_h_via_lambda(order, 0) == series_h(4, order, 0)
+        assert solve(p, order, 0, ("H",)).H == ref, p
+    assert quartic_h_via_lambda(order, 0) == h_ref[4]
 
 
 def test_s_tilde_even_p_vanishes():
