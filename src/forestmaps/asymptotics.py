@@ -47,6 +47,12 @@ from .hyp import DEFAULT_PREC, Precision, as_mpf, rat_to_mpf
 # and the beta fit's F' order + 1, so each probe needs a least order.
 LOG_PROBE_PREFIX, BETA_FIT_PREFIX = 150, 120
 MIN_ORDER = {"log-probe": LOG_PROBE_PREFIX + 1, "beta-fit": BETA_FIT_PREFIX - 1}
+# the longest series either probe builds.  A float engine costs O(order^2):
+# 1.1-1.4 s at 20000 terms, 3.3-3.8 s at 40000 and 7-8.4 s at 60000 (2-core
+# Intel Xeon, one BLAS thread).  The log probe sizes 20376 terms for tol 1e-6
+# at z/rho = 0.999 (criterion 10), and the beta fit runs at 16000
+# (criterion 11).
+MAX_ORDER = 40000
 
 
 def coefficient_asymptotic_check(
@@ -97,10 +103,19 @@ def _prefix_rel_err(approx: np.ndarray, exact: Sequence, s: float) -> float:
 
 def _check_order(mode: str, order: Optional[int]) -> None:
     """Refuse an order below the exact prefix the probe `mode` checks its
-    float engine on."""
+    float engine on, or above MAX_ORDER."""
     if order is not None and order < MIN_ORDER[mode]:
         raise ValueError("%s needs order >= %d, the exact prefix its float "
                          "engine is checked on" % (mode, MIN_ORDER[mode]))
+    if order is not None and order > MAX_ORDER:
+        raise ValueError("%s needs order <= %d (MAX_ORDER)" % (mode, MAX_ORDER))
+
+
+def _unreachable(why: str, tol: float, qmax: float) -> ValueError:
+    """The refusal of a tail bound that does not reach `tol`, with the
+    number of terms that the largest fraction `qmax` would need."""
+    return ValueError("truncation tail bound %s; about %d terms would be needed"
+                      % (why, int(math.log(tol / 50.0) / math.log(qmax) * 1.3)))
 
 
 def _tail_bound(coeffs: np.ndarray, q: float, start: int) -> float:
@@ -127,18 +142,24 @@ def log_singularity_probe(
     their relative deviation (expected to shrink as z -> rho since the
     neglected correction is O(1/ln^2)), and a truncation tail bound, which
     must come out below `tol` or the call refuses with a required-order
-    estimate; an order below MIN_ORDER["log-probe"] raises ValueError.
+    estimate.  A failing order is doubled twice at most, never past
+    MAX_ORDER, and a sized order above MAX_ORDER is refused before any
+    series is built; an order outside [MIN_ORDER["log-probe"], MAX_ORDER]
+    raises ValueError.
     """
     u = Q(u)
     if not (-1 <= u < 0):
         raise ValueError("the logarithmic regime needs u in [-1, 0)")
     _check_order("log-probe", order)
-    s = float(quartic_critical_point(u, prec)[0])
-    uf = float(u)
     qmax = max(z_fracs)
     if order is None:
         # aim the geometric factor q^N at tol with margin, then verify
         order = int(max(4000, math.log(tol / 50.0) / math.log(qmax) * 1.15))
+        if order > MAX_ORDER:
+            raise _unreachable("cannot reach tol=%.0e within MAX_ORDER = %d terms"
+                               % (tol, MAX_ORDER), tol, qmax)
+    s = float(quartic_critical_point(u, prec)[0])
+    uf = float(u)
     for attempt in range(3):
         bundle = quartic_fseries_float(uf, order, s)
         g = bundle["fsecond"]
@@ -148,13 +169,10 @@ def log_singularity_probe(
         bounds = {frac: _tail_bound(g, frac, m) for frac in z_fracs}
         if monotone and max(bounds.values()) < tol:
             break
-        order *= 2
-    else:
-        raise ValueError(
-            "truncation tail bound %.2e exceeds tol=%.0e; about %d terms "
-            "would be needed" % (max(bounds.values()), tol,
-                                 int(math.log(tol / 50.0) / math.log(qmax) * 1.3))
-        )
+        if attempt == 2 or order == MAX_ORDER:
+            raise _unreachable("%.2e exceeds tol=%.0e" % (max(bounds.values()), tol),
+                               tol, qmax)
+        order = min(2 * order, MAX_ORDER)
     # validate the float engine against the exact one on a prefix
     fp_exact = quartic_series(u, LOG_PROBE_PREFIX + 2)["fprime"]
     rel = _prefix_rel_err(g, [Q(fp_exact[n + 1]) * (n + 1)
@@ -196,8 +214,8 @@ def cubic_beta_fit(
     alpha and F'(rho) come from the closed critical data, beta is estimated
     pointwise and by least squares and compared with its closed form.  The
     least-squares fit of (alpha, beta) needs two distinct fractions, and
-    the order must reach MIN_ORDER["beta-fit"]; anything less raises
-    ValueError.
+    the order must lie in [MIN_ORDER["beta-fit"], MAX_ORDER]; anything else
+    raises ValueError.
     """
     u = Q(u)
     if not (-1 <= u < 0):

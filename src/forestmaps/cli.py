@@ -28,6 +28,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -87,11 +88,14 @@ def _comma_list(text: str, flag: str, parse, valid, need: str) -> list:
     return values
 
 
-def _at_least(args, name: str, least: int) -> None:
-    """A flag error unless the integer flag `name` is at least `least`."""
+def _in_range(args, name: str, least: int, most: Optional[int] = None) -> None:
+    """A flag error unless the integer flag `name` is at least `least` and,
+    where `most` is given, at most `most`."""
     value = getattr(args, name)
-    if value < least:
-        raise _flag_error("--" + name.replace("_", "-"), value, "an integer >= %d" % least)
+    if value < least or (most is not None and value > most):
+        need = ("an integer >= %d" % least if most is None
+                else "an integer from %d to %d" % (least, most))
+        raise _flag_error("--" + name.replace("_", "-"), value, need)
 
 
 # the fewest working digits: the residual target of Precision is then
@@ -104,6 +108,13 @@ MIN_DIGITS = 12
 # 8-16 s, at 1500 38 s, and at 4000 none returned within 10 minutes (2-core
 # Intel Xeon, Python 3.11)
 MAX_N = 1000
+
+# the largest --k-max of random.  The size law alone is cheap (0.45 s at
+# k = 1000), but each k of the finite-n rows convolves one more power of R
+# through max(n): at n = 500, k = 5 / 50 / 200 took 2.1 / 6.2 / 17.1 s, and
+# at n = 1000, k = 5 / 20 / 50 took 19 / 45 / 80 s (2-core Intel Xeon,
+# Python 3.11)
+MAX_K = 50
 
 
 def _n_list(text: str) -> list:
@@ -164,7 +175,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None):
 def cmd_coeffs(args):
     from .solver import solve
 
-    _at_least(args, "p", 3)
+    _in_range(args, "p", 3)
     u = _parse_u(args.u, symbolic=True)
     wanted = [s.strip() for s in args.series.split(",")]
     names = ["F", "Fprime", "R", "S", "Stilde", "H"] + (["G"] if args.p == 3 else [])
@@ -173,7 +184,7 @@ def cmd_coeffs(args):
             raise CliError("unknown series %r (choose from %s)"
                            % (name, ",".join(sorted(names))), EXIT_BAD_FLAGS)
     # F, F', G and H start at z^3: no map has fewer than 3 faces
-    _at_least(args, "order", 3 if set(wanted) - {"R", "S", "Stilde"} else 1)
+    _in_range(args, "order", 3 if set(wanted) - {"R", "S", "Stilde"} else 1)
     fields = [{"Stilde": "S_tilde"}.get(name, name) for name in wanted]
     out = solve(args.p, args.order, u, fields)
     payload = {"p": args.p, "order": args.order,
@@ -183,8 +194,8 @@ def cmd_coeffs(args):
 
 
 def cmd_oracle(args):
-    _at_least(args, "p", 3)
-    _at_least(args, "faces", 3)  # no map has fewer than 3 faces
+    _in_range(args, "p", 3)
+    _in_range(args, "faces", 3)  # no map has fewer than 3 faces
     poly = oracle_f(args.p, args.faces, args.variant)
     payload = {
         "p": args.p,
@@ -207,8 +218,8 @@ def cmd_oracle(args):
 def cmd_verify(args):
     from .deverify import DE_NAMES, IDENTITY_NAMES, check_de, check_identity
 
-    _at_least(args, "order", 2)
-    _at_least(args, "de_order", 4)  # the equations are of second order
+    _in_range(args, "order", 2)
+    _in_range(args, "de_order", 4)  # the equations are of second order
     u = _parse_u(args.u, symbolic=True)
     only = set(args.only.split(",")) if args.only else None
     checks = ([(name, check_identity, (args.order,)) for name in IDENTITY_NAMES]
@@ -243,12 +254,8 @@ def cmd_radius(args):
         raise CliError("--s-tilde applies to p=3 with u > 0", EXIT_BAD_FLAGS)
     profiles = []
     for u in us:
-        prof = radius(args.p, u, prec)
-        rec = {
-            "u": prof.u, "rho": prof.rho, "tau": prof.tau, "sigma": prof.sigma,
-            "regime": prof.regime, "subexp_class": prof.subexp_class,
-            "c_u": prof.c_u, "residuals": prof.residuals,
-        }
+        rec = asdict(radius(args.p, u, prec))
+        del rec["p"]
         if args.s_tilde:
             rec["s_tilde_radius"] = s_tilde_radius_cubic(u, prec)
         profiles.append(rec)
@@ -259,14 +266,14 @@ def cmd_radius(args):
 
 
 def cmd_asymptotics(args):
-    from .asymptotics import (MIN_ORDER, coefficient_asymptotic_check, cubic_beta_fit,
-                              log_singularity_probe)
+    from .asymptotics import (MAX_ORDER, MIN_ORDER, coefficient_asymptotic_check,
+                              cubic_beta_fit, log_singularity_probe)
 
     prec = _precision(args)
     if not 0 < args.tol < float("inf"):
         raise _flag_error("--tol", args.tol, "a positive number")
     if args.mode in MIN_ORDER and args.order is not None:
-        _at_least(args, "order", MIN_ORDER[args.mode])
+        _in_range(args, "order", MIN_ORDER[args.mode], MAX_ORDER)
     if args.mode == "ratios":
         if args.p != 4:  # c_u is exposed only for p = 4
             raise _flag_error("--p", args.p, "4, the quartic family")
@@ -305,7 +312,7 @@ def cmd_random(args):
 
     prec = _precision(args)
     if args.k_max is not None:
-        _at_least(args, "k_max", 1)
+        _in_range(args, "k_max", 1, MAX_K)
     u = _parse_u_in(args.u)
     ns = _n_list(args.n_list) if args.n_list else []
     if u <= 0 and (ns or args.k_max is not None):
@@ -351,8 +358,8 @@ def cmd_mu_expand(args):
     if field is None:
         raise CliError("unknown series %r for mu expansion" % name,
                        EXIT_BAD_FLAGS)
-    _at_least(args, "p", 3)
-    _at_least(args, "order", 3 if name == "F" else 1)
+    _in_range(args, "p", 3)
+    _in_range(args, "order", 3 if name == "F" else 1)
     ser = getattr(solve(p, order, None, (field,)), field)
     mu = ser.to_mu()
     rows = []

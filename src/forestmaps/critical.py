@@ -615,11 +615,3 @@ def s_tilde_radius_cubic(u, prec: Precision = DEFAULT_PREC, series_order: int = 
             "residual": float(residual),
             "closed_vs_series": float(abs(rho_series - rho_closed)),
         }
-
-
-def cubic_a1_residual(u, prec: Precision = DEFAULT_PREC):
-    """The closed delta must annihilate a1 = (1+u)/4 d^2 - u sqrt(2)/pi d + (u-1)/4."""
-    with prec.ctx():
-        um = as_mpf(u)
-        d = _cubic_negative_point(um, prec)[3]
-        return abs((1 + um) / 4 * d * d - um * mpmath.sqrt(2) / mpmath.pi * d + (um - 1) / 4)

@@ -29,8 +29,8 @@ methods are kept deliberately independent:
   Psi1(1/64).
 
 :func:`phi_numeric` and :func:`psi_numeric` read one member by either
-method.  The two methods must agree on an overlap window;
-:func:`self_check` asserts that.
+method.  The two methods must agree on an overlap window; the tests assert
+that.
 Precision is always passed explicitly as a :class:`Precision` value and
 applied through local mpmath working-precision contexts, never globally.
 """
@@ -398,95 +398,3 @@ def _dispatch(kind, x, prec, method, boundary, members, family):
                 raise ValueError("%s diverges at the boundary" % kind)
             return value
         raise ValueError("unknown method %r" % method)
-
-
-def self_check(prec: Precision = DEFAULT_PREC, tol: float = 1e-12) -> float:
-    """Max |series - boundary| over an overlap window; must stay below tol."""
-    worst = 0.0
-    with prec.ctx():
-        for fn, members, boundary in ((phi_numeric, _QUARTIC_MEMBERS, QUARTIC_BOUNDARY),
-                                      (psi_numeric, _CUBIC_MEMBERS, CUBIC_BOUNDARY)):
-            bd = rat_to_mpf(boundary)
-            for kind in members:
-                for frac in (1.2e-3, 1.5e-3, 2e-3):
-                    x = bd - mpf(frac)
-                    a = fn(kind, x, prec, method="series")
-                    b = fn(kind, x, prec, method="boundary")
-                    worst = max(worst, abs(float(a - b)))
-    if worst > tol:
-        raise AssertionError("series/boundary disagreement %.3e > %.0e" % (worst, tol))
-    return worst
-
-
-# closed boundary constants (exact transcendental expressions)
-
-def phi_at_boundary(prec: Precision = DEFAULT_PREC):
-    """Phi(1/27) = sqrt(3)/(12 pi) - 1/27."""
-    with prec.ctx():
-        return mpmath.sqrt(3) / (12 * mpmath.pi) - mpf(1) / 27
-
-
-def theta_at_boundary(prec: Precision = DEFAULT_PREC):
-    """theta(1/27) = 2/3 - 7 sqrt(3)/(6 pi)."""
-    with prec.ctx():
-        return mpf(2) / 3 - 7 * mpmath.sqrt(3) / (6 * mpmath.pi)
-
-
-def psi1_at_boundary(prec: Precision = DEFAULT_PREC):
-    """Psi1(1/64) = sqrt(2)/(24 pi)."""
-    with prec.ctx():
-        return mpmath.sqrt(2) / (24 * mpmath.pi)
-
-
-def psi2_at_boundary(prec: Precision = DEFAULT_PREC):
-    """Psi2(1/64) = 1/2 - sqrt(2)/pi."""
-    with prec.ctx():
-        return mpf(1) / 2 - mpmath.sqrt(2) / mpmath.pi
-
-
-# leading singular expansions (used as independent test oracles)
-
-def phi_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
-    """Phi(1/27 - eps) up to O(eps^2 log eps)."""
-    with prec.ctx():
-        e = mpf(eps)
-        s3 = mpmath.sqrt(3)
-        return (
-            s3 / (12 * mpmath.pi)
-            - mpf(1) / 27
-            + s3 / (2 * mpmath.pi) * e * mpmath.log(e)
-            + (1 - s3 / (2 * mpmath.pi)) * e
-        )
-
-
-def phi_prime_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
-    with prec.ctx():
-        e = mpf(eps)
-        return -mpmath.sqrt(3) / (2 * mpmath.pi) * mpmath.log(e) - 1
-
-
-def theta_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
-    with prec.ctx():
-        e = mpf(eps)
-        s3 = mpmath.sqrt(3)
-        return (
-            mpf(2) / 3
-            - 7 * s3 / (6 * mpmath.pi)
-            + 2 * s3 / mpmath.pi * e * mpmath.log(e)
-            + 7 * s3 / mpmath.pi * e
-        )
-
-
-def theta_prime_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
-    with prec.ctx():
-        e = mpf(eps)
-        s3 = mpmath.sqrt(3)
-        return -2 * s3 / mpmath.pi * mpmath.log(e) - 9 * s3 / mpmath.pi
-
-
-def psi2_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
-    with prec.ctx():
-        e = mpf(eps)
-        s2 = mpmath.sqrt(2)
-        return mpf(1) / 2 - s2 / mpmath.pi + 4 * s2 / mpmath.pi * e * mpmath.log(e) \
-            + 12 * s2 / mpmath.pi * e

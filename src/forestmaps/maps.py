@@ -318,11 +318,6 @@ def _at_nu_1(poly: Dict[Tuple[int, int], int]) -> UPoly:
     return UPoly(mu).from_mu()
 
 
-def tutte_at_mu_1(m: CombMap) -> UPoly:
-    """T_M(u+1, 1) as a polynomial in u: must equal :func:`forest_poly`."""
-    return _at_nu_1(tutte_poly(m))
-
-
 def spanning_trees(m: CombMap) -> List[FrozenSet[int]]:
     n_v = len(m.vertices())
     return [frozenset(e for e in range(mask.bit_length()) if (mask >> e) & 1)

@@ -53,14 +53,6 @@ def kappa(u, prec: Precision = DEFAULT_PREC) -> float:
         return float(_density(1 + um, um, quartic_critical_point(um, prec)))
 
 
-def kappa_smooth_reference(u, prec: Precision = DEFAULT_PREC) -> float:
-    """The analytic continuation of the u <= 0 branch, (1+u) Phi(1/27) /
-    (1/27 - u Phi(1/27)); kappa - this is exponentially small at 0+."""
-    with prec.ctx():
-        um = as_mpf(u)
-        return float(_density(1 + um, um, quartic_critical_point(0, prec)))
-
-
 def kappa_transition_gap(u, prec: Precision = DEFAULT_PREC):
     """kappa_u minus its analytic u <= 0 continuation, as an mpf.
 

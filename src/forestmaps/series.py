@@ -126,12 +126,8 @@ class ZSeries:
         return ZSeries([c * scalar for c in self.coeffs], self.order)
 
     def shift_z(self, k: int) -> "ZSeries":
-        """Multiply by z^k; the order bookkeeping keeps the same window."""
-        if k < 0:
-            v = self.valuation()
-            if v is not None and v < -k:
-                raise ValueError("series is not divisible by z^%d" % (-k))
-            return ZSeries(list(self.coeffs[-k:]), self.order + k)
+        """Multiply by z^k, k >= 0; the order bookkeeping keeps the same
+        window."""
         return ZSeries([self.zero_coeff] * k + list(self.coeffs), self.order)
 
     # -- calculus ----------------------------------------------------------

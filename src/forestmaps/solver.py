@@ -26,10 +26,9 @@ sweep keeps W~ = S~/u = Phi2(z, S~) the same way.
 
 :func:`solve` is the one entry: it builds any of the series :data:`SERIES`
 from one (R, S) sweep and one S~ sweep at most.  :func:`solve_rs` and
-:func:`solve_s_tilde` are its (R, S) and S~ requests; the closed quartic
-forms, :func:`series_f_explicit_quartic` and :func:`quartic_h_via_lambda`,
-are independent routes to F and H, and :func:`residual_rs` checks a
-solution of the system.
+:func:`solve_s_tilde` are its (R, S) and S~ requests.  The independent
+routes the tests hold it against (the closed quartic forms of F and H, and
+the residual of the system) live in the tests.
 
 Every solve runs in one exact domain of Python ints, at a weight u = a/b,
 where entry n of a series holds its z^n coefficient times s^n, with the
@@ -66,11 +65,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .exact import Q, canon, exact_div, unscaled, weight_scale
+from .exact import canon, exact_div, unscaled, weight_scale
 from .fast import _cubic_fprime, _dot
 from .series import ZSeries
-from .trees import (g_inner_table, h_inner_table, lambda_series, phi_theta_tables,
-                    table_column)
+from .trees import g_inner_table, h_inner_table, phi_theta_tables
 from .upoly import UP_U, UPoly
 
 MAX_SYMBOLIC_ORDER = 60
@@ -278,12 +276,6 @@ def compose_biv(table, x_series: ZSeries, y_series: ZSeries, order: int) -> ZSer
     return ZSeries([online.entry(0, k) for k in range(n + 1)], n, zero)
 
 
-def _compose_column(coeffs, x_series: ZSeries, order: int) -> ZSeries:
-    """The series sum c_k X^k, as the one-column table {(k, 0): c_k}."""
-    column = {(k, 0): c for k, c in enumerate(coeffs) if c}
-    return compose_biv(column, x_series, ZSeries.zero(order, x_series.zero_coeff), order)
-
-
 def solve_rs(p: int, order: int, u_mode=None):
     """(R, S) of :func:`solve`, the solution of the defining system through
     z^order."""
@@ -322,14 +314,6 @@ def solve_s_tilde(p: int, order: int, u_mode=None) -> ZSeries:
     """S~ of :func:`solve`, defined by S~ = u * Phi2(z, S~), S~(0) = 0: S
     with every R replaced by z.  For even p it vanishes identically."""
     return solve(p, order, u_mode, ("S_tilde",)).S_tilde
-
-
-def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
-    """Residuals (R - z - u Phi1(R,S), S - u Phi2(R,S)); both must vanish."""
-    u, order = _mode(u_mode), min(R.order, S.order)
-    tables = phi_theta_tables(p, order)
-    phi1, phi2 = (compose_biv(tables[name], R, S, order) for name in ("phi1", "phi2"))
-    return (R - ZSeries.z(order, u * 0) - phi1.scale(u), S - phi2.scale(u))
 
 
 def solve(p: int, order: int, u_mode=None, names=None) -> SolverOutput:
@@ -405,29 +389,3 @@ def _series(p: int, order: int, dom, want) -> dict:
     if want & {"S_tilde", "W_tilde"}:
         _, out["S_tilde"], _, out["W_tilde"] = _sweep_rs(p, order, dom, phi1={})
     return {name: out[name] for name in want}
-
-
-def series_f_explicit_quartic(order: int, u_mode=None) -> ZSeries:
-    """The closed 4-valent form F = Psi(R), Psi = int theta - u int theta*Phi'.
-
-    An independent route to F (no integration of the composed series); it
-    must agree exactly with the F of :func:`solve` at p = 4.
-    """
-    u = _mode(u_mode)
-    # x-series over Q, so that the antiderivatives divide as rationals
-    theta = ZSeries(table_column("theta", 4, order), order - 1).map_coeffs(Q)
-    phi_prime = ZSeries(table_column("phi1", 4, order), order).differentiate()
-    outer = theta.integrate() - (theta * phi_prime).integrate().scale(u)
-    return _compose_column(outer.coeffs, solve_rs(4, order, u_mode)[0], order)
-
-
-def quartic_h_via_lambda(order: int, u_mode=None) -> ZSeries:
-    """H = z W1 - Lambda(R) for p = 4, W1 = (R - z)/u = Phi1(R): a route to
-    the H of :func:`solve` that shares only its (R, S) sweep."""
-    def run(dom):
-        R, _, w1, _ = _sweep_rs(4, order, dom)
-        plus, minus = dom.z(order) * w1, _compose_column(lambda_series(order), R, order)
-        dom.bound(plus, minus)
-        return {"H": plus - minus}
-
-    return _exact(4, order, u_mode, run)["H"]

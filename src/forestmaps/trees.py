@@ -24,7 +24,7 @@ of two valuation->=1 series requires; each is built once per (p, order).
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from math import factorial
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
@@ -60,46 +60,6 @@ def tree_count(p: int, k: int, kind: str = "leaf_rooted"):
     if kind == "corner_rooted":
         return exact_div(p * factorial((p - 1) * ell),
                          factorial(ell - 1) * factorial((p - 2) * ell + 2))
-    raise ValueError("kind must be leaf_rooted or corner_rooted")
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: exhaustive plane-tree counting
-# ---------------------------------------------------------------------------
-
-def enumerate_tree_count(p: int, k: int, kind: str = "leaf_rooted") -> int:
-    """Count p-valent plane trees with k leaves by direct recursion.
-
-    A hanging subtree is a bare leaf or an internal vertex carrying p-1
-    ordered hanging subtrees.  A leaf-rooted tree is a root leaf over one
-    internal vertex (p-1 ordered children); a corner-rooted tree is an
-    internal vertex with p ordered children (the marked corner linearizes
-    the cyclic order).  This recursion is the ground truth for
-    :func:`tree_count`.
-    """
-
-    @lru_cache(maxsize=None)
-    def hanging(m: int) -> int:
-        # number of hanging subtrees with m leaves
-        if m < 1:
-            return 0
-        base = 1 if m == 1 else 0
-        return base + ordered(p - 1, m)
-
-    @lru_cache(maxsize=None)
-    def ordered(r: int, m: int) -> int:
-        # ordered r-tuples of hanging subtrees with m leaves in total
-        if r == 0:
-            return 1 if m == 0 else 0
-        total = 0
-        for first in range(1, m - r + 2):
-            total += hanging(first) * ordered(r - 1, m - first)
-        return total
-
-    if kind == "leaf_rooted":
-        return ordered(p - 1, k - 1)
-    if kind == "corner_rooted":
-        return ordered(p, k)
     raise ValueError("kind must be leaf_rooted or corner_rooted")
 
 

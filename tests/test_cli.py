@@ -150,6 +150,37 @@ def test_exit_code_numeric(capsys):
     assert exc.value.code == 4
 
 
+@pytest.mark.parametrize("argv, code", [
+    # sized from --tol and --fracs: 9e5 and 2e8 terms
+    (("asymptotics", "--mode", "log-probe", "--u=-1", "--tol", "1e-300"), 4),
+    (("asymptotics", "--mode", "log-probe", "--u=-1/2", "--fracs", "0.9999999"), 4),
+    (("asymptotics", "--mode", "log-probe", "--u=-1/2", "--order", "40001"), 2),
+    (("asymptotics", "--mode", "beta-fit", "--u=-1/2", "--order", "1000000000"), 2),
+    (("random", "--u", "1", "--k-max", "51"), 2),
+    (("random", "--u", "1", "--n-list=", "--k-max", "20000"), 2),
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x))
+def test_overlong_probes_are_refused_before_any_computation(capsys, monkeypatch, argv, code):
+    # without the bound each of these runs for minutes or exhausts memory;
+    # here a missing bound fails at once
+    from forestmaps import asymptotics, randmodel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the length was checked")
+
+    for module, name in ((asymptotics, "quartic_critical_point"),
+                         (asymptotics, "quartic_fseries_float"),
+                         (asymptotics, "cubic_expansion_data"),
+                         (asymptotics, "cubic_fprime_float"),
+                         (randmodel, "kappa"), (randmodel, "s_limit_law")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == code
+    assert capsys.readouterr().err.startswith(
+        "error: %s: cannot use %s (an integer from " % argv[-2:] if code == 2
+        else "numeric failure: truncation tail bound cannot reach tol=")
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     main(["--output", str(path), "coeffs", "--p", "4", "--order", "3",
@@ -601,6 +632,16 @@ def test_exact_engines_do_not_import_numpy(tmp_path):
               "cli.main(['--output', %r, 'random', '--u=91/43', '--k-max', '1', "
               "'--n-list', '40,80'])" % str(tmp_path / "out.json"))
     assert _heavy_imports(engines, random) == ["[]", "['mpmath']"]
+
+
+def test_only_asymptotics_imports_numpy():
+    # numpy's import costs about 50 ms and 10 MB of RSS; the exact paths,
+    # the CLI and the mpmath numerics start without it
+    modules = ("cli", "solver", "fast", "randmodel", "critical", "hyp", "maps", "deverify",
+               "trees", "series", "upoly", "exact")
+    assert _heavy_imports("import " + ", ".join("forestmaps." + m for m in modules),
+                          "import forestmaps.asymptotics") == \
+        ["['mpmath']", "['mpmath', 'numpy']"]
 
 
 SOLVERS = ("quartic_tau", "s_tilde_characteristic", "cubic_characteristic_positive")

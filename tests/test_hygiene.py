@@ -1,15 +1,15 @@
 """Source hygiene: every name a package module imports is read somewhere in
-it, every private helper is used somewhere in the package, every public
-function and class is used somewhere in the repository, and those that
-only tests use are the listed ones.
+it, every private helper is used somewhere in the package, and every public
+function and class is used by a program.
 
 No linter is a dependency of the package, so this is the lint step: it
 parses each module of ``src/forestmaps`` with :mod:`ast` and reports
 imported names that the module never loads, private top-level functions
-and classes that no module refers to, public ones that no Python file
-under ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` refers to, and
-public ones that only ``tests/`` refers to.  A name listed in the module's
-``__all__`` counts as read, so re-exports stay legal.
+and classes that no module refers to, and public ones that no program, a
+Python file under ``src/``, ``demos/`` or ``perfbench/``, refers to.  A
+test's use does not count: a reference only the tests call belongs in the
+tests.  A name listed in the module's ``__all__`` counts as read, so
+re-exports stay legal.
 """
 
 import ast
@@ -21,11 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "forestmaps"
 MODULES = sorted(SRC.glob("*.py"))
-# the Python files outside the package that may use its public names
-READERS = sorted(path for top in ("tests", "demos", "perfbench")
-                 for path in (ROOT / top).rglob("*.py"))
-# those of them that are programs rather than tests; the benchmark names
-# the functions it calls and traces in strings "module.name"
+# the programs outside the package that may use its public names; the
+# benchmark names the functions it calls and traces in strings "module.name"
 PROGRAMS = sorted(path for top in ("demos", "perfbench") for path in (ROOT / top).rglob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").rglob("*.py"))
 
@@ -154,37 +151,6 @@ def test_the_checker_sees_a_dead_public_name():
                                                                   ("a", "Gone", 13)]
 
 
-def test_every_public_name_is_referenced():
-    sources = {path.name: path.read_text() for path in MODULES}
-    readers = [path.read_text() for path in READERS]
-    assert dead_defs(sources, private=False, readers=readers) == []
-
-
-# public package names that only tests reach: independent oracles and
-# closed forms the tests hold the package against.  A new one, or one of
-# these that gains a caller in the package, a demo or the benchmark, fails
-# here until the list is edited.
-TEST_ONLY = {
-    ("critical.py", "cubic_a1_residual"),
-    ("hyp.py", "self_check"),
-    ("hyp.py", "phi_at_boundary"),
-    ("hyp.py", "theta_at_boundary"),
-    ("hyp.py", "psi1_at_boundary"),
-    ("hyp.py", "psi2_at_boundary"),
-    ("hyp.py", "phi_singular_expansion"),
-    ("hyp.py", "phi_prime_singular_expansion"),
-    ("hyp.py", "theta_singular_expansion"),
-    ("hyp.py", "theta_prime_singular_expansion"),
-    ("hyp.py", "psi2_singular_expansion"),
-    ("maps.py", "tutte_at_mu_1"),
-    ("randmodel.py", "kappa_smooth_reference"),
-    ("solver.py", "residual_rs"),
-    ("solver.py", "series_f_explicit_quartic"),
-    ("solver.py", "quartic_h_via_lambda"),
-    ("trees.py", "enumerate_tree_count"),
-}
-
-
 def test_the_checker_sees_a_test_only_public_name():
     sources = {"a": "def shipped():\n    pass\n\n\ndef tested():\n    pass\n\n\n"
                     "def traced():\n    pass\n",
@@ -198,8 +164,7 @@ def test_the_checker_sees_a_test_only_public_name():
         [("a", "tested", 5), ("a", "traced", 9)]
 
 
-def test_only_the_listed_public_names_are_test_only():
+def test_every_public_name_is_reached_by_a_program():
     sources = {path.name: path.read_text() for path in MODULES}
-    found = dead_defs(sources, private=False, readers=[path.read_text() for path in PROGRAMS],
-                      named=[path.read_text() for path in BENCHMARK])
-    assert {(module, name) for module, name, _ in found} == TEST_ONLY
+    assert dead_defs(sources, private=False, readers=[path.read_text() for path in PROGRAMS],
+                     named=[path.read_text() for path in BENCHMARK]) == []

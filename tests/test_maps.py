@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from forestmaps.maps import (
+    _at_nu_1,
     CombMap,
     ScaleGuardError,
     activity_poly,
@@ -15,7 +16,6 @@ from forestmaps.maps import (
     forest_poly,
     oracle_f,
     spanning_trees,
-    tutte_at_mu_1,
     tutte_poly,
 )
 from forestmaps.upoly import UPoly
@@ -101,6 +101,11 @@ def test_tutte_values():
     assert tutte_poly(single_edge()) == {(1, 0): 1}          # mu
     assert tutte_poly(single_loop()) == {(0, 1): 1}          # nu
     assert tutte_poly(theta_graph()) == {(1, 0): 1, (0, 1): 1, (0, 2): 1}
+
+
+def tutte_at_mu_1(m: CombMap) -> UPoly:
+    """T_M(u+1, 1) as a polynomial in u: must equal :func:`forest_poly`."""
+    return _at_nu_1(tutte_poly(m))
 
 
 def test_forest_poly_is_tutte_at_nu_1():

@@ -13,7 +13,7 @@ from mpmath import mpf
 from forestmaps import critical, hyp
 from forestmaps.asymptotics import quartic_smoothness_gap
 from forestmaps.critical import (
-    cubic_a1_residual,
+    _cubic_negative_point,
     cubic_beta,
     cubic_expansion_data,
     cubic_rho_at_minus_one,
@@ -25,24 +25,22 @@ from forestmaps.critical import (
     s_tilde_radius_cubic,
 )
 from forestmaps.hyp import (
+    _CUBIC_MEMBERS,
+    _QUARTIC_MEMBERS,
+    CUBIC_BOUNDARY,
+    DEFAULT_PREC,
+    QUARTIC_BOUNDARY,
     Precision,
     as_mpf,
-    phi_at_boundary,
     phi_family,
     phi_numeric,
-    phi_prime_singular_expansion,
-    phi_singular_expansion,
-    psi1_at_boundary,
-    psi2_at_boundary,
-    psi2_singular_expansion,
     psi_family,
     psi_family_at,
     psi_numeric,
-    self_check,
-    theta_at_boundary,
-    theta_prime_singular_expansion,
-    theta_singular_expansion,
+    rat_to_mpf,
 )
+
+from oracles import phi_at_boundary, psi1_at_boundary, psi2_at_boundary, theta_at_boundary
 
 PREC = Precision(50)
 
@@ -67,6 +65,24 @@ def test_domain_guards():
         phi_numeric("phi_prime", Q(1, 27), PREC)  # divergent at boundary
     with pytest.raises(ValueError):
         psi_numeric("psi2_prime", Q(1, 64), PREC)
+
+
+def self_check(prec: Precision = DEFAULT_PREC, tol: float = 1e-12) -> float:
+    """Max |series - boundary| over an overlap window; must stay below tol."""
+    worst = 0.0
+    with prec.ctx():
+        for fn, members, boundary in ((phi_numeric, _QUARTIC_MEMBERS, QUARTIC_BOUNDARY),
+                                      (psi_numeric, _CUBIC_MEMBERS, CUBIC_BOUNDARY)):
+            bd = rat_to_mpf(boundary)
+            for kind in members:
+                for frac in (1.2e-3, 1.5e-3, 2e-3):
+                    x = bd - mpf(frac)
+                    a = fn(kind, x, prec, method="series")
+                    b = fn(kind, x, prec, method="boundary")
+                    worst = max(worst, abs(float(a - b)))
+    if worst > tol:
+        raise AssertionError("series/boundary disagreement %.3e > %.0e" % (worst, tol))
+    return worst
 
 
 def test_series_and_boundary_methods_agree():
@@ -320,8 +336,16 @@ def _in_ctx(fn):
     return call
 
 
-# every public function of critical that reads u, and quartic_smoothness_gap;
-# s_tilde_radius_cubic is left out: it takes only an exact u
+def cubic_a1_residual(u, prec: Precision = DEFAULT_PREC):
+    """The closed delta must annihilate a1 = (1+u)/4 d^2 - u sqrt(2)/pi d + (u-1)/4."""
+    with prec.ctx():
+        um = as_mpf(u)
+        d = _cubic_negative_point(um, prec)[3]
+        return abs((1 + um) / 4 * d * d - um * mpmath.sqrt(2) / mpmath.pi * d + (um - 1) / 4)
+
+
+# every public function of critical that reads u, quartic_smoothness_gap and
+# cubic_a1_residual; s_tilde_radius_cubic is left out: it takes only an exact u
 U_READERS = {
     "radius_p4": (lambda u: radius(4, u, PREC20), Fraction(1, 3)),
     "radius_p3": (lambda u: radius(3, u, PREC20), Fraction(1, 3)),
@@ -440,6 +464,54 @@ def test_root_finder_keeps_the_bracket_and_the_cap(case, digits, tol):
         assert len(points) <= int(digits * 3.4) + 30
         with pytest.raises(ValueError, match="not bracketed"):
             _zeroin(f, lo, (lo + root) / 2, prec)
+
+
+# leading singular expansions (used as independent test oracles)
+
+def phi_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
+    """Phi(1/27 - eps) up to O(eps^2 log eps)."""
+    with prec.ctx():
+        e = mpf(eps)
+        s3 = mpmath.sqrt(3)
+        return (
+            s3 / (12 * mpmath.pi)
+            - mpf(1) / 27
+            + s3 / (2 * mpmath.pi) * e * mpmath.log(e)
+            + (1 - s3 / (2 * mpmath.pi)) * e
+        )
+
+
+def phi_prime_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
+    with prec.ctx():
+        e = mpf(eps)
+        return -mpmath.sqrt(3) / (2 * mpmath.pi) * mpmath.log(e) - 1
+
+
+def theta_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
+    with prec.ctx():
+        e = mpf(eps)
+        s3 = mpmath.sqrt(3)
+        return (
+            mpf(2) / 3
+            - 7 * s3 / (6 * mpmath.pi)
+            + 2 * s3 / mpmath.pi * e * mpmath.log(e)
+            + 7 * s3 / mpmath.pi * e
+        )
+
+
+def theta_prime_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
+    with prec.ctx():
+        e = mpf(eps)
+        s3 = mpmath.sqrt(3)
+        return -2 * s3 / mpmath.pi * mpmath.log(e) - 9 * s3 / mpmath.pi
+
+
+def psi2_singular_expansion(eps, prec: Precision = DEFAULT_PREC):
+    with prec.ctx():
+        e = mpf(eps)
+        s2 = mpmath.sqrt(2)
+        return mpf(1) / 2 - s2 / mpmath.pi + 4 * s2 / mpmath.pi * e * mpmath.log(e) \
+            + 12 * s2 / mpmath.pi * e
 
 
 def test_singular_expansions_are_leading_order():

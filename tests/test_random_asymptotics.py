@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestmaps import asymptotics
 from forestmaps.asymptotics import (
+    MAX_ORDER,
     MIN_ORDER,
     coefficient_asymptotic_check,
     cubic_beta_fit,
@@ -15,16 +18,17 @@ from forestmaps.asymptotics import (
 )
 from forestmaps.exact import Q
 from forestmaps.fast import conv_trunc, quartic_series
-from forestmaps.hyp import Precision, phi_at_boundary
+from forestmaps.hyp import Precision
 from forestmaps.randmodel import (
     component_slope,
     finite_n_expectations,
     finite_n_root_size,
     kappa,
-    kappa_smooth_reference,
     s_limit_law,
 )
 from forestmaps.trees import table_column
+
+from oracles import phi_at_boundary
 
 PREC = Precision(50)
 
@@ -173,6 +177,32 @@ def test_log_probe_guards():
     with pytest.raises(ValueError):
         # unreachable tolerance with a capped order must refuse
         log_singularity_probe(Q(-1, 2), (0.999,), PREC, order=500, tol=1e-30)
+
+
+def test_log_probe_retries_stop_at_max_order(monkeypatch):
+    # a flat F'' is monotone, but its tail bound q^9/(1 - q) stays far above
+    # tol: each attempt fails, and the doubled order never passes MAX_ORDER
+    orders = []
+
+    def engine(u, order, s):
+        orders.append(order)
+        return {"fsecond": np.ones(8)}
+
+    monkeypatch.setattr(asymptotics, "quartic_fseries_float", engine)
+    sized = int(math.log(1e-12 / 50) / math.log(0.999) * 1.15)
+    for order, fracs, tol, tried in ((200, (0.9,), 1e-6, [200, 400, 800]),
+                                     (MAX_ORDER - 1, (0.9,), 1e-6, [MAX_ORDER - 1, MAX_ORDER]),
+                                     (None, (0.999,), 1e-12, [sized, MAX_ORDER])):
+        orders.clear()
+        with pytest.raises(ValueError, match="exceeds tol"):
+            log_singularity_probe(Q(-1, 2), fracs, PREC, order=order, tol=tol)
+        assert orders == tried
+    orders.clear()
+    with pytest.raises(ValueError, match="needs order <= %d" % MAX_ORDER):
+        log_singularity_probe(Q(-1, 2), (0.9,), PREC, order=MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="needs order <= %d" % MAX_ORDER):
+        cubic_beta_fit(Q(-1, 2), (0.9, 0.99), MAX_ORDER + 1, PREC)
+    assert orders == []
 
 
 @pytest.mark.parametrize("probe", ["log-probe", "beta-fit"])

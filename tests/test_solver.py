@@ -13,16 +13,16 @@ from forestmaps.exact import Q, exact_div
 from forestmaps.series import ZSeries
 from forestmaps.solver import (
     _Domain,
+    _exact,
+    _mode,
     _sweep_rs,
     compose_biv,
-    quartic_h_via_lambda,
-    residual_rs,
-    series_f_explicit_quartic,
     solve,
     solve_rs,
     solve_s_tilde,
 )
-from forestmaps.trees import g_inner_table, h_inner_table, phi_theta_tables
+from forestmaps.trees import (g_inner_table, h_inner_table, lambda_series, phi_theta_tables,
+                              table_column)
 from forestmaps.upoly import UP_U, UPoly
 
 
@@ -47,6 +47,46 @@ def _bump_r(monkeypatch, n, amount):
         return R, S, w1, w2
 
     monkeypatch.setattr(solver, "_sweep_rs", bumped)
+
+
+def _compose_column(coeffs, x_series: ZSeries, order: int) -> ZSeries:
+    """The series sum c_k X^k, as the one-column table {(k, 0): c_k}."""
+    column = {(k, 0): c for k, c in enumerate(coeffs) if c}
+    return compose_biv(column, x_series, ZSeries.zero(order, x_series.zero_coeff), order)
+
+
+def residual_rs(p: int, R: ZSeries, S: ZSeries, u_mode=None):
+    """Residuals (R - z - u Phi1(R,S), S - u Phi2(R,S)); both must vanish."""
+    u, order = _mode(u_mode), min(R.order, S.order)
+    tables = phi_theta_tables(p, order)
+    phi1, phi2 = (compose_biv(tables[name], R, S, order) for name in ("phi1", "phi2"))
+    return (R - ZSeries.z(order, u * 0) - phi1.scale(u), S - phi2.scale(u))
+
+
+def series_f_explicit_quartic(order: int, u_mode=None) -> ZSeries:
+    """The closed 4-valent form F = Psi(R), Psi = int theta - u int theta*Phi'.
+
+    An independent route to F (no integration of the composed series); it
+    must agree exactly with the F of :func:`solve` at p = 4.
+    """
+    u = _mode(u_mode)
+    # x-series over Q, so that the antiderivatives divide as rationals
+    theta = ZSeries(table_column("theta", 4, order), order - 1).map_coeffs(Q)
+    phi_prime = ZSeries(table_column("phi1", 4, order), order).differentiate()
+    outer = theta.integrate() - (theta * phi_prime).integrate().scale(u)
+    return _compose_column(outer.coeffs, solve_rs(4, order, u_mode)[0], order)
+
+
+def quartic_h_via_lambda(order: int, u_mode=None) -> ZSeries:
+    """H = z W1 - Lambda(R) for p = 4, W1 = (R - z)/u = Phi1(R): a route to
+    the H of :func:`solve` that shares only its (R, S) sweep."""
+    def run(dom):
+        R, _, w1, _ = solver._sweep_rs(4, order, dom)
+        plus, minus = dom.z(order) * w1, _compose_column(lambda_series(order), R, order)
+        dom.bound(plus, minus)
+        return {"H": plus - minus}
+
+    return _exact(4, order, u_mode, run)["H"]
 
 
 def test_quartic_r_expansion():
