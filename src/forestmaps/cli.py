@@ -16,8 +16,8 @@ Exact values are serialized as rational strings, never floats; numeric
 outputs carry residual or tail-bound fields.  Identical invocations produce
 byte-identical output (the header carries only the package version).  Exit
 codes: 2 flag errors (symbolic u above the solver's order limit, --n-list
-above MAX_N, and random's --n-list and --k-max at u <= 0 included), 3
-scale-guard refusals, 4 numeric non-convergence.
+above MAX_N, --digits above MAX_DIGITS, and random's --n-list and --k-max
+at u <= 0 included), 3 scale-guard refusals, 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 from typing import Optional
 
 from . import __version__
@@ -102,6 +103,14 @@ def _in_range(args, name: str, least: int, most: Optional[int] = None) -> None:
 # 10^-4, and looser targets would pass profiles resolved to a few digits
 MIN_DIGITS = 12
 
+# the most working digits.  The residual target 10^-(digits//2 - 2) is a
+# float, which underflows to 0 from 652 digits on (--s-tilde then exits 4
+# at any residual), and the critical-point solves grow steeply with the
+# digits: at 600 each radius, random and asymptotics call tried took at most
+# 1.6 s, at 1000 and 2000 up to 3.7 s, at 4000 radius --p 4 --u=-1/2 19 s,
+# and at 10000 radius --p 4 --u=1 31-47 s (2-core Intel Xeon, Python 3.11)
+MAX_DIGITS = 600
+
 
 # the largest n of --n-list.  Both readers take f_n from the exact quartic
 # series through max(n), whose cost grows like n^3.6: at n = 1000 a call took
@@ -126,7 +135,7 @@ def _n_list(text: str) -> list:
 def _precision(args):
     from .hyp import Precision
 
-    need = "an integer >= %d" % MIN_DIGITS
+    need = "an integer from %d to %d" % (MIN_DIGITS, MAX_DIGITS)
     digits = args.digits
     if digits is None:
         text = os.environ.get("FORESTMAPS_DIGITS", "50")
@@ -134,7 +143,7 @@ def _precision(args):
             digits = int(text)
         except ValueError:
             raise _flag_error("FORESTMAPS_DIGITS", text, need)
-    if digits < MIN_DIGITS:
+    if not MIN_DIGITS <= digits <= MAX_DIGITS:
         raise _flag_error("FORESTMAPS_DIGITS" if args.digits is None else "--digits",
                           digits, need)
     return Precision(digits)
@@ -388,7 +397,10 @@ def cmd_repro(args):
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the command line, built once per process: parsing
+    leaves it as it is, so every :func:`main` call shares it."""
     ap = argparse.ArgumentParser(
         prog="forestmaps",
         description="exact series, oracles and singularity numerics for "

@@ -150,7 +150,10 @@ def _check_cubic_rs(order: int) -> ResidualReport:
 
     (The S' relation carries the opposite sign from the R' one; with a plus
     on the 2(...) group both residuals vanish identically, and that is the
-    form asserted here.)
+    form asserted here.)  (R, S) come from the table sweep,
+    :func:`~forestmaps.solver.solve_rs`: the cubic recurrence of
+    :mod:`forestmaps.fast` is derived from these relations, so it cannot
+    check them.
     """
     R, S = solve_rs(3, order + 1)
     z = ZSeries.z(order + 1, UPoly())

@@ -1,11 +1,16 @@
-"""High-order series engines for a specialized (numeric) weight u.
+"""The O(order^2) series engines: exact at p = 3 and p = 4, and in float64.
 
-The online solver in :mod:`forestmaps.solver` costs O(order^3) ring
+The online table sweep of :mod:`forestmaps.solver` costs O(order^3) ring
 operations; these engines reach orders in the thousands by turning the
-defining equations into coefficient recurrences.  Both run in the unknowns
-W = Phi(R, S) that u multiplies in R = z + u Phi1 and S = u Phi2, so R and
-S come from products, nothing is divided by u, and u = 0 (R = z, S = 0:
-the spanning trees) is an ordinary point:
+defining equations into coefficient recurrences.  Every exact solve at
+p = 3 and p = 4 runs them: :func:`forestmaps.solver.solve` takes (R, S, W1,
+W2) from `_cubic` and (R, W) from `_quartic` at a rational u, and at u = 1
+and u = 2^k when it solves symbolic u by Kronecker substitution, where
+every division of a recurrence is exact because its quotient lies in
+Z[u].  Both run in the unknowns W = Phi(R, S) that u multiplies in
+R = z + u Phi1 and S = u Phi2, so R and S come from products, nothing is
+divided by u, and u = 0 (R = z, S = 0: the spanning trees) is an ordinary
+point:
 
 * quartic (p = 4): W = Phi(R), R = z + u W.  Eliminating Phi'' through the
   hypergeometric ODE of Phi gives, divided by u,
@@ -51,8 +56,8 @@ Each recurrence step takes dots of one series against another run
 backwards; the backward operand is a forward slice of the mirror, so numpy
 passes both to BLAS without copying them.  The O(n) steps (derivatives and
 F') are whole-array expressions over floats, each with the roundings of the
-entrywise formula.  Both recurrences are validated against the online
-solver in the test suite, the float runs against the exact ones on a shared
+entrywise formula.  Both recurrences are validated against the table
+sweep in the test suite, the float runs against the exact ones on a shared
 prefix and against extended-precision runs over their full length.
 """
 

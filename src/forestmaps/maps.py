@@ -15,7 +15,6 @@ the scales are guarded and exceeding them raises :class:`ScaleGuardError`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
@@ -129,14 +128,6 @@ class CombMap:
             "alpha": list(self.alpha),
             "root_dart": self.root_dart,
         }
-
-    @staticmethod
-    def from_json(obj) -> "CombMap":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return CombMap(
-            obj["n_darts"], tuple(obj["sigma"]), tuple(obj["alpha"]), obj["root_dart"]
-        )
 
 
 def _cycles(perm: Sequence[int]) -> List[Tuple[int, ...]]:

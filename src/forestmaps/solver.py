@@ -10,6 +10,13 @@ step costs O(n^2) ring operations, a solve O(order^3).  For even p, Phi2
 has no y-free entry and S is the zero series.  S~ = u Phi2(z, S~) is the
 same solve with the empty table in place of Phi1, so that R stays z.
 
+At p = 3 and p = 4, :func:`solve` takes (R, S, W1, W2) from the O(order^2)
+coefficient recurrences of :mod:`forestmaps.fast` instead (at p = 4,
+W1 = W and S = W2 = 0), in every domain below: at a rational u and in both
+runs of a symbolic solve.  The sweep stays the route at p >= 5 and for S~,
+and :func:`solve_rs` runs it at every p: it is the route that criterion
+4's cubic (R, S) relations and the tests hold the recurrences against.
+
 The same evaluator over series known in full is :func:`compose_biv`, the
 one substitution of series into a table: theta, the inner sums of G and H,
 and the univariate outer series of the closed quartic forms, passed as
@@ -25,10 +32,11 @@ by u, at u = 0 (the spanning-tree case, R = z, S = 0) included.  The S~
 sweep keeps W~ = S~/u = Phi2(z, S~) the same way.
 
 :func:`solve` is the one entry: it builds any of the series :data:`SERIES`
-from one (R, S) sweep and one S~ sweep at most.  :func:`solve_rs` and
-:func:`solve_s_tilde` are its (R, S) and S~ requests.  The independent
-routes the tests hold it against (the closed quartic forms of F and H, and
-the residual of the system) live in the tests.
+from one (R, S) solve and one S~ sweep at most.  :func:`solve_s_tilde` is
+its S~ request.  :func:`solve_rs` is the sweep's (R, S), an independent
+route that criterion 4 reads; the others the tests hold :func:`solve`
+against (the closed quartic forms of F and H, and the residual of the
+system) live in the tests.
 
 Every solve runs in one exact domain of Python ints, at a weight u = a/b,
 where entry n of a series holds its z^n coefficient times s^n, with the
@@ -66,7 +74,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exact import canon, exact_div, unscaled, weight_scale
-from .fast import _cubic_fprime, _dot
+from .fast import _cubic, _cubic_fprime, _dot, _quartic
 from .series import ZSeries
 from .trees import g_inner_table, h_inner_table, phi_theta_tables
 from .upoly import UP_U, UPoly
@@ -277,10 +285,15 @@ def compose_biv(table, x_series: ZSeries, y_series: ZSeries, order: int) -> ZSer
 
 
 def solve_rs(p: int, order: int, u_mode=None):
-    """(R, S) of :func:`solve`, the solution of the defining system through
-    z^order."""
-    out = solve(p, order, u_mode, ("R", "S"))
-    return out.R, out.S
+    """(R, S), the solution of the defining system through z^order, from the
+    table sweep alone at every p: the route that criterion 4's cubic (R, S)
+    relations and the tests hold the recurrences of :func:`solve` against."""
+    def run(dom):
+        R, S, _, _ = _sweep_rs(p, order, dom)
+        return {"R": R, "S": S}
+
+    out = _exact(p, order, u_mode, run)
+    return out["R"], out["S"]
 
 
 def _sweep_rs(p: int, order: int, dom, phi1=None):
@@ -318,10 +331,10 @@ def solve_s_tilde(p: int, order: int, u_mode=None) -> ZSeries:
 
 def solve(p: int, order: int, u_mode=None, names=None) -> SolverOutput:
     """The series `names` of :data:`SERIES` (all of them by default, G only
-    at p = 3), from one (R, S) sweep and one S~ sweep at most, at the weight
-    `u_mode`: None or "symbolic" for u kept as a variable, otherwise an
-    exact rational.  This is the solver's one entry; :func:`solve_rs` and
-    :func:`solve_s_tilde` ask it for (R, S) and for S~.
+    at p = 3), from one (R, S) solve (the recurrences at p in {3, 4}, the
+    sweep at p >= 5) and one S~ sweep at most, at the weight `u_mode`: None or
+    "symbolic" for u kept as a variable, otherwise an exact rational.  This
+    is the solver's one entry; :func:`solve_s_tilde` asks it for S~.
 
     * F' = theta(R, S) and F its antiderivative, F(0, u) = 0; F is exact
       through z^order, F' through z^(order-1).  For p = 3 the closed cubic
@@ -351,6 +364,20 @@ def solve(p: int, order: int, u_mode=None, names=None) -> SolverOutput:
     return SolverOutput(p=p, order=order, u=_mode(u_mode), **out)
 
 
+def _rs(p: int, order: int, dom):
+    """(R, S, W1, W2) through z^order in the domain `dom`: from the
+    O(order^2) recurrences of :mod:`forestmaps.fast` at p = 3 and at p = 4
+    (where W1 = W and S = W2 = 0), from the table sweep at p >= 5."""
+    if p == 3:
+        rsw = _cubic(dom.a, dom.b, order, dom.s)
+    elif p == 4:
+        R, W = _quartic(dom.a, dom.b, order, dom.s)
+        rsw = R, [0], W, [0]
+    else:
+        return _sweep_rs(p, order, dom)
+    return tuple(ZSeries(x, order, 0) for x in rsw)
+
+
 def _series(p: int, order: int, dom, want) -> dict:
     """The entries of the series `want` of :func:`solve` in the domain
     `dom`.  Each check, and each difference P - N returned, enters the
@@ -358,7 +385,7 @@ def _series(p: int, order: int, dom, want) -> dict:
     antiderivative through its integrand."""
     out = {}
     if want - {"S_tilde", "W_tilde"}:
-        R, S, w1, w2 = _sweep_rs(p, order, dom)
+        R, S, w1, w2 = _rs(p, order, dom)
         out.update(R=R, S=S, W1=w1, W2=w2)
         z = dom.z(order)
         if want & {"F", "Fprime"}:
@@ -380,8 +407,9 @@ def _series(p: int, order: int, dom, want) -> dict:
                 raise AssertionError("closed G expression disagrees with integral of (1+1/u) S")
         if "H" in want:
             plus = z * w1 + z * (S * w2)
-            minus = (compose_biv(g_inner_table(p, order), R, S, order) * S).scale(2) \
-                + compose_biv(h_inner_table(p, order), R, S, order)
+            minus = compose_biv(h_inner_table(p, order), R, S, order)
+            if not S.is_zero():  # S, and so 2 S * inner, is 0 at even p and u = 0
+                minus = minus + (compose_biv(g_inner_table(p, order), R, S, order) * S).scale(2)
             dom.bound(plus, minus)
             out["H"] = plus - minus
             if p % 2 == 0 and dom.integrate(w1.scale(2)).truncate(order) != out["H"]:

@@ -167,10 +167,6 @@ class UPoly:
         """Serialize as a list of 'p/q' strings indexed by u-power."""
         return [rat_to_str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_strs(strs) -> "UPoly":
-        return UPoly(strs)  # the constructor parses 'p/q' strings
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

@@ -181,6 +181,57 @@ def test_overlong_probes_are_refused_before_any_computation(capsys, monkeypatch,
         else "numeric failure: truncation tail bound cannot reach tol=")
 
 
+@pytest.mark.parametrize("argv, env", [
+    (("--digits", "601", "radius", "--p", "4", "--u=1"), None),
+    (("--digits", "10000", "radius", "--p", "3", "--u=1", "--s-tilde"), None),
+    (("--digits", "10000", "asymptotics", "--mode", "ratios", "--u=1"), None),
+    (("--digits", "10000", "asymptotics", "--mode", "log-probe", "--u=-1/2"), None),
+    (("--digits", "10000", "asymptotics", "--mode", "beta-fit", "--u=-1/2"), None),
+    (("--digits", "10000", "random", "--u", "1"), None),
+    (("--digits", "600", "radius", "--p", "4", "--u=1"), "10000"),
+    (("radius", "--p", "4", "--u=1"), "10000"),
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else "FORESTMAPS_DIGITS=%s" % x)
+def test_overlong_digits_are_refused_before_any_critical_point(capsys, monkeypatch, argv, env):
+    # --digits 10000 radius --p 4 --u=1 ran for 31-47 s without the bound;
+    # here a missing bound fails at once
+    from forestmaps import asymptotics, critical, randmodel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the digits were checked")
+
+    for module, name in ((critical, "radius"), (critical, "s_tilde_radius_cubic"),
+                         (asymptotics, "coefficient_asymptotic_check"),
+                         (asymptotics, "log_singularity_probe"),
+                         (asymptotics, "cubic_beta_fit"), (randmodel, "kappa")):
+        monkeypatch.setattr(module, name, refuse)
+    if env is not None:
+        monkeypatch.setenv("FORESTMAPS_DIGITS", env)
+    if argv[:2] == ("--digits", "600"):  # MAX_DIGITS itself is admitted
+        with pytest.raises(AssertionError, match="computed before the digits"):
+            main(list(argv))
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    flag, value = ("--digits", argv[1]) if env is None else ("FORESTMAPS_DIGITS", env)
+    assert capsys.readouterr().err == \
+        "error: %s: cannot use %s (an integer from 12 to 600)\n" % (flag, value)
+
+
+def test_the_most_digits_keep_a_normal_residual_target(capsys):
+    # from 652 digits on the float target 10^-(digits//2 - 2) underflows to
+    # 0, and the S~ residual check then fails whatever the residual
+    import sys
+
+    from forestmaps import cli
+    from forestmaps.hyp import Precision
+
+    assert Precision(cli.MAX_DIGITS).target_abs_tol >= sys.float_info.min
+    out = run_cli(capsys, "--digits", str(cli.MAX_DIGITS), "radius", "--p", "3", "--u=1",
+                  "--s-tilde")
+    assert json.loads(out)["result"]["profiles"][0]["s_tilde_radius"] is not None
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     main(["--output", str(path), "coeffs", "--p", "4", "--order", "3",
@@ -216,6 +267,36 @@ def test_one_residual_target_per_digits():
     args = cli.build_parser().parse_args(["--digits", "50", "radius", "--p", "4", "--u", "1"])
     precs = (acceptance.PREC, DEFAULT_PREC, cli._precision(args))
     assert {prec.target_abs_tol for prec in precs} == {1e-23}
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main parses with the one parser of the process; a flag error, a CSV
+    # call and a JSON call in a row print what each prints with a parser
+    # built for it alone
+    from forestmaps import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    calls = (["radius", "--p", "5", "--u", "1"],
+             ["--format", "csv", "verify", "--order", "4", "--only", "theta_from_phi"],
+             ["coeffs", "--p", "4", "--order", "4"])
+
+    def run(argv):
+        code = 0
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert "invalid choice: 5" in shared[0][2] and shared[1][1].startswith("name,")
 
 
 def test_s_tilde_residual_above_the_target_exits_4(capsys):
@@ -525,26 +606,31 @@ def test_mu_expand_matches_solve(capsys, p):
     for name, (ser, weight) in table.items():
         doc = json.loads(run_cli(capsys, "mu-expand", "--p", str(p), "--order", "6",
                                  "--series", name))
-        rows = [UPoly.from_strs(r["mu_coeffs"]).from_mu() for r in doc["result"]["rows"]]
+        rows = [UPoly(r["mu_coeffs"]).from_mu() for r in doc["result"]["rows"]]
         assert ZSeries(rows, 6).scale(weight) == ser, name
 
 
 @pytest.mark.parametrize("p", [3, 4])
 def test_one_sweep_serves_every_series(capsys, monkeypatch, p):
-    # coeffs runs one (R, S) sweep for all of its series, and S~ adds one
-    # sweep of its own; each mu-expand series is one sweep.  A symbolic
-    # request runs those sweeps once at u = 1 and once at u = 2^k, a
-    # rational u once.
+    # coeffs runs one (R, S) solve of the recurrences for all of its
+    # series, and S~ adds one table sweep of its own; each mu-expand series
+    # is one of them.  A symbolic request runs each once at u = 1 and once
+    # at u = 2^k, a rational u once.
     from forestmaps import solver
 
     sweeps = []
-    sweep = solver._sweep_rs
+    rs, sweep = solver._rs, solver._sweep_rs
 
-    def counted(p, order, dom, phi1=None):
-        sweeps.append(("S~" if phi1 == {} else "RS", dom.a))
+    def counted_rs(p, order, dom):
+        sweeps.append(("RS", dom.a))
+        return rs(p, order, dom)
+
+    def counted_sweep(p, order, dom, phi1=None):
+        sweeps.append(("S~" if phi1 == {} else "sweep", dom.a))
         return sweep(p, order, dom, phi1=phi1)
 
-    monkeypatch.setattr(solver, "_sweep_rs", counted)
+    monkeypatch.setattr(solver, "_rs", counted_rs)
+    monkeypatch.setattr(solver, "_sweep_rs", counted_sweep)
     series = "F,Fprime,R,S,H" + (",G" if p == 3 else "")
     for argv, expected in (
         (["coeffs", "--series", series], ["RS"]),
@@ -600,9 +686,9 @@ def _heavy_imports(*steps):
 
 
 def test_symbolic_commands_do_not_import_numpy(tmp_path):
-    # the symbolic path runs on UPoly alone and the rational sweep on Python
-    # ints, not through fast.py; numpy would add ~10 MB of RSS and mpmath,
-    # which only the numerics need, ~50 ms of start-up
+    # every exact solve runs on Python ints, fast.py's recurrences on lists
+    # of them; numpy would add ~10 MB of RSS and mpmath, which only the
+    # numerics need, ~50 ms of start-up
     commands = "\n".join([
         "from forestmaps import cli",
         "for argv in (['coeffs', '--p', '3', '--order', '6', '--u', 'symbolic',",

@@ -65,3 +65,20 @@ def test_negative_control_identity():
     assert not res.is_zero()
     # the x^3 bump reaches the residual at x^2 through x(27x-1) Phi''
     assert res.valuation() == 2
+
+
+def test_cubic_rs_relations_read_the_table_sweep(monkeypatch):
+    # the relations are the ODE the cubic recurrence was derived from, so
+    # they are checked on (R, S) of the sweep: with the recurrence out of
+    # reach, where solve would fail, the residual is still zero
+    from forestmaps import fast, solver
+
+    def unreachable(*args):
+        raise AssertionError("the cubic recurrence ran")
+
+    for module in (fast, solver):
+        monkeypatch.setattr(module, "_cubic", unreachable)
+    with pytest.raises(AssertionError, match="the cubic recurrence ran"):
+        solver.solve(3, 12, None, ("R", "S"))
+    rep = check_identity("cubic_rs_derivative_rational", 12)
+    assert rep.is_zero and rep.valid_order == 12, rep

@@ -52,7 +52,7 @@ def test_rat_string_roundtrip(q):
 @given(st.lists(rationals, max_size=8))
 def test_upoly_string_roundtrip(coeffs):
     p = UPoly(coeffs)
-    assert UPoly.from_strs(p.to_strs()) == p
+    assert UPoly(p.to_strs()) == p  # the constructor parses 'p/q' strings
 
 
 def test_upoly_canonical_and_degree():

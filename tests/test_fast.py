@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestmaps import solver
 from forestmaps.asymptotics import coefficient_asymptotic_check
 from forestmaps.critical import quartic_critical_point, radius
 from forestmaps.exact import Q, exact_div, scaled, unscaled
@@ -51,18 +52,36 @@ def test_cubic_recurrence_matches_sweep(u):
     assert all(S[i] == Ss.coeff(i) for i in range(13))
 
 
-def test_quartic_bundle_matches_solver():
+def _on_the_sweep(monkeypatch):
+    """:func:`solve` with (R, S, W1, W2) from the table sweep at every p and
+    the recurrences out of its reach: the route the recurrences are held
+    against, which does not run them."""
+    def unreachable(*args):
+        raise AssertionError("the sweep route ran a recurrence")
+
+    monkeypatch.setattr(solver, "_rs", solver._sweep_rs)
+    for name in ("_cubic", "_quartic"):
+        monkeypatch.setattr(solver, name, unreachable)
+    return solve
+
+
+@pytest.fixture
+def sweep_solve(monkeypatch):
+    return _on_the_sweep(monkeypatch)
+
+
+def test_quartic_bundle_matches_solver(sweep_solve):
     u = Q(-1, 2)
     ser = quartic_series(u, 12)
-    out = solve(4, 12, u, ("F", "Fprime"))
+    out = sweep_solve(4, 12, u, ("F", "Fprime"))
     f, fp = out.F, out.Fprime
     assert all(ser["f"][i] == f.coeff(i) for i in range(13))
     assert all(ser["fprime"][i] == fp.coeff(i) for i in range(12))
 
 
-def test_quartic_fzu_matches_symbolic_derivative():
+def test_quartic_fzu_matches_symbolic_derivative(sweep_solve):
     # d/du of the symbolic coefficients, specialized, is the second route
-    fp = solve(4, 10, names=("Fprime",)).Fprime
+    fp = sweep_solve(4, 10, names=("Fprime",)).Fprime
     dudiff = fp.map_coeffs(
         lambda c: UPoly([c.coeffs[k] * k for k in range(1, len(c.coeffs))])
         if c.coeffs else c
@@ -73,21 +92,21 @@ def test_quartic_fzu_matches_symbolic_derivative():
         assert all(spec.coeff(i) == fzu[i] for i in range(10))
 
 
-def test_cubic_fprime_matches_solver():
+def test_cubic_fprime_matches_solver(sweep_solve):
     u = Q(1)
     fpl = cubic_fprime_coeffs(u, 12)
-    fp = solve(3, 12, u, ("Fprime",)).Fprime
+    fp = sweep_solve(3, 12, u, ("Fprime",)).Fprime
     assert all(fpl[i] == fp.coeff(i) for i in range(12))
 
 
-def test_u_zero_paths():
+def test_u_zero_paths(sweep_solve):
     R = quartic_r_coeffs(Q(0), 8)
     assert R[1] == 1 and all(R[i] == 0 for i in (0, 2, 3, 4))
     ser = quartic_series(Q(0), 8)
-    f0 = solve(4, 8, 0, ("F",)).F
+    f0 = sweep_solve(4, 8, 0, ("F",)).F
     assert all(ser["f"][i] == f0.coeff(i) for i in range(9))
     fpl = cubic_fprime_coeffs(Q(0), 8)
-    fp0 = solve(3, 8, 0, ("Fprime",)).Fprime
+    fp0 = sweep_solve(3, 8, 0, ("Fprime",)).Fprime
     assert all(fpl[i] == fp0.coeff(i) for i in range(9))
 
 
@@ -264,8 +283,10 @@ def _du(c):
 def _symbolic_sweep():
     """The sweep solver at symbolic u: p = 4 through z^11, p = 3 through
     z^10, with W = (R - z)/u, V = Phi'(R) and F''_zu = d/du F'."""
-    q = solve(4, 11, names=("R", "W1", "F", "Fprime"))
-    c = solve(3, 10, names=("R", "S", "Fprime"))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sweep_solve = _on_the_sweep(monkeypatch)
+        q = sweep_solve(4, 11, names=("R", "W1", "F", "Fprime"))
+        c = sweep_solve(3, 10, names=("R", "S", "Fprime"))
     phi = table_column("phi1", 4, 11)
     return {
         4: {

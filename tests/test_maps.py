@@ -1,5 +1,6 @@
 """The brute-force map oracle: enumeration, Tutte data, activities."""
 
+import json
 import random
 from math import factorial
 
@@ -222,10 +223,19 @@ def test_oracle_values():
     assert oracle_f(4, 4, "root_edge_outside") == UPoly((15, 9))
 
 
+def map_from_json(obj) -> CombMap:
+    """The map that :meth:`CombMap.to_json` wrote, from its dict or its
+    JSON text."""
+    if isinstance(obj, str):
+        obj = json.loads(obj)
+    return CombMap(obj["n_darts"], tuple(obj["sigma"]), tuple(obj["alpha"]), obj["root_dart"])
+
+
 def test_map_json_roundtrip():
     m = theta_graph()
-    again = CombMap.from_json(m.to_json())
-    assert (again.sigma, again.alpha, again.root_dart) == (m.sigma, m.alpha, 0)
+    for doc in (m.to_json(), json.dumps(m.to_json())):
+        again = map_from_json(doc)
+        assert (again.sigma, again.alpha, again.root_dart) == (m.sigma, m.alpha, 0)
 
 
 def test_genus_and_faces():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forestmaps import solver
+from forestmaps import fast, solver
 from forestmaps.deverify import perturb
 from forestmaps.exact import Q, exact_div
 from forestmaps.series import ZSeries
@@ -30,23 +30,22 @@ def upoly(*coeffs):
     return UPoly([Q(c) for c in coeffs])
 
 
-_SWEEP = solver._sweep_rs
+_RS = solver._rs
 
 
 def _bump_r(monkeypatch, n, amount):
-    """Make each (R, S) sweep of the solver return R with entry n raised by
+    """Make each (R, S) solve of the solver return R with entry n raised by
     `amount`, and W1 = Phi1(R, S), W2 = Phi2(R, S) composed from it: a
     corrupted solution that the rest of the solve must refuse.  The S~
     sweep runs as it is."""
-    def bumped(p, order, dom, phi1=None):
-        R, S, w1, w2 = _SWEEP(p, order, dom, phi1)
-        if phi1 is None:
-            R = ZSeries([c + amount * (i == n) for i, c in enumerate(R.coeffs)], order, 0)
-            tables = phi_theta_tables(p, order)
-            w1, w2 = (compose_biv(tables[t], R, S, order) for t in ("phi1", "phi2"))
+    def bumped(p, order, dom):
+        R, S, w1, w2 = _RS(p, order, dom)
+        R = ZSeries([c + amount * (i == n) for i, c in enumerate(R.coeffs)], order, 0)
+        tables = phi_theta_tables(p, order)
+        w1, w2 = (compose_biv(tables[t], R, S, order) for t in ("phi1", "phi2"))
         return R, S, w1, w2
 
-    monkeypatch.setattr(solver, "_sweep_rs", bumped)
+    monkeypatch.setattr(solver, "_rs", bumped)
 
 
 def _compose_column(coeffs, x_series: ZSeries, order: int) -> ZSeries:
@@ -79,9 +78,9 @@ def series_f_explicit_quartic(order: int, u_mode=None) -> ZSeries:
 
 def quartic_h_via_lambda(order: int, u_mode=None) -> ZSeries:
     """H = z W1 - Lambda(R) for p = 4, W1 = (R - z)/u = Phi1(R): a route to
-    the H of :func:`solve` that shares only its (R, S) sweep."""
+    the H of :func:`solve` that shares only its (R, W1)."""
     def run(dom):
-        R, _, w1, _ = solver._sweep_rs(4, order, dom)
+        R, _, w1, _ = solver._rs(4, order, dom)
         plus, minus = dom.z(order) * w1, _compose_column(lambda_series(order), R, order)
         dom.bound(plus, minus)
         return {"H": plus - minus}
@@ -436,6 +435,58 @@ def test_kronecker_solve_is_the_zu_solve(p, order):
         assert quartic_h_via_lambda(order).coeffs == ref["H"].coeffs
 
 
+def _sweep_solve(p, order, u, names):
+    """The series `names` of :func:`solve` with (R, S, W1, W2) from the
+    table sweep in place of the recurrences: over Z[u] the UPoly sweep of
+    :func:`_reference_series`, at a rational u the solve with its (R, S)
+    route replaced by the sweep."""
+    if u is None:
+        return _reference_series(p, order)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(solver, "_rs", solver._sweep_rs)
+        out = solve(p, order, u, names)
+    return {name: getattr(out, name) for name in names}
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([3, 4]), order=st.integers(1, 24),
+       u=st.sampled_from([None, 0]) | RATIONAL_U)
+@example(p=3, order=24, u=None)
+@example(p=4, order=24, u=Q(-1))
+@example(p=3, order=24, u=Q(-999983, 3))
+def test_recurrence_solve_is_the_sweep(p, order, u):
+    # every series of solve, from (R, S, W1, W2) of the recurrences, is the
+    # series of the table sweep, at symbolic u in the u = 1 and u = 2^k runs
+    names = tuple(name for name in solver.SERIES if (p == 3 or name != "G")
+                  and (order >= 3 or name not in ("F", "Fprime", "H")))
+    out, ref = solve(p, order, u, names), _sweep_solve(p, order, u, names)
+    for name in names:
+        got = getattr(out, name)
+        assert got.order == ref[name].order and got.coeffs == ref[name].coeffs, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([3, 4]), order=st.integers(3, 16),
+       u=st.sampled_from([None, 0]) | RATIONAL_U, data=st.data())
+def test_a_bumped_recurrence_entry_is_refused(p, order, u, data):
+    # one entry of the recurrence's R (p = 3) or W (p = 4) off by one: the
+    # theta(R, S) check of F', or the even-p check of H against the
+    # integral of 2 W1, refuses it
+    n = data.draw(st.integers(2, order - 1), label="n")
+    name, index = ("_cubic", 0) if p == 3 else ("_quartic", 1)
+    run = getattr(fast, name)
+
+    def bumped(*args):
+        series = run(*args)
+        series[index][n] += 1
+        return series
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, name, bumped)
+        with pytest.raises((AssertionError, ArithmeticError)):
+            solve(p, order, u)
+
+
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
 def test_too_narrow_digits_fail_the_u_one_check(monkeypatch, p):
     # a digit width below the bit length of the largest u-coefficient wraps
@@ -449,19 +500,28 @@ def test_too_narrow_digits_fail_the_u_one_check(monkeypatch, p):
 
 
 def test_symbolic_sweeps_run_on_ints(monkeypatch):
-    # one sweep at u = 1 and one at u = 2^k for each of (R, S) and S~
-    sweeps = []
-    sweep = solver._sweep_rs
+    # at u = 1 and at u = 2^k: one (R, S) solve, which is the recurrences
+    # at p in {3, 4} and the table sweep at p = 5, and one S~ sweep
+    calls = []
 
-    def spy(*args, **kwargs):
-        sweeps.append(sweep(*args, **kwargs))
-        return sweeps[-1]
+    def spy(name):
+        route = getattr(solver, name)
 
-    monkeypatch.setattr(solver, "_sweep_rs", spy)
-    for p in (3, 4):
+        def spied(p, *args, **kwargs):
+            calls.append((name, p, route(p, *args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(solver, name, spied)
+
+    spy("_rs")
+    spy("_sweep_rs")
+    for p in (3, 4, 5):
         solve(p, 10)
-    assert len(sweeps) == 8
-    assert all(type(c) is int for out in sweeps for x in out for c in x.coeffs)
+    routes = {3: ["_rs", "_sweep_rs"], 4: ["_rs", "_sweep_rs"],
+              5: ["_sweep_rs", "_rs", "_sweep_rs"]}
+    assert [(name, p) for name, p, _ in calls] == \
+        [(name, p) for p in (3, 4, 5) for name in routes[p] * 2]
+    assert all(type(c) is int for *_, out in calls for x in out for c in x.coeffs)
 
 
 def test_online_order_is_enforced():
